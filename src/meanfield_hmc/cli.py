@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__, experiments
@@ -303,7 +304,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        code = _RUNNERS[args.command](args)
+        # surface a closed stdout here rather than in the interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): not an error.  Point stdout
+        # at devnull so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, InvalidModelError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -191,8 +191,9 @@ def gaussian_model(epsilon: float) -> MeanFieldModel:
         return eps * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
     def grad_U_all(q):
-        # grad_i U = q^i - (eps/N) sum_j q^j, via the shared particle sum
-        return q - eps * q.mean(axis=-2, keepdims=True)
+        # grad_i U = q^i - (eps/N) sum_j q^j, via the shared particle sum;
+        # add.reduce / N is the arithmetic of q.mean without its wrapper
+        return q - eps * (np.add.reduce(q, axis=-2, keepdims=True) / q.shape[-2])
 
     constants = AssumptionConstants(
         K=1.0 - eps, L1=1.0, L2=1.0, L_tilde=eps, R_conv=0.0, W0=0.0)
@@ -247,7 +248,7 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
 
         def grad_U_all(q):
             # sum_j (q^i - q^j) = N q^i - sum_j q^j
-            return grad_V(q) + eps * (q - q.mean(axis=-2, keepdims=True))
+            return grad_V(q) + eps * (q - np.add.reduce(q, axis=-2, keepdims=True) / q.shape[-2])
     else:
         raise InvalidModelError(f"unknown interaction {interaction!r}")
 

@@ -14,19 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .couplings import metric_f_prime
+from .couplings import _exact_reciprocal, metric_f_prime, metric_radius
 from .models import MeanFieldModel
-
-
-def _exact_reciprocal(y: float) -> float:
-    """Reciprocal adjusted by at most one ulp so that a * y == 1.0 exactly."""
-    a = 1.0 / y
-    if a * y == 1.0:
-        return a
-    for candidate in (math.nextafter(a, 0.0), math.nextafter(a, math.inf)):
-        if candidate * y == 1.0:
-            return candidate
-    return a
 
 
 @dataclass(frozen=True)
@@ -170,7 +159,7 @@ def compute_constants(model: MeanFieldModel, T: float, d: int | None = None,
     d = model.dim if d is None else int(d)
 
     r_tilde = math.sqrt((2.0 * L + K) / (6.0 * K)) * R
-    r1 = 1.25 * (r_tilde + 2.0 * T)
+    r1 = metric_radius(r_tilde, T)
     gamma = min(1.0 / T, _inv_or_inf(4.0 * r_tilde))
     c_hat = (2.0 * L + K) * R**2
     l_e = L + 2.0 * eps * Lt

@@ -9,6 +9,7 @@ from meanfield_hmc import (CouplingParams, KernelParams, RngStream,
                            couple_velocities_particlewise, coupled_uhmc_step,
                            ell1_bar, estimate_contraction, gaussian_model,
                            metric_f, metric_f_prime, multiwell_model, rho_N)
+from meanfield_hmc.couplings import metric_radius
 
 
 def test_gamma_convention():
@@ -181,6 +182,23 @@ def test_metric_equivalence_bounds():
     lower = r * metric_f_prime(r1, R1=r1, T=t)
     assert (f <= r + 1e-12).all()
     assert (lower <= f + 1e-12).all()
+
+
+def test_metric_radius_slope_has_exact_reciprocal():
+    moved = 0
+    for a in np.linspace(0.05, 3.0, 20):
+        for T in np.linspace(0.02, 2.0, 20):
+            tc = compute_constants(multiwell_model(float(a)), float(T))
+            r1 = metric_radius(tc.R_tilde, float(T))
+            base = 1.25 * (tc.R_tilde + 2.0 * T)
+            assert tc.R1 == r1
+            assert base <= r1 <= base * (1 + 64 * 2.0**-52)
+            moved += r1 != base
+            slope = metric_f_prime(r1, r1, float(T))
+            assert tc.A * slope == 1.0
+    # the grid holds radii that had to move and radii that did not
+    assert 0 < moved < 400
+    assert metric_radius(0.0, 1.0) == 2.5
 
 
 def test_rho_N_reductions():

@@ -8,7 +8,8 @@ from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
                            internal_modes, internal_modes_inverse,
                            potential_energy, randomized_flow, randomized_step,
                            roundtrip_internal_transform)
-from meanfield_hmc.integrators import randomized_flow_arrays
+from meanfield_hmc.integrators import (randomized_flow_arrays,
+                                      randomized_step_arrays)
 
 
 def _free_model(dim=1):
@@ -111,6 +112,46 @@ def test_divergence_guard_reports_step():
     with pytest.raises(IntegrationDivergedError) as err:
         randomized_flow_arrays(m, q, p, 2500.0, 2.5, RngStream(0))
     assert err.value.step_index >= 0
+
+
+@pytest.mark.parametrize("shape, h, seed, step", [((1, 1), 2.5, 0, 192),
+                                                  ((1, 1), 3.0, 0, 124),
+                                                  ((1, 1), 4.0, 0, 88),
+                                                  ((3, 4, 1), 2.5, 1, 178)])
+def test_divergence_reports_exact_inner_step(shape, h, seed, step):
+    # the unstable step sizes blow up |q| past DIVERGENCE_LIMIT at these
+    # inner steps; the indices were read from the step-by-step reference loop
+    m = gaussian_model(0.0)
+    with pytest.raises(IntegrationDivergedError) as err:
+        randomized_flow_arrays(m, np.ones(shape), np.zeros(shape), 1000 * h, h,
+                               RngStream(seed))
+    assert err.value.step_index == step
+    assert str(err.value) == f"trajectory diverged at integrator step {step}"
+
+
+def test_non_finite_force_names_its_step():
+    # unit-speed free flight from 0 with h = 1 puts the evaluation point
+    # q + u p inside (k, k + 1) at step k, so the force turns NaN at step 3
+    nan_beyond_3 = lambda q: np.where(q > 3.0, np.nan, 0.0)
+    m = MeanFieldModel(
+        name="cliff", dim=1, epsilon=0.0,
+        grad_V=nan_beyond_3, grad1_W=lambda x, y: np.zeros_like(x),
+        V=lambda x: np.zeros(np.shape(x)[:-1]), W=lambda x, y: np.zeros(np.shape(x)[:-1]),
+        constants=AssumptionConstants(K=1.0, L1=0.0, L2=1.0, L_tilde=0.0,
+                                      R_conv=0.0, W0=0.0),
+        grad_U_all=nan_beyond_3)
+    with pytest.raises(IntegrationDivergedError) as err:
+        randomized_flow_arrays(m, np.zeros((2, 1)), np.ones((2, 1)), 10.0, 1.0,
+                               RngStream(4))
+    assert err.value.step_index == 3
+    assert str(err.value) == "non-finite force at step 3"
+
+
+def test_step_rejects_wrong_trailing_dimension():
+    m = gaussian_model(0.25)
+    assert m.grad_U_all is not None
+    with pytest.raises(ValueError, match=r"\(\.\.\., N, 1\)"):
+        randomized_step_arrays(m, np.zeros((4, 2)), np.zeros((4, 2)), 0.1, 0.5)
 
 
 # --- exact flow of the 1-d quadratic model ---------------------------------

@@ -7,6 +7,7 @@ from meanfield_hmc import (KernelParams, RngStream, compute_constants,
                            stationary_gaussian_sample,
                            stationary_gaussian_sample_arrays, uhmc_step,
                            xhmc_step_gaussian)
+from meanfield_hmc.integrators import IntegrationDivergedError
 from meanfield_hmc.kernels import (uhmc_step_arrays,
                                    xhmc_step_gaussian_arrays)
 
@@ -186,6 +187,16 @@ def test_run_chain_determinism():
     b = run_chain(m, np.zeros((4, 1)), "uhmc", 20, params, RngStream(6))
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.second_moments, b.second_moments)
+
+
+def test_run_chain_divergence_names_kernel_and_inner_step():
+    # h = 2.5 is unstable for the unit harmonic force; the step indices
+    # were read from the step-by-step reference loop
+    with pytest.raises(IntegrationDivergedError) as err:
+        run_chain(gaussian_model(0.0), np.ones((4, 1)), "uhmc", 100,
+                  KernelParams(T=50.0, h=2.5), RngStream(3))
+    assert err.value.step_index == 9
+    assert str(err.value) == "chain diverged at kernel step 9 (inner step 8)"
 
 
 def test_run_chain_kernel_validation():

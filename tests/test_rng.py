@@ -1,7 +1,10 @@
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from meanfield_hmc import RngStream, derive_stream_id
+from meanfield_hmc.rng import BLOCK
 
 
 def test_same_key_reproduces_sequence():
@@ -66,3 +69,49 @@ def test_seed_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
+
+
+def _unbuffered_uniforms(seed, stream_id, n):
+    """Reference: one direct draw of ``n`` uniforms from the stream's generator."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    k = (gen.integers(0, 1 << 64, size=n, dtype=np.uint64) >> np.uint64(12)).astype(np.float64)
+    return (k + 0.5) * 2.0**-52
+
+
+_sizes = st.integers(min_value=0, max_value=3 * BLOCK + 7)
+_calls = st.one_of(
+    st.tuples(st.just("uniforms"), _sizes),
+    st.tuples(st.just("normal_vector"), _sizes.map(lambda n: max(n, 1))),
+    st.tuples(st.just("normal_array"),
+              st.tuples(st.integers(1, 70), st.integers(1, 70), st.integers(1, 3))),
+    st.tuples(st.just("uniform"), st.none()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1),
+       calls=st.lists(_calls, max_size=12))
+@example(seed=0, stream_id=0, calls=[("uniforms", 0), ("uniforms", BLOCK - 1),
+                                     ("uniforms", 0), ("uniforms", BLOCK + 2),
+                                     ("normal_vector", 1), ("uniform", None)])
+def test_buffered_draws_equal_one_unbuffered_draw(seed, stream_id, calls):
+    s = RngStream(seed, stream_id)
+    outputs = []
+    for name, arg in calls:
+        if name == "uniform":
+            out = np.array([s.uniform()])
+        else:
+            out = getattr(s, name)(arg)
+        outputs.append((name, out.copy(), out))
+    total = sum(out.size for _, out, _ in outputs)
+    assert s.counter == total
+    ref = _unbuffered_uniforms(seed, stream_id, total)
+    pos = 0
+    for name, first_seen, out in outputs:
+        expected = ref[pos:pos + out.size]
+        if name in ("normal_vector", "normal_array"):
+            expected = ndtri(expected)
+        assert np.array_equal(first_seen.reshape(-1), expected)
+        # values handed out are never overwritten by later calls
+        assert np.array_equal(out, first_seen)
+        pos += out.size
