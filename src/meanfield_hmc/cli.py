@@ -16,15 +16,15 @@ import math
 import os
 import sys
 
-from . import __version__, experiments
+from . import __version__
 from .experiments import (BIAS_COLUMNS, CHAOS_COLUMNS, CONTRACTION_COLUMNS,
                           ORDER_COLUMNS, ConfigError, bias_scan, build_model,
                           chaos_scan, config_json, contraction_experiment,
-                          header_lines, order_check, sample_command,
-                          write_csv, write_scaling_svg)
+                          header_lines, json_safe, order_check,
+                          sample_command, write_csv, write_scaling_svg)
 from .integrators import IntegrationDivergedError
 from .models import InvalidModelError
-from .theory import check_conditions, compute_constants, constants_table
+from .theory import compute_constants, constants_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,19 +126,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _model_from_args(args):
     return build_model(args.model, epsilon=args.eps, a=args.a, dim=args.dim,
                        interaction=args.interaction, data_path=args.data)
 
 
-def _out_path(args, default):
-    return args.out if args.out else default
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Comma-separated values of ``kind``; a bad token is a configuration error."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse {flag} {text!r}") from None
+
+
+def _write_outputs(args, result, columns, footer, summary, plot=None):
+    """Write the CSV (``--out``, default the command name with '_' for '-'
+    plus .csv), the ``--plot`` SVG from the ``plot`` keywords of
+    :func:`write_scaling_svg`, and the ``--json`` line: the CSV path plus
+    ``summary`` with non-finite values as null."""
+    path = args.out or args.command.replace("-", "_") + ".csv"
+    write_csv(path, columns, result.rows,
+              header_lines(args.command, args.seed, result.config), footer)
+    if args.plot and plot is not None:
+        svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
+        write_scaling_svg(svg, **plot)
+    if args.json:
+        summary = {key: json_safe(value) for key, value in summary.items()}
+        print(config_json({"out": path, **summary}))
+    return EXIT_OK
 
 
 def _run_sample(args):
@@ -146,12 +161,8 @@ def _run_sample(args):
     result = sample_command(model, N=args.N, T=args.T, h=args.h, m=args.steps,
                             thin=args.thin, init=args.init, seed=args.seed,
                             columns=args.columns)
-    path = _out_path(args, "sample.csv")
-    header = header_lines("sample", args.seed, result.config)
-    write_csv(path, result.columns, result.rows, header, result.constants_footer)
-    if args.json:
-        print(config_json({"out": path, "rows": len(result.rows)}))
-    return EXIT_OK
+    return _write_outputs(args, result, result.columns, result.constants_footer,
+                          {"rows": len(result.rows)})
 
 
 def _run_bias_scan(args):
@@ -159,47 +170,29 @@ def _run_bias_scan(args):
                        epsilon=args.eps, T=args.T, seed=args.seed,
                        burn_in=args.burn_in, h_fixed=args.h,
                        threads=args.threads)
-    path = _out_path(args, "bias_scan.csv")
-    header = header_lines("bias-scan", args.seed, result.config)
-    footer = [f"loglog_slope_vs_eps_acc: {result.slope!r}"]
-    write_csv(path, BIAS_COLUMNS, result.rows, header, footer)
-    if args.plot:
-        svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
-        write_scaling_svg(svg, [r[0] for r in result.rows],
-                          [r[5] for r in result.rows],
-                          xlabel="k (accuracy 2^-k)", ylabel="density error",
-                          title="stationary density error vs accuracy",
-                          guide_factor=0.5)
-    if args.json:
-        print(config_json({"out": path, "slope": _json_safe(result.slope),
-                           "errors": [r[5] for r in result.rows]}))
-    return EXIT_OK
+    errors = [r[5] for r in result.rows]
+    return _write_outputs(
+        args, result, BIAS_COLUMNS, [f"loglog_slope_vs_eps_acc: {result.slope!r}"],
+        {"slope": result.slope, "errors": errors},
+        dict(xs=[r[0] for r in result.rows], ys=errors,
+             xlabel="k (accuracy 2^-k)", ylabel="density error",
+             title="stationary density error vs accuracy", guide_factor=0.5))
 
 
 def _run_chaos_scan(args):
-    try:
-        n_list = [int(tok) for tok in args.N_list.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse --N-list {args.N_list!r}") from None
+    n_list = _parse_list(args.N_list, int, "--N-list")
     result = chaos_scan(N_list=n_list, m=args.steps, replicas=args.replicas,
                         epsilon=args.eps, T=args.T, seed=args.seed,
                         threads=args.threads)
-    path = _out_path(args, "chaos_scan.csv")
-    header = header_lines("chaos-scan", args.seed, result.config)
-    footer = [f"loglog_slope_vs_N: {result.slope!r}",
-              "detail: " + config_json(result.detail)]
-    write_csv(path, CHAOS_COLUMNS, result.rows, header, footer)
-    if args.plot:
-        svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
-        write_scaling_svg(svg, [math.log2(r[0]) for r in result.rows],
-                          [r[1] for r in result.rows],
-                          xlabel="log2 N", ylabel="variance error",
-                          title="marginal variance error vs particle count",
-                          guide_factor=0.5)
-    if args.json:
-        print(config_json({"out": path, "slope": _json_safe(result.slope),
-                           "detail": result.detail}))
-    return EXIT_OK
+    return _write_outputs(
+        args, result, CHAOS_COLUMNS,
+        [f"loglog_slope_vs_N: {result.slope!r}",
+         "detail: " + config_json(result.detail)],
+        {"slope": result.slope, "detail": result.detail},
+        dict(xs=[math.log2(r[0]) for r in result.rows],
+             ys=[r[1] for r in result.rows],
+             xlabel="log2 N", ylabel="variance error",
+             title="marginal variance error vs particle count", guide_factor=0.5))
 
 
 def _run_contraction(args):
@@ -208,70 +201,51 @@ def _run_contraction(args):
                                     replicas=args.replicas, N=args.N,
                                     seed=args.seed, offset=args.offset,
                                     synchronous=args.synchronous)
-    path = _out_path(args, "contraction.csv")
-    header = header_lines("contraction", args.seed, result.config)
     est = result.estimate
-    footer = [f"fitted_decay_factor: {est.decay_factor!r}",
-              f"fitted_decay_factor_se: {est.decay_factor_se!r}",
-              f"c_uhmc: {result.c_uhmc!r}",
-              f"one_minus_c_uhmc: {1.0 - result.c_uhmc!r}",
-              f"A: {_json_safe(result.A)!r}"]
-    write_csv(path, CONTRACTION_COLUMNS, result.rows, header, footer)
-    if args.plot:
-        svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
-        positive = [(k, v) for k, v, _ in result.rows if v > 0]
-        write_scaling_svg(svg, [k for k, _ in positive], [v for _, v in positive],
-                          xlabel="coupled step", ylabel="mean coupled distance",
-                          title="coupled-chain contraction",
-                          guide_factor=1.0 - result.c_uhmc)
-    if args.json:
-        print(config_json({"out": path,
-                           "decay_factor": _json_safe(est.decay_factor),
-                           "decay_factor_se": _json_safe(est.decay_factor_se),
-                           "c_uhmc": _json_safe(result.c_uhmc),
-                           "warnings": result.condition_warnings}))
-    return EXIT_OK
+    positive = [(k, v) for k, v, _ in result.rows if v > 0]
+    return _write_outputs(
+        args, result, CONTRACTION_COLUMNS,
+        [f"fitted_decay_factor: {est.decay_factor!r}",
+         f"fitted_decay_factor_se: {est.decay_factor_se!r}",
+         f"c_uhmc: {result.c_uhmc!r}",
+         f"one_minus_c_uhmc: {1.0 - result.c_uhmc!r}",
+         f"A: {json_safe(result.A)!r}"],
+        {"decay_factor": est.decay_factor, "decay_factor_se": est.decay_factor_se,
+         "c_uhmc": result.c_uhmc, "warnings": result.condition_warnings},
+        dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
+             xlabel="coupled step", ylabel="mean coupled distance",
+             title="coupled-chain contraction", guide_factor=1.0 - result.c_uhmc))
 
 
 def _run_order_check(args):
-    try:
-        h_list = [float(tok) for tok in args.h_list.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse --h-list {args.h_list!r}") from None
+    h_list = _parse_list(args.h_list, float, "--h-list")
     result = order_check(h_list=h_list, T=args.T, N=args.N, epsilon=args.eps,
                          replicas=args.replicas, seed=args.seed,
                          threads=args.threads)
-    path = _out_path(args, "order_check.csv")
-    header = header_lines("order-check", args.seed, result.config)
-    footer = [f"loglog_slope_vs_h: {result.slope!r}"]
-    write_csv(path, ORDER_COLUMNS, result.rows, header, footer)
-    if args.plot:
-        svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
-        write_scaling_svg(svg, [math.log2(h) for h, _ in result.rows],
-                          [e for _, e in result.rows],
-                          xlabel="log2 h", ylabel="weighted error",
-                          title="randomized integrator strong error",
-                          guide_factor=2.0 ** 1.5)
-    if args.json:
-        print(config_json({"out": path, "slope": _json_safe(result.slope)}))
-    return EXIT_OK
+    return _write_outputs(
+        args, result, ORDER_COLUMNS, [f"loglog_slope_vs_h: {result.slope!r}"],
+        {"slope": result.slope},
+        dict(xs=[math.log2(h) for h, _ in result.rows],
+             ys=[e for _, e in result.rows],
+             xlabel="log2 h", ylabel="weighted error",
+             title="randomized integrator strong error", guide_factor=2.0 ** 1.5))
 
 
 def _run_constants(args):
     model = _model_from_args(args)
     tc = compute_constants(model, args.T, m2_init=args.m2_init, B3=args.B3)
     table = constants_table(tc)
-    reports = check_conditions(model, args.T)
+    reports = tc.conditions
     if args.json:
         payload = {
             "model": model.name,
             "model_params": model.params,
             "certified": model.constants.certified,
-            "constants": {name: _json_safe(val) for name, val, _ in table},
+            "constants": {name: json_safe(val) for name, val, _ in table},
             "conditions": {name: {"passed": rep.passed,
-                                  "lhs": _json_safe(rep.lhs),
-                                  "rhs": _json_safe(rep.rhs),
-                                  "ratio": _json_safe(rep.ratio)}
+                                  "lhs": json_safe(rep.lhs),
+                                  "rhs": json_safe(rep.rhs),
+                                  "ratio": json_safe(rep.ratio)}
                            for name, rep in reports.items()},
         }
         print(json.dumps(payload, sort_keys=True, indent=2))

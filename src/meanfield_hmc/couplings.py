@@ -4,9 +4,9 @@ For particle pairs closer than the threshold radius the refreshed
 velocities are coupled so that the difference collapses to -gamma*z with
 the largest probability a valid coupling allows, and are reflected across
 the separation direction otherwise; distant pairs synchronize.  Both
-marginals stay exactly standard normal.  Coupled kernels share the
-integrator's per-step uniforms between the two copies, so only the
-initial velocities differ.
+marginals stay exactly standard normal.  The two copies of a coupled
+kernel run through the integrator's lockstep flow on shared per-step
+uniforms, so only the initial velocities differ.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import KernelParams
 from .models import MeanFieldModel
-from .integrators import randomized_step_arrays
+from .integrators import lockstep_flow_arrays
 from .rng import RngStream
 
 
@@ -97,53 +97,29 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
                         coalescing=coalescing)
 
 
-def couple_velocities(z: np.ndarray, cp: CouplingParams, stream: RngStream):
-    """Coupled refresh for one pair; returns (xi, eta), both (d,)."""
-    res = couple_velocities_batch(np.asarray(z, dtype=float), cp, stream)
-    return res.xi, res.eta
-
-
-def couple_velocities_particlewise(x: np.ndarray, xp: np.ndarray,
-                                   cp: CouplingParams, stream: RngStream):
-    """Per-particle coupled refresh on (..., N, d) position arrays.
-
-    Each particle pair gets its own uniform and its own threshold test on
-    |x^i - x'^i|; returns (xi, eta) of the same shape.
-    """
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if x.shape != xp.shape:
-        raise ValueError("coupled copies must have identical shapes")
-    res = couple_velocities_batch(x - xp, cp, stream)
-    return res.xi, res.eta
-
-
 def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
                       params: KernelParams, cp: CouplingParams, stream: RngStream,
                       *, synchronous: bool = False):
     """One coupled unadjusted step on (..., N, d) position arrays.
 
     Initial velocities are coupled particle-wise (or fully synchronized
-    with ``synchronous``); both copies are then advanced with identical
-    integrator uniforms.
+    with ``synchronous``); both copies then run through one lockstep flow
+    with identical integrator uniforms.  Shapes and h are checked before
+    any variate is drawn.
     """
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    if synchronous:
-        xi = stream.normal_vector(x.size).reshape(x.shape)
-        eta = xi
-    else:
-        xi, eta = couple_velocities_particlewise(x, xp, cp, stream)
-    n = params.n_inner_steps
-    if n == 0:
+    if x.shape != xp.shape:
+        raise ValueError("coupled copies must have identical shapes")
+    if params.h <= 0:
         raise ValueError("coupled uhmc requires h > 0")
-    batch = x.shape[:-2]
-    us = stream.uniforms(n * max(1, int(np.prod(batch)))).reshape((n,) + batch)
-    q, p = x, xi
-    qp, pp = xp, eta
-    for k in range(n):
-        q, p = randomized_step_arrays(model, q, p, params.h, us[k], step_index=k)
-        qp, pp = randomized_step_arrays(model, qp, pp, params.h, us[k], step_index=k)
+    if synchronous:
+        xi = eta = stream.normal_vector(x.size).reshape(x.shape)
+    else:
+        res = couple_velocities_batch(x - xp, cp, stream)
+        xi, eta = res.xi, res.eta
+    (q, _), (qp, _) = lockstep_flow_arrays(model, [(x, xi), (xp, eta)],
+                                           params.T, params.h, stream)
     return q, qp
 
 
@@ -285,8 +261,6 @@ def estimate_contraction(model: MeanFieldModel, params: KernelParams,
         raise ValueError("m must be a positive integer")
     R1 = metric_radius(cp.R_tilde, cp.T)
     x, xp = init_pair(stream, replicas)
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
     rho = np.empty((m + 1, replicas))
     rho[0] = rho_N(x, xp, R1, cp.T)
     for k in range(1, m + 1):

@@ -82,6 +82,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def json_safe(value):
+    """``value`` with a non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def config_json(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
@@ -475,8 +482,7 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
         rows.append((idx * thin, *flat))
     tc = compute_constants(model, T, m2_init=float(out.second_moments[0]))
     footer = ["constants: " + config_json(
-        {name: (None if isinstance(val, float) and not math.isfinite(val) else val)
-         for name, val, _ in constants_table(tc)})]
+        {name: json_safe(val) for name, val, _ in constants_table(tc)})]
     config = {"model": model.name, "model_params": model.params, "N": N,
               "T": T, "h": h, "steps": m, "thin": thin, "init": init,
               "columns": n_cols}

@@ -1,15 +1,18 @@
-"""Time evolution of the N-particle Hamiltonian system.
+"""Time evolution of the N-particle Hamiltonian system on raw arrays.
 
 Two flows live here: the randomized one-step integrator, whose force is
 frozen within each step at the random evaluation point q + h*u*p with u
 uniform, and the closed-form flow of the 1-d quadratic model obtained by
 decoupling into internal modes (particle mean + consecutive differences).
+The randomized flow takes (..., N, d) arrays and the exact flow (..., N)
+arrays, both with optional leading batch axes.  The randomized step loop
+has one home, :func:`lockstep_flow_arrays`, which single chains, batched
+replicas and the two copies of a coupled chain all run through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,71 +30,11 @@ class IntegrationDivergedError(RuntimeError):
         super().__init__(message or f"trajectory diverged at integrator step {step_index}")
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Positions and momenta of N particles in dimension d.
-
-    ``q`` and ``p`` are (N, d) arrays with finite entries.
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape:
-            raise ValueError(f"q and p shapes differ: {q.shape} vs {p.shape}")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValueError("phase-space entries must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def N(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.q.shape[1]
-
-    @classmethod
-    def from_flat(cls, q_flat, p_flat, N: int, d: int) -> "PhaseState":
-        return cls(np.reshape(q_flat, (N, d)), np.reshape(p_flat, (N, d)))
-
-    @property
-    def q_flat(self) -> np.ndarray:
-        return self.q.reshape(-1)
-
-    @property
-    def p_flat(self) -> np.ndarray:
-        return self.p.reshape(-1)
-
-
 def _integral_steps(T: float, h: float) -> int:
     n = int(round(T / h))
     if n < 1 or abs(T / h - n) > 1e-9 * max(1.0, n):
         raise ValueError(f"T/h must be a positive integer, got T={T}, h={h}")
     return n
-
-
-@dataclass(frozen=True)
-class IntegratorParams:
-    """Duration T and step size h with T/h integral."""
-
-    T: float
-    h: float
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
-        if not 0 < self.h <= self.T:
-            raise ValueError("h must lie in (0, T]")
-        _integral_steps(self.T, self.h)
-
-    @property
-    def n_steps(self) -> int:
-        return _integral_steps(self.T, self.h)
 
 
 def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
@@ -125,45 +68,35 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     return q1, p1
 
 
-def randomized_step(model: MeanFieldModel, state: PhaseState, h: float, u: float) -> PhaseState:
-    """One randomized-integrator step of size ``h`` with uniform ``u``."""
-    q, p = randomized_step_arrays(model, state.q, state.p, h, u)
-    return PhaseState(q, p)
+def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,
+                         stream: RngStream) -> list:
+    """Randomized flow over duration T of one or more (q, p) pairs in lockstep.
 
-
-def randomized_flow_arrays(model: MeanFieldModel, q, p, T: float, h: float,
-                           stream: RngStream, *, record: bool = False):
-    """Randomized flow over duration T on (..., N, d) arrays.
-
-    One uniform is consumed per step and per batch element, even when the
-    force vanishes.  With ``record`` the full position trajectory
-    (n_steps+1, ..., N, d) is returned alongside the endpoint.
+    ``states`` is a sequence of (q, p) pairs of (..., N, d) arrays sharing
+    one batch shape.  Each step draws one uniform per batch element, even
+    when the force vanishes, and applies it to every pair, so coupled
+    copies see identical integrator noise.  A divergence reports the
+    earliest inner step at which any pair leaves the representable range.
+    Returns the endpoint pairs in input order.
     """
     n = _integral_steps(T, h)
-    batch = q.shape[:-2]
+    batch = states[0][0].shape[:-2]
     if batch:
         us = stream.uniforms(n * math.prod(batch)).reshape((n,) + batch)
     else:
         us = stream.uniforms(n).tolist()
-    traj = [q] if record else None
     for k in range(n):
-        q, p = randomized_step_arrays(model, q, p, h, us[k], step_index=k)
-        if record:
-            traj.append(q)
-    if record:
-        return q, p, np.stack(traj)
+        u = us[k]
+        states = [randomized_step_arrays(model, q, p, h, u, step_index=k)
+                  for q, p in states]
+    return states
+
+
+def randomized_flow_arrays(model: MeanFieldModel, q, p, T: float, h: float,
+                           stream: RngStream):
+    """Randomized flow of one (q, p) pair over duration T on (..., N, d) arrays."""
+    (q, p), = lockstep_flow_arrays(model, [(q, p)], T, h, stream)
     return q, p
-
-
-def randomized_flow(model: MeanFieldModel, state: PhaseState, params: IntegratorParams,
-                    stream: RngStream, *, record: bool = False):
-    """Apply ``params.n_steps`` randomized steps with fresh uniforms."""
-    out = randomized_flow_arrays(model, state.q, state.p, params.T, params.h,
-                                 stream, record=record)
-    if record:
-        q, p, traj = out
-        return PhaseState(q, p), traj
-    return PhaseState(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +123,6 @@ def internal_modes_inverse(mode0: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     return tilted + shift[..., None]
 
 
-def roundtrip_internal_transform(q: np.ndarray) -> np.ndarray:
-    """Forward internal transform followed by its inverse (identity)."""
-    mode0, diffs = internal_modes(q)
-    return internal_modes_inverse(mode0, diffs)
-
-
 def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
     """Exact flow of the 1-d quadratic model on (..., N) arrays.
 
@@ -205,8 +132,6 @@ def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1) for a real mean-mode frequency")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
     q_mean, q_diff = internal_modes(q)
     p_mean, p_diff = internal_modes(p)
 
@@ -221,11 +146,3 @@ def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
 
     return (internal_modes_inverse(q_mean_t, q_diff_t),
             internal_modes_inverse(p_mean_t, p_diff_t))
-
-
-def exact_gaussian_flow(epsilon: float, state: PhaseState, t: float) -> PhaseState:
-    """Exact flow of the 1-d quadratic model for duration ``t`` (d = 1)."""
-    if state.d != 1:
-        raise ValueError("exact flow is available only for d = 1")
-    q, p = exact_gaussian_flow_arrays(epsilon, state.q[:, 0], state.p[:, 0], t)
-    return PhaseState(q[:, None], p[:, None])

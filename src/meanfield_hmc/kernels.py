@@ -1,6 +1,7 @@
 """HMC transition kernels for the particle system, chain runners, moment tracking.
 
-Both kernels refresh the full velocity vector from N(0, I) each step and
+Kernels act on raw position arrays with optional leading batch axes.  Both
+kernels refresh the full velocity vector from N(0, I) each step and
 transport positions with a Hamiltonian flow for a fixed duration T: the
 unadjusted kernel uses the randomized time integrator with step size h,
 the exact kernel (1-d quadratic model only) uses the closed-form flow.
@@ -51,19 +52,6 @@ def uhmc_step_arrays(model: MeanFieldModel, q, params: KernelParams,
     return q_out
 
 
-def uhmc_step(model: MeanFieldModel, x: np.ndarray, params: KernelParams,
-              stream: RngStream) -> np.ndarray:
-    """Unadjusted HMC transition: full velocity refresh + randomized flow.
-
-    ``x`` holds positions with shape (N, d); the returned array has the
-    same shape.
-    """
-    q = np.asarray(x, dtype=float)
-    if q.ndim != 2 or q.shape[1] != model.dim:
-        raise ValueError(f"positions must have shape (N, {model.dim})")
-    return uhmc_step_arrays(model, q, params, stream)
-
-
 def xhmc_step_gaussian_arrays(epsilon: float, q, T: float, stream: RngStream) -> np.ndarray:
     """One exact step on raw (..., N) position arrays of the 1-d quadratic model."""
     p = stream.normal_vector(q.size).reshape(q.shape)
@@ -71,30 +59,15 @@ def xhmc_step_gaussian_arrays(epsilon: float, q, T: float, stream: RngStream) ->
     return q_out
 
 
-def xhmc_step_gaussian(epsilon: float, x: np.ndarray, T: float,
-                       stream: RngStream) -> np.ndarray:
-    """Exact HMC transition for the 1-d quadratic model; ``x`` has shape (N,)."""
-    q = np.asarray(x, dtype=float)
-    if q.ndim != 1:
-        raise ValueError("exact kernel expects a flat (N,) position vector")
-    return xhmc_step_gaussian_arrays(epsilon, q, T, stream)
+def stationary_gaussian_sample_arrays(epsilon: float, shape, stream: RngStream) -> np.ndarray:
+    """Exact draws from the N-particle stationary measure of the 1-d quadratic model.
 
-
-def stationary_gaussian_sample(epsilon: float, N: int, stream: RngStream) -> np.ndarray:
-    """Exact draw from the N-particle stationary measure of the 1-d quadratic model.
-
-    The measure is N(0, M^{-1}) with M = I - (eps/N) 11^T: draw z ~ N(0, I)
-    and stretch its mean direction by 1/sqrt(1 - eps).
+    ``shape`` is (..., N) with particles last.  The measure is N(0, M^{-1})
+    with M = I - (eps/N) 11^T: draw z ~ N(0, I) and stretch its mean
+    direction by 1/sqrt(1 - eps).
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    z = stream.normal_vector(int(N))
-    scale = 1.0 / np.sqrt(1.0 - epsilon) - 1.0
-    return z + scale * z.mean()
-
-
-def stationary_gaussian_sample_arrays(epsilon: float, shape, stream: RngStream) -> np.ndarray:
-    """Batched stationary draws; ``shape`` is (..., N) with particles last."""
     shape = tuple(int(s) for s in shape)
     z = stream.normal_vector(int(np.prod(shape))).reshape(shape)
     scale = 1.0 / np.sqrt(1.0 - epsilon) - 1.0
@@ -111,7 +84,8 @@ def draw_initial_positions(model: MeanFieldModel, N: int, init: str,
     if init == "stationary":
         if model.name != "gaussian":
             raise ValueError("stationary start is available only for the gaussian model")
-        return stationary_gaussian_sample(model.params["epsilon"], N, stream)[:, None]
+        eps = model.params["epsilon"]
+        return stationary_gaussian_sample_arrays(eps, (N,), stream)[:, None]
     raise ValueError(f"unknown init {init!r}; expected cold, normal, or stationary")
 
 

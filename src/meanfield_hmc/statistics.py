@@ -8,8 +8,6 @@ standard normal density in relative grid-L1 error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -100,40 +98,6 @@ def kde_relative_error(samples, bandwidth: float | None = None,
     p_hat = gaussian_kde_on_grid(a, grid, bandwidth)
     phi = standard_normal_pdf(grid)
     return float(np.abs(p_hat - phi).sum() / phi.sum())
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Unbiased moment estimates with standard errors."""
-
-    count: int
-    mean: np.ndarray
-    mean_se: np.ndarray
-    second_moment: float
-    second_moment_se: float
-    var: np.ndarray
-    var_se: np.ndarray
-
-
-def moments(samples) -> Moments:
-    """Mean vector, squared-norm mean, and per-coordinate variances."""
-    a = np.asarray(samples, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] < 2:
-        raise ValueError("expected at least two samples of shape (n, d)")
-    n = a.shape[0]
-    mean = a.mean(axis=0)
-    mean_se = a.std(axis=0, ddof=1) / np.sqrt(n)
-    sq = (a * a).sum(axis=1)
-    m2 = float(sq.mean())
-    m2_se = float(sq.std(ddof=1) / np.sqrt(n))
-    var = a.var(axis=0, ddof=1)
-    centered = a - mean
-    m4 = (centered**4).mean(axis=0)
-    var_se = np.sqrt(np.maximum(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n)
-    return Moments(count=n, mean=mean, mean_se=mean_se, second_moment=m2,
-                   second_moment_se=m2_se, var=var, var_se=var_se)
 
 
 def loglog_slope(xs, ys):

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .couplings import _exact_reciprocal, metric_f_prime, metric_radius
+from .couplings import (CouplingParams, _exact_reciprocal, metric_f_prime,
+                        metric_radius)
 from .models import MeanFieldModel
 
 
@@ -74,33 +75,14 @@ class TheoryConstants:
     C: float
     conditions: dict = field(default_factory=dict)
 
-    @property
-    def cond_T(self) -> bool:
-        return self.conditions["cond_T"].passed
-
-    @property
-    def cond_eps(self) -> bool:
-        return self.conditions["cond_eps"].passed
-
-    @property
-    def cond_T_strong(self) -> bool:
-        return self.conditions["cond_T_strong"].passed
-
-    @property
-    def cond_eps_strong(self) -> bool:
-        return self.conditions["cond_eps_strong"].passed
-
-    @property
-    def cond_CT(self) -> bool:
-        return self.conditions["cond_CT"].passed
-
-    @property
-    def cond_Cepsi(self) -> bool:
-        return self.conditions["cond_Cepsi"].passed
-
 
 def _inv_or_inf(x: float) -> float:
     return math.inf if x == 0.0 else 1.0 / x
+
+
+def _r_tilde(c) -> float:
+    """Threshold radius sqrt((2L + K) / (6K)) * R_conv of the coupling."""
+    return math.sqrt((2.0 * c.L + c.K) / (6.0 * c.K)) * c.R_conv
 
 
 def check_conditions(model: MeanFieldModel, T: float) -> dict:
@@ -116,7 +98,7 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
     c = model.constants
     K, L, Lt = c.K, c.L, c.L_tilde
     eps_lt = model.epsilon * Lt
-    r_tilde = math.sqrt((2.0 * L + K) / (6.0 * K)) * c.R_conv
+    r_tilde = _r_tilde(c)
     inv_rt2 = _inv_or_inf(r_tilde**2)
 
     reports = {}
@@ -158,10 +140,8 @@ def compute_constants(model: MeanFieldModel, T: float, d: int | None = None,
     eps = model.epsilon
     d = model.dim if d is None else int(d)
 
-    r_tilde = math.sqrt((2.0 * L + K) / (6.0 * K)) * R
+    r_tilde = _r_tilde(c)
     r1 = metric_radius(r_tilde, T)
-    gamma = min(1.0 / T, _inv_or_inf(4.0 * r_tilde))
-    c_hat = (2.0 * L + K) * R**2
     l_e = L + 2.0 * eps * Lt
 
     c_nhmc = (K * T**2 / 156.0) * math.exp(-1.25 * r_tilde / T)
@@ -195,7 +175,8 @@ def compute_constants(model: MeanFieldModel, T: float, d: int | None = None,
     return TheoryConstants(
         T=float(T), d=d, epsilon=eps, m2_init=float(m2_init),
         K=K, L=L, L_tilde=Lt, R_conv=R, W0=W0,
-        R_tilde=r_tilde, R1=r1, gamma=gamma, C_hat=c_hat, L_e=l_e,
+        R_tilde=r_tilde, R1=r1, gamma=CouplingParams(r_tilde, T).gamma,
+        C_hat=c.C_hat, L_e=l_e,
         c_nhmc=c_nhmc, c_strongconvex=c_strong, c_uhmc=c_uhmc, A=a_const,
         B1=b1, B=b, B2=b2, B3=float(B3), C=c_bias,
         conditions=check_conditions(model, T))
@@ -211,27 +192,19 @@ _CONDITION_SETS = {
 def max_admissible_T(model: MeanFieldModel, condition_set: str) -> float:
     """Largest duration satisfying the selected T-inequality, in closed form.
 
-    The interaction-strength inequalities have right-hand sides that only
-    grow with T, so they cannot be satisfied by shrinking T; they are
-    checked separately by :func:`check_conditions`.
+    Each T-inequality reads coef * T^2 <= rhs with rhs independent of T, so
+    coef and rhs are the two sides of :func:`check_conditions` at T = 1 and
+    the root is sqrt(rhs / coef).  The interaction-strength inequalities
+    have right-hand sides that only grow with T, so they cannot be
+    satisfied by shrinking T; they are checked separately.
     """
     if condition_set not in _CONDITION_SETS:
         raise ValueError(f"condition set must be one of {sorted(_CONDITION_SETS)}")
-    c = model.constants
-    K, L, Lt = c.K, c.L, c.L_tilde
-    r_tilde = math.sqrt((2.0 * L + K) / (6.0 * K)) * c.R_conv
-    inv_rt2 = _inv_or_inf(r_tilde**2)
-    if condition_set == "nhmc":
-        bound = 0.6 * min(0.25, (3.0 / (1280.0 * L)) * inv_rt2)
-        t = math.sqrt(bound / L)
-    elif condition_set == "strong-convex":
-        t = math.sqrt(0.15 / L)
-    else:
-        bound = min(1.0 / 9.0, (1.0 / (1296.0 * L)) * inv_rt2)
-        t = math.sqrt(bound / (L + 2.0 * model.epsilon * Lt))
+    name = _CONDITION_SETS[condition_set]
+    unit = check_conditions(model, 1.0)[name]
+    t = math.sqrt(unit.rhs / unit.lhs)
     # the closed-form root can overshoot the boundary by an ulp; step down
     # until the inverted inequality actually holds
-    name = _CONDITION_SETS[condition_set]
     while not check_conditions(model, t)[name].passed:
         t = math.nextafter(t, 0.0)
     return t

@@ -10,13 +10,19 @@ from meanfield_hmc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Each golden file is the CLI's output for these arguments at seed 0.  They
-# were recorded before the RNG buffer and the lean integrator loop existed,
-# so a byte difference is a change of output, not of speed.
+# Each golden file is the CLI's output for these arguments at seed 0.  The
+# bias-scan, contraction and sample files were recorded before the RNG
+# buffer and the lean integrator loop existed, the others before the object
+# API and the coupled step's own loop were removed, so a byte difference is
+# a change of output, not of speed or structure.
 GOLDEN_ARGS = {
     "bias_scan.csv": ["bias-scan", "--k-max", "2", "--steps", "120"],
+    "chaos_scan.csv": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
+                       "--replicas", "4"],
     "contraction.csv": ["contraction", "--model", "multiwell", "--steps", "5",
                         "--replicas", "20"],
+    "order_check.csv": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "8",
+                        "--replicas", "6"],
     "sample.csv": ["sample", "--model", "gaussian", "--steps", "20"],
 }
 
@@ -28,6 +34,37 @@ def test_cli_output_matches_golden_file(tmp_path, name, threads):
     argv = GOLDEN_ARGS[name] + ["--threads", str(threads), "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_constants_text_matches_golden_file(capsys, threads):
+    argv = ["constants", "--model", "multiwell", "--a", "2", "--threads", str(threads)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "constants_multiwell.txt").read_text()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads):
+    # a relative --out keeps the path printed by --json independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    argv = ["bias-scan", "--k-max", "3", "--steps", "120", "--plot", "--json",
+            "--threads", str(threads), "--out", "bias_scan.csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "bias_scan_plot.stdout").read_text()
+    svg = (tmp_path / "bias_scan.svg").read_bytes()
+    assert svg == (GOLDEN / "bias_scan_plot.svg").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["chaos-scan", "--N-list", "4,x"], 2, "cannot parse --N-list '4,x'"),
+    (["order-check", "--h-list", "0.5,y"], 2, "cannot parse --h-list '0.5,y'"),
+    (["sample", "--h", "0.3"], 2, "T/h must be a positive integer, got T=1.0, h=0.3"),
+    (["sample", "--eps", "0", "--T", "2500", "--h", "2.5", "--steps", "1"], 3,
+     "chain diverged at kernel step 0 (inner step 186)"),
+])
+def test_error_exit_codes(tmp_path, capsys, argv, code, message):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_closed_stdout_exits_cleanly():

@@ -3,10 +3,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from meanfield_hmc import (CouplingParams, KernelParams, RngStream,
-                           compute_constants, couple_velocities,
-                           couple_velocities_batch,
-                           couple_velocities_particlewise, coupled_uhmc_step,
+from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
+                           KernelParams, RngStream, compute_constants,
+                           couple_velocities_batch, coupled_uhmc_step,
                            ell1_bar, estimate_contraction, gaussian_model,
                            metric_f, metric_f_prime, multiwell_model, rho_N)
 from meanfield_hmc.couplings import metric_radius
@@ -93,15 +92,15 @@ def test_non_coalescence_frequency_bound():
 
 def test_couple_velocities_single_pair():
     cp = CouplingParams(R_tilde=2.0, T=1.0)
-    xi, eta = couple_velocities(np.array([0.5]), cp, RngStream(5))
-    assert xi.shape == (1,) and eta.shape == (1,)
+    res = couple_velocities_batch(np.array([0.5]), cp, RngStream(5))
+    assert res.xi.shape == (1,) and res.eta.shape == (1,)
 
 
 def test_particlewise_identical_inputs():
     cp = CouplingParams(R_tilde=2.0, T=1.0)
     x = RngStream(6).normal_vector(12).reshape(4, 3)
-    xi, eta = couple_velocities_particlewise(x, x.copy(), cp, RngStream(7))
-    assert np.array_equal(xi, eta)
+    res = couple_velocities_batch(x - x.copy(), cp, RngStream(7))
+    assert np.array_equal(res.xi, res.eta)
 
 
 def test_particlewise_mixed_branches():
@@ -137,6 +136,39 @@ def test_coupled_step_determinism():
     a1, b1 = coupled_uhmc_step(m, x, xp, params, cp, RngStream(12))
     a2, b2 = coupled_uhmc_step(m, x, xp, params, cp, RngStream(12))
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("synchronous", [False, True])
+def test_coupled_step_checks_inputs_before_drawing(synchronous):
+    m = gaussian_model(0.25)
+    cp = CouplingParams(R_tilde=0.0, T=1.0)
+    stream = RngStream(0)
+    # (3, 4, 1) and (4, 1) would broadcast silently
+    with pytest.raises(ValueError, match="identical shapes"):
+        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((4, 1)),
+                          KernelParams(T=1.0, h=0.25), cp, stream,
+                          synchronous=synchronous)
+    with pytest.raises(ValueError, match="h > 0"):
+        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((3, 4, 1)),
+                          KernelParams(T=1.0, h=0.0), cp, stream,
+                          synchronous=synchronous)
+    assert stream.counter == 0
+
+
+def test_coupled_step_reports_earlier_divergence():
+    # h = 2.5 is unstable for the unit harmonic force.  Alone, the copy
+    # started at 1 diverges at inner step 185 and the one started at 1e60
+    # at step 76; the coupled step names the earlier one whichever copy it
+    # is.  The indices were recorded with the earlier coupled step, which
+    # looped over the two copies itself.
+    m = gaussian_model(0.0)
+    params = KernelParams(T=2500.0, h=2.5)
+    cp = CouplingParams(R_tilde=0.0, T=2500.0)
+    near, far = np.ones((1, 1)), np.full((1, 1), 1e60)
+    for x, xp, step in ((near, near, 185), (near, far, 76), (far, near, 76)):
+        with pytest.raises(IntegrationDivergedError) as err:
+            coupled_uhmc_step(m, x, xp, params, cp, RngStream(3), synchronous=True)
+        assert err.value.step_index == step
 
 
 def test_multiwell_one_step_contracts_on_average():

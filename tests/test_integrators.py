@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
-                           IntegratorParams, MeanFieldModel, PhaseState,
-                           RngStream, exact_gaussian_flow,
+                           MeanFieldModel, RngStream,
                            exact_gaussian_flow_arrays, gaussian_model,
                            internal_modes, internal_modes_inverse,
-                           potential_energy, randomized_flow, randomized_step,
-                           roundtrip_internal_transform)
-from meanfield_hmc.integrators import (randomized_flow_arrays,
-                                      randomized_step_arrays)
+                           potential_energy, randomized_flow_arrays,
+                           randomized_step_arrays)
 
 
 def _free_model(dim=1):
@@ -24,39 +21,18 @@ def _free_model(dim=1):
                                       R_conv=0.0, W0=0.0))
 
 
-def test_phase_state_validation():
-    with pytest.raises(ValueError):
-        PhaseState(np.zeros((2, 1)), np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        PhaseState(np.array([[np.nan]]), np.array([[0.0]]))
-    s = PhaseState(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)))
-    assert s.N == 3 and s.d == 2
-    assert np.array_equal(PhaseState.from_flat(s.q_flat, s.p_flat, 3, 2).q, s.q)
-
-
-def test_integrator_params_validation():
-    with pytest.raises(ValueError):
-        IntegratorParams(T=1.0, h=0.3)   # 1/0.3 not integral
-    with pytest.raises(ValueError):
-        IntegratorParams(T=1.0, h=0.0)
-    assert IntegratorParams(T=1.0, h=0.125).n_steps == 8
-    t = np.sqrt(0.15)
-    assert IntegratorParams(T=t, h=t / 8).n_steps == 8
-
-
 def test_zero_length_step_is_identity():
     m = gaussian_model(0.25)
-    s = PhaseState(np.array([[0.4], [-1.0]]), np.array([[0.2], [0.7]]))
-    out = randomized_step(m, s, 0.0, 0.37)
-    assert np.array_equal(out.q, s.q) and np.array_equal(out.p, s.p)
+    q, p = np.array([[0.4], [-1.0]]), np.array([[0.2], [0.7]])
+    q1, p1 = randomized_step_arrays(m, q, p, 0.0, 0.37)
+    assert np.array_equal(q1, q) and np.array_equal(p1, p)
 
 
 def test_randomized_step_hand_value():
     m = gaussian_model(0.0)
-    s = PhaseState(np.array([[1.0]]), np.array([[0.0]]))
-    out = randomized_step(m, s, 0.1, 0.5)
-    assert out.q[0, 0] == pytest.approx(0.995, abs=1e-15)
-    assert out.p[0, 0] == pytest.approx(-0.1, abs=1e-15)
+    q, p = randomized_step_arrays(m, np.array([[1.0]]), np.array([[0.0]]), 0.1, 0.5)
+    assert q[0, 0] == pytest.approx(0.995, abs=1e-15)
+    assert p[0, 0] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_free_flight_is_exact_straight_line():
@@ -69,24 +45,20 @@ def test_free_flight_is_exact_straight_line():
 
 def test_flow_single_step_equals_one_randomized_step():
     m = gaussian_model(0.25)
-    s = PhaseState(np.array([[0.1], [0.9]]), np.array([[-0.4], [0.3]]))
-    params = IntegratorParams(T=0.5, h=0.5)
+    q, p = np.array([[0.1], [0.9]]), np.array([[-0.4], [0.3]])
     u = RngStream(5).uniform()
-    by_step = randomized_step(m, s, 0.5, u)
-    by_flow = randomized_flow(m, s, params, RngStream(5))
-    assert np.array_equal(by_flow.q, by_step.q)
-    assert np.array_equal(by_flow.p, by_step.p)
+    by_step = randomized_step_arrays(m, q, p, 0.5, u)
+    by_flow = randomized_flow_arrays(m, q, p, 0.5, 0.5, RngStream(5))
+    assert np.array_equal(by_flow[0], by_step[0])
+    assert np.array_equal(by_flow[1], by_step[1])
 
 
-def test_flow_determinism_and_recording():
+def test_flow_determinism():
     m = gaussian_model(0.25)
-    s = PhaseState(np.ones((4, 1)), np.zeros((4, 1)))
-    params = IntegratorParams(T=1.0, h=0.125)
-    a = randomized_flow(m, s, params, RngStream(17))
-    b, traj = randomized_flow(m, s, params, RngStream(17), record=True)
-    assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
-    assert traj.shape == (9, 4, 1)
-    assert np.array_equal(traj[0], s.q) and np.array_equal(traj[-1], a.q)
+    q, p = np.ones((4, 1)), np.zeros((4, 1))
+    a = randomized_flow_arrays(m, q, p, 1.0, 0.125, RngStream(17))
+    b = randomized_flow_arrays(m, q, p, 1.0, 0.125, RngStream(17))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_flow_refines_toward_exact_flow():
@@ -157,30 +129,27 @@ def test_step_rejects_wrong_trailing_dimension():
 # --- exact flow of the 1-d quadratic model ---------------------------------
 
 def test_exact_flow_identity_at_t0():
-    s = PhaseState(np.array([[0.3], [1.4]]), np.array([[-1.0], [0.2]]))
-    out = exact_gaussian_flow(0.25, s, 0.0)
-    assert np.allclose(out.q, s.q, atol=1e-15)
-    assert np.allclose(out.p, s.p, atol=1e-15)
+    q, p = np.array([0.3, 1.4]), np.array([-1.0, 0.2])
+    qt, pt = exact_gaussian_flow_arrays(0.25, q, p, 0.0)
+    assert np.allclose(qt, q, atol=1e-15)
+    assert np.allclose(pt, p, atol=1e-15)
 
 
 def test_exact_flow_quarter_period():
-    s = PhaseState(np.array([[1.0]]), np.array([[0.0]]))
-    out = exact_gaussian_flow(0.0, s, np.pi / 2)
-    assert out.q[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert out.p[0, 0] == pytest.approx(-1.0, abs=1e-15)
+    qt, pt = exact_gaussian_flow_arrays(0.0, np.array([1.0]), np.array([0.0]), np.pi / 2)
+    assert qt[0] == pytest.approx(0.0, abs=1e-15)
+    assert pt[0] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_exact_flow_mean_mode_only():
-    s = PhaseState(np.ones((2, 1)), np.zeros((2, 1)))
-    out = exact_gaussian_flow(0.25, s, 1.0)
+    qt, _ = exact_gaussian_flow_arrays(0.25, np.ones(2), np.zeros(2), 1.0)
     expected = np.cos(np.sqrt(0.75))
-    assert np.allclose(out.q, expected, atol=1e-14)
+    assert np.allclose(qt, expected, atol=1e-14)
 
 
 def test_exact_flow_rejects_bad_epsilon():
-    s = PhaseState(np.ones((2, 1)), np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        exact_gaussian_flow(1.0, s, 0.5)
+        exact_gaussian_flow_arrays(1.0, np.ones(2), np.zeros(2), 0.5)
 
 
 def test_exact_flow_reversibility():
@@ -208,18 +177,22 @@ def test_exact_flow_conserves_energy():
 
 # --- internal transform ------------------------------------------------------
 
+def roundtrip(q):
+    return internal_modes_inverse(*internal_modes(q))
+
+
 def test_roundtrip_zero_vector():
-    assert np.array_equal(roundtrip_internal_transform(np.zeros(5)), np.zeros(5))
+    assert np.array_equal(roundtrip(np.zeros(5)), np.zeros(5))
 
 
 def test_roundtrip_small_vector():
     q = np.array([1.0, 2.0, 3.0])
-    assert np.abs(roundtrip_internal_transform(q) - q).max() < 1e-12
+    assert np.abs(roundtrip(q) - q).max() < 1e-12
 
 
 def test_roundtrip_large_random_vector():
     q = np.random.default_rng(41).normal(size=10_000)
-    assert np.abs(roundtrip_internal_transform(q) - q).max() < 1e-9
+    assert np.abs(roundtrip(q) - q).max() < 1e-9
 
 
 def test_internal_modes_definition():

@@ -3,13 +3,10 @@ import pytest
 
 from meanfield_hmc import (KernelParams, RngStream, compute_constants,
                            draw_initial_positions, gaussian_model,
-                           multiwell_model, randomized_step, run_chain,
-                           stationary_gaussian_sample,
-                           stationary_gaussian_sample_arrays, uhmc_step,
-                           xhmc_step_gaussian)
+                           multiwell_model, randomized_step_arrays, run_chain,
+                           stationary_gaussian_sample_arrays, uhmc_step_arrays,
+                           xhmc_step_gaussian_arrays)
 from meanfield_hmc.integrators import IntegrationDivergedError
-from meanfield_hmc.kernels import (uhmc_step_arrays,
-                                   xhmc_step_gaussian_arrays)
 
 
 def uhmc_variance_oracle(omega2, T, h):
@@ -32,6 +29,9 @@ def test_kernel_params_validation():
         KernelParams(T=1.0, h=0.25, thin=0)
     assert KernelParams(T=1.0, h=0.0).n_inner_steps == 0
     assert KernelParams(T=1.0, h=0.25).n_inner_steps == 4
+    assert KernelParams(T=1.0, h=0.125).n_inner_steps == 8
+    t = np.sqrt(0.15)
+    assert KernelParams(T=t, h=t / 8).n_inner_steps == 8
 
 
 def test_uhmc_single_inner_step_composition():
@@ -39,21 +39,20 @@ def test_uhmc_single_inner_step_composition():
     m = gaussian_model(0.25)
     x = np.array([[0.2], [-0.8], [1.1]])
     params = KernelParams(T=0.5, h=0.5)
-    out = uhmc_step(m, x, params, RngStream(13))
+    out = uhmc_step_arrays(m, x, params, RngStream(13))
     s = RngStream(13)
     xi = s.normal_vector(3).reshape(3, 1)
     u = s.uniform()
-    from meanfield_hmc import PhaseState
-    manual = randomized_step(m, PhaseState(x, xi), 0.5, u)
-    assert np.array_equal(out, manual.q)
+    manual, _ = randomized_step_arrays(m, x, xi, 0.5, u)
+    assert np.array_equal(out, manual)
 
 
 def test_uhmc_seed_reproducibility():
     m = gaussian_model(0.25)
     x = np.zeros((5, 1))
     params = KernelParams(T=1.0, h=0.125)
-    a = uhmc_step(m, x, params, RngStream(77))
-    b = uhmc_step(m, x, params, RngStream(77))
+    a = uhmc_step_arrays(m, x, params, RngStream(77))
+    b = uhmc_step_arrays(m, x, params, RngStream(77))
     assert np.array_equal(a, b)
 
 
@@ -107,13 +106,13 @@ def test_uhmc_stationary_bias_shrinks_with_step():
 
 def test_xhmc_zero_duration_keeps_positions():
     x = np.array([0.4, -1.3, 0.9])
-    out = xhmc_step_gaussian(0.25, x, 0.0, RngStream(1))
+    out = xhmc_step_gaussian_arrays(0.25, x, 0.0, RngStream(1))
     assert np.allclose(out, x, atol=1e-15)
 
 
 def test_xhmc_decoupled_case_is_exact_rotation():
     x = np.array([1.7])
-    out = xhmc_step_gaussian(0.0, x, 1.0, RngStream(9))
+    out = xhmc_step_gaussian_arrays(0.0, x, 1.0, RngStream(9))
     xi = RngStream(9).normal_vector(1)
     assert np.allclose(out, np.cos(1.0) * x + np.sin(1.0) * xi, atol=1e-14)
 
@@ -133,7 +132,7 @@ def test_xhmc_preserves_stationary_moments():
 
 
 def test_stationary_sample_zero_interaction_is_raw_normal():
-    a = stationary_gaussian_sample(0.0, 32, RngStream(3))
+    a = stationary_gaussian_sample_arrays(0.0, (32,), RngStream(3))
     b = RngStream(3).normal_vector(32)
     assert np.array_equal(a, b)
 
@@ -146,6 +145,8 @@ def test_stationary_sample_covariance_fingerprint():
     coord_var = draws[:, 0].var(ddof=1)
     target = 1.0 + eps / (n_part * (1.0 - eps))
     assert abs(coord_var - target) < 0.02
+    with pytest.raises(ValueError):
+        stationary_gaussian_sample_arrays(1.0, (4,), RngStream(8))
 
 
 def test_draw_initial_positions_modes():
@@ -167,7 +168,7 @@ def test_run_chain_single_step_equals_kernel():
     x0 = np.full((3, 1), 0.5)
     params = KernelParams(T=1.0, h=0.25)
     out = run_chain(m, x0, "uhmc", 1, params, RngStream(21))
-    direct = uhmc_step(m, x0, params, RngStream(21))
+    direct = uhmc_step_arrays(m, x0, params, RngStream(21))
     assert np.array_equal(out.positions[-1], direct)
     assert out.step_count == 1 and out.positions.shape[0] == 2
 
