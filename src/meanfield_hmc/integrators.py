@@ -31,6 +31,8 @@ class IntegrationDivergedError(RuntimeError):
 
 
 def _integral_steps(T: float, h: float) -> int:
+    if not h > 0:
+        raise ValueError(f"h must be positive, got h={h}")
     n = int(round(T / h))
     if n < 1 or abs(T / h - n) > 1e-9 * max(1.0, n):
         raise ValueError(f"T/h must be a positive integer, got T={T}, h={h}")

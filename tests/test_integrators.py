@@ -21,6 +21,31 @@ def _free_model(dim=1):
                                       R_conv=0.0, W0=0.0))
 
 
+def _count_flow_steps(T, h):
+    """Number of randomized steps the flow takes, read off its uniform draws."""
+    m = gaussian_model(0.25)
+    q, p = np.array([[0.1], [0.9]]), np.array([[-0.4], [0.3]])
+    got = randomized_flow_arrays(m, q, p, T, h, RngStream(3))
+    us = RngStream(3).uniforms(64)
+    for k in range(64):
+        q, p = randomized_step_arrays(m, q, p, h, us[k], step_index=k)
+        if np.array_equal(q, got[0]) and np.array_equal(p, got[1]):
+            return k + 1
+    raise AssertionError("flow matches no prefix of single steps")
+
+
+def test_integrator_params_validation():
+    m = gaussian_model(0.25)
+    q, p = np.zeros((2, 1)), np.ones((2, 1))
+    with pytest.raises(ValueError):
+        randomized_flow_arrays(m, q, p, 1.0, 0.3, RngStream(0))  # 1/0.3 not integral
+    with pytest.raises(ValueError):
+        randomized_flow_arrays(m, q, p, 1.0, 0.0, RngStream(0))
+    assert _count_flow_steps(1.0, 0.125) == 8
+    t = np.sqrt(0.15)
+    assert _count_flow_steps(t, t / 8) == 8
+
+
 def test_zero_length_step_is_identity():
     m = gaussian_model(0.25)
     q, p = np.array([[0.4], [-1.0]]), np.array([[0.2], [0.7]])
