@@ -49,11 +49,14 @@ def _add_model_flags(p):
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--plot", action="store_true",
-                   help="also write an SVG plot next to the CSV")
     p.add_argument("--json", action="store_true",
                    help="print a machine-readable summary to stdout")
     p.add_argument("--threads", type=int, default=1)
+
+
+def _add_plot_flag(p):
+    p.add_argument("--plot", action="store_true",
+                   help="also write an SVG plot next to the CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--burn-in", type=float, default=0.1)
     _add_common_flags(p)
+    _add_plot_flag(p)
 
     p = sub.add_parser("chaos-scan", help="finite-N marginal bias of the exact kernel")
     p.add_argument("--N-list", default="16,64,256",
@@ -97,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--T", type=float, default=1.0)
     _add_common_flags(p)
+    _add_plot_flag(p)
 
     p = sub.add_parser("contraction", help="coupled-chain distance decay")
     _add_model_flags(p)
@@ -108,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=float, default=1.0)
     p.add_argument("--synchronous", action="store_true")
     _add_common_flags(p)
+    _add_plot_flag(p)
 
     p = sub.add_parser("order-check", help="strong error of the randomized integrator")
     p.add_argument("--h-list", default="0.125,0.0625,0.03125,0.015625,0.0078125")
@@ -116,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--replicas", type=int, default=1000)
     _add_common_flags(p)
+    _add_plot_flag(p)
 
     p = sub.add_parser("constants", help="derived rates and condition margins")
     _add_model_flags(p)
@@ -142,12 +149,13 @@ def _parse_list(text: str, kind, flag: str) -> list:
 def _write_outputs(args, result, columns, footer, summary, plot=None):
     """Write the CSV (``--out``, default the command name with '_' for '-'
     plus .csv), the ``--plot`` SVG from the ``plot`` keywords of
-    :func:`write_scaling_svg`, and the ``--json`` line: the CSV path plus
+    :func:`write_scaling_svg` (commands without a plot pass none and have
+    no ``--plot`` flag), and the ``--json`` line: the CSV path plus
     ``summary`` with non-finite values as null."""
     path = args.out or args.command.replace("-", "_") + ".csv"
     write_csv(path, columns, result.rows,
               header_lines(args.command, args.seed, result.config), footer)
-    if args.plot and plot is not None:
+    if plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
         write_scaling_svg(svg, **plot)
     if args.json:

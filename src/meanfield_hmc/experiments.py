@@ -272,6 +272,8 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         raise ConfigError("each N must be at least 2")
     if m < 1 or replicas < 2:
         raise ConfigError("m must be >= 1 and replicas >= 2")
+    if not T > 0:
+        raise ConfigError(f"T must be positive, got T={T}")
     base = RngStream(seed)
 
     def one_n(index, n_particles):
@@ -413,6 +415,8 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
         raise ConfigError("replicas must be at least 2")
     model = gaussian_model(epsilon)
     for h in h_list:
+        if not h > 0:
+            raise ConfigError(f"each h must be positive, got h={h}")
         n = T / h
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ConfigError(f"h={h} does not divide T={T}")

@@ -83,8 +83,10 @@ class MeanFieldModel:
 
     ``epsilon`` is the interaction strength multiplying the W-term of the
     particle potential.  ``grad_U_all``, when present, evaluates the full
-    per-particle gradient in one fast pass (O(N d) for the built-in
-    models); the generic pairwise pass is used otherwise.  Instances are
+    per-particle gradient in one pass that avoids the O(N^2 d) pair sum:
+    O(N d) for the gaussian and multiwell models, O(N d M) for the
+    shallow-net model on M data points.  Every built-in model sets it; the
+    generic pairwise pass serves models without it.  Instances are
     immutable and safe to share across threads.
     """
 
@@ -234,7 +236,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         W = _zero_pair(dim)
         grad1_W = _zero_pair_grad(dim)
         l_tilde = 0.0
-        grad_U_all = None
+        # W = 0, so epsilon scales nothing and the force is grad_V alone
+        grad_U_all = grad_V
     elif interaction == "quadratic":
         def W(x, y):
             diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -392,9 +395,9 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
         x = np.asarray(x, dtype=float)
         return 0.5 * np.sum(x * x, axis=-1) + (2.0 / m_count) * (phi(x) @ y)
 
-    def _grad_phi_weighted(x, weights):
-        # sum_m weights[..., m] * grad_x phi(x, z_m), shape (..., d)
-        beta, sig = _features(x)
+    def _weighted(beta, sig, weights):
+        # sum_m weights[..., m] * grad_x phi(x, z_m), shape (..., d), from
+        # the features (beta, sig) of x; weights broadcasts against sig
         dbeta = np.sum(weights * sig, axis=-1)
         coef = weights * beta[..., None] * sig * (1.0 - sig)
         dalpha = coef @ z
@@ -402,23 +405,23 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
 
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        w = np.broadcast_to(y, x.shape[:-1] + (m_count,))
-        return x + (2.0 / m_count) * _grad_phi_weighted(x, w)
+        return x + (2.0 / m_count) * _weighted(*_features(x), y)
 
     def W(x, xt):
         return (2.0 / m_count) * np.sum(phi(x) * phi(xt), axis=-1)
 
     def grad1_W(x, xt):
-        return (2.0 / m_count) * _grad_phi_weighted(
-            np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float)),
-            phi(xt))
+        x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
+        return (2.0 / m_count) * _weighted(*_features(x), phi(xt))
 
     def grad_U_all(q):
-        # interaction enters only through the shared sums S_m = sum_j phi(q^j, z_m)
+        # one feature pass serves the V term and the shared sums
+        # S_m = sum_j phi(q^j, z_m) through which the interaction enters
         n = q.shape[-2]
-        s = phi(q).sum(axis=-2, keepdims=True)
-        inter = (2.0 / m_count) * _grad_phi_weighted(q, np.broadcast_to(s, q.shape[:-1] + (m_count,)))
-        return grad_V(q) + (eps / n) * inter
+        beta, sig = _features(q)
+        s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
+        inter = (2.0 / m_count) * _weighted(beta, sig, s)
+        return q + (2.0 / m_count) * _weighted(beta, sig, y) + (eps / n) * inter
 
     constants = _estimate_constants(grad_V, grad1_W, dim, probe_radius)
     return MeanFieldModel(

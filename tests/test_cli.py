@@ -12,9 +12,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Each golden file is the CLI's output for these arguments at seed 0.  The
 # bias-scan, contraction and sample files were recorded before the RNG
-# buffer and the lean integrator loop existed, the others before the object
+# buffer and the lean integrator loop existed, the shallow-net sample file
+# before its force shared one feature pass, the others before the object
 # API and the coupled step's own loop were removed, so a byte difference is
-# a change of output, not of speed or structure.
+# a change of output, not of speed or structure.  shallow_net_data.csv is
+# an input (12 points, 2 features), not an output.
 GOLDEN_ARGS = {
     "bias_scan.csv": ["bias-scan", "--k-max", "2", "--steps", "120"],
     "chaos_scan.csv": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
@@ -24,6 +26,9 @@ GOLDEN_ARGS = {
     "order_check.csv": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "8",
                         "--replicas", "6"],
     "sample.csv": ["sample", "--model", "gaussian", "--steps", "20"],
+    "sample_shallow_net.csv": ["sample", "--model", "shallow-net", "--data",
+                               str(GOLDEN / "shallow_net_data.csv"), "--N", "8",
+                               "--steps", "10"],
 }
 
 
@@ -61,10 +66,22 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
     (["sample", "--h", "0.3"], 2, "T/h must be a positive integer, got T=1.0, h=0.3"),
     (["sample", "--eps", "0", "--T", "2500", "--h", "2.5", "--steps", "1"], 3,
      "chain diverged at kernel step 0 (inner step 186)"),
+    (["order-check", "--h-list", "0,0.5"], 2, "each h must be positive, got h=0.0"),
+    (["chaos-scan", "--T", "0"], 2, "T must be positive, got T=0.0"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "constants"])
+def test_plot_rejected_where_no_svg_is_written(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--plot", "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_exits_cleanly():

@@ -233,6 +233,18 @@ def test_grad_all_matches_pairwise_and_single():
         for i in range(7):
             assert np.allclose(mean_field_grad(m, q, i), fast[i],
                                rtol=1e-12, atol=1e-12)
+        # batched (R, N, d): each replica is its own N-particle system
+        qb = rng.normal(size=(3, 5, m.dim))
+        fast = mean_field_grad_all(m, qb)
+        pair = mean_field_grad_all(m, qb, pairwise=True)
+        assert fast.shape == qb.shape
+        assert np.allclose(fast, pair, rtol=1e-12, atol=1e-12)
+        for r in range(3):
+            assert np.allclose(fast[r], mean_field_grad_all(m, qb[r]),
+                               rtol=1e-12, atol=1e-12)
+            for i in range(5):
+                assert np.allclose(mean_field_grad(m, qb[r], i), fast[r, i],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_grad_all_batched():
