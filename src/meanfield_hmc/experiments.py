@@ -206,6 +206,8 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         raise ConfigError("h rule 'fixed' requires an explicit step size")
     if not 0 <= burn_in < 1:
         raise ConfigError("burn-in fraction must lie in [0, 1)")
+    if not T > 0:
+        raise ConfigError(f"T must be positive, got T={T}")
     model = gaussian_model(epsilon)
     base = RngStream(seed)
 
@@ -463,12 +465,15 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     """Generic chain run returning thinned positions as CSV rows.
 
     ``h = 0`` selects the exact kernel (gaussian model only).  ``columns``
-    caps the number of coordinates written per row for large systems.
+    (at least 1) caps the number of coordinates written per row for large
+    systems.
     """
     if m < 1:
         raise ConfigError("steps must be a positive integer")
     if N < 1:
         raise ConfigError("N must be a positive integer")
+    if columns is not None and columns < 1:
+        raise ConfigError(f"columns must be a positive integer, got {columns}")
     try:
         params = KernelParams(T=T, h=h, thin=thin)
     except ValueError as err:

@@ -350,6 +350,8 @@ class ShallowNetDataset:
 
 _PROBE_PAIRS = 10_000
 _PROBE_SEED = 0x5EED_CAFE
+# feature values (probe rows x data points) one probe block may hold
+_PROBE_BLOCK = 1 << 16
 
 
 def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
@@ -423,7 +425,7 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
         inter = (2.0 / m_count) * _weighted(beta, sig, s)
         return q + (2.0 / m_count) * _weighted(beta, sig, y) + (eps / n) * inter
 
-    constants = _estimate_constants(grad_V, grad1_W, dim, probe_radius)
+    constants = _estimate_constants(grad_V, grad1_W, dim, probe_radius, m_count)
     return MeanFieldModel(
         name="shallow-net", dim=dim, epsilon=eps,
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
@@ -432,23 +434,38 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
                 "input_dim": data.input_dim, "probe_radius": float(probe_radius)})
 
 
-def _estimate_constants(grad_V, grad1_W, dim, probe_radius):
+def _estimate_constants(grad_V, grad1_W, dim, probe_radius, m_count):
     """Probe-based constant estimates for models without closed forms.
 
     L1 and L_tilde are maxima of difference quotients over random pairs in
     the probe box.  Asymptotic strong convexity is probed around half the
     quadratic regularizer's curvature (m0 = 1/2), its worst defect Upsilon
     mapped to (K, L2, R_conv) = (m0/4, 4 L1^2/m0, sqrt(2 Upsilon/m0)).
+
+    The gradients are evaluated in blocks of max(1, _PROBE_BLOCK // m_count)
+    probe rows, ``m_count`` being the features per row (the dataset size M),
+    and only their (pairs, d) differences are kept.  Each (rows, M) feature
+    array of a block holds at most max(_PROBE_BLOCK, M) values, 512 KiB for
+    M <= 65536, so the build's memory does not grow with the dataset.  A
+    BLAS matmul may round a row differently depending on how many rows one
+    call holds, so the maxima can depend on the block size in the last ulp,
+    far below the sampling error of these uncertified estimates.
     """
     stream = RngStream(_PROBE_SEED)
     box = float(probe_radius)
     xs = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
     ys = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
+    rows = max(1, _PROBE_BLOCK // m_count)
+
+    def blocked(diff):
+        # diff(rows slice) -> (block, d) gradient difference, stacked over blocks
+        return np.concatenate([diff(slice(i, i + rows))
+                               for i in range(0, _PROBE_PAIRS, rows)])
 
     dx = xs - ys
     norms = np.linalg.norm(dx, axis=-1)
     keep = norms > 1e-8
-    dg = grad_V(xs) - grad_V(ys)
+    dg = blocked(lambda b: grad_V(xs[b]) - grad_V(ys[b]))
     quot = np.linalg.norm(dg, axis=-1)[keep] / norms[keep]
     l1 = max(1.0, float(quot.max()))
 
@@ -461,7 +478,8 @@ def _estimate_constants(grad_V, grad1_W, dim, probe_radius):
 
     xt = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
     yt = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
-    dgw = np.linalg.norm(grad1_W(xs, ys) - grad1_W(xt, yt), axis=-1)
+    dgw = np.linalg.norm(blocked(lambda b: grad1_W(xs[b], ys[b]) - grad1_W(xt[b], yt[b])),
+                         axis=-1)
     denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
     ok = denom > 1e-8
     l_tilde = float((dgw[ok] / denom[ok]).max())

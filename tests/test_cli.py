@@ -68,6 +68,9 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
      "chain diverged at kernel step 0 (inner step 186)"),
     (["order-check", "--h-list", "0,0.5"], 2, "each h must be positive, got h=0.0"),
     (["chaos-scan", "--T", "0"], 2, "T must be positive, got T=0.0"),
+    (["bias-scan", "--T", "0"], 2, "T must be positive, got T=0.0"),
+    (["sample", "--columns", "0"], 2, "columns must be a positive integer, got 0"),
+    (["sample", "--columns", "-2"], 2, "columns must be a positive integer, got -2"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanfield_hmc import (InvalidModelError, RngStream, ShallowNetDataset,
                            gaussian_model, mean_field_grad, mean_field_grad_all,
-                           multiwell_model, shallow_net_model)
-from conftest import central_diff_grad
+                           models, multiwell_model, shallow_net_model)
+from conftest import central_diff_grad, rel_err
 
 
 def _builtin_models():
@@ -160,6 +163,55 @@ def test_shallow_net_constants_flagged_estimates():
     assert again.constants == m.constants
 
 
+def _whole_array_probe(model, probe_radius=4.0):
+    """L1, L_tilde and R_conv from all probe pairs in one gradient call each."""
+    n, dim = models._PROBE_PAIRS, model.dim
+    stream = RngStream(models._PROBE_SEED)
+    xs, ys, xt, yt = (probe_radius * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
+                      for _ in range(4))
+    dx = xs - ys
+    norms = np.linalg.norm(dx, axis=-1)
+    keep = norms > 1e-8
+    dg = model.grad_V(xs) - model.grad_V(ys)
+    l1 = max(1.0, float((np.linalg.norm(dg, axis=-1)[keep] / norms[keep]).max()))
+    upsilon = max(0.0, float((0.5 * norms**2 - np.sum(dx * dg, axis=-1)).max()))
+    dgw = np.linalg.norm(model.grad1_W(xs, ys) - model.grad1_W(xt, yt), axis=-1)
+    denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
+    ok = denom > 1e-8
+    l_tilde = float((dgw[ok] / denom[ok]).max())
+    return {"L1": l1, "L_tilde": l_tilde, "R_conv": float(np.sqrt(4.0 * upsilon))}
+
+
+@pytest.mark.parametrize("count, inputs, scale", [(40, 1, 1.0), (300, 2, 20.0)])
+def test_shallow_net_blocked_probe_matches_whole_array_probe(count, inputs, scale):
+    # neither count divides the block budget, so the last probe block is
+    # short; outputs scaled by 20 make the convexity defect (R_conv) nonzero
+    assert models._PROBE_BLOCK % count != 0
+    rng = np.random.default_rng(count)
+    data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
+                             outputs=scale * rng.normal(size=count))
+    m = shallow_net_model(data)
+    for name, ref in _whole_array_probe(m).items():
+        got = getattr(m.constants, name)
+        assert abs(got - ref) <= 1e-15 * abs(ref), (name, got, ref)
+    assert (m.constants.R_conv > 0.0) == (scale > 1.0)
+
+
+def test_shallow_net_build_memory_stays_flat():
+    # all 10,000 probe pairs in one call would hold (10000, 512) feature
+    # arrays, a peak near 159 MiB; in row blocks the build stays near 4 MiB
+    rng = np.random.default_rng(13)
+    data = ShallowNetDataset(inputs=rng.normal(size=(512, 3)),
+                             outputs=rng.normal(size=512))
+    tracemalloc.start()
+    try:
+        shallow_net_model(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_shallow_net_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     data = ShallowNetDataset(inputs=rng.normal(size=(12, 3)),
@@ -245,6 +297,39 @@ def test_grad_all_matches_pairwise_and_single():
             for i in range(5):
                 assert np.allclose(mean_field_grad(m, qb[r], i), fast[r, i],
                                    rtol=1e-12, atol=1e-12)
+
+
+def _assert_fast_force_matches_pairwise(m, seed, n, replicas):
+    rng = np.random.default_rng(seed)
+    for shape in [(n, m.dim), (replicas, n, m.dim)]:
+        q = rng.uniform(-3.0, 3.0, size=shape)
+        fast = mean_field_grad_all(m, q)
+        assert fast.shape == q.shape
+        assert rel_err(fast, mean_field_grad_all(m, q, pairwise=True)) <= 1e-12
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(1, 40), inputs=st.integers(1, 3),
+       eps=st.floats(0.0, 2.0), seed=_seeds, n=st.integers(1, 9),
+       replicas=st.integers(1, 4))
+def test_shallow_net_fast_force_matches_pairwise(count, inputs, eps, seed, n, replicas):
+    rng = np.random.default_rng(seed)
+    data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
+                             outputs=rng.normal(size=count))
+    m = shallow_net_model(data, epsilon=eps)
+    _assert_fast_force_matches_pairwise(m, seed, n, replicas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.0, 5.0), eps=st.floats(0.0, 2.0), dim=st.integers(1, 3),
+       interaction=st.sampled_from([None, "quadratic"]), seed=_seeds,
+       n=st.integers(1, 9), replicas=st.integers(1, 4))
+def test_multiwell_fast_force_matches_pairwise(a, eps, dim, interaction, seed, n, replicas):
+    m = multiwell_model(a, dim=dim, epsilon=eps, interaction=interaction)
+    _assert_fast_force_matches_pairwise(m, seed, n, replicas)
 
 
 def test_grad_all_batched():
