@@ -184,9 +184,10 @@ def _whole_array_probe(model, probe_radius=4.0):
 
 @pytest.mark.parametrize("count, inputs, scale", [(40, 1, 1.0), (300, 2, 20.0)])
 def test_shallow_net_blocked_probe_matches_whole_array_probe(count, inputs, scale):
-    # neither count divides the block budget, so the last probe block is
+    # neither count divides the block budget and the last probe block is
     # short; outputs scaled by 20 make the convexity defect (R_conv) nonzero
     assert models._PROBE_BLOCK % count != 0
+    assert models._PROBE_PAIRS % (models._PROBE_BLOCK // count) != 0
     rng = np.random.default_rng(count)
     data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
                              outputs=scale * rng.normal(size=count))
