@@ -139,11 +139,15 @@ def _model_from_args(args):
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
-    """Comma-separated values of ``kind``; a bad token is a configuration error."""
+    """Comma-separated values of ``kind``; a bad token or an empty list is a
+    configuration error."""
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse {flag} {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} {text!r} names no values")
+    return values
 
 
 def _write_outputs(args, result, columns, footer, summary, plot=None):
@@ -179,8 +183,12 @@ def _run_bias_scan(args):
                        burn_in=args.burn_in, h_fixed=args.h,
                        threads=args.threads)
     errors = [r[5] for r in result.rows]
+    detail = [{key: json_safe(value) for key, value in d.items()}
+              for d in result.detail]
     return _write_outputs(
-        args, result, BIAS_COLUMNS, [f"loglog_slope_vs_eps_acc: {result.slope!r}"],
+        args, result, BIAS_COLUMNS,
+        [f"loglog_slope_vs_eps_acc: {result.slope!r}",
+         "detail: " + config_json(detail)],
         {"slope": result.slope, "errors": errors},
         dict(xs=[r[0] for r in result.rows], ys=errors,
              xlabel="k (accuracy 2^-k)", ylabel="density error",

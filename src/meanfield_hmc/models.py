@@ -257,7 +257,7 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
 
     constants = AssumptionConstants(
         K=0.25, L1=1.0 + a, L2=2.0, L_tilde=l_tilde,
-        R_conv=4.0 * np.sqrt(a / np.e), W0=0.0)
+        R_conv=float(4.0 * np.sqrt(a / np.e)), W0=0.0)
     return MeanFieldModel(
         name="multiwell", dim=dim, epsilon=float(epsilon),
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,12 +12,16 @@ from meanfield_hmc.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 # Each golden file is the CLI's output for these arguments at seed 0.  The
-# bias-scan, contraction and sample files were recorded before the RNG
-# buffer and the lean integrator loop existed, the shallow-net sample file
-# before its force shared one feature pass, the others before the object
-# API and the coupled step's own loop were removed, so a byte difference is
-# a change of output, not of speed or structure.  shallow_net_data.csv is
-# an input (12 points, 2 features), not an output.
+# contraction and sample files were recorded before the RNG buffer and the
+# lean integrator loop existed, the shallow-net sample file before its force
+# shared one feature pass, and the order-check and multiwell constants files
+# before the object API and the coupled step's own loop were removed, so a
+# byte difference is a change of output, not of speed or structure.  The
+# three bias-scan files and the chaos-scan file were re-recorded when
+# bias-scan moved from one chain to a batch of stationary-started replicas
+# and chaos-scan's particle-mean variance started using the known mean 0,
+# both intended changes of output.  shallow_net_data.csv is an input
+# (12 points, 2 features), not an output.
 GOLDEN_ARGS = {
     "bias_scan.csv": ["bias-scan", "--k-max", "2", "--steps", "120"],
     "chaos_scan.csv": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
@@ -71,11 +76,26 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
     (["bias-scan", "--T", "0"], 2, "T must be positive, got T=0.0"),
     (["sample", "--columns", "0"], 2, "columns must be a positive integer, got 0"),
     (["sample", "--columns", "-2"], 2, "columns must be a positive integer, got -2"),
+    (["chaos-scan", "--N-list", ","], 2, "--N-list ',' names no values"),
+    (["order-check", "--h-list", ","], 2, "--h-list ',' names no values"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("model_args", [
+    ["--model", "gaussian"],
+    ["--model", "multiwell", "--a", "2"],
+    ["--model", "multiwell", "--interaction", "quadratic", "--dim", "2"],
+    ["--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv")],
+])
+def test_constants_json_is_valid(capsys, model_args):
+    assert main(["constants", *model_args, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["model"] == model_args[1]
+    assert set(payload["conditions"]) and set(payload["constants"])
 
 
 @pytest.mark.parametrize("command", ["sample", "constants"])

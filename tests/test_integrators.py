@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
                            MeanFieldModel, RngStream,
@@ -7,6 +9,8 @@ from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
                            internal_modes, internal_modes_inverse,
                            potential_energy, randomized_flow_arrays,
                            randomized_step_arrays)
+
+from conftest import rel_err
 
 
 def _free_model(dim=1):
@@ -218,6 +222,20 @@ def test_roundtrip_small_vector():
 def test_roundtrip_large_random_vector():
     q = np.random.default_rng(41).normal(size=10_000)
     assert np.abs(roundtrip(q) - q).max() < 1e-9
+
+
+# (..., N) arrays: up to two leading batch axes, then N >= 1 particles
+_mode_arrays = st.tuples(
+    st.lists(st.integers(1, 4), max_size=2), st.integers(1, 64),
+).flatmap(lambda dims: hnp.arrays(
+    np.float64, (*dims[0], dims[1]), elements=st.floats(-1e6, 1e6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_mode_arrays)
+def test_roundtrip_recovers_any_batch(q):
+    assert roundtrip(q).shape == q.shape
+    assert rel_err(roundtrip(q), q) < 1e-12
 
 
 def test_internal_modes_definition():
