@@ -13,8 +13,7 @@ from .couplings import (ContractionEstimate, CoupleResult, CouplingParams,
                         couple_velocities_batch, coupled_uhmc_step, ell1_bar,
                         estimate_contraction, metric_f, metric_f_prime, rho_N)
 from .integrators import (DIVERGENCE_LIMIT, IntegrationDivergedError,
-                          exact_gaussian_flow_arrays, internal_modes,
-                          internal_modes_inverse, lockstep_flow_arrays,
+                          exact_gaussian_flow_arrays, lockstep_flow_arrays,
                           randomized_flow_arrays, randomized_step_arrays)
 from .kernels import (ChainOutput, KernelParams, draw_initial_positions,
                       run_chain, stationary_gaussian_sample_arrays,

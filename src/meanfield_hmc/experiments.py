@@ -309,9 +309,10 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         first_track = np.empty((m, replicas))
         for step in range(m):
             q = xhmc_step_gaussian_arrays(epsilon, q, T, stream)
-            s1 += q.sum(axis=1)
+            rowsum = q.sum(axis=1)
+            s1 += rowsum
             s2 += (q * q).sum(axis=1)
-            mean_track[step] = q.mean(axis=1)
+            mean_track[step] = rowsum / n_particles
             first_track[step] = q[:, 0]
         count = m * n_particles
         var_r = (s2 / count - (s1 / count) ** 2) * count / (count - 1)

@@ -2,8 +2,9 @@
 
 Two flows live here: the randomized one-step integrator, whose force is
 frozen within each step at the random evaluation point q + h*u*p with u
-uniform, and the closed-form flow of the 1-d quadratic model obtained by
-decoupling into internal modes (particle mean + consecutive differences).
+uniform, and the closed-form flow of the 1-d quadratic model, in which the
+particle mean rotates at frequency sqrt(1 - eps) and every direction
+orthogonal to it at frequency 1.
 The randomized flow takes (..., N, d) arrays and the exact flow (..., N)
 arrays, both with optional leading batch axes.  The randomized step loop
 has one home, :func:`lockstep_flow_arrays`, which single chains, batched
@@ -105,46 +106,36 @@ def randomized_flow_arrays(model: MeanFieldModel, q, p, T: float, h: float,
 # closed-form flow for the 1-d quadratic model
 
 
-def internal_modes(q: np.ndarray):
-    """Split (..., N) coordinates into (particle mean, consecutive differences)."""
-    q = np.asarray(q, dtype=float)
-    return q.mean(axis=-1), np.diff(q, axis=-1)
-
-
-def internal_modes_inverse(mode0: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """Invert :func:`internal_modes` in O(N).
-
-    Rebuilds a vector with the given consecutive differences by prefix
-    summation from zero, then shifts it to have mean ``mode0``.
-    """
-    diffs = np.asarray(diffs, dtype=float)
-    mode0 = np.asarray(mode0, dtype=float)
-    zeros = np.zeros(diffs.shape[:-1] + (1,))
-    tilted = np.concatenate([zeros, np.cumsum(diffs, axis=-1)], axis=-1)
-    shift = mode0 - tilted.mean(axis=-1)
-    return tilted + shift[..., None]
-
-
 def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
     """Exact flow of the 1-d quadratic model on (..., N) arrays.
 
-    The mean mode oscillates at frequency sqrt(1 - eps) and every
-    difference mode at frequency 1; each evolves as a harmonic oscillator
-    and the transform is inverted in O(N).
+    The force is -M q with M = I - (eps/N) 11^T.  Every direction
+    orthogonal to 1 rotates at frequency 1 and the particle mean at
+    w0 = sqrt(1 - eps), so with c1, s1 = cos t, sin t, c0, s0 =
+    cos w0 t, sin w0 t and q_bar, p_bar the particle means:
+
+        q_t = c1 q + s1 p + (c0 - c1) q_bar + (s0/w0 - s1) p_bar
+        p_t = c1 p - s1 q + (c0 - c1) p_bar + (s1 - w0 s0) q_bar
+
+    The mean-mode correction is one number per batch element, so the
+    rounding error does not grow with N.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1) for a real mean-mode frequency")
-    q_mean, q_diff = internal_modes(q)
-    p_mean, p_diff = internal_modes(p)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q_bar = q.mean(axis=-1, keepdims=True)
+    p_bar = p.mean(axis=-1, keepdims=True)
 
     w0 = np.sqrt(1.0 - epsilon)
     c0, s0 = np.cos(w0 * t), np.sin(w0 * t)
-    q_mean_t = c0 * q_mean + (s0 / w0) * p_mean
-    p_mean_t = -w0 * s0 * q_mean + c0 * p_mean
-
     c1, s1 = np.cos(t), np.sin(t)
-    q_diff_t = c1 * q_diff + s1 * p_diff
-    p_diff_t = -s1 * q_diff + c1 * p_diff
+    dc = c0 - c1
 
-    return (internal_modes_inverse(q_mean_t, q_diff_t),
-            internal_modes_inverse(p_mean_t, p_diff_t))
+    q_t = c1 * q
+    q_t += s1 * p
+    q_t += dc * q_bar + (s0 / w0 - s1) * p_bar
+    p_t = c1 * p
+    p_t -= s1 * q
+    p_t += dc * p_bar + (s1 - w0 * s0) * q_bar
+    return q_t, p_t

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import kstest, kstwo
 
 from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
                            KernelParams, RngStream, compute_constants,
@@ -58,6 +60,33 @@ def test_coupled_marginal_multidimensional():
         assert kstest(res.eta[:, coord], "norm").statistic < crit
     assert kstest(res.eta @ e, "norm").statistic < crit
     assert kstest(res.xi @ e, "norm").statistic < crit
+
+
+@st.composite
+def _separations(draw):
+    """One separation z in R^d with |z| in [0, 1.2 R_tilde], and its R_tilde."""
+    d = draw(st.integers(1, 3))
+    r_tilde = draw(st.floats(0.1, 5.0))
+    direction = draw(hnp.arrays(np.float64, d, elements=st.floats(-1.0, 1.0))
+                     .filter(lambda v: np.linalg.norm(v) > 0.1))
+    radius = draw(st.floats(0.0, 1.2)) * r_tilde
+    return radius * direction / np.linalg.norm(direction), r_tilde
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(sep=_separations(), T=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_coupled_marginal_standard_normal_for_any_separation(sep, T, seed):
+    # whichever branch each row takes, eta must be exactly N(0, I_d)
+    z, r_tilde = sep
+    n = 20_000
+    res = couple_velocities_batch(np.tile(z, (n, 1)), CouplingParams(r_tilde, T),
+                                  RngStream(seed))
+    crit = kstwo.ppf(1.0 - 1e-4, n)
+    r = np.linalg.norm(z)
+    e = z / r if r > 0 else np.eye(len(z))[0]
+    for coord in range(len(z)):
+        assert kstest(res.eta[:, coord], "norm").statistic < crit
+    assert kstest(res.eta @ e, "norm").statistic < crit
 
 
 def test_reflection_branch_is_isometry():

@@ -1,7 +1,7 @@
 import pytest
 
 from meanfield_hmc import experiments
-from meanfield_hmc.experiments import bias_scan
+from meanfield_hmc.experiments import ConfigError, bias_scan, chaos_scan
 
 from test_kernels import uhmc_variance_oracle
 
@@ -43,3 +43,23 @@ def test_bias_scan_first_var_matches_discretized_chain_oracle():
                  + (1.0 - 1.0 / n) * uhmc_variance_oracle(1.0, T, h))
         assert d["first_var_se"] > 0
         assert abs(d["first_var"] - exact) < 4.0 * d["first_var_se"]
+
+
+def test_chaos_scan_mean_coord_var_matches_exact_value():
+    # the exact kernel keeps the stationary law N(0, M^-1), under which the
+    # particle mean has variance 1/((1 - eps) N); the estimate takes it
+    # about the known mean 0, so it is unbiased
+    result = chaos_scan(N_list=(4, 16), m=400, replicas=200)
+    assert [d["N"] for d in result.detail] == [4, 16]
+    for d in result.detail:
+        assert d["analytic_mean_coord_var"] == pytest.approx(1.0 / (0.75 * d["N"]))
+        assert d["mean_coord_var_se"] > 0
+        assert (abs(d["mean_coord_var"] - d["analytic_mean_coord_var"])
+                < 4.0 * d["mean_coord_var_se"])
+
+
+@pytest.mark.parametrize("kwargs", [dict(N_list=(1, 4)), dict(m=0),
+                                    dict(replicas=1)])
+def test_chaos_scan_rejects_bad_config(kwargs):
+    with pytest.raises(ConfigError):
+        chaos_scan(**{"N_list": (4,), "m": 2, "replicas": 2, **kwargs})
