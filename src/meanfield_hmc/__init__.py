@@ -9,15 +9,15 @@ condition of the underlying theory in closed form.
 
 __version__ = "0.1.0"
 
-from .couplings import (ContractionEstimate, CoupleResult, CouplingParams,
-                        couple_velocities_batch, coupled_uhmc_step, ell1_bar,
-                        estimate_contraction, metric_f, metric_f_prime, rho_N)
+from .couplings import (CoupleResult, CouplingParams, couple_velocities_batch,
+                        coupled_uhmc_step, ell1_bar, metric_f, metric_f_prime,
+                        rho_N)
 from .integrators import (DIVERGENCE_LIMIT, IntegrationDivergedError,
                           exact_gaussian_flow_arrays, lockstep_flow_arrays,
                           randomized_flow_arrays, randomized_step_arrays)
-from .kernels import (ChainOutput, KernelParams, draw_initial_positions,
-                      run_chain, stationary_gaussian_sample_arrays,
-                      uhmc_step_arrays, xhmc_step_gaussian_arrays)
+from .kernels import (KernelParams, draw_initial_positions, run_chain,
+                      stationary_gaussian_sample_arrays, uhmc_step_arrays,
+                      xhmc_step_gaussian_arrays)
 from .models import (AssumptionConstants, InvalidModelError, MeanFieldModel,
                      ShallowNetDataset, gaussian_model, mean_field_grad,
                      mean_field_grad_all, multiwell_model, potential_energy,

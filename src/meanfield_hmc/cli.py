@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--m2-init", type=float, default=0.0)
     p.add_argument("--B3", type=float, default=1.0)
-    _add_common_flags(p)
+    p.add_argument("--json", action="store_true",
+                   help="print the constants and conditions as JSON")
     return parser
 
 
@@ -217,16 +218,16 @@ def _run_contraction(args):
                                     replicas=args.replicas, N=args.N,
                                     seed=args.seed, offset=args.offset,
                                     synchronous=args.synchronous)
-    est = result.estimate
     positive = [(k, v) for k, v, _ in result.rows if v > 0]
     return _write_outputs(
         args, result, CONTRACTION_COLUMNS,
-        [f"fitted_decay_factor: {est.decay_factor!r}",
-         f"fitted_decay_factor_se: {est.decay_factor_se!r}",
+        [f"fitted_decay_factor: {result.decay_factor!r}",
+         f"fitted_decay_factor_se: {result.decay_factor_se!r}",
          f"c_uhmc: {result.c_uhmc!r}",
          f"one_minus_c_uhmc: {1.0 - result.c_uhmc!r}",
          f"A: {json_safe(result.A)!r}"],
-        {"decay_factor": est.decay_factor, "decay_factor_se": est.decay_factor_se,
+        {"decay_factor": result.decay_factor,
+         "decay_factor_se": result.decay_factor_se,
          "c_uhmc": result.c_uhmc, "warnings": result.condition_warnings},
         dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
              xlabel="coupled step", ylabel="mean coupled distance",

@@ -1,4 +1,5 @@
-"""Velocity couplings for pairs of chains and coupled-kernel runners.
+"""Velocity coupling for pairs of chains, the coupled kernel step, and the
+contraction metric.
 
 For particle pairs closer than the threshold radius the refreshed
 velocities are coupled so that the difference collapses to -gamma*z with
@@ -6,14 +7,15 @@ the largest probability a valid coupling allows, and are reflected across
 the separation direction otherwise; distant pairs synchronize.  Both
 marginals stay exactly standard normal.  The two copies of a coupled
 kernel run through the integrator's lockstep flow on shared per-step
-uniforms, so only the initial velocities differ.
+uniforms, so only the initial velocities differ.  The concave metric
+rho_N measures how far apart the coupled copies are; the contraction
+experiment runs the coupled steps and tabulates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -214,67 +216,3 @@ def ell1_bar(x: np.ndarray, y: np.ndarray):
     out = np.linalg.norm(x - y, axis=-1).mean(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
-
-# ---------------------------------------------------------------------------
-# contraction estimation
-
-
-@dataclass(frozen=True)
-class ContractionEstimate:
-    """Per-step coupled-distance decay table with a fitted per-step factor.
-
-    ``mean_rho[k]`` averages rho_N over replicas after k coupled steps;
-    the decay factor is exp(slope) of a log-linear fit, with a standard
-    error across replica blocks.
-    """
-
-    mean_rho: np.ndarray
-    stderr: np.ndarray
-    decay_factor: float
-    decay_factor_se: float
-    block_factors: np.ndarray
-
-
-def _fit_factor(mean_rho: np.ndarray) -> float:
-    steps = np.arange(len(mean_rho))
-    good = mean_rho > 0
-    if good.sum() < 2:
-        return 0.0
-    slope = np.polyfit(steps[good], np.log(mean_rho[good]), 1)[0]
-    return float(np.exp(slope))
-
-
-def estimate_contraction(model: MeanFieldModel, params: KernelParams,
-                         cp: CouplingParams, m: int, replicas: int,
-                         init_pair: Callable[[RngStream, int], tuple],
-                         stream: RngStream, *, synchronous: bool = False,
-                         blocks: int = 10) -> ContractionEstimate:
-    """Run coupled chains and tabulate the mean coupled distance per step.
-
-    ``init_pair(stream, replicas)`` returns the two initial position
-    batches of shape (replicas, N, d).  The fitted factor's standard error
-    comes from refitting on ``blocks`` disjoint replica groups.
-    """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    R1 = metric_radius(cp.R_tilde, cp.T)
-    x, xp = init_pair(stream, replicas)
-    rho = np.empty((m + 1, replicas))
-    rho[0] = rho_N(x, xp, R1, cp.T)
-    for k in range(1, m + 1):
-        x, xp = coupled_uhmc_step(model, x, xp, params, cp, stream,
-                                  synchronous=synchronous)
-        rho[k] = rho_N(x, xp, R1, cp.T)
-
-    mean_rho = rho.mean(axis=1)
-    stderr = rho.std(axis=1, ddof=1) / np.sqrt(replicas)
-    n_blocks = min(blocks, replicas)
-    splits = np.array_split(np.arange(replicas), n_blocks)
-    block_factors = np.array([_fit_factor(rho[:, idx].mean(axis=1)) for idx in splits])
-    factor = _fit_factor(mean_rho)
-    factor_se = float(block_factors.std(ddof=1) / np.sqrt(n_blocks))
-    return ContractionEstimate(mean_rho=mean_rho, stderr=stderr,
-                               decay_factor=factor, decay_factor_se=factor_se,
-                               block_factors=block_factors)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .couplings import (ContractionEstimate, CouplingParams,
-                        estimate_contraction)
-from .integrators import exact_gaussian_flow_arrays, randomized_flow_arrays
+from .couplings import CouplingParams, coupled_uhmc_step, rho_N
+from .integrators import (_integral_steps, exact_gaussian_flow_arrays,
+                          randomized_flow_arrays)
 from .kernels import (KernelParams, run_chain, stationary_gaussian_sample_arrays,
                       draw_initial_positions, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
@@ -169,16 +169,24 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
         fh.write("\n".join(parts) + "\n")
 
 
+@dataclass(frozen=True)
+class ScanResult:
+    """Outcome of a scan over one parameter.
+
+    ``rows`` holds one CSV row per scan point, ``detail`` one dict per
+    point with the estimates the rows leave out, ``slope`` the log-log
+    slope of the scanned error (nan when it cannot be fitted), and
+    ``config`` the settings written to the CSV header.
+    """
+
+    rows: list
+    detail: list
+    slope: float
+    config: dict = field(default_factory=dict)
+
+
 # ---------------------------------------------------------------------------
 # bias scaling
-
-
-@dataclass(frozen=True)
-class BiasScanResult:
-    rows: list          # (k, eps_acc, N, h, steps, kde_rel_error)
-    detail: list        # per-k dicts: kept sample count and variance estimate
-    slope: float        # log-log slope of error against eps_acc
-    config: dict = field(default_factory=dict)
 
 
 BIAS_COLUMNS = ("k", "eps_acc", "N", "h", "steps", "kde_rel_error")
@@ -191,7 +199,7 @@ _BIAS_REPLICAS = 10
 def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
               epsilon: float = 0.25, T: float = 1.0, seed: int = 0,
               burn_in: float = 0.1, h_fixed: float | None = None,
-              threads: int = 1) -> BiasScanResult:
+              threads: int = 1) -> ScanResult:
     """Stationary-density error of the unadjusted chain at accuracies 2^-k.
 
     For each k: the accuracy is eps_acc = 2^-k, the particle count
@@ -262,19 +270,11 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     config = {"k_max": k_max, "steps": steps, "h_rule": h_rule,
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
               "h_fixed": h_fixed}
-    return BiasScanResult(rows=rows, detail=detail, slope=slope, config=config)
+    return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
 
 
 # ---------------------------------------------------------------------------
 # propagation-of-chaos scan
-
-
-@dataclass(frozen=True)
-class ChaosScanResult:
-    rows: list            # (N, var_err, mean_coord_var, w1_marginal)
-    detail: list          # per-N dicts with estimates and standard errors
-    slope: float          # log-log slope of var_err against N
-    config: dict = field(default_factory=dict)
 
 
 CHAOS_COLUMNS = ("N", "var_err", "mean_coord_var", "w1_marginal")
@@ -282,7 +282,7 @@ CHAOS_COLUMNS = ("N", "var_err", "mean_coord_var", "w1_marginal")
 
 def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
                epsilon: float = 0.25, T: float = 1.0, seed: int = 0,
-               threads: int = 1) -> ChaosScanResult:
+               threads: int = 1) -> ScanResult:
     """Finite-N marginal bias of the exact kernel started in stationarity.
 
     For each N the per-coordinate variance of the pooled chain output is
@@ -323,10 +323,7 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         mc_var_se = float(mc_var_r.std(ddof=1) / np.sqrt(replicas))
 
         pooled = first_track.reshape(-1)
-        if pooled.size > W1_SUBSAMPLE_CAP:
-            idx = (np.arange(W1_SUBSAMPLE_CAP) * pooled.size) // W1_SUBSAMPLE_CAP
-            pooled = pooled[idx]
-        ref = stream.normal_vector(pooled.size)
+        ref = stream.normal_vector(min(pooled.size, W1_SUBSAMPLE_CAP))
         w1 = wasserstein1_1d(pooled, ref)
 
         analytic = 1.0 + epsilon / (n_particles * (1.0 - epsilon))
@@ -348,7 +345,7 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         slope = float("nan")
     config = {"N_list": list(N_list), "m": m, "replicas": replicas,
               "epsilon": epsilon, "T": T}
-    return ChaosScanResult(rows=rows, detail=detail, slope=slope, config=config)
+    return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +354,22 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
 
 @dataclass(frozen=True)
 class ContractionExperimentResult:
+    """Coupled-distance decay table with a fitted per-step factor.
+
+    ``mean_rho[k]`` averages rho_N over replicas after k coupled steps and
+    ``stderr[k]`` is its standard error; ``rows`` pairs them with k.  The
+    decay factor is exp(slope) of a log-linear fit of ``mean_rho``, and
+    its standard error comes from refitting on CONTRACTION_BLOCKS disjoint
+    replica groups.  ``c_uhmc`` and ``A`` are the theory's rate and
+    envelope constant; ``condition_warnings`` names the admissibility
+    conditions that failed.
+    """
+
     rows: list                      # (step, mean_rhoN, stderr)
-    estimate: ContractionEstimate
+    mean_rho: np.ndarray
+    stderr: np.ndarray
+    decay_factor: float
+    decay_factor_se: float
     c_uhmc: float
     A: float
     condition_warnings: list
@@ -366,6 +377,16 @@ class ContractionExperimentResult:
 
 
 CONTRACTION_COLUMNS = ("step", "mean_rhoN", "stderr")
+CONTRACTION_BLOCKS = 10
+
+
+def _fit_factor(mean_rho: np.ndarray) -> float:
+    steps = np.arange(len(mean_rho))
+    good = mean_rho > 0
+    if good.sum() < 2:
+        return 0.0
+    slope = np.polyfit(steps[good], np.log(mean_rho[good]), 1)[0]
+    return float(np.exp(slope))
 
 
 def contraction_experiment(model: MeanFieldModel, T: float, h: float,
@@ -375,8 +396,9 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     """Coupled-chain decay of the particle-averaged coupled distance.
 
     Initial pairs are x ~ product standard normal and x' = x + offset in
-    every coordinate.  Admissibility of (T, eps) for the discretized
-    kernel is checked first; failures warn and proceed.
+    every coordinate; each replica then runs ``m`` coupled steps.
+    Admissibility of (T, eps) for the discretized kernel is checked first;
+    failures warn and proceed.
     """
     if m < 1:
         raise ConfigError("m must be a positive integer")
@@ -392,34 +414,33 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     params = KernelParams(T=T, h=h)
     cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
     stream = RngStream(seed)
-    dim = model.dim
 
-    def init_pair(s, r):
-        x = s.normal_vector(r * N * dim).reshape(r, N, dim)
-        return x, x + offset
+    x = stream.normal_vector(replicas * N * model.dim).reshape(replicas, N, model.dim)
+    xp = x + offset
+    rho = np.empty((m + 1, replicas))
+    rho[0] = rho_N(x, xp, tc.R1, T)
+    for k in range(1, m + 1):
+        x, xp = coupled_uhmc_step(model, x, xp, params, cp, stream,
+                                  synchronous=synchronous)
+        rho[k] = rho_N(x, xp, tc.R1, T)
 
-    est = estimate_contraction(model, params, cp, m, replicas, init_pair,
-                               stream, synchronous=synchronous)
-    rows = [(k, est.mean_rho[k], est.stderr[k]) for k in range(m + 1)]
+    mean_rho = rho.mean(axis=1)
+    stderr = rho.std(axis=1, ddof=1) / np.sqrt(replicas)
+    blocks = np.array_split(np.arange(replicas), min(CONTRACTION_BLOCKS, replicas))
+    refits = np.array([_fit_factor(rho[:, idx].mean(axis=1)) for idx in blocks])
+    rows = [(k, mean_rho[k], stderr[k]) for k in range(m + 1)]
     config = {"model": model.name, "model_params": model.params, "T": T,
               "h": h, "m": m, "replicas": replicas, "N": N,
               "offset": offset, "synchronous": synchronous}
-    return ContractionExperimentResult(rows=rows, estimate=est,
-                                       c_uhmc=tc.c_uhmc, A=tc.A,
-                                       condition_warnings=warnings,
-                                       config=config)
+    return ContractionExperimentResult(
+        rows=rows, mean_rho=mean_rho, stderr=stderr,
+        decay_factor=_fit_factor(mean_rho),
+        decay_factor_se=float(refits.std(ddof=1) / np.sqrt(len(blocks))),
+        c_uhmc=tc.c_uhmc, A=tc.A, condition_warnings=warnings, config=config)
 
 
 # ---------------------------------------------------------------------------
 # integrator order check
-
-
-@dataclass(frozen=True)
-class OrderCheckResult:
-    rows: list            # (h, mean_weighted_error)
-    stderrs: list
-    slope: float
-    config: dict = field(default_factory=dict)
 
 
 ORDER_COLUMNS = ("h", "mean_weighted_error")
@@ -427,7 +448,7 @@ ORDER_COLUMNS = ("h", "mean_weighted_error")
 
 def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
                 N: int = 64, epsilon: float = 0.25, replicas: int = 1000,
-                seed: int = 0, threads: int = 1) -> OrderCheckResult:
+                seed: int = 0, threads: int = 1) -> ScanResult:
     """Strong error of the randomized integrator against the exact flow.
 
     Starts every replica from stationary positions with fresh normal
@@ -442,9 +463,10 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     for h in h_list:
         if not h > 0:
             raise ConfigError(f"each h must be positive, got h={h}")
-        n = T / h
-        if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
-            raise ConfigError(f"h={h} does not divide T={T}")
+        try:
+            _integral_steps(T, h)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     l_e = compute_constants(model, T).L_e
     base = RngStream(seed)
 
@@ -462,12 +484,12 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
 
     results = _map_ordered(one_h, list(h_list), threads)
     rows = [(h, mean) for h, (mean, _) in zip(h_list, results)]
-    stderrs = [se for _, se in results]
+    detail = [{"h": h, "stderr": se} for h, (_, se) in zip(h_list, results)]
     slope = loglog_slope([r[0] for r in rows], [r[1] for r in rows])[0] \
         if len(rows) >= 3 else float("nan")
     config = {"h_list": [float(h) for h in h_list], "T": T, "N": N,
               "epsilon": epsilon, "replicas": replicas}
-    return OrderCheckResult(rows=rows, stderrs=stderrs, slope=slope, config=config)
+    return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +525,12 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
         raise ConfigError(str(err)) from None
     stream = RngStream(seed)
     x0 = draw_initial_positions(model, N, init, stream)
-    kernel = "xhmc" if h == 0 else "uhmc"
-    out = run_chain(model, x0, kernel, m, params, stream)
+    positions = run_chain(model, x0, m, params, stream)
     total = N * model.dim
     n_cols = total if columns is None else min(int(columns), total)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
-    rows = []
-    for idx in range(out.positions.shape[0]):
-        flat = out.positions[idx].reshape(-1)[:n_cols]
-        rows.append((idx * thin, *flat))
-    tc = compute_constants(model, T, m2_init=float(out.second_moments[0]))
+    rows = [(idx * thin, *q.reshape(-1)[:n_cols]) for idx, q in enumerate(positions)]
+    tc = compute_constants(model, T, m2_init=float((x0 * x0).sum(axis=-1).mean()))
     footer = ["constants: " + config_json(
         {name: json_safe(val) for name, val, _ in constants_table(tc)})]
     config = {"model": model.name, "model_params": model.params, "N": N,

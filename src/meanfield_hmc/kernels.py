@@ -1,4 +1,4 @@
-"""HMC transition kernels for the particle system, chain runners, moment tracking.
+"""HMC transition kernels for the particle system and the single-chain runner.
 
 Kernels act on raw position arrays with optional leading batch axes.  Both
 kernels refresh the full velocity vector from N(0, I) each step and
@@ -89,30 +89,14 @@ def draw_initial_positions(model: MeanFieldModel, N: int, init: str,
     raise ValueError(f"unknown init {init!r}; expected cold, normal, or stationary")
 
 
-@dataclass(frozen=True)
-class ChainOutput:
-    """Recorded output of a chain run.
+def run_chain(model: MeanFieldModel, x0: np.ndarray, m: int,
+              params: KernelParams, stream: RngStream) -> np.ndarray:
+    """Iterate a kernel ``m`` times and stack every ``params.thin``-th state.
 
-    ``positions`` stacks the thinned states, shape (n_recorded, N, d),
-    including the initial state.  ``second_moments`` holds the per-step
-    particle-averaged squared norm for every step (length step_count + 1).
-    """
-
-    positions: np.ndarray
-    second_moments: np.ndarray
-    step_count: int
-
-
-def _second_moment(q: np.ndarray) -> float:
-    return float((q * q).sum(axis=-1).mean())
-
-
-def run_chain(model: MeanFieldModel, x0: np.ndarray, kernel: str, m: int,
-              params: KernelParams, stream: RngStream) -> ChainOutput:
-    """Iterate a kernel ``m`` times, recording thinned positions.
-
-    ``kernel`` is ``"uhmc"`` or ``"xhmc"``; the exact kernel requires the
-    gaussian model.  Divergence errors carry the chain step index.
+    Returns shape (1 + m // thin, N, d), starting with the initial state.
+    ``params.h == 0`` selects the exact kernel, which requires the 1-d
+    gaussian model; otherwise the unadjusted kernel runs.  Divergence
+    errors carry the chain step index.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -121,19 +105,15 @@ def run_chain(model: MeanFieldModel, x0: np.ndarray, kernel: str, m: int,
         q = q[:, None]
     if q.shape[1] != model.dim:
         raise ValueError(f"x0 must have shape (N, {model.dim})")
-    if kernel == "xhmc":
+    if params.h == 0:
         if model.name != "gaussian" or model.dim != 1:
             raise ValueError("the exact kernel is implemented only for the gaussian model")
         eps = model.params["epsilon"]
         step = lambda v: xhmc_step_gaussian_arrays(eps, v[:, 0], params.T, stream)[:, None]
-    elif kernel == "uhmc":
-        step = lambda v: uhmc_step_arrays(model, v, params, stream)
     else:
-        raise ValueError(f"unknown kernel {kernel!r}; expected 'uhmc' or 'xhmc'")
+        step = lambda v: uhmc_step_arrays(model, v, params, stream)
 
     recorded = [q.copy()]
-    moments = np.empty(m + 1)
-    moments[0] = _second_moment(q)
     for k in range(1, m + 1):
         try:
             q = step(q)
@@ -141,8 +121,6 @@ def run_chain(model: MeanFieldModel, x0: np.ndarray, kernel: str, m: int,
             raise IntegrationDivergedError(
                 k - 1, f"chain diverged at kernel step {k - 1} "
                        f"(inner step {err.step_index})") from err
-        moments[k] = _second_moment(q)
         if k % params.thin == 0:
             recorded.append(q.copy())
-    return ChainOutput(positions=np.stack(recorded), second_moments=moments,
-                       step_count=m)
+    return np.stack(recorded)

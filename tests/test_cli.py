@@ -48,10 +48,8 @@ def test_cli_output_matches_golden_file(tmp_path, name, threads):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_constants_text_matches_golden_file(capsys, threads):
-    argv = ["constants", "--model", "multiwell", "--a", "2", "--threads", str(threads)]
-    assert main(argv) == 0
+def test_constants_text_matches_golden_file(capsys):
+    assert main(["constants", "--model", "multiwell", "--a", "2"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "constants_multiwell.txt").read_text()
 
 
@@ -80,6 +78,8 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
     (["sample", "--columns", "-2"], 2, "columns must be a positive integer, got -2"),
     (["chaos-scan", "--N-list", ","], 2, "--N-list ',' names no values"),
     (["order-check", "--h-list", ","], 2, "--h-list ',' names no values"),
+    (["order-check", "--h-list", "0.3"], 2,
+     "T/h must be a positive integer, got T=1.0, h=0.3"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
@@ -100,12 +100,22 @@ def test_constants_json_is_valid(capsys, model_args):
     assert set(payload["conditions"]) and set(payload["constants"])
 
 
-@pytest.mark.parametrize("command", ["sample", "constants"])
-def test_plot_rejected_where_no_svg_is_written(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sample", "--plot"], id="sample"),
+    pytest.param(["constants", "--plot"], id="constants"),
+    # constants writes no file and runs no scan
+    pytest.param(["constants", "--threads", "1"], id="constants-threads"),
+    pytest.param(["constants", "--seed", "1"], id="constants-seed"),
+    pytest.param(["constants", "--out", "x.csv"], id="constants-out"),
+])
+def test_plot_rejected_where_no_svg_is_written(tmp_path, monkeypatch, capsys, argv):
+    # a flag the subcommand does not take exits 2 before anything is
+    # written, to the default output path included
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main([command, "--plot", "--out", str(tmp_path / "out.csv")])
+        main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -113,11 +123,11 @@ def test_closed_stdout_exits_cleanly():
     # the reader is gone before the first write, as with `| head -c 10`
     src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "meanfield_hmc", "constants", "--model", "gaussian",
-         "--T", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "meanfield_hmc", "constants", "--model",
+             "gaussian", "--T", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert err == b""

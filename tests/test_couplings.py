@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
-from scipy.stats import kstest, kstwo
+from scipy.stats import kstest, kstwo, norm
 
 from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
                            KernelParams, RngStream, compute_constants,
                            couple_velocities_batch, coupled_uhmc_step,
-                           ell1_bar, estimate_contraction, gaussian_model,
+                           ell1_bar, gaussian_model,
                            metric_f, metric_f_prime, multiwell_model, rho_N)
 from meanfield_hmc.couplings import metric_radius
 
@@ -107,16 +107,24 @@ def test_reflection_branch_is_isometry():
 
 
 def test_non_coalescence_frequency_bound():
-    cp = CouplingParams(R_tilde=2.0, T=1.0)
+    # Inside the threshold radius the pair coalesces with the overlap of
+    # N(0, 1) and N(gamma |z|, 1), 2 Phi(-gamma |z| / 2); its complement is
+    # at most gamma |z| / sqrt(2 pi), the bound the coupling promises.
+    # gamma |z| < 1/4 always, so the Gaussian term -(gamma r)^2 / 2 of the
+    # acceptance ratio moves this probability little: the cases with |z|
+    # near R_tilde are the ones that would catch it going missing.
     n = 200_000
-    for dist in (0.25, 1.0, 1.9):
-        z = np.zeros((n, 1))
-        z[:, 0] = dist
-        res = couple_velocities_batch(z, cp, RngStream(int(dist * 100)))
-        freq = float((~res.coalescing).mean())
-        bound = cp.gamma * dist / np.sqrt(2.0 * np.pi)
-        se = np.sqrt(freq * (1.0 - freq) / n)
-        assert freq <= bound + 3.0 * se
+    cases = [(2.0, 1.0, [0.25]), (2.0, 1.0, [1.9]), (0.5, 0.5, [0.4]),
+             (2.0, 1.0, [1.2, -0.9, 0.8])]   # the last |z| is 1.7
+    for seed, (r_tilde, T, z) in enumerate(cases):
+        cp = CouplingParams(R_tilde=r_tilde, T=T)
+        gr = cp.gamma * np.linalg.norm(z)
+        res = couple_velocities_batch(np.tile(z, (n, 1)), cp, RngStream(seed))
+        assert not res.synchronous.any()
+        exact = 2.0 * norm.cdf(-0.5 * gr)
+        se = np.sqrt(exact * (1.0 - exact) / n)
+        assert abs(res.coalescing.mean() - exact) < 4.0 * se
+        assert 1.0 - exact <= gr / np.sqrt(2.0 * np.pi)
 
 
 def test_couple_velocities_single_pair():
@@ -277,53 +285,3 @@ def test_rho_N_reductions():
     with pytest.raises(ValueError):
         rho_N(a, b[:3], r1, t)
 
-
-# --- contraction estimation --------------------------------------------------
-
-def _pair_sampler(n_particles, dim, offset):
-    def init_pair(stream, replicas):
-        x = stream.normal_vector(replicas * n_particles * dim)
-        x = x.reshape(replicas, n_particles, dim)
-        return x, x + offset
-    return init_pair
-
-
-def test_estimate_contraction_zero_offset_stays_zero():
-    m = gaussian_model(0.25)
-    params = KernelParams(T=1.0, h=0.25)
-    cp = CouplingParams(R_tilde=0.0, T=1.0)
-    est = estimate_contraction(m, params, cp, m=5, replicas=16,
-                               init_pair=_pair_sampler(4, 1, 0.0),
-                               stream=RngStream(17))
-    assert np.array_equal(est.mean_rho, np.zeros(6))
-
-
-def test_estimate_contraction_strongly_convex_rate():
-    # synchronous coupling, no interaction, L T^2 = 3/20
-    m = gaussian_model(0.0)
-    T = np.sqrt(0.15)
-    params = KernelParams(T=T, h=T / 8)
-    cp = CouplingParams(R_tilde=0.0, T=T)
-    est = estimate_contraction(m, params, cp, m=25, replicas=1000,
-                               init_pair=_pair_sampler(4, 1, 1.0),
-                               stream=RngStream(18), synchronous=True)
-    bound = 1.0 - m.constants.K * T**2 / 8.0
-    assert est.decay_factor <= bound + 3.0 * est.decay_factor_se
-
-
-def test_estimate_contraction_multiwell_theory_envelope():
-    # weakly multi-well so the envelope constant A stays representable
-    mw = multiwell_model(0.05)
-    from meanfield_hmc import max_admissible_T
-    T = max_admissible_T(mw, "uhmc")
-    tc = compute_constants(mw, T)
-    params = KernelParams(T=T, h=T / 4)
-    cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
-    est = estimate_contraction(mw, params, cp, m=20, replicas=400,
-                               init_pair=_pair_sampler(4, 1, 1.0),
-                               stream=RngStream(19))
-    rho0 = est.mean_rho[0]
-    for k in range(1, 21):
-        envelope = tc.A * np.exp(-tc.c_uhmc * k) * rho0
-        assert est.mean_rho[k] <= envelope + 3.0 * est.stderr[k]
-    assert est.decay_factor < 1.0

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from meanfield_hmc import experiments
-from meanfield_hmc.experiments import ConfigError, bias_scan, chaos_scan
+from meanfield_hmc import (compute_constants, experiments, gaussian_model,
+                           max_admissible_T, multiwell_model)
+from meanfield_hmc.experiments import (ConfigError, bias_scan, chaos_scan,
+                                       contraction_experiment)
 
 from test_kernels import uhmc_variance_oracle
 
@@ -58,8 +61,49 @@ def test_chaos_scan_mean_coord_var_matches_exact_value():
                 < 4.0 * d["mean_coord_var_se"])
 
 
+def test_chaos_scan_w1_strides_the_pooled_samples_down_to_the_cap(monkeypatch):
+    # 160 pooled samples against a cap of 100; the rows are those the scan
+    # gave when it applied the stride itself instead of wasserstein1_1d
+    monkeypatch.setattr(experiments, "W1_SUBSAMPLE_CAP", 100)
+    result = chaos_scan(N_list=(4,), m=40, replicas=4)
+    assert result.rows == [
+        (4, 0.07125593611423175, 0.33046240522409465, 0.2298932813520611)]
+
+
 @pytest.mark.parametrize("kwargs", [dict(N_list=(1, 4)), dict(m=0),
                                     dict(replicas=1)])
 def test_chaos_scan_rejects_bad_config(kwargs):
     with pytest.raises(ConfigError):
         chaos_scan(**{"N_list": (4,), "m": 2, "replicas": 2, **kwargs})
+
+
+# --- contraction -------------------------------------------------------------
+
+def test_contraction_experiment_zero_offset_stays_zero():
+    result = contraction_experiment(gaussian_model(0.25), T=1.0, h=0.25, m=5,
+                                    replicas=16, N=4, seed=17, offset=0.0)
+    assert np.array_equal(result.mean_rho, np.zeros(6))
+
+
+def test_contraction_experiment_strongly_convex_rate():
+    # synchronous coupling, no interaction, L T^2 = 3/20
+    m = gaussian_model(0.0)
+    T = np.sqrt(0.15)
+    result = contraction_experiment(m, T=T, h=T / 8, m=25, replicas=1000, N=4,
+                                    seed=18, offset=1.0, synchronous=True)
+    bound = 1.0 - m.constants.K * T**2 / 8.0
+    assert result.decay_factor <= bound + 3.0 * result.decay_factor_se
+
+
+def test_contraction_experiment_multiwell_theory_envelope():
+    # weakly multi-well so the envelope constant A stays representable
+    mw = multiwell_model(0.05)
+    T = max_admissible_T(mw, "uhmc")
+    tc = compute_constants(mw, T)
+    result = contraction_experiment(mw, T=T, h=T / 4, m=20, replicas=400, N=4,
+                                    seed=19, offset=1.0)
+    rho0 = result.mean_rho[0]
+    for k in range(1, 21):
+        envelope = tc.A * np.exp(-tc.c_uhmc * k) * rho0
+        assert result.mean_rho[k] <= envelope + 3.0 * result.stderr[k]
+    assert result.decay_factor < 1.0

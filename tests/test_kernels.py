@@ -167,34 +167,43 @@ def test_run_chain_single_step_equals_kernel():
     m = gaussian_model(0.25)
     x0 = np.full((3, 1), 0.5)
     params = KernelParams(T=1.0, h=0.25)
-    out = run_chain(m, x0, "uhmc", 1, params, RngStream(21))
+    out = run_chain(m, x0, 1, params, RngStream(21))
     direct = uhmc_step_arrays(m, x0, params, RngStream(21))
-    assert np.array_equal(out.positions[-1], direct)
-    assert out.step_count == 1 and out.positions.shape[0] == 2
+    assert out.shape == (2, 3, 1)
+    assert np.array_equal(out[-1], direct)
+
+
+def test_run_chain_exact_kernel_equals_direct_steps():
+    x0 = np.linspace(-1.0, 1.0, 6)[:, None]
+    out = run_chain(gaussian_model(0.25), x0, 5, KernelParams(T=1.0, h=0.0),
+                    RngStream(22))
+    stream = RngStream(22)
+    q = x0[:, 0]
+    for k in range(1, 6):
+        q = xhmc_step_gaussian_arrays(0.25, q, 1.0, stream)
+        assert np.array_equal(out[k, :, 0], q)
 
 
 def test_run_chain_thinning_count():
     m = gaussian_model(0.25)
-    out = run_chain(m, np.zeros((2, 1)), "uhmc", 100,
+    out = run_chain(m, np.zeros((2, 1)), 100,
                     KernelParams(T=1.0, h=0.5, thin=10), RngStream(2))
-    assert out.positions.shape[0] == 11
-    assert out.second_moments.shape == (101,)
+    assert out.shape == (11, 2, 1)
 
 
 def test_run_chain_determinism():
     m = gaussian_model(0.25)
     params = KernelParams(T=1.0, h=0.25)
-    a = run_chain(m, np.zeros((4, 1)), "uhmc", 20, params, RngStream(6))
-    b = run_chain(m, np.zeros((4, 1)), "uhmc", 20, params, RngStream(6))
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.second_moments, b.second_moments)
+    a = run_chain(m, np.zeros((4, 1)), 20, params, RngStream(6))
+    b = run_chain(m, np.zeros((4, 1)), 20, params, RngStream(6))
+    assert np.array_equal(a, b)
 
 
 def test_run_chain_divergence_names_kernel_and_inner_step():
     # h = 2.5 is unstable for the unit harmonic force; the step indices
     # were read from the step-by-step reference loop
     with pytest.raises(IntegrationDivergedError) as err:
-        run_chain(gaussian_model(0.0), np.ones((4, 1)), "uhmc", 100,
+        run_chain(gaussian_model(0.0), np.ones((4, 1)), 100,
                   KernelParams(T=50.0, h=2.5), RngStream(3))
     assert err.value.step_index == 9
     assert str(err.value) == "chain diverged at kernel step 9 (inner step 8)"
@@ -204,12 +213,10 @@ def test_run_chain_kernel_validation():
     m = gaussian_model(0.25)
     params = KernelParams(T=1.0, h=0.25)
     with pytest.raises(ValueError):
-        run_chain(m, np.zeros((2, 1)), "mala", 5, params, RngStream(0))
+        run_chain(m, np.zeros((2, 1)), 0, params, RngStream(0))
     with pytest.raises(ValueError):
-        run_chain(m, np.zeros((2, 1)), "uhmc", 0, params, RngStream(0))
-    with pytest.raises(ValueError):
-        run_chain(multiwell_model(1.0), np.zeros((2, 1)), "xhmc", 5, params,
-                  RngStream(0))
+        run_chain(multiwell_model(1.0), np.zeros((2, 1)), 5,
+                  KernelParams(T=1.0, h=0.0), RngStream(0))
 
 
 def test_chain_second_moments_respect_uniform_bound():
