@@ -38,8 +38,8 @@ def _add_model_flags(p):
                    help="interaction strength (model-specific meaning)")
     p.add_argument("--a", type=float, default=1.0,
                    help="multiwell bump sharpness")
-    p.add_argument("--dim", type=int, default=1,
-                   help="per-particle dimension (multiwell)")
+    p.add_argument("--dim", type=int, default=None,
+                   help="per-particle dimension (multiwell only; default 1)")
     p.add_argument("--interaction", default=None, choices=["quadratic"],
                    help="multiwell pair term (omit for no interaction)")
     p.add_argument("--data", default=None, metavar="CSV",

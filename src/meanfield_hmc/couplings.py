@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelParams
-from .models import MeanFieldModel
+from .models import (MeanFieldModel, _columnwise, _dot_last, _norm_last,
+                     _select_rows)
 from .integrators import lockstep_flow_arrays
 from .rng import RngStream
 
@@ -77,23 +78,21 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
     xi = stream.normal_vector(count * d).reshape(z.shape)
     u = stream.uniforms(count).reshape(batch)
 
-    r = np.linalg.norm(z, axis=-1)
+    r = _norm_last(z)
     e = np.zeros_like(z)
     e[..., 0] = 1.0
-    safe = r > 0
-    np.divide(z, r[..., None], out=e, where=safe[..., None])
+    _columnwise(np.divide, z, r, out=e, where=r > 0)
 
-    a = np.sum(e * xi, axis=-1)
+    a = _dot_last(e, xi)
     gr = cp.gamma * r
     # log of phi(a + gamma r) / phi(a)
     log_ratio = -gr * a - 0.5 * gr * gr
     accept = np.log(u) <= log_ratio
 
     synchronous = r >= cp.R_tilde
-    reflected = xi - 2.0 * a[..., None] * e
+    reflected = xi - _columnwise(np.multiply, e, 2.0 * a)
     shifted = xi + cp.gamma * z
-    eta = np.where(synchronous[..., None], xi,
-                   np.where(accept[..., None], shifted, reflected))
+    eta = _select_rows(synchronous, xi, _select_rows(accept, shifted, reflected))
     coalescing = np.where(synchronous, r == 0.0, accept)
     return CoupleResult(xi=xi, eta=eta, synchronous=synchronous,
                         coalescing=coalescing)
@@ -202,8 +201,7 @@ def rho_N(x: np.ndarray, y: np.ndarray, R1: float, T: float):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("shape mismatch between the two states")
-    dist = np.linalg.norm(x - y, axis=-1)
-    out = metric_f(dist, R1, T).mean(axis=-1)
+    out = metric_f(_norm_last(x - y), R1, T).mean(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -213,6 +211,6 @@ def ell1_bar(x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("shape mismatch between the two states")
-    out = np.linalg.norm(x - y, axis=-1).mean(axis=-1)
+    out = _norm_last(x - y).mean(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 

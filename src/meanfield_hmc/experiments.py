@@ -38,13 +38,20 @@ class ConfigError(ValueError):
 
 
 def build_model(name: str, epsilon: float = 0.25, a: float = 1.0,
-                dim: int = 1, interaction: str | None = None,
+                dim: int | None = None, interaction: str | None = None,
                 data_path: str | None = None) -> MeanFieldModel:
-    """Construct a built-in model from CLI-style parameters."""
+    """Construct a built-in model from CLI-style parameters.
+
+    ``dim`` (default 1) applies to multiwell only; the gaussian model is
+    1-d and shallow-net takes its dimension from the data.
+    """
+    if dim is not None and name != "multiwell":
+        raise ConfigError(f"--dim applies to the multiwell model only, not {name}")
     if name == "gaussian":
         return gaussian_model(epsilon)
     if name == "multiwell":
-        return multiwell_model(a, dim=dim, epsilon=epsilon, interaction=interaction)
+        return multiwell_model(a, dim=1 if dim is None else dim, epsilon=epsilon,
+                               interaction=interaction)
     if name == "shallow-net":
         if data_path is None:
             raise ConfigError("shallow-net model requires --data <csv>")
@@ -404,6 +411,11 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         raise ConfigError("m must be a positive integer")
     if replicas < 2:
         raise ConfigError("replicas must be at least 2")
+    if N < 1:
+        raise ConfigError(f"N must be a positive integer, got {N}")
+    if not h > 0:
+        raise ConfigError(f"the coupled kernel needs h > 0, got h={h}")
+    params = KernelParams(T=T, h=h)
     tc = compute_constants(model, T)
     warnings = [name for name in ("cond_CT", "cond_Cepsi")
                 if not tc.conditions[name].passed]
@@ -411,7 +423,6 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         rep = tc.conditions[name]
         print(f"warning: {name} fails (lhs={rep.lhs:.6g} > rhs={rep.rhs:.6g}); "
               f"proceeding anyway", file=sys.stderr)
-    params = KernelParams(T=T, h=h)
     cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
     stream = RngStream(seed)
 

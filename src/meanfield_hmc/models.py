@@ -12,7 +12,9 @@ whose per-particle gradient reduces, by symmetry of W, to
 
 All model callables are vectorized over leading batch axes: ``grad_V``
 maps (..., d) -> (..., d) and ``V`` maps (..., d) -> (...); the pair
-functions broadcast their two arguments.
+functions broadcast their two arguments.  The private helpers under
+"reductions and broadcasts over the coordinate axis" serve the forces and
+the coupling metric on (..., N, d) arrays, bit for bit as numpy would.
 """
 
 from __future__ import annotations
@@ -106,6 +108,79 @@ class MeanFieldModel:
             raise InvalidModelError("dim must be a positive integer")
         if self.epsilon < 0:
             raise InvalidModelError("epsilon must be nonnegative")
+
+
+# ---------------------------------------------------------------------------
+# reductions and broadcasts over the coordinate axis
+#
+# numpy runs a reduction or a broadcast over the last axis of an (..., N, d)
+# array as one inner-loop call per length-d row, which at small d costs far
+# more than the arithmetic.  These helpers loop over the d columns instead
+# and keep numpy's order of summation, so each result equals the numpy
+# expression it replaces bit for bit (tests/test_models.py pins them).
+
+# numpy sums a row of at most 7 values one by one from the first, and
+# longer rows pairwise in unrolled blocks
+_SEQUENTIAL_SUM_MAX = 7
+
+
+def _dot_last(x, y):
+    """np.sum(x * y, axis=-1), one column at a time for d <= 7."""
+    d = x.shape[-1]
+    if d > _SEQUENTIAL_SUM_MAX:
+        return np.sum(x * y, axis=-1)
+    out = x[..., 0] * y[..., 0]
+    for j in range(1, d):
+        out += x[..., j] * y[..., j]
+    return out
+
+
+def _norm_last(x):
+    """np.linalg.norm(x, axis=-1), which is the root of the summed squares."""
+    return np.sqrt(_dot_last(x, x))
+
+
+def _particle_sum(q):
+    """np.add.reduce(q, axis=-2, keepdims=True) on (..., N, d) ``q``.
+
+    At d >= 2 einsum adds the particles in add.reduce's order; at d = 1
+    add.reduce runs pairwise along the contiguous particle axis, so it stays.
+    """
+    if q.shape[-1] == 1:
+        return np.add.reduce(q, axis=-2, keepdims=True)
+    return np.einsum("...nd->...d", q)[..., None, :]
+
+
+def _columnwise(ufunc, x, y, out=None, **kwargs):
+    """ufunc(x, y) on (..., N, d) ``x``, one length-N column at a time.
+
+    ``y`` is one value per particle, shape (..., N), standing for
+    y[..., None]; or one value per coordinate, shape (..., 1, d).  The ufunc
+    acts elementwise, so the result is exact.  ``out`` (default a new array
+    of x's shape) is filled column by column; ``kwargs`` such as ``where``
+    go to every call.
+    """
+    if out is None:
+        out = np.empty(x.shape)
+    if np.ndim(y) < x.ndim:
+        for j in range(x.shape[-1]):
+            ufunc(x[..., j], y, out=out[..., j], **kwargs)
+    else:
+        for j in range(x.shape[-1]):
+            ufunc(x[..., j], y[..., j], out=out[..., j], **kwargs)
+    return out
+
+
+def _select_rows(mask, a, b):
+    """np.where(mask[..., None], a, b) for (..., N, d) ``a`` and ``b``.
+
+    Each length-d row moves as one opaque item, so the copy is exact; the
+    rows of ``a`` and ``b`` must be contiguous.
+    """
+    row = np.dtype((np.void, a.shape[-1] * a.itemsize))
+    out = np.where(mask, a.view(row)[..., 0], b.view(row)[..., 0])
+    # flattened first, since a 0-d array cannot change its item size
+    return out.reshape(-1).view(a.dtype).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +304,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
 
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        sq = np.sum(x * x, axis=-1, keepdims=True)
-        return x * (1.0 - a * np.exp(-0.5 * a * sq))
+        sq = _dot_last(x, x)
+        return _columnwise(np.multiply, x, 1.0 - a * np.exp(-0.5 * a * sq))
 
     if interaction is None:
         W = _zero_pair(dim)
@@ -251,7 +326,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
 
         def grad_U_all(q):
             # sum_j (q^i - q^j) = N q^i - sum_j q^j
-            return grad_V(q) + eps * (q - np.add.reduce(q, axis=-2, keepdims=True) / q.shape[-2])
+            mean = _particle_sum(q) / q.shape[-2]
+            return grad_V(q) + eps * _columnwise(np.subtract, q, mean)
     else:
         raise InvalidModelError(f"unknown interaction {interaction!r}")
 

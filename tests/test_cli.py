@@ -22,14 +22,21 @@ GOLDEN = Path(__file__).parent / "golden"
 # and order-check files were last re-recorded when the exact flow of the
 # quadratic model became a closed form in the particle means, which moved
 # their values in the 14th-16th significant digit (the old mode transform's
-# prefix sum rounded more).  shallow_net_data.csv is an input (12 points,
-# 2 features), not an output.
+# prefix sum rounded more).  contraction_multiwell_2d.csv, the one run with
+# d > 1 and a pair interaction, was recorded before the multiwell force and
+# the velocity coupling moved their coordinate-axis reductions and
+# broadcasts into column loops.  shallow_net_data.csv is an input (12
+# points, 2 features), not an output.
 GOLDEN_ARGS = {
     "bias_scan.csv": ["bias-scan", "--k-max", "2", "--steps", "120"],
     "chaos_scan.csv": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
                        "--replicas", "4"],
     "contraction.csv": ["contraction", "--model", "multiwell", "--steps", "5",
                         "--replicas", "20"],
+    "contraction_multiwell_2d.csv": ["contraction", "--model", "multiwell", "--a", "2",
+                                     "--dim", "2", "--interaction", "quadratic",
+                                     "--eps", "0.1", "--N", "8", "--replicas", "20",
+                                     "--T", "0.5", "--h", "0.125", "--steps", "5"],
     "order_check.csv": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "8",
                         "--replicas", "6"],
     "sample.csv": ["sample", "--model", "gaussian", "--steps", "20"],
@@ -80,6 +87,18 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
     (["order-check", "--h-list", ","], 2, "--h-list ',' names no values"),
     (["order-check", "--h-list", "0.3"], 2,
      "T/h must be a positive integer, got T=1.0, h=0.3"),
+    # contraction checks its inputs before the condition warnings
+    (["contraction", "--N", "0"], 2, "N must be a positive integer, got 0"),
+    (["contraction", "--h", "0"], 2, "the coupled kernel needs h > 0, got h=0.0"),
+    (["contraction", "--h", "0.3"], 2,
+     "T/h must be a positive integer, got T=1.0, h=0.3"),
+    (["contraction", "--T", "0"], 2, "T must be positive"),
+    (["contraction", "--dim", "2"], 2,
+     "--dim applies to the multiwell model only, not gaussian"),
+    (["sample", "--dim", "2"], 2,
+     "--dim applies to the multiwell model only, not gaussian"),
+    (["sample", "--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv"),
+      "--dim", "3"], 2, "--dim applies to the multiwell model only, not shallow-net"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code

@@ -96,14 +96,19 @@ def test_contraction_experiment_strongly_convex_rate():
 
 
 def test_contraction_experiment_multiwell_theory_envelope():
-    # weakly multi-well so the envelope constant A stays representable
+    # weakly multi-well so the envelope constant A stays representable.  An
+    # offset of T keeps the pairs in the curved part of the metric; an offset
+    # of 1 puts them where it is nearly flat, so rho_N barely moves.
     mw = multiwell_model(0.05)
     T = max_admissible_T(mw, "uhmc")
     tc = compute_constants(mw, T)
     result = contraction_experiment(mw, T=T, h=T / 4, m=20, replicas=400, N=4,
-                                    seed=19, offset=1.0)
+                                    seed=19, offset=T)
+    # the paper's envelope A e^(-c k) is vacuous here (A = 4.8e33,
+    # c = 3e-33) but is the statement of the theorem, so it stays
     rho0 = result.mean_rho[0]
     for k in range(1, 21):
         envelope = tc.A * np.exp(-tc.c_uhmc * k) * rho0
         assert result.mean_rho[k] <= envelope + 3.0 * result.stderr[k]
-    assert result.decay_factor < 1.0
+    # the measured contraction: 0.99822 with SE 0.00017 at seed 19
+    assert result.decay_factor + 4.0 * result.decay_factor_se < 1.0

@@ -355,3 +355,59 @@ def test_mean_field_grad_values():
     neutral = gaussian_model(0.0)
     q = np.array([[0.3], [-1.2]])
     assert np.allclose(mean_field_grad_all(neutral, q), neutral.grad_V(q))
+
+
+# --- coordinate-axis helpers --------------------------------------------------
+# Each helper must equal the numpy expression it replaces bit for bit.  The
+# order in which numpy sums depends on its version, so a numpy upgrade that
+# changes one of these orders fails here rather than moving golden outputs.
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@st.composite
+def _particle_arrays(draw, count=1):
+    """``count`` (..., N, d) arrays with leading shape (), (R,) or (2, R),
+    d in 1..9, N in 1..40 and magnitudes spread over 1e-3..1e3."""
+    d = draw(st.integers(1, 9))
+    n = draw(st.sampled_from([1, 2, 7, 8, 9, 33]))
+    r = draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (r,), (2, r)]))
+    rng = np.random.default_rng(draw(_seeds))
+    shape = lead + (n, d)
+    return [rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays=_particle_arrays(count=2))
+def test_coordinate_sums_match_numpy(arrays):
+    x, y = arrays
+    assert _same_bits(models._dot_last(x, x), np.sum(x * x, -1))
+    assert _same_bits(models._dot_last(x, y), np.sum(x * y, axis=-1))
+    assert _same_bits(models._norm_last(x), np.linalg.norm(x, axis=-1))
+    assert _same_bits(models._particle_sum(x), np.add.reduce(x, axis=-2, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays=_particle_arrays(count=3))
+def test_columnwise_and_row_selection_match_broadcasts(arrays):
+    x, y, z = arrays
+    per_particle = y[..., 0]
+    per_coordinate = y[..., :1, :]
+    assert _same_bits(models._columnwise(np.multiply, x, per_particle),
+                      x * per_particle[..., None])
+    assert _same_bits(models._columnwise(np.subtract, x, per_coordinate),
+                      x - per_coordinate)
+    # masked division into a prepared output, as the velocity coupling does
+    mask = per_particle > 0
+    got = np.zeros_like(x)
+    want = np.zeros_like(x)
+    models._columnwise(np.divide, x, per_particle, out=got, where=mask)
+    np.divide(x, per_particle[..., None], out=want, where=mask[..., None])
+    assert _same_bits(got, want)
+    rows = z[..., 0] > 0
+    assert _same_bits(models._select_rows(rows, x, y), np.where(rows[..., None], x, y))
