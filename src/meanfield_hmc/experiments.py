@@ -1,10 +1,12 @@
 """Experiment drivers: bias scaling, chaos scan, contraction estimation,
 integrator order check, and generic sampling, with CSV/SVG output.
 
-Every experiment derives one independent substream per scan point from
-the base seed, so results are identical whether points run sequentially
-or on a thread pool, and two runs with the same seed emit byte-identical
-files.
+Every chain runs through :func:`kernels.run_chain`: an experiment supplies
+the kernel step and what to record along the chain, and reduces the
+records to its estimates.  The three scans share one skeleton,
+:func:`_scan`, which gives each scan point its own substream of the base
+seed, so results are identical whether points run sequentially or on a
+thread pool, and two runs with the same seed emit byte-identical files.
 """
 
 from __future__ import annotations
@@ -66,13 +68,26 @@ def snap_step_size(T: float, h_raw: float) -> float:
     return T / math.ceil(T / h_raw - 1e-12)
 
 
-def _map_ordered(fn, items, threads: int):
-    """Apply ``fn(index, item)`` preserving input order; thread pool optional."""
+def _scan(one_point, points, seed: int, threads: int):
+    """Run ``one_point(stream, point)``, which returns (row, detail), for
+    each point on substream i of ``seed``; return (rows, detail) in input
+    order.  ``threads`` > 1 runs the points on a thread pool."""
+    base = RngStream(seed)
+    streams = [base.substream(i) for i in range(len(points))]
     if threads <= 1:
-        return [fn(i, item) for i, item in enumerate(items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, item) for i, item in enumerate(items)]
-        return [f.result() for f in futures]
+        results = list(map(one_point, streams, points))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one_point, streams, points))
+    return [row for row, _ in results], [detail for _, detail in results]
+
+
+def _slope(xs, ys) -> float:
+    """Log-log slope of ``ys`` on ``xs``; nan below 3 points or at a
+    non-positive value."""
+    if len(xs) < 3 or min(*xs, *ys) <= 0:
+        return float("nan")
+    return loglog_slope(xs, ys)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +250,11 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     if not T > 0:
         raise ConfigError(f"T must be positive, got T={T}")
     model = gaussian_model(epsilon)
-    base = RngStream(seed)
     replicas = math.gcd(steps, _BIAS_REPLICAS)
     per = steps // replicas
     burn = int(round(burn_in * per))
 
-    def one_k(index, k):
-        stream = base.substream(index)
+    def one_k(stream, k):
         eps_acc = 2.0 ** (-k)
         n_particles = int(round(eps_acc ** -2))
         if h_rule == "eps23":
@@ -254,11 +267,9 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         params = KernelParams(T=T, h=h)
         q = stationary_gaussian_sample_arrays(
             epsilon, (replicas, n_particles), stream)[..., None]
-        first = np.empty((per, replicas))
-        for step in range(per):
-            q = uhmc_step_arrays(model, q, params, stream)
-            first[step] = q[:, 0, 0]
-        kept = first[burn:]
+        first = run_chain(lambda v: uhmc_step_arrays(model, v, params, stream),
+                          q, per, lambda v: v[:, 0, 0])
+        kept = first[1 + burn:]
         err = kde_relative_error(kept.reshape(-1))
         var_r = (kept * kept).mean(axis=0)
         var_se = (float(var_r.std(ddof=1) / np.sqrt(replicas))
@@ -267,13 +278,8 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
                   "first_var": float(var_r.mean()), "first_var_se": var_se}
         return (k, eps_acc, n_particles, h, steps, err), detail
 
-    results = _map_ordered(one_k, range(1, k_max + 1), threads)
-    rows = [r for r, _ in results]
-    detail = [d for _, d in results]
-    if len(rows) >= 3:
-        slope = loglog_slope([r[1] for r in rows], [r[5] for r in rows])[0]
-    else:
-        slope = float("nan")
+    rows, detail = _scan(one_k, range(1, k_max + 1), seed, threads)
+    slope = _slope([r[1] for r in rows], [r[5] for r in rows])
     config = {"k_max": k_max, "steps": steps, "h_rule": h_rule,
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
               "h_fixed": h_fixed}
@@ -305,22 +311,16 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         raise ConfigError("m must be >= 1 and replicas >= 2")
     if not T > 0:
         raise ConfigError(f"T must be positive, got T={T}")
-    base = RngStream(seed)
 
-    def one_n(index, n_particles):
-        stream = base.substream(index)
+    def one_n(stream, n_particles):
         q = stationary_gaussian_sample_arrays(epsilon, (replicas, n_particles), stream)
-        s1 = np.zeros(replicas)
-        s2 = np.zeros(replicas)
-        mean_track = np.empty((m, replicas))
-        first_track = np.empty((m, replicas))
-        for step in range(m):
-            q = xhmc_step_gaussian_arrays(epsilon, q, T, stream)
-            rowsum = q.sum(axis=1)
-            s1 += rowsum
-            s2 += (q * q).sum(axis=1)
-            mean_track[step] = rowsum / n_particles
-            first_track[step] = q[:, 0]
+        # per step and replica: particle sum, sum of squares, first coordinate
+        records = run_chain(lambda v: xhmc_step_gaussian_arrays(epsilon, v, T, stream),
+                            q, m, lambda v: (v.sum(axis=1), (v * v).sum(axis=1), v[:, 0]))
+        rowsum, sumsq, first_track = np.moveaxis(records[1:], 1, 0)
+        s1 = rowsum.sum(axis=0)
+        s2 = sumsq.sum(axis=0)
+        mean_track = rowsum / n_particles
         count = m * n_particles
         var_r = (s2 / count - (s1 / count) ** 2) * count / (count - 1)
         var_hat = float(var_r.mean())
@@ -342,14 +342,8 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         row = (n_particles, abs(var_hat - 1.0), mc_var, w1)
         return row, detail
 
-    results = _map_ordered(one_n, list(N_list), threads)
-    rows = [r for r, _ in results]
-    detail = [d for _, d in results]
-    errs = [r[1] for r in rows]
-    if len(rows) >= 3 and all(e > 0 for e in errs):
-        slope = loglog_slope([r[0] for r in rows], errs)[0]
-    else:
-        slope = float("nan")
+    rows, detail = _scan(one_n, list(N_list), seed, threads)
+    slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"N_list": list(N_list), "m": m, "replicas": replicas,
               "epsilon": epsilon, "T": T}
     return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
@@ -427,13 +421,10 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     stream = RngStream(seed)
 
     x = stream.normal_vector(replicas * N * model.dim).reshape(replicas, N, model.dim)
-    xp = x + offset
-    rho = np.empty((m + 1, replicas))
-    rho[0] = rho_N(x, xp, tc.R1, T)
-    for k in range(1, m + 1):
-        x, xp = coupled_uhmc_step(model, x, xp, params, cp, stream,
-                                  synchronous=synchronous)
-        rho[k] = rho_N(x, xp, tc.R1, T)
+    rho = run_chain(
+        lambda pair: coupled_uhmc_step(model, *pair, params, cp, stream,
+                                       synchronous=synchronous),
+        (x, x + offset), m, lambda pair: rho_N(*pair, tc.R1, T))
 
     mean_rho = rho.mean(axis=1)
     stderr = rho.std(axis=1, ddof=1) / np.sqrt(replicas)
@@ -470,6 +461,8 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     """
     if replicas < 2:
         raise ConfigError("replicas must be at least 2")
+    if N < 1:
+        raise ConfigError(f"N must be a positive integer, got {N}")
     model = gaussian_model(epsilon)
     for h in h_list:
         if not h > 0:
@@ -479,10 +472,8 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
         except ValueError as err:
             raise ConfigError(str(err)) from None
     l_e = compute_constants(model, T).L_e
-    base = RngStream(seed)
 
-    def one_h(index, h):
-        stream = base.substream(index)
+    def one_h(stream, h):
         q0 = stationary_gaussian_sample_arrays(epsilon, (replicas, N), stream)
         p0 = stream.normal_vector(replicas * N).reshape(replicas, N)
         q_exact, p_exact = exact_gaussian_flow_arrays(epsilon, q0, p0, T)
@@ -491,13 +482,11 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
         dq = q_num[..., 0] - q_exact
         dp = p_num[..., 0] - p_exact
         err = np.sqrt(dq**2 + dp**2 / l_e).mean(axis=1)
-        return float(err.mean()), float(err.std(ddof=1) / np.sqrt(replicas))
+        return ((h, float(err.mean())),
+                {"h": h, "stderr": float(err.std(ddof=1) / np.sqrt(replicas))})
 
-    results = _map_ordered(one_h, list(h_list), threads)
-    rows = [(h, mean) for h, (mean, _) in zip(h_list, results)]
-    detail = [{"h": h, "stderr": se} for h, (_, se) in zip(h_list, results)]
-    slope = loglog_slope([r[0] for r in rows], [r[1] for r in rows])[0] \
-        if len(rows) >= 3 else float("nan")
+    rows, detail = _scan(one_h, list(h_list), seed, threads)
+    slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"h_list": [float(h) for h in h_list], "T": T, "N": N,
               "epsilon": epsilon, "replicas": replicas}
     return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
@@ -531,16 +520,26 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     if columns is not None and columns < 1:
         raise ConfigError(f"columns must be a positive integer, got {columns}")
     try:
-        params = KernelParams(T=T, h=h, thin=thin)
+        params = KernelParams(T=T, h=h)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if h == 0 and model.name != "gaussian":
+        raise ConfigError("the exact kernel is implemented only for the gaussian model")
     stream = RngStream(seed)
     x0 = draw_initial_positions(model, N, init, stream)
-    positions = run_chain(model, x0, m, params, stream)
     total = N * model.dim
     n_cols = total if columns is None else min(int(columns), total)
+    if h == 0:
+        # the exact flow of the 1-d model acts on (N,) arrays
+        eps = model.params["epsilon"]
+        step = lambda q: xhmc_step_gaussian_arrays(eps, q, T, stream)
+        state = x0[:, 0]
+    else:
+        step = lambda q: uhmc_step_arrays(model, q, params, stream)
+        state = x0
+    recorded = run_chain(step, state, m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
-    rows = [(idx * thin, *q.reshape(-1)[:n_cols]) for idx, q in enumerate(positions)]
+    rows = [(idx * thin, *r) for idx, r in enumerate(recorded)]
     tc = compute_constants(model, T, m2_init=float((x0 * x0).sum(axis=-1).mean()))
     footer = ["constants: " + config_json(
         {name: json_safe(val) for name, val, _ in constants_table(tc)})]

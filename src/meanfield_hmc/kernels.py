@@ -1,10 +1,12 @@
-"""HMC transition kernels for the particle system and the single-chain runner.
+"""HMC transition kernels for the particle system and the chain loop.
 
 Kernels act on raw position arrays with optional leading batch axes.  Both
 kernels refresh the full velocity vector from N(0, I) each step and
 transport positions with a Hamiltonian flow for a fixed duration T: the
 unadjusted kernel uses the randomized time integrator with step size h,
 the exact kernel (1-d quadratic model only) uses the closed-form flow.
+:func:`run_chain` iterates any kernel step, single, batched or coupled,
+and records what an experiment measures along the chain.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from .rng import RngStream
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel duration T, inner step size h (0 selects the exact flow), record stride."""
+    """Kernel duration T and inner step size h (0 selects the exact flow)."""
 
     T: float
     h: float
-    thin: int = 1
 
     def __post_init__(self):
         if not self.T > 0:
@@ -34,12 +35,6 @@ class KernelParams:
             raise ValueError("h must be nonnegative")
         if self.h > 0:
             _integral_steps(self.T, self.h)
-        if self.thin < 1:
-            raise ValueError("thin must be a positive integer")
-
-    @property
-    def n_inner_steps(self) -> int:
-        return 0 if self.h == 0 else _integral_steps(self.T, self.h)
 
 
 def uhmc_step_arrays(model: MeanFieldModel, q, params: KernelParams,
@@ -89,38 +84,32 @@ def draw_initial_positions(model: MeanFieldModel, N: int, init: str,
     raise ValueError(f"unknown init {init!r}; expected cold, normal, or stationary")
 
 
-def run_chain(model: MeanFieldModel, x0: np.ndarray, m: int,
-              params: KernelParams, stream: RngStream) -> np.ndarray:
-    """Iterate a kernel ``m`` times and stack every ``params.thin``-th state.
+def run_chain(step, state, m: int, record, thin: int = 1) -> np.ndarray:
+    """Apply the kernel ``step`` to ``state`` ``m`` times and return the
+    records of the start and of every ``thin``-th state.
 
-    Returns shape (1 + m // thin, N, d), starting with the initial state.
-    ``params.h == 0`` selects the exact kernel, which requires the 1-d
-    gaussian model; otherwise the unadjusted kernel runs.  Divergence
-    errors carry the chain step index.
+    ``step(state)`` returns the next state: an array, or a tuple of arrays
+    for a coupled pair.  ``record(state)`` returns an array, or a tuple of
+    equal-shape arrays, of the same shape at every call; it is copied into
+    row k // thin of the result, of shape (1 + m // thin, ...), when it is
+    taken, so a record that views the state keeps no state alive and sees
+    no later in-place update.  A divergence in kernel step k (counted from
+    0) is re-raised naming k and the inner step.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    q = np.asarray(x0, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-    if q.shape[1] != model.dim:
-        raise ValueError(f"x0 must have shape (N, {model.dim})")
-    if params.h == 0:
-        if model.name != "gaussian" or model.dim != 1:
-            raise ValueError("the exact kernel is implemented only for the gaussian model")
-        eps = model.params["epsilon"]
-        step = lambda v: xhmc_step_gaussian_arrays(eps, v[:, 0], params.T, stream)[:, None]
-    else:
-        step = lambda v: uhmc_step_arrays(model, v, params, stream)
-
-    recorded = [q.copy()]
+    if thin < 1:
+        raise ValueError("thin must be a positive integer")
+    first = np.asarray(record(state))
+    out = np.empty((1 + m // thin, *first.shape), dtype=first.dtype)
+    out[0] = first
     for k in range(1, m + 1):
         try:
-            q = step(q)
+            state = step(state)
         except IntegrationDivergedError as err:
             raise IntegrationDivergedError(
                 k - 1, f"chain diverged at kernel step {k - 1} "
                        f"(inner step {err.step_index})") from err
-        if k % params.thin == 0:
-            recorded.append(q.copy())
-    return np.stack(recorded)
+        if k % thin == 0:
+            out[k // thin] = record(state)
+    return out

@@ -112,12 +112,6 @@ class RngStream:
             raise ValueError("n must be positive")
         return ndtri(self.uniforms(n))
 
-    def normal_array(self, shape) -> np.ndarray:
-        """Standard normals reshaped to ``shape``."""
-        shape = tuple(int(s) for s in np.atleast_1d(shape))
-        count = int(np.prod(shape)) if shape else 1
-        return self.normal_vector(count).reshape(shape)
-
     def substream(self, index: int) -> "RngStream":
         """Independent stream for chain/replica ``index``.
 

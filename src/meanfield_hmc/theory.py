@@ -124,8 +124,8 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
     return reports
 
 
-def compute_constants(model: MeanFieldModel, T: float, d: int | None = None,
-                      m2_init: float = 0.0, B3: float = 1.0) -> TheoryConstants:
+def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
+                      B3: float = 1.0) -> TheoryConstants:
     """Evaluate every derived constant and rate at duration ``T``.
 
     ``m2_init`` is the second moment of the initial distribution entering
@@ -138,7 +138,7 @@ def compute_constants(model: MeanFieldModel, T: float, d: int | None = None,
         raise ValueError("K must be positive")
     K, L, Lt, R, W0 = c.K, c.L, c.L_tilde, c.R_conv, c.W0
     eps = model.epsilon
-    d = model.dim if d is None else int(d)
+    d = model.dim
 
     r_tilde = _r_tilde(c)
     r1 = metric_radius(r_tilde, T)

@@ -99,6 +99,11 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
      "--dim applies to the multiwell model only, not gaussian"),
     (["sample", "--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv"),
       "--dim", "3"], 2, "--dim applies to the multiwell model only, not shallow-net"),
+    (["order-check", "--N", "0"], 2, "N must be a positive integer, got 0"),
+    (["bias-scan", "--k-max", "1", "--steps", "10", "--h-rule", "fixed", "--h", "2.5",
+      "--T", "2500", "--eps", "0"], 3, "chain diverged at kernel step 0 (inner step 188)"),
+    (["sample", "--model", "multiwell", "--h", "0"], 2,
+     "the exact kernel is implemented only for the gaussian model"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code

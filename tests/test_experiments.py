@@ -5,6 +5,7 @@ from meanfield_hmc import (compute_constants, experiments, gaussian_model,
                            max_admissible_T, multiwell_model)
 from meanfield_hmc.experiments import (ConfigError, bias_scan, chaos_scan,
                                        contraction_experiment)
+from meanfield_hmc.integrators import IntegrationDivergedError
 
 from test_kernels import uhmc_variance_oracle
 
@@ -83,6 +84,16 @@ def test_contraction_experiment_zero_offset_stays_zero():
     result = contraction_experiment(gaussian_model(0.25), T=1.0, h=0.25, m=5,
                                     replicas=16, N=4, seed=17, offset=0.0)
     assert np.array_equal(result.mean_rho, np.zeros(6))
+
+
+def test_contraction_experiment_divergence_names_the_kernel_step():
+    # h = 2.5 is unstable for the harmonic force; the CLI prints the
+    # condition warnings before the error, so the driver is called directly
+    with pytest.raises(IntegrationDivergedError) as err:
+        contraction_experiment(gaussian_model(0.25), T=2500.0, h=2.5, m=2,
+                               replicas=4, N=8, seed=0)
+    assert err.value.step_index == 0
+    assert str(err.value) == "chain diverged at kernel step 0 (inner step 186)"
 
 
 def test_contraction_experiment_strongly_convex_rate():

@@ -23,15 +23,13 @@ def uhmc_variance_oracle(omega2, T, h):
 
 
 def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(T=1.0, h=0.3)
-    with pytest.raises(ValueError):
-        KernelParams(T=1.0, h=0.25, thin=0)
-    assert KernelParams(T=1.0, h=0.0).n_inner_steps == 0
-    assert KernelParams(T=1.0, h=0.25).n_inner_steps == 4
-    assert KernelParams(T=1.0, h=0.125).n_inner_steps == 8
+    for T, h in ((1.0, 0.3), (0.0, 0.25), (1.0, -0.25)):
+        with pytest.raises(ValueError):
+            KernelParams(T=T, h=h)
+    # accepted: h = 0 (the exact kernel), and T/h integral up to rounding
     t = np.sqrt(0.15)
-    assert KernelParams(T=t, h=t / 8).n_inner_steps == 8
+    for T, h in ((1.0, 0.0), (1.0, 0.25), (1.0, 0.125), (t, t / 8)):
+        KernelParams(T=T, h=h)
 
 
 def test_uhmc_single_inner_step_composition():
@@ -163,60 +161,80 @@ def test_draw_initial_positions_modes():
         draw_initial_positions(multiwell_model(1.0), 4, "stationary", RngStream(0))
 
 
+def _uhmc(model, params, stream):
+    return lambda q: uhmc_step_arrays(model, q, params, stream)
+
+
+def _whole(q):
+    return q
+
+
 def test_run_chain_single_step_equals_kernel():
     m = gaussian_model(0.25)
     x0 = np.full((3, 1), 0.5)
     params = KernelParams(T=1.0, h=0.25)
-    out = run_chain(m, x0, 1, params, RngStream(21))
+    out = run_chain(_uhmc(m, params, RngStream(21)), x0, 1, _whole)
     direct = uhmc_step_arrays(m, x0, params, RngStream(21))
     assert out.shape == (2, 3, 1)
+    assert np.array_equal(out[0], x0)
     assert np.array_equal(out[-1], direct)
 
 
 def test_run_chain_exact_kernel_equals_direct_steps():
-    x0 = np.linspace(-1.0, 1.0, 6)[:, None]
-    out = run_chain(gaussian_model(0.25), x0, 5, KernelParams(T=1.0, h=0.0),
-                    RngStream(22))
+    x0 = np.linspace(-1.0, 1.0, 6)
+    s = RngStream(22)
+    out = run_chain(lambda q: xhmc_step_gaussian_arrays(0.25, q, 1.0, s), x0, 5, _whole)
     stream = RngStream(22)
-    q = x0[:, 0]
+    q = x0
     for k in range(1, 6):
         q = xhmc_step_gaussian_arrays(0.25, q, 1.0, stream)
-        assert np.array_equal(out[k, :, 0], q)
+        assert np.array_equal(out[k], q)
 
 
 def test_run_chain_thinning_count():
     m = gaussian_model(0.25)
-    out = run_chain(m, np.zeros((2, 1)), 100,
-                    KernelParams(T=1.0, h=0.5, thin=10), RngStream(2))
+    step = _uhmc(m, KernelParams(T=1.0, h=0.5), RngStream(2))
+    out = run_chain(step, np.zeros((2, 1)), 100, _whole, thin=10)
     assert out.shape == (11, 2, 1)
+
+
+def test_run_chain_records_each_state_when_it_is_taken():
+    # the step updates the state in place and the record is a view of it,
+    # so every row must be copied when it is recorded
+    out = run_chain(lambda v: np.add(v, 1.0, out=v), np.zeros((4, 2)), 10,
+                    lambda v: v[:, 0], thin=3)
+    assert np.array_equal(out, np.repeat([[0.0], [3.0], [6.0], [9.0]], 4, axis=1))
+
+
+def test_run_chain_records_a_tuple_and_a_coupled_pair():
+    pair = (np.zeros(3), np.ones(3))
+    out = run_chain(lambda p: (p[0] + 1.0, p[1] * 2.0), pair, 2,
+                    lambda p: (p[0].sum(), p[1][0]))
+    assert np.array_equal(out, [[0.0, 1.0], [3.0, 2.0], [6.0, 4.0]])
 
 
 def test_run_chain_determinism():
     m = gaussian_model(0.25)
     params = KernelParams(T=1.0, h=0.25)
-    a = run_chain(m, np.zeros((4, 1)), 20, params, RngStream(6))
-    b = run_chain(m, np.zeros((4, 1)), 20, params, RngStream(6))
+    a = run_chain(_uhmc(m, params, RngStream(6)), np.zeros((4, 1)), 20, _whole)
+    b = run_chain(_uhmc(m, params, RngStream(6)), np.zeros((4, 1)), 20, _whole)
     assert np.array_equal(a, b)
 
 
 def test_run_chain_divergence_names_kernel_and_inner_step():
     # h = 2.5 is unstable for the unit harmonic force; the step indices
     # were read from the step-by-step reference loop
+    step = _uhmc(gaussian_model(0.0), KernelParams(T=50.0, h=2.5), RngStream(3))
     with pytest.raises(IntegrationDivergedError) as err:
-        run_chain(gaussian_model(0.0), np.ones((4, 1)), 100,
-                  KernelParams(T=50.0, h=2.5), RngStream(3))
+        run_chain(step, np.ones((4, 1)), 100, _whole)
     assert err.value.step_index == 9
     assert str(err.value) == "chain diverged at kernel step 9 (inner step 8)"
 
 
 def test_run_chain_kernel_validation():
-    m = gaussian_model(0.25)
-    params = KernelParams(T=1.0, h=0.25)
-    with pytest.raises(ValueError):
-        run_chain(m, np.zeros((2, 1)), 0, params, RngStream(0))
-    with pytest.raises(ValueError):
-        run_chain(multiwell_model(1.0), np.zeros((2, 1)), 5,
-                  KernelParams(T=1.0, h=0.0), RngStream(0))
+    for m, thin in ((0, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            run_chain(_whole, np.zeros((2, 1)), m, _whole, thin=thin)
 
 
 def test_chain_second_moments_respect_uniform_bound():

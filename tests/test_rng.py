@@ -82,8 +82,6 @@ _sizes = st.integers(min_value=0, max_value=3 * BLOCK + 7)
 _calls = st.one_of(
     st.tuples(st.just("uniforms"), _sizes),
     st.tuples(st.just("normal_vector"), _sizes.map(lambda n: max(n, 1))),
-    st.tuples(st.just("normal_array"),
-              st.tuples(st.integers(1, 70), st.integers(1, 70), st.integers(1, 3))),
     st.tuples(st.just("uniform"), st.none()),
 )
 
@@ -109,7 +107,7 @@ def test_buffered_draws_equal_one_unbuffered_draw(seed, stream_id, calls):
     pos = 0
     for name, first_seen, out in outputs:
         expected = ref[pos:pos + out.size]
-        if name in ("normal_vector", "normal_array"):
+        if name == "normal_vector":
             expected = ndtri(expected)
         assert np.array_equal(first_seen.reshape(-1), expected)
         # values handed out are never overwritten by later calls

@@ -135,7 +135,7 @@ def test_bias_prefactor_is_configurable():
 def test_second_moment_bounds_formulas():
     # closed-form spot check at R_conv = 0, W0 = 0
     m = gaussian_model(0.25)
-    tc = compute_constants(m, 0.4, d=1, m2_init=2.0)
+    tc = compute_constants(m, 0.4, m2_init=2.0)
     k = 0.75
     assert tc.B1 == pytest.approx(2.0 + (1280.0 / (13.0 * k)) * 11.0, rel=1e-12)
     assert tc.B2 == pytest.approx(2.0 + (13.0 / (1280.0 * k)) * 11.0, rel=1e-12)
