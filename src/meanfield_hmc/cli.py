@@ -6,22 +6,25 @@ Subcommands: sample, bias-scan, chaos-scan, contraction, order-check,
 constants.  Exit codes: 0 success, 2 configuration error, 3 numerical
 divergence.  All outputs are CSV with '#'-prefixed comment lines
 carrying the seed, version, and full configuration.
+
+Each subcommand but ``constants`` maps its flags to one call of its
+experiment, which returns an :class:`experiments.Report`;
+:func:`_write_outputs` is the one writer of every Report (CSV, ``--plot``
+SVG and ``--json`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import __version__
-from .experiments import (BIAS_COLUMNS, CHAOS_COLUMNS, CONTRACTION_COLUMNS,
-                          ORDER_COLUMNS, ConfigError, bias_scan, build_model,
-                          chaos_scan, config_json, contraction_experiment,
-                          header_lines, json_safe, order_check,
-                          sample_command, write_csv, write_scaling_svg)
+from .experiments import (ConfigError, bias_scan, build_model, chaos_scan,
+                          config_json, contraction_experiment, header_lines,
+                          json_safe, order_check, sample_command, write_csv,
+                          write_scaling_svg)
 from .integrators import IntegrationDivergedError
 from .models import InvalidModelError
 from .theory import compute_constants, constants_table
@@ -151,101 +154,40 @@ def _parse_list(text: str, kind, flag: str) -> list:
     return values
 
 
-def _write_outputs(args, result, columns, footer, summary, plot=None):
+def _write_outputs(args, report):
     """Write the CSV (``--out``, default the command name with '_' for '-'
-    plus .csv), the ``--plot`` SVG from the ``plot`` keywords of
-    :func:`write_scaling_svg` (commands without a plot pass none and have
-    no ``--plot`` flag), and the ``--json`` line: the CSV path plus
-    ``summary`` with non-finite values as null."""
+    plus .csv), the ``--plot`` SVG when the report has a plot (commands
+    without one have no ``--plot`` flag), and the ``--json`` line: the CSV
+    path plus the report's summary with non-finite values as null."""
     path = args.out or args.command.replace("-", "_") + ".csv"
-    write_csv(path, columns, result.rows,
-              header_lines(args.command, args.seed, result.config), footer)
-    if plot is not None and args.plot:
+    write_csv(path, report.columns, report.rows,
+              header_lines(args.command, args.seed, report.config), report.footer)
+    if report.plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
-        write_scaling_svg(svg, **plot)
+        write_scaling_svg(svg, **report.plot)
     if args.json:
-        summary = {key: json_safe(value) for key, value in summary.items()}
+        summary = {key: json_safe(value) for key, value in report.summary.items()}
         print(config_json({"out": path, **summary}))
     return EXIT_OK
 
 
-def _run_sample(args):
-    model = _model_from_args(args)
-    result = sample_command(model, N=args.N, T=args.T, h=args.h, m=args.steps,
-                            thin=args.thin, init=args.init, seed=args.seed,
-                            columns=args.columns)
-    return _write_outputs(args, result, result.columns, result.constants_footer,
-                          {"rows": len(result.rows)})
-
-
-def _run_bias_scan(args):
-    result = bias_scan(k_max=args.k_max, steps=args.steps, h_rule=args.h_rule,
-                       epsilon=args.eps, T=args.T, seed=args.seed,
-                       burn_in=args.burn_in, h_fixed=args.h,
-                       threads=args.threads)
-    errors = [r[5] for r in result.rows]
-    detail = [{key: json_safe(value) for key, value in d.items()}
-              for d in result.detail]
-    return _write_outputs(
-        args, result, BIAS_COLUMNS,
-        [f"loglog_slope_vs_eps_acc: {result.slope!r}",
-         "detail: " + config_json(detail)],
-        {"slope": result.slope, "errors": errors},
-        dict(xs=[r[0] for r in result.rows], ys=errors,
-             xlabel="k (accuracy 2^-k)", ylabel="density error",
-             title="stationary density error vs accuracy", guide_factor=0.5))
-
-
-def _run_chaos_scan(args):
-    n_list = _parse_list(args.N_list, int, "--N-list")
-    result = chaos_scan(N_list=n_list, m=args.steps, replicas=args.replicas,
-                        epsilon=args.eps, T=args.T, seed=args.seed,
-                        threads=args.threads)
-    return _write_outputs(
-        args, result, CHAOS_COLUMNS,
-        [f"loglog_slope_vs_N: {result.slope!r}",
-         "detail: " + config_json(result.detail)],
-        {"slope": result.slope, "detail": result.detail},
-        dict(xs=[math.log2(r[0]) for r in result.rows],
-             ys=[r[1] for r in result.rows],
-             xlabel="log2 N", ylabel="variance error",
-             title="marginal variance error vs particle count", guide_factor=0.5))
-
-
-def _run_contraction(args):
-    model = _model_from_args(args)
-    result = contraction_experiment(model, T=args.T, h=args.h, m=args.steps,
-                                    replicas=args.replicas, N=args.N,
-                                    seed=args.seed, offset=args.offset,
-                                    synchronous=args.synchronous)
-    positive = [(k, v) for k, v, _ in result.rows if v > 0]
-    return _write_outputs(
-        args, result, CONTRACTION_COLUMNS,
-        [f"fitted_decay_factor: {result.decay_factor!r}",
-         f"fitted_decay_factor_se: {result.decay_factor_se!r}",
-         f"c_uhmc: {result.c_uhmc!r}",
-         f"one_minus_c_uhmc: {1.0 - result.c_uhmc!r}",
-         f"A: {json_safe(result.A)!r}"],
-        {"decay_factor": result.decay_factor,
-         "decay_factor_se": result.decay_factor_se,
-         "c_uhmc": result.c_uhmc, "warnings": result.condition_warnings},
-        dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
-             xlabel="coupled step", ylabel="mean coupled distance",
-             title="coupled-chain contraction", guide_factor=1.0 - result.c_uhmc))
-
-
-def _run_order_check(args):
-    h_list = _parse_list(args.h_list, float, "--h-list")
-    result = order_check(h_list=h_list, T=args.T, N=args.N, epsilon=args.eps,
-                         replicas=args.replicas, seed=args.seed,
-                         threads=args.threads)
-    return _write_outputs(
-        args, result, ORDER_COLUMNS, [f"loglog_slope_vs_h: {result.slope!r}"],
-        {"slope": result.slope},
-        dict(xs=[math.log2(h) for h, _ in result.rows],
-             ys=[e for _, e in result.rows],
-             xlabel="log2 h", ylabel="weighted error",
-             title="randomized integrator strong error", guide_factor=2.0 ** 1.5))
+_EXPERIMENTS = {
+    "sample": lambda a: sample_command(
+        _model_from_args(a), N=a.N, T=a.T, h=a.h, m=a.steps, thin=a.thin,
+        init=a.init, seed=a.seed, columns=a.columns),
+    "bias-scan": lambda a: bias_scan(
+        k_max=a.k_max, steps=a.steps, h_rule=a.h_rule, epsilon=a.eps, T=a.T,
+        seed=a.seed, burn_in=a.burn_in, h_fixed=a.h, threads=a.threads),
+    "chaos-scan": lambda a: chaos_scan(
+        N_list=_parse_list(a.N_list, int, "--N-list"), m=a.steps,
+        replicas=a.replicas, epsilon=a.eps, T=a.T, seed=a.seed, threads=a.threads),
+    "contraction": lambda a: contraction_experiment(
+        _model_from_args(a), T=a.T, h=a.h, m=a.steps, replicas=a.replicas, N=a.N,
+        seed=a.seed, offset=a.offset, synchronous=a.synchronous),
+    "order-check": lambda a: order_check(
+        h_list=_parse_list(a.h_list, float, "--h-list"), T=a.T, N=a.N,
+        epsilon=a.eps, replicas=a.replicas, seed=a.seed, threads=a.threads),
+}
 
 
 def _run_constants(args):
@@ -281,21 +223,14 @@ def _run_constants(args):
     return EXIT_OK
 
 
-_RUNNERS = {
-    "sample": _run_sample,
-    "bias-scan": _run_bias_scan,
-    "chaos-scan": _run_chaos_scan,
-    "contraction": _run_contraction,
-    "order-check": _run_order_check,
-    "constants": _run_constants,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _RUNNERS[args.command](args)
+        if args.command == "constants":
+            code = _run_constants(args)
+        else:
+            code = _write_outputs(args, _EXPERIMENTS[args.command](args))
         # surface a closed stdout here rather than in the interpreter's exit flush
         sys.stdout.flush()
         return code

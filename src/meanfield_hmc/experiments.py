@@ -7,6 +7,11 @@ records to its estimates.  The three scans share one skeleton,
 :func:`_scan`, which gives each scan point its own substream of the base
 seed, so results are identical whether points run sequentially or on a
 thread pool, and two runs with the same seed emit byte-identical files.
+
+Each experiment returns one :class:`Report`: its CSV columns and rows, the
+configuration for the CSV header, and, next to the estimates they
+describe, its footer lines, its ``--json`` summary and its plot.  The CLI
+only writes a Report; it knows nothing of any one experiment's results.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +34,8 @@ from .kernels import (KernelParams, run_chain, stationary_gaussian_sample_arrays
 from .models import (MeanFieldModel, ShallowNetDataset, gaussian_model,
                      multiwell_model, shallow_net_model)
 from .rng import RngStream
-from .statistics import kde_relative_error, loglog_slope, wasserstein1_1d
+from .statistics import (KDE_MIN_SAMPLES, kde_relative_error, loglog_slope,
+                         wasserstein1_1d)
 from .theory import compute_constants, constants_table
 
 W1_SUBSAMPLE_CAP = 200_000
@@ -140,16 +146,14 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
                       guide_factor: float | None = None):
     """Minimal deterministic SVG: log2(y) against x with an optional dashed
     guide line through the first point whose slope is log2(guide_factor)
-    per unit x."""
+    per unit x.  Without points only the frame, labels and title are drawn."""
     xs = [float(x) for x in xs]
     ly = [math.log2(float(y)) for y in ys]
     w, h, margin = 480, 360, 56
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ly), max(ly)
-    if guide_factor is not None:
-        guide = [ly[0] + math.log2(guide_factor) * (x - xs[0]) for x in xs]
-        y_lo = min(y_lo, *guide)
-        y_hi = max(y_hi, *guide)
+    guide = ([ly[0] + math.log2(guide_factor) * (x - xs[0]) for x in xs]
+             if guide_factor is not None else [])
+    x_lo, x_hi = min(xs, default=0.0), max(xs, default=1.0)
+    y_lo, y_hi = min(ly + guide, default=0.0), max(ly + guide, default=1.0)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -179,11 +183,12 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
         f'<text x="16" y="{h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11" '
         f'transform="rotate(-90 16 {h / 2:.0f})">{ylabel} (log2)</text>',
-        polyline(list(zip(xs, ly)), "#1f5fa8"),
     ]
+    if xs:
+        parts.append(polyline(list(zip(xs, ly)), "#1f5fa8"))
     for x, y in zip(xs, ly):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#1f5fa8"/>')
-    if guide_factor is not None:
+    if guide:
         parts.append(polyline(list(zip(xs, guide)), "#888888",
                               dash='stroke-dasharray="6 4" '))
     parts.append("</svg>")
@@ -192,19 +197,24 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
 
 
 @dataclass(frozen=True)
-class ScanResult:
-    """Outcome of a scan over one parameter.
+class Report:
+    """What one experiment run writes.
 
-    ``rows`` holds one CSV row per scan point, ``detail`` one dict per
-    point with the estimates the rows leave out, ``slope`` the log-log
-    slope of the scanned error (nan when it cannot be fitted), and
-    ``config`` the settings written to the CSV header.
+    ``columns`` and ``rows`` are the CSV table, ``config`` the settings in
+    its header and ``footer`` its trailing '#' lines.  ``summary`` is the
+    ``--json`` line (a non-finite top-level value prints as null), and
+    ``plot`` the keywords of :func:`write_scaling_svg` for ``--plot``, or
+    None where the command draws nothing.  ``detail`` holds one dict per
+    row with the estimates the rows leave out.
     """
 
+    columns: tuple
     rows: list
-    detail: list
-    slope: float
-    config: dict = field(default_factory=dict)
+    config: dict
+    footer: list
+    summary: dict
+    plot: dict | None = None
+    detail: list | tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +231,7 @@ _BIAS_REPLICAS = 10
 def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
               epsilon: float = 0.25, T: float = 1.0, seed: int = 0,
               burn_in: float = 0.1, h_fixed: float | None = None,
-              threads: int = 1) -> ScanResult:
+              threads: int = 1) -> Report:
     """Stationary-density error of the unadjusted chain at accuracies 2^-k.
 
     For each k: the accuracy is eps_acc = 2^-k, the particle count
@@ -235,16 +245,18 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     density.  The detail records give the pooled sample count ``kept``
     and ``first_var``, the replica mean of the kept samples' second moment
     about the known mean 0, with its standard error across replicas (nan
-    when R is 1).
+    when R is 1).  ``h_fixed`` is an error under any rule but ``fixed``,
+    and so is a ``burn_in`` that keeps fewer samples than the density
+    estimate needs.
     """
     if not 1 <= k_max <= 5:
         raise ConfigError("k_max must lie in 1..5")
-    if steps < 10:
-        raise ConfigError("steps must be at least 10")
     if h_rule not in _H_RULES:
         raise ConfigError(f"h rule must be one of {_H_RULES}")
     if h_rule == "fixed" and not h_fixed:
         raise ConfigError("h rule 'fixed' requires an explicit step size")
+    if h_rule != "fixed" and h_fixed is not None:
+        raise ConfigError(f"--h applies to --h-rule fixed only, not {h_rule}")
     if not 0 <= burn_in < 1:
         raise ConfigError("burn-in fraction must lie in [0, 1)")
     if not T > 0:
@@ -253,6 +265,10 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     replicas = math.gcd(steps, _BIAS_REPLICAS)
     per = steps // replicas
     burn = int(round(burn_in * per))
+    if replicas * (per - burn) < KDE_MIN_SAMPLES:
+        raise ConfigError(
+            f"--steps {steps} with --burn-in {burn_in} keeps {replicas * (per - burn)} "
+            f"samples per k; the density estimate needs at least {KDE_MIN_SAMPLES}")
 
     def one_k(stream, k):
         eps_acc = 2.0 ** (-k)
@@ -279,11 +295,20 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         return (k, eps_acc, n_particles, h, steps, err), detail
 
     rows, detail = _scan(one_k, range(1, k_max + 1), seed, threads)
-    slope = _slope([r[1] for r in rows], [r[5] for r in rows])
+    errors = [r[5] for r in rows]
+    slope = _slope([r[1] for r in rows], errors)
     config = {"k_max": k_max, "steps": steps, "h_rule": h_rule,
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
               "h_fixed": h_fixed}
-    return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
+    footer_detail = [{key: json_safe(value) for key, value in d.items()} for d in detail]
+    return Report(
+        BIAS_COLUMNS, rows, config,
+        [f"loglog_slope_vs_eps_acc: {slope!r}", "detail: " + config_json(footer_detail)],
+        {"slope": slope, "errors": errors},
+        dict(xs=[r[0] for r in rows], ys=errors, xlabel="k (accuracy 2^-k)",
+             ylabel="density error", title="stationary density error vs accuracy",
+             guide_factor=0.5),
+        detail)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +320,7 @@ CHAOS_COLUMNS = ("N", "var_err", "mean_coord_var", "w1_marginal")
 
 def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
                epsilon: float = 0.25, T: float = 1.0, seed: int = 0,
-               threads: int = 1) -> ScanResult:
+               threads: int = 1) -> Report:
     """Finite-N marginal bias of the exact kernel started in stationarity.
 
     For each N the per-coordinate variance of the pooled chain output is
@@ -346,35 +371,18 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
     slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"N_list": list(N_list), "m": m, "replicas": replicas,
               "epsilon": epsilon, "T": T}
-    return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
+    return Report(
+        CHAOS_COLUMNS, rows, config,
+        [f"loglog_slope_vs_N: {slope!r}", "detail: " + config_json(detail)],
+        {"slope": slope, "detail": detail},
+        dict(xs=[math.log2(r[0]) for r in rows], ys=[r[1] for r in rows],
+             xlabel="log2 N", ylabel="variance error",
+             title="marginal variance error vs particle count", guide_factor=0.5),
+        detail)
 
 
 # ---------------------------------------------------------------------------
 # contraction experiment
-
-
-@dataclass(frozen=True)
-class ContractionExperimentResult:
-    """Coupled-distance decay table with a fitted per-step factor.
-
-    ``mean_rho[k]`` averages rho_N over replicas after k coupled steps and
-    ``stderr[k]`` is its standard error; ``rows`` pairs them with k.  The
-    decay factor is exp(slope) of a log-linear fit of ``mean_rho``, and
-    its standard error comes from refitting on CONTRACTION_BLOCKS disjoint
-    replica groups.  ``c_uhmc`` and ``A`` are the theory's rate and
-    envelope constant; ``condition_warnings`` names the admissibility
-    conditions that failed.
-    """
-
-    rows: list                      # (step, mean_rhoN, stderr)
-    mean_rho: np.ndarray
-    stderr: np.ndarray
-    decay_factor: float
-    decay_factor_se: float
-    c_uhmc: float
-    A: float
-    condition_warnings: list
-    config: dict = field(default_factory=dict)
 
 
 CONTRACTION_COLUMNS = ("step", "mean_rhoN", "stderr")
@@ -393,13 +401,18 @@ def _fit_factor(mean_rho: np.ndarray) -> float:
 def contraction_experiment(model: MeanFieldModel, T: float, h: float,
                            m: int = 50, replicas: int = 1000, N: int = 8,
                            seed: int = 0, offset: float = 1.0,
-                           synchronous: bool = False) -> ContractionExperimentResult:
+                           synchronous: bool = False) -> Report:
     """Coupled-chain decay of the particle-averaged coupled distance.
 
     Initial pairs are x ~ product standard normal and x' = x + offset in
     every coordinate; each replica then runs ``m`` coupled steps.
     Admissibility of (T, eps) for the discretized kernel is checked first;
-    failures warn and proceed.
+    failures warn and proceed.  Row k holds the replica mean of rho_N after
+    k coupled steps and its standard error.  The summary's decay factor is
+    exp(slope) of a log-linear fit of the means, and its standard error
+    comes from refitting on CONTRACTION_BLOCKS disjoint replica groups.
+    The footer adds the theory's rate c_uhmc and envelope constant A; the
+    summary's ``warnings`` names the admissibility conditions that failed.
     """
     if m < 1:
         raise ConfigError("m must be a positive integer")
@@ -434,11 +447,21 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     config = {"model": model.name, "model_params": model.params, "T": T,
               "h": h, "m": m, "replicas": replicas, "N": N,
               "offset": offset, "synchronous": synchronous}
-    return ContractionExperimentResult(
-        rows=rows, mean_rho=mean_rho, stderr=stderr,
-        decay_factor=_fit_factor(mean_rho),
-        decay_factor_se=float(refits.std(ddof=1) / np.sqrt(len(blocks))),
-        c_uhmc=tc.c_uhmc, A=tc.A, condition_warnings=warnings, config=config)
+    factor = _fit_factor(mean_rho)
+    factor_se = float(refits.std(ddof=1) / np.sqrt(len(blocks)))
+    positive = [(k, v) for k, v, _ in rows if v > 0]
+    return Report(
+        CONTRACTION_COLUMNS, rows, config,
+        [f"fitted_decay_factor: {factor!r}",
+         f"fitted_decay_factor_se: {factor_se!r}",
+         f"c_uhmc: {tc.c_uhmc!r}",
+         f"one_minus_c_uhmc: {1.0 - tc.c_uhmc!r}",
+         f"A: {json_safe(tc.A)!r}"],
+        {"decay_factor": factor, "decay_factor_se": factor_se,
+         "c_uhmc": tc.c_uhmc, "warnings": warnings},
+        dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
+             xlabel="coupled step", ylabel="mean coupled distance",
+             title="coupled-chain contraction", guide_factor=1.0 - tc.c_uhmc))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +473,7 @@ ORDER_COLUMNS = ("h", "mean_weighted_error")
 
 def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
                 N: int = 64, epsilon: float = 0.25, replicas: int = 1000,
-                seed: int = 0, threads: int = 1) -> ScanResult:
+                seed: int = 0, threads: int = 1) -> Report:
     """Strong error of the randomized integrator against the exact flow.
 
     Starts every replica from stationary positions with fresh normal
@@ -489,24 +512,21 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"h_list": [float(h) for h in h_list], "T": T, "N": N,
               "epsilon": epsilon, "replicas": replicas}
-    return ScanResult(rows=rows, detail=detail, slope=slope, config=config)
+    return Report(
+        ORDER_COLUMNS, rows, config, [f"loglog_slope_vs_h: {slope!r}"], {"slope": slope},
+        dict(xs=[math.log2(h) for h, _ in rows], ys=[e for _, e in rows],
+             xlabel="log2 h", ylabel="weighted error",
+             title="randomized integrator strong error", guide_factor=2.0 ** 1.5),
+        detail)
 
 
 # ---------------------------------------------------------------------------
 # generic sampling
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    rows: list
-    columns: tuple
-    constants_footer: list
-    config: dict = field(default_factory=dict)
-
-
 def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
                    m: int, thin: int = 1, init: str = "normal", seed: int = 0,
-                   columns: int | None = None) -> SampleResult:
+                   columns: int | None = None) -> Report:
     """Generic chain run returning thinned positions as CSV rows.
 
     ``h = 0`` selects the exact kernel (gaussian model only).  ``columns``
@@ -546,5 +566,4 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     config = {"model": model.name, "model_params": model.params, "N": N,
               "T": T, "h": h, "steps": m, "thin": thin, "init": init,
               "columns": n_cols}
-    return SampleResult(rows=rows, columns=col_names,
-                        constants_footer=footer, config=config)
+    return Report(col_names, rows, config, footer, {"rows": len(rows)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+KDE_MIN_SAMPLES = 100
 
 
 def _as_1d(samples) -> np.ndarray:
@@ -87,11 +88,12 @@ def kde_relative_error(samples, bandwidth: float | None = None,
     """Relative grid-L1 error of a KDE against the standard normal density.
 
     Returns sum_grid |p_hat - phi| / sum_grid phi on a uniform grid
-    (Silverman bandwidth unless overridden).  Requires >= 100 samples.
+    (Silverman bandwidth unless overridden).  Requires at least
+    KDE_MIN_SAMPLES samples.
     """
     a = _as_1d(samples)
-    if len(a) < 100:
-        raise ValueError("need at least 100 samples for a density estimate")
+    if len(a) < KDE_MIN_SAMPLES:
+        raise ValueError(f"need at least {KDE_MIN_SAMPLES} samples for a density estimate")
     if grid_n < 2:
         raise ValueError("grid must contain at least 2 points")
     grid = np.linspace(grid_lo, grid_hi, grid_n)

@@ -60,16 +60,46 @@ def test_constants_text_matches_golden_file(capsys):
     assert capsys.readouterr().out == (GOLDEN / "constants_multiwell.txt").read_text()
 
 
+# Each <name>.stdout golden file is the --json line of these arguments at
+# seed 0, and <name>.svg, where it exists, the --plot SVG.  The
+# bias_scan_plot files were re-recorded with the other bias-scan files.
+# chaos_scan_plot, contraction_plot and order_check_plot (.stdout and .svg)
+# and sample_json.stdout were recorded before each experiment came to build
+# its own Report (footer lines, --json summary and plot) and the CLI's five
+# per-command writers became one, so the refactor left them unchanged.
+# contraction_offset0_plot (.stdout and .svg) was recorded after the SVG
+# writer learned to draw a plot without points: at offset 0 every distance
+# is 0 and has no logarithm, and the run crashed after writing its CSV.
+PLOT_JSON_ARGS = {
+    "bias_scan_plot": ["bias-scan", "--k-max", "3", "--steps", "120", "--plot",
+                       "--json", "--out", "bias_scan.csv"],
+    "chaos_scan_plot": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
+                        "--replicas", "4", "--plot", "--json",
+                        "--out", "chaos_scan_plot.csv"],
+    "contraction_plot": ["contraction", "--model", "multiwell", "--steps", "5",
+                         "--replicas", "20", "--plot", "--json",
+                         "--out", "contraction_plot.csv"],
+    "contraction_offset0_plot": ["contraction", "--offset", "0", "--steps", "5",
+                                 "--replicas", "20", "--plot", "--json",
+                                 "--out", "contraction_offset0_plot.csv"],
+    "order_check_plot": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "8",
+                         "--replicas", "6", "--plot", "--json",
+                         "--out", "order_check_plot.csv"],
+    "sample_json": ["sample", "--model", "gaussian", "--steps", "20", "--json",
+                    "--out", "sample_json.csv"],
+}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads):
+@pytest.mark.parametrize("name", sorted(PLOT_JSON_ARGS))
+def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, threads):
     # a relative --out keeps the path printed by --json independent of tmp_path
     monkeypatch.chdir(tmp_path)
-    argv = ["bias-scan", "--k-max", "3", "--steps", "120", "--plot", "--json",
-            "--threads", str(threads), "--out", "bias_scan.csv"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / "bias_scan_plot.stdout").read_text()
-    svg = (tmp_path / "bias_scan.svg").read_bytes()
-    assert svg == (GOLDEN / "bias_scan_plot.svg").read_bytes()
+    assert main(PLOT_JSON_ARGS[name] + ["--threads", str(threads)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
+    golden_svg = GOLDEN / f"{name}.svg"
+    expected = [golden_svg.read_bytes()] if golden_svg.exists() else []
+    assert [svg.read_bytes() for svg in tmp_path.glob("*.svg")] == expected
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -100,10 +130,18 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, threads
     (["sample", "--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv"),
       "--dim", "3"], 2, "--dim applies to the multiwell model only, not shallow-net"),
     (["order-check", "--N", "0"], 2, "N must be a positive integer, got 0"),
-    (["bias-scan", "--k-max", "1", "--steps", "10", "--h-rule", "fixed", "--h", "2.5",
+    # 10 replicas of 100 steps: enough kept samples to pass the checks
+    (["bias-scan", "--k-max", "1", "--steps", "1000", "--h-rule", "fixed", "--h", "2.5",
       "--T", "2500", "--eps", "0"], 3, "chain diverged at kernel step 0 (inner step 188)"),
     (["sample", "--model", "multiwell", "--h", "0"], 2,
      "the exact kernel is implemented only for the gaussian model"),
+    (["bias-scan", "--h", "0.1"], 2, "--h applies to --h-rule fixed only, not eps23"),
+    (["bias-scan", "--k-max", "3", "--steps", "20000", "--burn-in", "0.996"], 2,
+     "--steps 20000 with --burn-in 0.996 keeps 80 samples per k; "
+     "the density estimate needs at least 100"),
+    (["bias-scan", "--steps", "10", "--burn-in", "0.95"], 2,
+     "--steps 10 with --burn-in 0.95 keeps 0 samples per k; "
+     "the density estimate needs at least 100"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code

@@ -83,7 +83,7 @@ def test_chaos_scan_rejects_bad_config(kwargs):
 def test_contraction_experiment_zero_offset_stays_zero():
     result = contraction_experiment(gaussian_model(0.25), T=1.0, h=0.25, m=5,
                                     replicas=16, N=4, seed=17, offset=0.0)
-    assert np.array_equal(result.mean_rho, np.zeros(6))
+    assert [row[1] for row in result.rows] == [0.0] * 6
 
 
 def test_contraction_experiment_divergence_names_the_kernel_step():
@@ -103,7 +103,8 @@ def test_contraction_experiment_strongly_convex_rate():
     result = contraction_experiment(m, T=T, h=T / 8, m=25, replicas=1000, N=4,
                                     seed=18, offset=1.0, synchronous=True)
     bound = 1.0 - m.constants.K * T**2 / 8.0
-    assert result.decay_factor <= bound + 3.0 * result.decay_factor_se
+    assert (result.summary["decay_factor"]
+            <= bound + 3.0 * result.summary["decay_factor_se"])
 
 
 def test_contraction_experiment_multiwell_theory_envelope():
@@ -117,9 +118,10 @@ def test_contraction_experiment_multiwell_theory_envelope():
                                     seed=19, offset=T)
     # the paper's envelope A e^(-c k) is vacuous here (A = 4.8e33,
     # c = 3e-33) but is the statement of the theorem, so it stays
-    rho0 = result.mean_rho[0]
-    for k in range(1, 21):
+    rho0 = result.rows[0][1]
+    for k, mean_rho, stderr in result.rows[1:]:
         envelope = tc.A * np.exp(-tc.c_uhmc * k) * rho0
-        assert result.mean_rho[k] <= envelope + 3.0 * result.stderr[k]
+        assert mean_rho <= envelope + 3.0 * stderr
     # the measured contraction: 0.99822 with SE 0.00017 at seed 19
-    assert result.decay_factor + 4.0 * result.decay_factor_se < 1.0
+    summary = result.summary
+    assert summary["decay_factor"] + 4.0 * summary["decay_factor_se"] < 1.0
