@@ -390,10 +390,11 @@ CONTRACTION_BLOCKS = 10
 
 
 def _fit_factor(mean_rho: np.ndarray) -> float:
+    # nan when fewer than two means are positive: nothing was measured
     steps = np.arange(len(mean_rho))
     good = mean_rho > 0
     if good.sum() < 2:
-        return 0.0
+        return math.nan
     slope = np.polyfit(steps[good], np.log(mean_rho[good]), 1)[0]
     return float(np.exp(slope))
 

@@ -362,6 +362,13 @@ def _zero_pair_grad(dim):
 # built-in model: shallow network ridge functions against a dataset
 
 
+def _csv_float(text, where):
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidModelError(f"{where}: {text!r} is not a number") from None
+
+
 @dataclass(frozen=True)
 class ShallowNetDataset:
     """Regression data (z_m, y_m) feeding the shallow-network model.
@@ -407,12 +414,17 @@ class ShallowNetDataset:
             if not header or header[0] != "y" or len(header) < 2:
                 raise InvalidModelError(
                     f"{path}: expected header 'y,z1,...', got {header!r}")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for row in filter(None, reader):
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != len(header):
+                    raise InvalidModelError(
+                        f"{where}: ragged rows, {len(row)} values under a "
+                        f"{len(header)}-column header")
+                rows.append([_csv_float(v, where) for v in row])
         if not rows:
             raise InvalidModelError(f"{path}: no data rows")
         arr = np.asarray(rows, dtype=float)
-        if arr.shape[1] != len(header):
-            raise InvalidModelError(f"{path}: ragged rows")
         return cls(inputs=arr[:, 1:], outputs=arr[:, 0])
 
     def to_csv(self, path) -> None:
@@ -428,6 +440,29 @@ _PROBE_PAIRS = 10_000
 _PROBE_SEED = 0x5EED_CAFE
 # feature values (probe rows x data points) one probe block may hold
 _PROBE_BLOCK = 1 << 16
+
+
+def _ridge_features(x, z, out=None):
+    """beta (...,) and sigma(alpha . z_m) (..., M) of parameters x = (beta, alpha).
+
+    The features are written into ``out`` when it is given.
+    """
+    sig = np.matmul(x[..., 1:], z.T, out=out)
+    return x[..., 0], expit(sig, out=sig)
+
+
+def _ridge_grad(beta, sig, one_minus, weights, z, work):
+    """sum_m weights[..., m] * grad_x phi(x, z_m), shape (..., d).
+
+    ``beta`` and ``sig`` are the features of x and ``one_minus`` is
+    1 - sig; ``weights`` broadcasts against sig.  ``work``, an array of
+    sig's shape, is overwritten.
+    """
+    dbeta = np.sum(np.multiply(weights, sig, out=work), axis=-1)
+    coef = np.multiply(weights, beta[..., None], out=work)
+    coef *= sig
+    coef *= one_minus
+    return np.concatenate([dbeta[..., None], coef @ z], axis=-1)
 
 
 def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
@@ -454,16 +489,13 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
     dim = 1 + data.input_dim
 
     def _features(x):
-        # x: (..., d) -> sigma(alpha . z_m): (..., M) and beta: (...,)
+        # x: (..., d) -> beta: (...,) and sigma(alpha . z_m): (..., M)
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != dim:
             raise InvalidModelError(
                 f"parameter dimension {x.shape[-1]} does not match dataset "
                 f"(expected {dim})")
-        beta = x[..., 0]
-        alpha = x[..., 1:]
-        sig = expit(alpha @ z.T)
-        return beta, sig
+        return _ridge_features(x, z)
 
     def phi(x):
         beta, sig = _features(x)
@@ -473,35 +505,37 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
         x = np.asarray(x, dtype=float)
         return 0.5 * np.sum(x * x, axis=-1) + (2.0 / m_count) * (phi(x) @ y)
 
-    def _weighted(beta, sig, weights):
-        # sum_m weights[..., m] * grad_x phi(x, z_m), shape (..., d), from
-        # the features (beta, sig) of x; weights broadcasts against sig
-        dbeta = np.sum(weights * sig, axis=-1)
-        coef = weights * beta[..., None] * sig * (1.0 - sig)
-        dalpha = coef @ z
-        return np.concatenate([dbeta[..., None], dalpha], axis=-1)
+    def _weighted(x, weights):
+        # sum_m weights[..., m] * grad_x phi(x, z_m) with its own scratch
+        beta, sig = _features(x)
+        return _ridge_grad(beta, sig, 1.0 - sig, weights, z, np.empty(sig.shape))
 
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        return x + (2.0 / m_count) * _weighted(*_features(x), y)
+        return x + (2.0 / m_count) * _weighted(x, y)
 
     def W(x, xt):
         return (2.0 / m_count) * np.sum(phi(x) * phi(xt), axis=-1)
 
     def grad1_W(x, xt):
         x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
-        return (2.0 / m_count) * _weighted(*_features(x), phi(xt))
+        return (2.0 / m_count) * _weighted(x, phi(xt))
 
     def grad_U_all(q):
-        # one feature pass serves the V term and the shared sums
-        # S_m = sum_j phi(q^j, z_m) through which the interaction enters
+        # one feature pass, one 1 - sigma and one work array serve the V
+        # term and the shared sums S_m = sum_j phi(q^j, z_m) through which
+        # the interaction enters; all three belong to this call
         n = q.shape[-2]
         beta, sig = _features(q)
-        s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
-        inter = (2.0 / m_count) * _weighted(beta, sig, s)
-        return q + (2.0 / m_count) * _weighted(beta, sig, y) + (eps / n) * inter
+        one_minus = 1.0 - sig
+        work = np.multiply(beta[..., None], sig)
+        s = work.sum(axis=-2, keepdims=True)
+        inter = (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, s, z, work)
+        return (q + (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, y, z, work)
+                + (eps / n) * inter)
 
-    constants = _estimate_constants(grad_V, grad1_W, dim, probe_radius, m_count)
+    w0 = float(np.linalg.norm(grad1_W(np.zeros(dim), np.zeros(dim))))
+    constants = _estimate_constants(z, y, probe_radius, w0)
     return MeanFieldModel(
         name="shallow-net", dim=dim, epsilon=eps,
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
@@ -510,38 +544,61 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
                 "input_dim": data.input_dim, "probe_radius": float(probe_radius)})
 
 
-def _estimate_constants(grad_V, grad1_W, dim, probe_radius, m_count):
-    """Probe-based constant estimates for models without closed forms.
+def _estimate_constants(z, y, probe_radius, w0):
+    """Probe-based constant estimates for the shallow-net model on data (z, y).
 
     L1 and L_tilde are maxima of difference quotients over random pairs in
     the probe box.  Asymptotic strong convexity is probed around half the
     quadratic regularizer's curvature (m0 = 1/2), its worst defect Upsilon
     mapped to (K, L2, R_conv) = (m0/4, 4 L1^2/m0, sqrt(2 Upsilon/m0)).
+    ``w0`` is |grad1_W(0, 0)|.
 
-    The gradients are evaluated in blocks of max(1, _PROBE_BLOCK // m_count)
-    probe rows, ``m_count`` being the features per row (the dataset size M),
-    and only their (pairs, d) differences are kept.  Each (rows, M) feature
-    array of a block holds at most max(_PROBE_BLOCK, M) values, 512 KiB for
-    M <= 65536, so the build's memory does not grow with the dataset.  A
-    BLAS matmul may round a row differently depending on how many rows one
-    call holds, so the maxima can depend on the block size in the last ulp,
-    far below the sampling error of these uncertified estimates.
+    The probe runs one loop over blocks of max(1, _PROBE_BLOCK // M) pairs,
+    M being the features per point (the dataset size).  Each block takes
+    one feature pass per point set (xs, ys, xt, yt), yields both gradient
+    differences, grad_V(xs) - grad_V(ys) and grad1_W(xs, ys) -
+    grad1_W(xt, yt), and keeps only their (pairs, d) values.  All feature
+    arithmetic happens in four (rows, M) scratch arrays allocated once per
+    call, each holding at most max(_PROBE_BLOCK, M) values: 2 MiB in all
+    for M <= 65536, so the build's memory does not grow with the dataset.
+    A BLAS matmul may round a row differently depending on how many rows
+    one call holds, so the maxima can depend on the block size in the last
+    ulp, far below the sampling error of these uncertified estimates.
     """
+    m_count, dim = z.shape[0], 1 + z.shape[1]
     stream = RngStream(_PROBE_SEED)
     box = float(probe_radius)
-    xs = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
-    ys = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
+    xs, ys, xt, yt = (
+        box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
+        for _ in range(4))
     rows = max(1, _PROBE_BLOCK // m_count)
-
-    def blocked(diff):
-        # diff(rows slice) -> (block, d) gradient difference, stacked over blocks
-        return np.concatenate([diff(slice(i, i + rows))
-                               for i in range(0, _PROBE_PAIRS, rows)])
+    scratch = np.empty((4, rows, m_count))
+    scale = 2.0 / m_count
+    dg = np.empty((_PROBE_PAIRS, dim))
+    dgw = np.empty((_PROBE_PAIRS, dim))
+    # sig_a and sig_b hold the features of xs and ys, then of xt and yt; a
+    # y-side phi is written over the features it is computed from
+    for i in range(0, _PROBE_PAIRS, rows):
+        b = slice(i, i + rows)
+        sig_a, sig_b, one_minus, work = scratch[:, :min(rows, _PROBE_PAIRS - i)]
+        beta_xs, sig_xs = _ridge_features(xs[b], z, sig_a)
+        beta_ys, sig_ys = _ridge_features(ys[b], z, sig_b)
+        np.subtract(1.0, sig_ys, out=one_minus)
+        grad_ys = ys[b] + scale * _ridge_grad(beta_ys, sig_ys, one_minus, y, z, work)
+        phi_ys = np.multiply(beta_ys[:, None], sig_ys, out=sig_ys)
+        np.subtract(1.0, sig_xs, out=one_minus)
+        grad_xs = xs[b] + scale * _ridge_grad(beta_xs, sig_xs, one_minus, y, z, work)
+        dg[b] = grad_xs - grad_ys
+        pair_s = scale * _ridge_grad(beta_xs, sig_xs, one_minus, phi_ys, z, work)
+        beta_xt, sig_xt = _ridge_features(xt[b], z, sig_a)
+        beta_yt, sig_yt = _ridge_features(yt[b], z, sig_b)
+        phi_yt = np.multiply(beta_yt[:, None], sig_yt, out=sig_yt)
+        np.subtract(1.0, sig_xt, out=one_minus)
+        dgw[b] = pair_s - scale * _ridge_grad(beta_xt, sig_xt, one_minus, phi_yt, z, work)
 
     dx = xs - ys
     norms = np.linalg.norm(dx, axis=-1)
     keep = norms > 1e-8
-    dg = blocked(lambda b: grad_V(xs[b]) - grad_V(ys[b]))
     quot = np.linalg.norm(dg, axis=-1)[keep] / norms[keep]
     l1 = max(1.0, float(quot.max()))
 
@@ -552,15 +609,10 @@ def _estimate_constants(grad_V, grad1_W, dim, probe_radius, m_count):
     l2 = 4.0 * l1**2 / m0
     r_conv = np.sqrt(2.0 * upsilon / m0)
 
-    xt = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
-    yt = box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
-    dgw = np.linalg.norm(blocked(lambda b: grad1_W(xs[b], ys[b]) - grad1_W(xt[b], yt[b])),
-                         axis=-1)
+    wnorms = np.linalg.norm(dgw, axis=-1)
     denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
     ok = denom > 1e-8
-    l_tilde = float((dgw[ok] / denom[ok]).max())
-
-    w0 = float(np.linalg.norm(grad1_W(np.zeros(dim), np.zeros(dim))))
+    l_tilde = float((wnorms[ok] / denom[ok]).max())
     return AssumptionConstants(
         K=k, L1=l1, L2=l2, L_tilde=l_tilde, R_conv=float(r_conv), W0=w0,
         certified=False)

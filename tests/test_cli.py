@@ -14,7 +14,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # Each golden file is the CLI's output for these arguments at seed 0.  The
 # contraction and sample files were recorded before the RNG buffer and the
 # lean integrator loop existed, the shallow-net sample file before its force
-# shared one feature pass, and the multiwell constants file before the object
+# shared one feature pass (it stayed byte-identical again when the force and
+# the constants probe came to reuse scratch arrays and the probe to take one
+# feature pass per point set), and the multiwell constants file before the object
 # API and the coupled step's own loop were removed, so a byte difference is a
 # change of output, not of speed or structure.  The three bias-scan files
 # were re-recorded when bias-scan moved from one chain to a batch of
@@ -69,7 +71,9 @@ def test_constants_text_matches_golden_file(capsys):
 # per-command writers became one, so the refactor left them unchanged.
 # contraction_offset0_plot (.stdout and .svg) was recorded after the SVG
 # writer learned to draw a plot without points: at offset 0 every distance
-# is 0 and has no logarithm, and the run crashed after writing its CSV.
+# is 0 and has no logarithm, and the run crashed after writing its CSV.  Its
+# .stdout was re-recorded when the decay factor and its SE of such a run
+# became null (nan) instead of 0.0, which read as an exact contraction.
 PLOT_JSON_ARGS = {
     "bias_scan_plot": ["bias-scan", "--k-max", "3", "--steps", "120", "--plot",
                        "--json", "--out", "bias_scan.csv"],
@@ -146,6 +150,22 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y,z1,z2\n1,2,3\n4,5\n", "line 3: ragged rows, 2 values under a 3-column header"),
+    ("y,z1\n1,2\n\n3,4,5\n", "line 4: ragged rows, 3 values under a 2-column header"),
+    ("y,z1,z2\n1,2,3\n4,abc,6\n", "line 3: 'abc' is not a number"),
+])
+def test_bad_data_file_exit_codes(tmp_path, capsys, text, message):
+    # a malformed --data file names its path and the 1-based line at fault
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    argv = ["sample", "--model", "shallow-net", "--data", str(data),
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
     assert not (tmp_path / "out.csv").exists()
 
 

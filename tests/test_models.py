@@ -1,8 +1,12 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from meanfield_hmc import (InvalidModelError, RngStream, ShallowNetDataset,
                            gaussian_model, mean_field_grad, mean_field_grad_all,
@@ -211,6 +215,120 @@ def test_shallow_net_build_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _reference_shallow_net(data, epsilon):
+    """grad_V, grad1_W and grad_U_all as written before the force reused
+    scratch arrays: one temporary per expression, 1 - sigma per weighted sum."""
+    z, y, m_count = data.inputs, data.outputs, data.count
+
+    def features(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0], expit(x[..., 1:] @ z.T)
+
+    def weighted(beta, sig, weights):
+        dbeta = np.sum(weights * sig, axis=-1)
+        coef = weights * beta[..., None] * sig * (1.0 - sig)
+        return np.concatenate([dbeta[..., None], coef @ z], axis=-1)
+
+    def phi(x):
+        beta, sig = features(x)
+        return beta[..., None] * sig
+
+    def grad_V(x):
+        x = np.asarray(x, dtype=float)
+        return x + (2.0 / m_count) * weighted(*features(x), y)
+
+    def grad1_W(x, xt):
+        x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
+        return (2.0 / m_count) * weighted(*features(x), phi(xt))
+
+    def grad_U_all(q):
+        n = q.shape[-2]
+        beta, sig = features(q)
+        s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
+        inter = (2.0 / m_count) * weighted(beta, sig, s)
+        return q + (2.0 / m_count) * weighted(beta, sig, y) + (epsilon / n) * inter
+
+    return grad_V, grad1_W, grad_U_all
+
+
+def _reference_constants(grad_V, grad1_W, dim, m_count, probe_radius=4.0):
+    """The probe as written before it became one loop over row blocks: a
+    blocked pass of grad_V, then a blocked pass of grad1_W, each computing
+    its own features."""
+    stream = RngStream(models._PROBE_SEED)
+    box = probe_radius
+    n = models._PROBE_PAIRS
+    xs = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
+    ys = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
+    rows = max(1, models._PROBE_BLOCK // m_count)
+
+    def blocked(diff):
+        return np.concatenate([diff(slice(i, i + rows)) for i in range(0, n, rows)])
+
+    dx = xs - ys
+    norms = np.linalg.norm(dx, axis=-1)
+    keep = norms > 1e-8
+    dg = blocked(lambda b: grad_V(xs[b]) - grad_V(ys[b]))
+    l1 = max(1.0, float((np.linalg.norm(dg, axis=-1)[keep] / norms[keep]).max()))
+    upsilon = max(0.0, float((0.5 * norms**2 - np.sum(dx * dg, axis=-1)).max()))
+    xt = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
+    yt = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
+    dgw = np.linalg.norm(blocked(lambda b: grad1_W(xs[b], ys[b]) - grad1_W(xt[b], yt[b])),
+                         axis=-1)
+    denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
+    ok = denom > 1e-8
+    l_tilde = float((dgw[ok] / denom[ok]).max())
+    w0 = float(np.linalg.norm(grad1_W(np.zeros(dim), np.zeros(dim))))
+    return models.AssumptionConstants(
+        K=0.125, L1=l1, L2=8.0 * l1**2, L_tilde=l_tilde,
+        R_conv=float(np.sqrt(4.0 * upsilon)), W0=w0, certified=False)
+
+
+@pytest.mark.parametrize("count, inputs, scale", [(256, 3, 1.0), (256, 1, 20.0), (40, 2, 1.0)])
+def test_shallow_net_rewrite_matches_reference_bit_for_bit(count, inputs, scale):
+    # at M = 256 a probe block holds 256 rows and the last one 16
+    assert models._PROBE_PAIRS % (models._PROBE_BLOCK // 256) == 16
+    rng = np.random.default_rng(count + inputs)
+    data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
+                             outputs=scale * rng.normal(size=count))
+    m = shallow_net_model(data, epsilon=0.5)
+    grad_V, grad1_W, grad_U_all = _reference_shallow_net(data, 0.5)
+    assert m.constants == _reference_constants(grad_V, grad1_W, m.dim, count)
+    for shape in [(1, m.dim), (64, m.dim), (3, 64, m.dim), (2, 1, 5, m.dim)]:
+        q = 2.0 * rng.normal(size=shape)
+        assert np.array_equal(m.grad_U_all(q), grad_U_all(q)), shape
+    x, xt = rng.normal(size=(2, 10, m.dim))
+    assert np.array_equal(m.grad_V(x), grad_V(x))
+    assert np.array_equal(m.grad1_W(x, xt), grad1_W(x, xt))
+    assert np.array_equal(m.grad1_W(x[0], xt), grad1_W(x[0], xt))
+
+
+def test_shallow_net_force_is_thread_safe():
+    # scratch arrays cached on the model or its closure would let one
+    # thread's call overwrite the other's partial results
+    rng = np.random.default_rng(17)
+    data = ShallowNetDataset(inputs=rng.normal(size=(256, 3)),
+                             outputs=rng.normal(size=256))
+    m = shallow_net_model(data, epsilon=0.5)
+    inputs = 2.0 * rng.normal(size=(2, 64, m.dim))
+    expected = [m.grad_U_all(q) for q in inputs]
+    start = threading.Barrier(2)
+
+    def calls(q):
+        start.wait()
+        return [m.grad_U_all(q) for _ in range(50)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(calls, inputs, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for got, want in zip(results, expected):
+        assert all(np.array_equal(g, want) for g in got)
 
 
 def test_shallow_net_csv_roundtrip(tmp_path):
