@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias-scan", help="stationary density error at accuracies 2^-k")
     p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--steps", type=int, default=200_000)
+    p.add_argument("--steps", type=int, default=200_000,
+                   help="kernel steps per k, split over up to 1000 stationary "
+                        "replicas")
     p.add_argument("--h-rule", default="eps23", choices=["eps23", "eps12", "fixed"])
     p.add_argument("--h", type=float, default=None, help="step size for --h-rule fixed")
     p.add_argument("--eps", type=float, default=0.25)

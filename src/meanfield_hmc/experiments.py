@@ -223,9 +223,39 @@ class Report:
 
 BIAS_COLUMNS = ("k", "eps_acc", "N", "h", "steps", "kde_rel_error")
 _H_RULES = ("eps23", "eps12", "fixed")
-# bias-scan runs gcd(steps, _BIAS_REPLICAS) replicas: 10 for every step count
-# in use (tests 120, benchmark 2500, default 200000), fewer for any other
-_BIAS_REPLICAS = 10
+# Every bias-scan replica starts from the exact stationary measure and loses
+# its start at about 0.648 per kernel step, so a long chain buys nothing that
+# more replicas would not, and a wide batch costs far fewer Python calls per
+# step.  bias-scan therefore runs the widest replica count R that divides
+# --steps, is at most _BIAS_MAX_REPLICAS and leaves each replica at least
+# _BIAS_MIN_REPLICA_STEPS kernel steps: 1000 replicas of 200 steps at the
+# default 200,000, 125 of 20 at 2500 and 6 of 20 at 120.
+_BIAS_MAX_REPLICAS = 1000
+_BIAS_MIN_REPLICA_STEPS = 20
+
+
+def _bias_replicas(steps: int, burn_in: float):
+    """(R, per, burn) for ``steps`` kernel steps per k: the widest divisor R
+    of ``steps`` up to min(_BIAS_MAX_REPLICAS, steps // _BIAS_MIN_REPLICA_STEPS)
+    whose replicas of ``per = steps // R`` steps, after dropping the first
+    ``burn = round(burn_in * per)`` of each, keep at least KDE_MIN_SAMPLES
+    samples in all.  A ConfigError, naming the most any of them keeps, when
+    none does."""
+    # below _BIAS_MIN_REPLICA_STEPS steps, one chain (too short to keep enough)
+    cap = max(1, min(_BIAS_MAX_REPLICAS, steps // _BIAS_MIN_REPLICA_STEPS))
+    most = 0
+    for replicas in range(cap, 0, -1):
+        if steps % replicas:
+            continue
+        per = steps // replicas
+        burn = int(round(burn_in * per))
+        kept = replicas * (per - burn)
+        if kept >= KDE_MIN_SAMPLES:
+            return replicas, per, burn
+        most = max(most, kept)
+    raise ConfigError(
+        f"--steps {steps} with --burn-in {burn_in} keeps {most} samples "
+        f"per k; the density estimate needs at least {KDE_MIN_SAMPLES}")
 
 
 def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
@@ -237,18 +267,21 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     For each k: the accuracy is eps_acc = 2^-k, the particle count
     N = eps_acc^-2, and the step size eps_acc^(2/3) (rule ``eps23``),
     eps_acc^(1/2) (``eps12``) or ``h_fixed``, snapped so T/h is integral.
-    R = gcd(steps, 10) chains, each started from the exact N-particle
-    stationary measure, run as one (R, N, 1) batch for steps / R kernel
-    steps, so the kernel steps per k stay ``steps``.  Each replica drops
-    its first ``burn_in`` fraction of steps; the pooled first-coordinate
-    samples of all replicas are scored against the standard normal
-    density.  The detail records give the pooled sample count ``kept``
-    and ``first_var``, the replica mean of the kept samples' second moment
-    about the known mean 0, with its standard error across replicas (nan
-    when R is 1).  ``h_fixed`` is an error under any rule but ``fixed``,
-    and so is a ``burn_in`` that keeps fewer samples than the density
-    estimate needs.
+    The ``steps`` kernel steps per k are split over R stationary replicas
+    (see :func:`_bias_replicas`): each starts from the exact N-particle
+    stationary measure, and all run as one (R, N, 1) batch for
+    per = steps / R kernel steps.  Each replica drops its first
+    round(burn_in * per) steps; the pooled first-coordinate samples of all
+    replicas are scored against the standard normal density.  The detail
+    records give R, the pooled sample count ``kept`` and ``first_var``, the
+    replica mean of the kept samples' second moment about the known mean
+    0, with its standard error across replicas (nan when R is 1).
+    ``h_fixed`` is an error under any rule but ``fixed``, and so is a
+    ``burn_in`` under which no admissible R keeps as many samples as the
+    density estimate needs; both are found before any step runs.
     """
+    if steps < 1:
+        raise ConfigError("steps must be a positive integer")
     if not 1 <= k_max <= 5:
         raise ConfigError("k_max must lie in 1..5")
     if h_rule not in _H_RULES:
@@ -262,13 +295,7 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     if not T > 0:
         raise ConfigError(f"T must be positive, got T={T}")
     model = gaussian_model(epsilon)
-    replicas = math.gcd(steps, _BIAS_REPLICAS)
-    per = steps // replicas
-    burn = int(round(burn_in * per))
-    if replicas * (per - burn) < KDE_MIN_SAMPLES:
-        raise ConfigError(
-            f"--steps {steps} with --burn-in {burn_in} keeps {replicas * (per - burn)} "
-            f"samples per k; the density estimate needs at least {KDE_MIN_SAMPLES}")
+    replicas, per, burn = _bias_replicas(steps, burn_in)
 
     def one_k(stream, k):
         eps_acc = 2.0 ** (-k)
@@ -290,7 +317,7 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         var_r = (kept * kept).mean(axis=0)
         var_se = (float(var_r.std(ddof=1) / np.sqrt(replicas))
                   if replicas > 1 else float("nan"))
-        detail = {"k": k, "kept": int(kept.size),
+        detail = {"k": k, "replicas": replicas, "kept": int(kept.size),
                   "first_var": float(var_r.mean()), "first_var_se": var_se}
         return (k, eps_acc, n_particles, h, steps, err), detail
 
@@ -423,6 +450,8 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         raise ConfigError(f"N must be a positive integer, got {N}")
     if not h > 0:
         raise ConfigError(f"the coupled kernel needs h > 0, got h={h}")
+    if not math.isfinite(offset):
+        raise ConfigError(f"offset must be finite, got offset={offset}")
     params = KernelParams(T=T, h=h)
     tc = compute_constants(model, T)
     warnings = [name for name in ("cond_CT", "cond_Cepsi")
@@ -487,6 +516,8 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
         raise ConfigError("replicas must be at least 2")
     if N < 1:
         raise ConfigError(f"N must be a positive integer, got {N}")
+    if not T > 0:
+        raise ConfigError(f"T must be positive, got T={T}")
     model = gaussian_model(epsilon)
     for h in h_list:
         if not h > 0:

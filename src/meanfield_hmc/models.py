@@ -106,8 +106,9 @@ class MeanFieldModel:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidModelError("dim must be a positive integer")
-        if self.epsilon < 0:
-            raise InvalidModelError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise InvalidModelError(
+                f"epsilon must be finite and nonnegative, got epsilon={self.epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +293,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
     ``interaction`` is ``None`` (no pair term) or ``"quadratic"`` for
     W(x, y) = |x - y|^2 / 2 with strength ``epsilon``.
     """
-    if a < 0:
-        raise InvalidModelError("a must be nonnegative")
+    if not 0 <= a < np.inf:
+        raise InvalidModelError(f"a must be finite and nonnegative, got a={a}")
     a = float(a)
     dim = int(dim)
 

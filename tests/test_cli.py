@@ -19,8 +19,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # feature pass per point set), and the multiwell constants file before the object
 # API and the coupled step's own loop were removed, so a byte difference is a
 # change of output, not of speed or structure.  The three bias-scan files
-# were re-recorded when bias-scan moved from one chain to a batch of
-# stationary-started replicas, an intended change of output.  The chaos-scan
+# were last re-recorded when bias-scan's replica count stopped being
+# gcd(steps, 10) and became the widest divisor of --steps that leaves each
+# stationary-started replica at least 20 steps (6 replicas of 20 where there
+# were 10 of 12 at 120 steps), an intended change of output; the CSV's
+# detail footer also gained the replica count.  The chaos-scan
 # and order-check files were last re-recorded when the exact flow of the
 # quadratic model became a closed form in the particle means, which moved
 # their values in the 14th-16th significant digit (the old mode transform's
@@ -64,7 +67,8 @@ def test_constants_text_matches_golden_file(capsys):
 
 # Each <name>.stdout golden file is the --json line of these arguments at
 # seed 0, and <name>.svg, where it exists, the --plot SVG.  The
-# bias_scan_plot files were re-recorded with the other bias-scan files.
+# bias_scan_plot files were re-recorded with bias_scan.csv, when the
+# replica count came to grow with --steps.
 # chaos_scan_plot, contraction_plot and order_check_plot (.stdout and .svg)
 # and sample_json.stdout were recorded before each experiment came to build
 # its own Report (footer lines, --json summary and plot) and the CLI's five
@@ -134,23 +138,51 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
     (["sample", "--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv"),
       "--dim", "3"], 2, "--dim applies to the multiwell model only, not shallow-net"),
     (["order-check", "--N", "0"], 2, "N must be a positive integer, got 0"),
-    # 10 replicas of 100 steps: enough kept samples to pass the checks
+    # 50 replicas of 20 steps: enough kept samples to pass the checks
     (["bias-scan", "--k-max", "1", "--steps", "1000", "--h-rule", "fixed", "--h", "2.5",
-      "--T", "2500", "--eps", "0"], 3, "chain diverged at kernel step 0 (inner step 188)"),
+      "--T", "2500", "--eps", "0"], 3, "chain diverged at kernel step 0 (inner step 178)"),
     (["sample", "--model", "multiwell", "--h", "0"], 2,
      "the exact kernel is implemented only for the gaussian model"),
     (["bias-scan", "--h", "0.1"], 2, "--h applies to --h-rule fixed only, not eps23"),
-    (["bias-scan", "--k-max", "3", "--steps", "20000", "--burn-in", "0.996"], 2,
-     "--steps 20000 with --burn-in 0.996 keeps 80 samples per k; "
+    # the most any replica count keeps: 1000 replicas of 20 steps keep none,
+    # 50 of 400 steps keep 50
+    (["bias-scan", "--k-max", "3", "--steps", "20000", "--burn-in", "0.998"], 2,
+     "--steps 20000 with --burn-in 0.998 keeps 50 samples per k; "
      "the density estimate needs at least 100"),
     (["bias-scan", "--steps", "10", "--burn-in", "0.95"], 2,
      "--steps 10 with --burn-in 0.95 keeps 0 samples per k; "
      "the density estimate needs at least 100"),
+    (["bias-scan", "--steps", "-5"], 2, "steps must be a positive integer"),
+    (["order-check", "--T", "0"], 2, "T must be positive, got T=0.0"),
+    (["order-check", "--T", "-1"], 2, "T must be positive, got T=-1.0"),
+    # a non-finite offset is an input error, not a divergence
+    (["contraction", "--offset", "nan"], 2, "offset must be finite, got offset=nan"),
+    (["contraction", "--offset", "inf"], 2, "offset must be finite, got offset=inf"),
+    # non-finite model parameters fail validation, not the chain
+    (["sample", "--model", "multiwell", "--a", "nan"], 2,
+     "a must be finite and nonnegative, got a=nan"),
+    (["sample", "--model", "multiwell", "--interaction", "quadratic", "--eps", "nan"], 2,
+     "epsilon must be finite and nonnegative, got epsilon=nan"),
+    (["sample", "--model", "multiwell", "--interaction", "quadratic", "--eps", "inf"], 2,
+     "epsilon must be finite and nonnegative, got epsilon=inf"),
+    (["sample", "--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv"),
+      "--eps", "nan"], 2, "epsilon must be finite and nonnegative, got epsilon=nan"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"),
+                                         ("--a", "nan"), ("--a", "inf")])
+def test_constants_rejects_non_finite_model_parameters(capsys, flag, value):
+    assert main(["constants", "--model", "multiwell", flag, value]) == 2
+    captured = capsys.readouterr()
+    name = "epsilon" if flag == "--eps" else "a"
+    assert captured.err == (f"error: {name} must be finite and nonnegative, "
+                            f"got {name}={value}\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("text, message", [

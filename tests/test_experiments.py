@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,16 @@ from meanfield_hmc import (compute_constants, experiments, gaussian_model,
 from meanfield_hmc.experiments import (ConfigError, bias_scan, chaos_scan,
                                        contraction_experiment)
 from meanfield_hmc.integrators import IntegrationDivergedError
+from meanfield_hmc.statistics import KDE_MIN_SAMPLES
 
 from test_kernels import uhmc_variance_oracle
 
 
 def test_bias_scan_single_replica_reproduces_the_single_chain_rows(monkeypatch):
     # the rows the one-chain design wrote for `bias-scan --k-max 2 --steps 120`
-    monkeypatch.setattr(experiments, "_BIAS_REPLICAS", 1)
+    monkeypatch.setattr(experiments, "_BIAS_MAX_REPLICAS", 1)
     result = bias_scan(k_max=2, steps=120)
+    assert [d["replicas"] for d in result.detail] == [1, 1]
     assert result.rows == [
         (1, 0.5, 4, 0.5, 120, 0.24077487322225144),
         (2, 0.25, 16, 0.3333333333333333, 120, 0.1969201922849852),
@@ -21,32 +25,97 @@ def test_bias_scan_single_replica_reproduces_the_single_chain_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("steps, kept", [
-    (120, 110),   # 10 replicas of 12 steps, 1 dropped from each
+    (120, 108),   # 6 replicas of 20 steps, 2 dropped from each
     (125, 115),   # 5 replicas of 25 steps, 2 dropped from each
-    (111, 100),   # one chain of 111 steps, 11 dropped
+    (111, 100),   # 3 replicas of 37 keep 99, so one chain of 111, 11 dropped
 ])
 def test_bias_scan_replicas_divide_any_step_count(steps, kept):
     result = bias_scan(k_max=1, steps=steps)
     assert result.rows[0][4] == steps
+    assert steps % result.detail[0]["replicas"] == 0
     assert result.detail[0]["kept"] == kept
 
 
-def test_bias_scan_first_var_matches_discretized_chain_oracle():
+BURN_INS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9)
+
+
+def _kept(steps, replicas, burn_in):
+    per = steps // replicas
+    return replicas * (per - int(round(burn_in * per)))
+
+
+def test_bias_replica_rule_over_step_counts_and_burn_ins():
+    # R divides steps, leaves each replica at least 20 steps (one chain
+    # below that), is at most 1000 and keeps enough samples; no wider such
+    # divisor keeps enough.  Otherwise the rule raises ConfigError.
+    for steps in range(10, 5001):
+        cap = max(1, min(1000, steps // 20))
+        admissible = [r for r in range(1, cap + 1) if steps % r == 0]
+        for burn_in in BURN_INS:
+            enough = [r for r in admissible
+                      if _kept(steps, r, burn_in) >= KDE_MIN_SAMPLES]
+            if not enough:
+                with pytest.raises(ConfigError):
+                    experiments._bias_replicas(steps, burn_in)
+                continue
+            replicas, per, burn = experiments._bias_replicas(steps, burn_in)
+            assert replicas == max(enough) and replicas * per == steps
+            assert burn == int(round(burn_in * per))
+            assert replicas * (per - burn) >= KDE_MIN_SAMPLES
+
+
+def test_bias_replica_rule_rejects_two_pairs_the_gcd_rule_accepted():
+    # the former rule ran gcd(steps, 10) replicas
+    lost = set()
+    for steps in range(10, 5001):
+        for burn_in in BURN_INS:
+            if _kept(steps, math.gcd(steps, 10), burn_in) < KDE_MIN_SAMPLES:
+                continue
+            try:
+                experiments._bias_replicas(steps, burn_in)
+            except ConfigError:
+                lost.add((steps, burn_in))
+    assert lost == {(100, 0.05), (120, 0.2)}
+
+
+def test_bias_scan_at_the_benchmark_size_keeps_2250_samples_per_k():
+    # 125 replicas of 20 steps, 2 dropped from each
+    result = bias_scan(k_max=3, steps=2500)
+    assert [(d["replicas"], d["kept"]) for d in result.detail] == [(125, 2250)] * 3
+
+
+def _first_var_oracle(eps, T, n, h):
     # In the eigenbasis of M = I - (eps/N) 11^T the chain is one 1-d linear
     # chain per mode: the mean mode with omega^2 = 1 - eps, the N - 1 others
     # with omega^2 = 1.  A coordinate's stationary variance is therefore
     # v(1 - eps)/N + (1 - 1/N) v(1), not the target value 1 + eps/(N(1 - eps)).
+    return (uhmc_variance_oracle(1.0 - eps, T, h) / n
+            + (1.0 - 1.0 / n) * uhmc_variance_oracle(1.0, T, h))
+
+
+def _check_first_var(result, eps, T, per, kept):
+    for row, d in zip(result.rows, result.detail):
+        n, h = row[2], row[3]
+        assert d["replicas"] * per == row[4] and d["kept"] == kept
+        assert d["first_var_se"] > 0
+        assert (abs(d["first_var"] - _first_var_oracle(eps, T, n, h))
+                < 4.0 * d["first_var_se"])
+
+
+def test_bias_scan_first_var_matches_discretized_chain_oracle():
     eps, T = 0.25, 1.0
     result = bias_scan(k_max=2, steps=80_000, epsilon=eps, T=T)
-    cases = [(row[2], row[3], d) for row, d in zip(result.rows, result.detail)]
-    assert [(n, h) for n, h, _ in cases] == [(4, 0.5), (16, pytest.approx(1 / 3))]
-    for n, h, d in cases:
-        # 10 replicas of 8000 steps, the first 800 of each dropped
-        assert d["kept"] == 72_000
-        exact = (uhmc_variance_oracle(1.0 - eps, T, h) / n
-                 + (1.0 - 1.0 / n) * uhmc_variance_oracle(1.0, T, h))
-        assert d["first_var_se"] > 0
-        assert abs(d["first_var"] - exact) < 4.0 * d["first_var_se"]
+    assert [(row[2], row[3]) for row in result.rows] == [(4, 0.5), (16, pytest.approx(1 / 3))]
+    # 1000 replicas of 80 steps, the first 8 of each dropped
+    _check_first_var(result, eps, T, per=80, kept=72_000)
+
+
+def test_bias_scan_first_var_matches_oracle_on_benchmark_length_replicas():
+    # 1000 replicas of 20 steps, the benchmark's length, 2 dropped from each
+    eps, T = 0.25, 1.0
+    result = bias_scan(k_max=3, steps=20_000, epsilon=eps, T=T)
+    assert [row[2] for row in result.rows] == [4, 16, 64]
+    _check_first_var(result, eps, T, per=20, kept=18_000)
 
 
 def test_chaos_scan_mean_coord_var_matches_exact_value():
