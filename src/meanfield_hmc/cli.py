@@ -54,7 +54,10 @@ def _add_common_flags(p):
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--json", action="store_true",
                    help="print a machine-readable summary to stdout")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads over the scan points of bias-scan, "
+                        "chaos-scan and order-check; sample and contraction "
+                        "ignore it")
 
 
 def _add_plot_flag(p):

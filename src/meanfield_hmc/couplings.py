@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelParams
+from .integrators import _check_duration, _integral_steps, lockstep_flow_arrays
 from .models import (MeanFieldModel, _columnwise, _dot_last, _norm_last,
                      _select_rows)
-from .integrators import lockstep_flow_arrays
 from .rng import RngStream
 
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Threshold radius R_tilde and duration T; the coupling strength
-    gamma = min(1/T, 1/(4 R_tilde)) is derived (1/T when R_tilde = 0)."""
+    """Threshold radius R_tilde and the coupled kernel's duration T; the
+    coupling strength gamma = min(1/T, 1/(4 R_tilde)) is derived from them
+    (1/T when R_tilde = 0)."""
 
     R_tilde: float
     T: float
@@ -37,8 +37,7 @@ class CouplingParams:
     def __post_init__(self):
         if self.R_tilde < 0:
             raise ValueError("R_tilde must be nonnegative")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        _check_duration(self.T)
 
     @property
     def gamma(self) -> float:
@@ -99,28 +98,28 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
 
 
 def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
-                      params: KernelParams, cp: CouplingParams, stream: RngStream,
+                      h: float, cp: CouplingParams, stream: RngStream,
                       *, synchronous: bool = False):
-    """One coupled unadjusted step on (..., N, d) position arrays.
+    """One coupled unadjusted step of duration cp.T in steps of size h on
+    (..., N, d) position arrays.
 
     Initial velocities are coupled particle-wise (or fully synchronized
     with ``synchronous``); both copies then run through one lockstep flow
-    with identical integrator uniforms.  Shapes and h are checked before
-    any variate is drawn.
+    with identical integrator uniforms.  Shapes, cp.T and h are checked
+    before any variate is drawn.
     """
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if x.shape != xp.shape:
         raise ValueError("coupled copies must have identical shapes")
-    if params.h <= 0:
-        raise ValueError("coupled uhmc requires h > 0")
+    _integral_steps(cp.T, h)
     if synchronous:
         xi = eta = stream.normal_vector(x.size).reshape(x.shape)
     else:
         res = couple_velocities_batch(x - xp, cp, stream)
         xi, eta = res.xi, res.eta
     (q, _), (qp, _) = lockstep_flow_arrays(model, [(x, xi), (xp, eta)],
-                                           params.T, params.h, stream)
+                                           cp.T, h, stream)
     return q, qp
 
 

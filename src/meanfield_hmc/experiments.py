@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .couplings import CouplingParams, coupled_uhmc_step, rho_N
-from .integrators import (_integral_steps, exact_gaussian_flow_arrays,
-                          randomized_flow_arrays)
-from .kernels import (KernelParams, run_chain, stationary_gaussian_sample_arrays,
+from .integrators import (_check_duration, _integral_steps, _snap_step_size,
+                          exact_gaussian_flow_arrays, randomized_flow_arrays)
+from .kernels import (run_chain, stationary_gaussian_sample_arrays,
                       draw_initial_positions, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
 from .models import (MeanFieldModel, ShallowNetDataset, gaussian_model,
@@ -65,13 +65,6 @@ def build_model(name: str, epsilon: float = 0.25, a: float = 1.0,
             raise ConfigError("shallow-net model requires --data <csv>")
         return shallow_net_model(ShallowNetDataset.from_csv(data_path), epsilon=epsilon)
     raise ConfigError(f"unknown model {name!r}")
-
-
-def snap_step_size(T: float, h_raw: float) -> float:
-    """Largest h <= h_raw with T/h integral."""
-    if not 0 < h_raw:
-        raise ConfigError("step size must be positive")
-    return T / math.ceil(T / h_raw - 1e-12)
 
 
 def _scan(one_point, points, seed: int, threads: int):
@@ -292,8 +285,7 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         raise ConfigError(f"--h applies to --h-rule fixed only, not {h_rule}")
     if not 0 <= burn_in < 1:
         raise ConfigError("burn-in fraction must lie in [0, 1)")
-    if not T > 0:
-        raise ConfigError(f"T must be positive, got T={T}")
+    _check_duration(T)
     model = gaussian_model(epsilon)
     replicas, per, burn = _bias_replicas(steps, burn_in)
 
@@ -306,11 +298,10 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
             h_raw = eps_acc ** 0.5
         else:
             h_raw = h_fixed
-        h = snap_step_size(T, h_raw)
-        params = KernelParams(T=T, h=h)
+        h = _snap_step_size(T, h_raw)
         q = stationary_gaussian_sample_arrays(
             epsilon, (replicas, n_particles), stream)[..., None]
-        first = run_chain(lambda v: uhmc_step_arrays(model, v, params, stream),
+        first = run_chain(lambda v: uhmc_step_arrays(model, v, T, h, stream),
                           q, per, lambda v: v[:, 0, 0])
         kept = first[1 + burn:]
         err = kde_relative_error(kept.reshape(-1))
@@ -361,8 +352,7 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         raise ConfigError("each N must be at least 2")
     if m < 1 or replicas < 2:
         raise ConfigError("m must be >= 1 and replicas >= 2")
-    if not T > 0:
-        raise ConfigError(f"T must be positive, got T={T}")
+    _check_duration(T)
 
     def one_n(stream, n_particles):
         q = stationary_gaussian_sample_arrays(epsilon, (replicas, n_particles), stream)
@@ -448,11 +438,9 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         raise ConfigError("replicas must be at least 2")
     if N < 1:
         raise ConfigError(f"N must be a positive integer, got {N}")
-    if not h > 0:
-        raise ConfigError(f"the coupled kernel needs h > 0, got h={h}")
+    _integral_steps(T, h)
     if not math.isfinite(offset):
         raise ConfigError(f"offset must be finite, got offset={offset}")
-    params = KernelParams(T=T, h=h)
     tc = compute_constants(model, T)
     warnings = [name for name in ("cond_CT", "cond_Cepsi")
                 if not tc.conditions[name].passed]
@@ -465,7 +453,7 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
 
     x = stream.normal_vector(replicas * N * model.dim).reshape(replicas, N, model.dim)
     rho = run_chain(
-        lambda pair: coupled_uhmc_step(model, *pair, params, cp, stream,
+        lambda pair: coupled_uhmc_step(model, *pair, h, cp, stream,
                                        synchronous=synchronous),
         (x, x + offset), m, lambda pair: rho_N(*pair, tc.R1, T))
 
@@ -516,16 +504,9 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
         raise ConfigError("replicas must be at least 2")
     if N < 1:
         raise ConfigError(f"N must be a positive integer, got {N}")
-    if not T > 0:
-        raise ConfigError(f"T must be positive, got T={T}")
     model = gaussian_model(epsilon)
     for h in h_list:
-        if not h > 0:
-            raise ConfigError(f"each h must be positive, got h={h}")
-        try:
-            _integral_steps(T, h)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        _integral_steps(T, h)
     l_e = compute_constants(model, T).L_e
 
     def one_h(stream, h):
@@ -571,12 +552,12 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
         raise ConfigError("N must be a positive integer")
     if columns is not None and columns < 1:
         raise ConfigError(f"columns must be a positive integer, got {columns}")
-    try:
-        params = KernelParams(T=T, h=h)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    if h == 0 and model.name != "gaussian":
-        raise ConfigError("the exact kernel is implemented only for the gaussian model")
+    if h != 0:
+        _integral_steps(T, h)
+    else:
+        _check_duration(T)
+        if model.name != "gaussian":
+            raise ConfigError("the exact kernel is implemented only for the gaussian model")
     stream = RngStream(seed)
     x0 = draw_initial_positions(model, N, init, stream)
     total = N * model.dim
@@ -587,7 +568,7 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
         step = lambda q: xhmc_step_gaussian_arrays(eps, q, T, stream)
         state = x0[:, 0]
     else:
-        step = lambda q: uhmc_step_arrays(model, q, params, stream)
+        step = lambda q: uhmc_step_arrays(model, q, T, h, stream)
         state = x0
     recorded = run_chain(step, state, m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))

@@ -31,13 +31,40 @@ class IntegrationDivergedError(RuntimeError):
         super().__init__(message or f"trajectory diverged at integrator step {step_index}")
 
 
+# A kernel runs for a duration T in T/h inner steps of size h.  The checks
+# below are the only statement of that rule; every other module calls them.
+# They stay private so that a traced run adds no span per flow call.
+
+
+def _check_duration(T: float) -> None:
+    """Raise ValueError unless the kernel duration T is finite and positive."""
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got T={T}")
+
+
+def _check_step(h: float) -> None:
+    """Raise ValueError unless the inner step size h is finite and positive."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got h={h}")
+
+
 def _integral_steps(T: float, h: float) -> int:
-    if not h > 0:
-        raise ValueError(f"h must be positive, got h={h}")
-    n = int(round(T / h))
-    if n < 1 or abs(T / h - n) > 1e-9 * max(1.0, n):
+    """The number T/h of inner steps, after checking T, h and that T/h is
+    integral up to rounding."""
+    _check_duration(T)
+    _check_step(h)
+    ratio = T / h
+    n = int(round(ratio)) if ratio < math.inf else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
         raise ValueError(f"T/h must be a positive integer, got T={T}, h={h}")
     return n
+
+
+def _snap_step_size(T: float, h_raw: float) -> float:
+    """Largest h <= h_raw with T/h integral (T itself when h_raw >= T)."""
+    _check_duration(T)
+    _check_step(h_raw)
+    return T / max(1, math.ceil(T / h_raw - 1e-12))
 
 
 def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,

@@ -3,47 +3,28 @@
 Kernels act on raw position arrays with optional leading batch axes.  Both
 kernels refresh the full velocity vector from N(0, I) each step and
 transport positions with a Hamiltonian flow for a fixed duration T: the
-unadjusted kernel uses the randomized time integrator with step size h,
-the exact kernel (1-d quadratic model only) uses the closed-form flow.
+unadjusted kernel runs the randomized time integrator in T/h steps of size
+h, the exact kernel (1-d quadratic model only) the closed-form flow.
 :func:`run_chain` iterates any kernel step, single, batched or coupled,
 and records what an experiment measures along the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .integrators import (IntegrationDivergedError, _integral_steps,
-                          exact_gaussian_flow_arrays, randomized_flow_arrays)
+from .integrators import (IntegrationDivergedError, exact_gaussian_flow_arrays,
+                          randomized_flow_arrays)
 from .models import MeanFieldModel
 from .rng import RngStream
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Kernel duration T and inner step size h (0 selects the exact flow)."""
-
-    T: float
-    h: float
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
-        if self.h < 0:
-            raise ValueError("h must be nonnegative")
-        if self.h > 0:
-            _integral_steps(self.T, self.h)
-
-
-def uhmc_step_arrays(model: MeanFieldModel, q, params: KernelParams,
+def uhmc_step_arrays(model: MeanFieldModel, q, T: float, h: float,
                      stream: RngStream) -> np.ndarray:
-    """One unadjusted step on raw (..., N, d) position arrays."""
-    if params.h <= 0:
-        raise ValueError("uhmc requires h > 0")
+    """One unadjusted step of duration T in T/h inner steps on raw (..., N, d)
+    position arrays; the flow checks T and h."""
     p = stream.normal_vector(q.size).reshape(q.shape)
-    q_out, _ = randomized_flow_arrays(model, q, p, params.T, params.h, stream)
+    q_out, _ = randomized_flow_arrays(model, q, p, T, h, stream)
     return q_out
 
 

@@ -309,8 +309,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         return _columnwise(np.multiply, x, 1.0 - a * np.exp(-0.5 * a * sq))
 
     if interaction is None:
-        W = _zero_pair(dim)
-        grad1_W = _zero_pair_grad(dim)
+        W = _zero_pair
+        grad1_W = _zero_pair_grad
         l_tilde = 0.0
         # W = 0, so epsilon scales nothing and the force is grad_V alone
         grad_U_all = grad_V
@@ -342,21 +342,13 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         params={"a": a, "epsilon": float(epsilon), "interaction": interaction})
 
 
-def _zero_pair(dim):
-    def W(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return np.zeros(shape[:-1])
-    return W
+def _zero_pair(x, y):
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.zeros(shape[:-1])
 
 
-def _zero_pair_grad(dim):
-    def grad1_W(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    return grad1_W
+def _zero_pair_grad(x, y):
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +429,10 @@ class ShallowNetDataset:
                 fh.write(",".join(repr(float(v)) for v in (y, *z)) + "\n")
 
 
+# the shallow-net model's one activation, and the radius of the box its
+# constants are probed in; both are recorded in the model's params
+_ACTIVATION = "sigmoid"
+_PROBE_RADIUS = 4.0
 _PROBE_PAIRS = 10_000
 _PROBE_SEED = 0x5EED_CAFE
 # feature values (probe rows x data points) one probe block may hold
@@ -466,8 +462,7 @@ def _ridge_grad(beta, sig, one_minus, weights, z, work):
     return np.concatenate([dbeta[..., None], coef @ z], axis=-1)
 
 
-def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
-                      epsilon: float = 1.0, probe_radius: float = 4.0) -> MeanFieldModel:
+def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFieldModel:
     """Data-driven model with ridge features phi(x, z) = beta * sigmoid(alpha . z).
 
     The parameter vector is x = (beta, alpha) in R^d with d = 1 + input_dim,
@@ -478,11 +473,9 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
 
     The regularity constants cannot be certified globally for a sigmoid
     activation; they are estimated from finite-difference quotients over
-    random probe pairs in a box of radius ``probe_radius`` and flagged
+    random probe pairs in a box of radius ``_PROBE_RADIUS`` and flagged
     ``certified=False``.
     """
-    if activation != "sigmoid":
-        raise InvalidModelError(f"unsupported activation {activation!r}")
     eps = float(epsilon)
     z = data.inputs          # (M, d-1)
     y = data.outputs         # (M,)
@@ -536,16 +529,16 @@ def shallow_net_model(data: ShallowNetDataset, activation: str = "sigmoid",
                 + (eps / n) * inter)
 
     w0 = float(np.linalg.norm(grad1_W(np.zeros(dim), np.zeros(dim))))
-    constants = _estimate_constants(z, y, probe_radius, w0)
+    constants = _estimate_constants(z, y, w0)
     return MeanFieldModel(
         name="shallow-net", dim=dim, epsilon=eps,
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
         constants=constants, grad_U_all=grad_U_all,
-        params={"epsilon": eps, "activation": activation, "M": m_count,
-                "input_dim": data.input_dim, "probe_radius": float(probe_radius)})
+        params={"epsilon": eps, "activation": _ACTIVATION, "M": m_count,
+                "input_dim": data.input_dim, "probe_radius": _PROBE_RADIUS})
 
 
-def _estimate_constants(z, y, probe_radius, w0):
+def _estimate_constants(z, y, w0):
     """Probe-based constant estimates for the shallow-net model on data (z, y).
 
     L1 and L_tilde are maxima of difference quotients over random pairs in
@@ -568,9 +561,9 @@ def _estimate_constants(z, y, probe_radius, w0):
     """
     m_count, dim = z.shape[0], 1 + z.shape[1]
     stream = RngStream(_PROBE_SEED)
-    box = float(probe_radius)
     xs, ys, xt, yt = (
-        box * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
+        _PROBE_RADIUS
+        * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
         for _ in range(4))
     rows = max(1, _PROBE_BLOCK // m_count)
     scratch = np.empty((4, rows, m_count))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .couplings import (CouplingParams, _exact_reciprocal, metric_f_prime,
                         metric_radius)
+from .integrators import _check_duration
 from .models import MeanFieldModel
 
 
@@ -93,8 +94,7 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
     and cond_Cepsi gate the discretized-kernel contraction; cond_T_moment
     and cond_eps_moment gate the second-moment bounds.
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _check_duration(T)
     c = model.constants
     K, L, Lt = c.K, c.L, c.L_tilde
     eps_lt = model.epsilon * Lt
@@ -129,10 +129,14 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
     """Evaluate every derived constant and rate at duration ``T``.
 
     ``m2_init`` is the second moment of the initial distribution entering
-    the uniform second-moment bounds B1 and B2.
+    the uniform second-moment bounds B1 and B2; it must be finite and
+    nonnegative, and ``B3`` finite and positive.
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _check_duration(T)
+    if not 0 <= m2_init < math.inf:
+        raise ValueError(f"m2_init must be finite and nonnegative, got m2_init={m2_init}")
+    if not 0 < B3 < math.inf:
+        raise ValueError(f"B3 must be finite and positive, got B3={B3}")
     c = model.constants
     if not c.K > 0:
         raise ValueError("K must be positive")

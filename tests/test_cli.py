@@ -116,9 +116,9 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
     (["sample", "--h", "0.3"], 2, "T/h must be a positive integer, got T=1.0, h=0.3"),
     (["sample", "--eps", "0", "--T", "2500", "--h", "2.5", "--steps", "1"], 3,
      "chain diverged at kernel step 0 (inner step 186)"),
-    (["order-check", "--h-list", "0,0.5"], 2, "each h must be positive, got h=0.0"),
-    (["chaos-scan", "--T", "0"], 2, "T must be positive, got T=0.0"),
-    (["bias-scan", "--T", "0"], 2, "T must be positive, got T=0.0"),
+    (["order-check", "--h-list", "0,0.5"], 2, "h must be finite and positive, got h=0.0"),
+    (["chaos-scan", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
+    (["bias-scan", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
     (["sample", "--columns", "0"], 2, "columns must be a positive integer, got 0"),
     (["sample", "--columns", "-2"], 2, "columns must be a positive integer, got -2"),
     (["chaos-scan", "--N-list", ","], 2, "--N-list ',' names no values"),
@@ -127,10 +127,10 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
      "T/h must be a positive integer, got T=1.0, h=0.3"),
     # contraction checks its inputs before the condition warnings
     (["contraction", "--N", "0"], 2, "N must be a positive integer, got 0"),
-    (["contraction", "--h", "0"], 2, "the coupled kernel needs h > 0, got h=0.0"),
+    (["contraction", "--h", "0"], 2, "h must be finite and positive, got h=0.0"),
     (["contraction", "--h", "0.3"], 2,
      "T/h must be a positive integer, got T=1.0, h=0.3"),
-    (["contraction", "--T", "0"], 2, "T must be positive"),
+    (["contraction", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
     (["contraction", "--dim", "2"], 2,
      "--dim applies to the multiwell model only, not gaussian"),
     (["sample", "--dim", "2"], 2,
@@ -153,8 +153,8 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
      "--steps 10 with --burn-in 0.95 keeps 0 samples per k; "
      "the density estimate needs at least 100"),
     (["bias-scan", "--steps", "-5"], 2, "steps must be a positive integer"),
-    (["order-check", "--T", "0"], 2, "T must be positive, got T=0.0"),
-    (["order-check", "--T", "-1"], 2, "T must be positive, got T=-1.0"),
+    (["order-check", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
+    (["order-check", "--T", "-1"], 2, "T must be finite and positive, got T=-1.0"),
     # a non-finite offset is an input error, not a divergence
     (["contraction", "--offset", "nan"], 2, "offset must be finite, got offset=nan"),
     (["contraction", "--offset", "inf"], 2, "offset must be finite, got offset=inf"),
@@ -167,6 +167,16 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
      "epsilon must be finite and nonnegative, got epsilon=inf"),
     (["sample", "--model", "shallow-net", "--data", str(GOLDEN / "shallow_net_data.csv"),
       "--eps", "nan"], 2, "epsilon must be finite and nonnegative, got epsilon=nan"),
+    # an infinite duration or step size fails the one (T, h) rule before
+    # any step runs, under either kernel
+    (["bias-scan", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
+    (["chaos-scan", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
+    (["contraction", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
+    (["order-check", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
+    (["sample", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
+    (["sample", "--h", "0", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
+    (["bias-scan", "--h-rule", "fixed", "--h", "inf"], 2,
+     "h must be finite and positive, got h=inf"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
@@ -182,6 +192,19 @@ def test_constants_rejects_non_finite_model_parameters(capsys, flag, value):
     name = "epsilon" if flag == "--eps" else "a"
     assert captured.err == (f"error: {name} must be finite and nonnegative, "
                             f"got {name}={value}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--T", "inf", "T must be finite and positive, got T=inf"),
+    ("--m2-init", "nan", "m2_init must be finite and nonnegative, got m2_init=nan"),
+    ("--m2-init", "-5", "m2_init must be finite and nonnegative, got m2_init=-5.0"),
+    ("--B3", "nan", "B3 must be finite and positive, got B3=nan"),
+])
+def test_constants_rejects_bad_inputs(capsys, flag, value, message):
+    assert main(["constants", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

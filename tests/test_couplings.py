@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, norm
 
 from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
-                           KernelParams, RngStream, compute_constants,
+                           RngStream, compute_constants,
                            couple_velocities_batch, coupled_uhmc_step,
                            ell1_bar, gaussian_model,
                            metric_f, metric_f_prime, multiwell_model, rho_N)
@@ -157,21 +157,19 @@ def test_particlewise_mixed_branches():
 
 def test_coupled_step_faithful_on_equal_inputs():
     m = gaussian_model(0.25)
-    params = KernelParams(T=1.0, h=0.25)
     cp = CouplingParams(R_tilde=0.0, T=1.0)
     x = RngStream(9).normal_vector(6).reshape(6, 1)
-    a, b = coupled_uhmc_step(m, x, x.copy(), params, cp, RngStream(10))
+    a, b = coupled_uhmc_step(m, x, x.copy(), 0.25, cp, RngStream(10))
     assert np.array_equal(a, b)
 
 
 def test_coupled_step_determinism():
     m = gaussian_model(0.25)
-    params = KernelParams(T=1.0, h=0.25)
     cp = CouplingParams(R_tilde=0.0, T=1.0)
     x = RngStream(11).normal_vector(6).reshape(6, 1)
     xp = x + 0.7
-    a1, b1 = coupled_uhmc_step(m, x, xp, params, cp, RngStream(12))
-    a2, b2 = coupled_uhmc_step(m, x, xp, params, cp, RngStream(12))
+    a1, b1 = coupled_uhmc_step(m, x, xp, 0.25, cp, RngStream(12))
+    a2, b2 = coupled_uhmc_step(m, x, xp, 0.25, cp, RngStream(12))
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
@@ -182,13 +180,21 @@ def test_coupled_step_checks_inputs_before_drawing(synchronous):
     stream = RngStream(0)
     # (3, 4, 1) and (4, 1) would broadcast silently
     with pytest.raises(ValueError, match="identical shapes"):
-        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((4, 1)),
-                          KernelParams(T=1.0, h=0.25), cp, stream,
+        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((4, 1)), 0.25, cp, stream,
                           synchronous=synchronous)
-    with pytest.raises(ValueError, match="h > 0"):
-        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((3, 4, 1)),
-                          KernelParams(T=1.0, h=0.0), cp, stream,
-                          synchronous=synchronous)
+    x = np.ones((3, 4, 1))
+    for h, message in ((0.0, "h must be finite and positive, got h=0.0"),
+                       (0.3, "T/h must be a positive integer, got T=1.0, h=0.3")):
+        with pytest.raises(ValueError) as err:
+            coupled_uhmc_step(m, x, x, h, cp, stream, synchronous=synchronous)
+        assert str(err.value) == message
+    # the step runs for cp.T, which the coupling refuses unless it is a
+    # valid duration, so no step can draw with a bad one
+    for T in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError) as err:
+            coupled_uhmc_step(m, x, x, 0.25, CouplingParams(R_tilde=0.0, T=T), stream,
+                              synchronous=synchronous)
+        assert str(err.value) == f"T must be finite and positive, got T={T}"
     assert stream.counter == 0
 
 
@@ -199,12 +205,11 @@ def test_coupled_step_reports_earlier_divergence():
     # is.  The indices were recorded with the earlier coupled step, which
     # looped over the two copies itself.
     m = gaussian_model(0.0)
-    params = KernelParams(T=2500.0, h=2.5)
     cp = CouplingParams(R_tilde=0.0, T=2500.0)
     near, far = np.ones((1, 1)), np.full((1, 1), 1e60)
     for x, xp, step in ((near, near, 185), (near, far, 76), (far, near, 76)):
         with pytest.raises(IntegrationDivergedError) as err:
-            coupled_uhmc_step(m, x, xp, params, cp, RngStream(3), synchronous=True)
+            coupled_uhmc_step(m, x, xp, 2.5, cp, RngStream(3), synchronous=True)
         assert err.value.step_index == step
 
 
@@ -213,13 +218,12 @@ def test_multiwell_one_step_contracts_on_average():
     T = 0.5
     tc = compute_constants(mw, T)
     cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
-    params = KernelParams(T=T, h=0.125)
     stream = RngStream(13)
     reps = 4000
     x = stream.normal_vector(reps * 4).reshape(reps, 4, 1)
     xp = x + 1.0
     r0 = rho_N(x, xp, tc.R1, T)
-    a, b = coupled_uhmc_step(mw, x, xp, params, cp, stream)
+    a, b = coupled_uhmc_step(mw, x, xp, 0.125, cp, stream)
     r1 = rho_N(a, b, tc.R1, T)
     se = r1.std(ddof=1) / np.sqrt(reps)
     assert r1.mean() + 3 * se < r0.mean()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from meanfield_hmc import (KernelParams, RngStream, compute_constants,
+from meanfield_hmc import (RngStream, compute_constants,
                            draw_initial_positions, gaussian_model,
                            multiwell_model, randomized_step_arrays, run_chain,
                            stationary_gaussian_sample_arrays, uhmc_step_arrays,
                            xhmc_step_gaussian_arrays)
-from meanfield_hmc.integrators import IntegrationDivergedError
+from meanfield_hmc.integrators import (IntegrationDivergedError, _check_duration,
+                                      _integral_steps, _snap_step_size)
 
 
 def uhmc_variance_oracle(omega2, T, h):
@@ -23,21 +24,46 @@ def uhmc_variance_oracle(omega2, T, h):
 
 
 def test_kernel_params_validation():
-    for T, h in ((1.0, 0.3), (0.0, 0.25), (1.0, -0.25)):
-        with pytest.raises(ValueError):
-            KernelParams(T=T, h=h)
-    # accepted: h = 0 (the exact kernel), and T/h integral up to rounding
+    # the one rule for a kernel's duration T and step size h
+    for T in (0.0, -1.0, np.nan, np.inf):
+        message = f"T must be finite and positive, got T={T}"
+        for check in (_check_duration, lambda T: _integral_steps(T, 0.25)):
+            with pytest.raises(ValueError) as err:
+                check(T)
+            assert str(err.value) == message
+    for h, message in ((0.0, "h must be finite and positive, got h=0.0"),
+                       (-0.25, "h must be finite and positive, got h=-0.25"),
+                       (np.nan, "h must be finite and positive, got h=nan"),
+                       (np.inf, "h must be finite and positive, got h=inf"),
+                       (0.3, "T/h must be a positive integer, got T=1.0, h=0.3"),
+                       # T/h overflows to inf
+                       (1e-320, "T/h must be a positive integer, got T=1.0, h=1e-320")):
+        with pytest.raises(ValueError) as err:
+            _integral_steps(1.0, h)
+        assert str(err.value) == message
+    # accepted: T/h integral up to rounding
     t = np.sqrt(0.15)
-    for T, h in ((1.0, 0.0), (1.0, 0.25), (1.0, 0.125), (t, t / 8)):
-        KernelParams(T=T, h=h)
+    for T, h, n in ((1.0, 0.25, 4), (1.0, 0.125, 8), (t, t / 8, 8)):
+        _check_duration(T)
+        assert _integral_steps(T, h) == n
+
+
+def test_snap_step_size():
+    # the largest h <= h_raw with T/h integral, T itself for any h_raw >= T
+    for h_raw, h in ((0.25, 0.25), (0.3, 0.25), (0.2, 1 / 5), (1.0, 1.0), (1e13, 1.0)):
+        assert _snap_step_size(1.0, h_raw) == h
+    with pytest.raises(ValueError, match="h must be finite and positive, got h=inf"):
+        _snap_step_size(1.0, np.inf)
+    with pytest.raises(ValueError, match="T must be finite and positive, got T=nan"):
+        _snap_step_size(np.nan, 0.25)
 
 
 def test_uhmc_single_inner_step_composition():
     # T = h: the kernel is a refresh followed by one randomized step
     m = gaussian_model(0.25)
     x = np.array([[0.2], [-0.8], [1.1]])
-    params = KernelParams(T=0.5, h=0.5)
-    out = uhmc_step_arrays(m, x, params, RngStream(13))
+    T, h = 0.5, 0.5
+    out = uhmc_step_arrays(m, x, T, h, RngStream(13))
     s = RngStream(13)
     xi = s.normal_vector(3).reshape(3, 1)
     u = s.uniform()
@@ -48,22 +74,22 @@ def test_uhmc_single_inner_step_composition():
 def test_uhmc_seed_reproducibility():
     m = gaussian_model(0.25)
     x = np.zeros((5, 1))
-    params = KernelParams(T=1.0, h=0.125)
-    a = uhmc_step_arrays(m, x, params, RngStream(77))
-    b = uhmc_step_arrays(m, x, params, RngStream(77))
+    T, h = 1.0, 0.125
+    a = uhmc_step_arrays(m, x, T, h, RngStream(77))
+    b = uhmc_step_arrays(m, x, T, h, RngStream(77))
     assert np.array_equal(a, b)
 
 
 def test_uhmc_long_run_variance_matches_target():
     # decoupled single-particle chains on the standard normal target
     m = gaussian_model(0.0)
-    params = KernelParams(T=1.0, h=1 / 32)
+    T, h = 1.0, 1 / 32
     stream = RngStream(101)
     chains = 8
     q = stream.normal_vector(chains).reshape(chains, 1, 1)
     samples = np.empty((10_000, chains))
     for k in range(10_000):
-        q = uhmc_step_arrays(m, q, params, stream)
+        q = uhmc_step_arrays(m, q, T, h, stream)
         samples[k] = q[:, 0, 0]
     variances = samples[500:].var(axis=0)
     assert np.all(np.abs(variances - 1.0) < 0.1)
@@ -85,12 +111,11 @@ def test_uhmc_stationary_bias_shrinks_with_step():
     measured = []
     ses = []
     for h in (1 / 8, 1 / 16, 1 / 32):
-        params = KernelParams(T=1.0, h=h)
         chains = 48
         q = stream.normal_vector(chains).reshape(chains, 1, 1)
         acc = np.empty((3000, chains))
         for k in range(3300):
-            q = uhmc_step_arrays(m, q, params, stream)
+            q = uhmc_step_arrays(m, q, 1.0, h, stream)
             if k >= 300:
                 acc[k - 300] = q[:, 0, 0]
         per_chain = acc.var(axis=0)
@@ -161,8 +186,8 @@ def test_draw_initial_positions_modes():
         draw_initial_positions(multiwell_model(1.0), 4, "stationary", RngStream(0))
 
 
-def _uhmc(model, params, stream):
-    return lambda q: uhmc_step_arrays(model, q, params, stream)
+def _uhmc(model, T, h, stream):
+    return lambda q: uhmc_step_arrays(model, q, T, h, stream)
 
 
 def _whole(q):
@@ -172,9 +197,9 @@ def _whole(q):
 def test_run_chain_single_step_equals_kernel():
     m = gaussian_model(0.25)
     x0 = np.full((3, 1), 0.5)
-    params = KernelParams(T=1.0, h=0.25)
-    out = run_chain(_uhmc(m, params, RngStream(21)), x0, 1, _whole)
-    direct = uhmc_step_arrays(m, x0, params, RngStream(21))
+    T, h = 1.0, 0.25
+    out = run_chain(_uhmc(m, T, h, RngStream(21)), x0, 1, _whole)
+    direct = uhmc_step_arrays(m, x0, T, h, RngStream(21))
     assert out.shape == (2, 3, 1)
     assert np.array_equal(out[0], x0)
     assert np.array_equal(out[-1], direct)
@@ -193,7 +218,7 @@ def test_run_chain_exact_kernel_equals_direct_steps():
 
 def test_run_chain_thinning_count():
     m = gaussian_model(0.25)
-    step = _uhmc(m, KernelParams(T=1.0, h=0.5), RngStream(2))
+    step = _uhmc(m, 1.0, 0.5, RngStream(2))
     out = run_chain(step, np.zeros((2, 1)), 100, _whole, thin=10)
     assert out.shape == (11, 2, 1)
 
@@ -215,16 +240,15 @@ def test_run_chain_records_a_tuple_and_a_coupled_pair():
 
 def test_run_chain_determinism():
     m = gaussian_model(0.25)
-    params = KernelParams(T=1.0, h=0.25)
-    a = run_chain(_uhmc(m, params, RngStream(6)), np.zeros((4, 1)), 20, _whole)
-    b = run_chain(_uhmc(m, params, RngStream(6)), np.zeros((4, 1)), 20, _whole)
+    a = run_chain(_uhmc(m, 1.0, 0.25, RngStream(6)), np.zeros((4, 1)), 20, _whole)
+    b = run_chain(_uhmc(m, 1.0, 0.25, RngStream(6)), np.zeros((4, 1)), 20, _whole)
     assert np.array_equal(a, b)
 
 
 def test_run_chain_divergence_names_kernel_and_inner_step():
     # h = 2.5 is unstable for the unit harmonic force; the step indices
     # were read from the step-by-step reference loop
-    step = _uhmc(gaussian_model(0.0), KernelParams(T=50.0, h=2.5), RngStream(3))
+    step = _uhmc(gaussian_model(0.0), 50.0, 2.5, RngStream(3))
     with pytest.raises(IntegrationDivergedError) as err:
         run_chain(step, np.ones((4, 1)), 100, _whole)
     assert err.value.step_index == 9

@@ -151,8 +151,6 @@ def test_shallow_net_validation():
     m = shallow_net_model(data)
     with pytest.raises(InvalidModelError):
         m.V(np.zeros(5))  # parameter dim is 3
-    with pytest.raises(InvalidModelError):
-        shallow_net_model(data, activation="relu")
 
 
 def test_shallow_net_constants_flagged_estimates():
