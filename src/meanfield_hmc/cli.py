@@ -199,7 +199,6 @@ def _run_constants(args):
     model = _model_from_args(args)
     tc = compute_constants(model, args.T, m2_init=args.m2_init, B3=args.B3)
     table = constants_table(tc)
-    reports = tc.conditions
     if args.json:
         payload = {
             "model": model.name,
@@ -210,7 +209,7 @@ def _run_constants(args):
                                   "lhs": json_safe(rep.lhs),
                                   "rhs": json_safe(rep.rhs),
                                   "ratio": json_safe(rep.ratio)}
-                           for name, rep in reports.items()},
+                           for name, rep in tc.conditions.items()},
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return EXIT_OK
@@ -222,7 +221,7 @@ def _run_constants(args):
         print(f"{name:<16}{value:<24.12g}{formula}")
     print()
     print(f"{'condition':<18}{'status':<8}{'lhs':<14}{'rhs':<14}ratio")
-    for name, rep in reports.items():
+    for name, rep in tc.conditions.items():
         status = "pass" if rep.passed else "FAIL"
         print(f"{name:<18}{status:<8}{rep.lhs:<14.6g}{rep.rhs:<14.6g}{rep.ratio:.6g}")
     return EXIT_OK

@@ -157,9 +157,7 @@ def _exact_reciprocal(y: float) -> float:
     Returns the unadjusted 1/y when no such double exists.
     """
     a = 1.0 / y
-    if a * y == 1.0:
-        return a
-    for candidate in (math.nextafter(a, 0.0), math.nextafter(a, math.inf)):
+    for candidate in (a, math.nextafter(a, 0.0), math.nextafter(a, math.inf)):
         if candidate * y == 1.0:
             return candidate
     return a
@@ -172,22 +170,26 @@ def _exact_reciprocal(y: float) -> float:
 _R1_MAX_ULPS = 4096
 
 
-def metric_radius(R_tilde: float, T: float) -> float:
-    """Radius R1 = (5/4)(R_tilde + 2T) beyond which the metric profile is linear.
+def metric_radius(R_tilde: float, T: float) -> tuple:
+    """(R1, A): the radius R1 = (5/4)(R_tilde + 2T) beyond which the metric
+    profile is linear, and the envelope constant A = exp(R1/T) = 1/f'(R1).
 
     Not every double slope exp(-R1/T) has a double reciprocal, so R1 is
-    raised by the fewest ulps that give it one; A = 1/f'(R1) then holds
-    exactly.  A slope that underflows, or whose reciprocal overflows,
-    leaves R1 as computed.  The contraction metric and the reported A
-    both take R1 from here.
+    raised by the fewest ulps that give it one; A * f'(R1) == 1 then holds
+    exactly.  A slope that underflows (A = inf), or whose reciprocal
+    overflows, leaves R1 as computed.  The contraction metric and the
+    reported A both come from here.
     """
     r1 = base = 1.25 * (R_tilde + 2.0 * T)
     for _ in range(_R1_MAX_ULPS):
         slope = metric_f_prime(r1, r1, T)
-        if slope == 0.0 or math.isinf(1.0 / slope) or _exact_reciprocal(slope) * slope == 1.0:
-            return r1
+        if slope == 0.0:
+            return r1, math.inf
+        a = _exact_reciprocal(slope)
+        if math.isinf(a) or a * slope == 1.0:
+            return r1, a
         r1 = math.nextafter(r1, math.inf)
-    return base
+    return base, _exact_reciprocal(metric_f_prime(base, base, T))
 
 
 def rho_N(x: np.ndarray, y: np.ndarray, R1: float, T: float):

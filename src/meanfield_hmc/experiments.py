@@ -67,6 +67,13 @@ def build_model(name: str, epsilon: float = 0.25, a: float = 1.0,
     raise ConfigError(f"unknown model {name!r}")
 
 
+def _check_count(flag: str, value: int, least: int = 1) -> None:
+    """A ConfigError naming ``flag`` and ``value`` unless value >= least."""
+    if value < least:
+        rule = "a positive integer" if least == 1 else f"at least {least}"
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def _scan(one_point, points, seed: int, threads: int):
     """Run ``one_point(stream, point)``, which returns (row, detail), for
     each point on substream i of ``seed``; return (rows, detail) in input
@@ -273,10 +280,9 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     ``burn_in`` under which no admissible R keeps as many samples as the
     density estimate needs; both are found before any step runs.
     """
-    if steps < 1:
-        raise ConfigError("steps must be a positive integer")
+    _check_count("steps", steps)
     if not 1 <= k_max <= 5:
-        raise ConfigError("k_max must lie in 1..5")
+        raise ConfigError(f"k_max must lie in 1..5, got {k_max}")
     if h_rule not in _H_RULES:
         raise ConfigError(f"h rule must be one of {_H_RULES}")
     if h_rule == "fixed" and not h_fixed:
@@ -284,7 +290,7 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     if h_rule != "fixed" and h_fixed is not None:
         raise ConfigError(f"--h applies to --h-rule fixed only, not {h_rule}")
     if not 0 <= burn_in < 1:
-        raise ConfigError("burn-in fraction must lie in [0, 1)")
+        raise ConfigError(f"burn-in fraction must lie in [0, 1), got {burn_in}")
     _check_duration(T)
     model = gaussian_model(epsilon)
     replicas, per, burn = _bias_replicas(steps, burn_in)
@@ -348,10 +354,10 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
     about its known mean 0, and the Wasserstein-1 distance of the pooled
     first-coordinate marginal from fresh standard normal draws.
     """
-    if any(n < 2 for n in N_list):
-        raise ConfigError("each N must be at least 2")
-    if m < 1 or replicas < 2:
-        raise ConfigError("m must be >= 1 and replicas >= 2")
+    for n in N_list:
+        _check_count("N", n, 2)
+    _check_count("steps", m)
+    _check_count("replicas", replicas, 2)
     _check_duration(T)
 
     def one_n(stream, n_particles):
@@ -432,12 +438,9 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     The footer adds the theory's rate c_uhmc and envelope constant A; the
     summary's ``warnings`` names the admissibility conditions that failed.
     """
-    if m < 1:
-        raise ConfigError("m must be a positive integer")
-    if replicas < 2:
-        raise ConfigError("replicas must be at least 2")
-    if N < 1:
-        raise ConfigError(f"N must be a positive integer, got {N}")
+    _check_count("steps", m)
+    _check_count("replicas", replicas, 2)
+    _check_count("N", N)
     _integral_steps(T, h)
     if not math.isfinite(offset):
         raise ConfigError(f"offset must be finite, got offset={offset}")
@@ -498,12 +501,11 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     momenta, flows both integrators from the same state for duration T,
     and averages the particle-mean weighted phase-space error
     mean_i sqrt(|dq_i|^2 + |dp_i|^2 / L_e).  The expected log-log slope
-    in h is 3/2.
+    in h is 3/2.  The footer's detail line gives each mean's standard
+    error across replicas.
     """
-    if replicas < 2:
-        raise ConfigError("replicas must be at least 2")
-    if N < 1:
-        raise ConfigError(f"N must be a positive integer, got {N}")
+    _check_count("replicas", replicas, 2)
+    _check_count("N", N)
     model = gaussian_model(epsilon)
     for h in h_list:
         _integral_steps(T, h)
@@ -526,7 +528,9 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     config = {"h_list": [float(h) for h in h_list], "T": T, "N": N,
               "epsilon": epsilon, "replicas": replicas}
     return Report(
-        ORDER_COLUMNS, rows, config, [f"loglog_slope_vs_h: {slope!r}"], {"slope": slope},
+        ORDER_COLUMNS, rows, config,
+        [f"loglog_slope_vs_h: {slope!r}", "detail: " + config_json(detail)],
+        {"slope": slope},
         dict(xs=[math.log2(h) for h, _ in rows], ys=[e for _, e in rows],
              xlabel="log2 h", ylabel="weighted error",
              title="randomized integrator strong error", guide_factor=2.0 ** 1.5),
@@ -546,12 +550,11 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     (at least 1) caps the number of coordinates written per row for large
     systems.
     """
-    if m < 1:
-        raise ConfigError("steps must be a positive integer")
-    if N < 1:
-        raise ConfigError("N must be a positive integer")
-    if columns is not None and columns < 1:
-        raise ConfigError(f"columns must be a positive integer, got {columns}")
+    _check_count("steps", m)
+    _check_count("N", N)
+    _check_count("thin", thin)
+    if columns is not None:
+        _check_count("columns", columns)
     if h != 0:
         _integral_steps(T, h)
     else:
@@ -560,12 +563,13 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
             raise ConfigError("the exact kernel is implemented only for the gaussian model")
     stream = RngStream(seed)
     x0 = draw_initial_positions(model, N, init, stream)
+    # before the chain, so that constants out of floating-point range fail fast
+    tc = compute_constants(model, T, m2_init=float((x0 * x0).sum(axis=-1).mean()))
     total = N * model.dim
     n_cols = total if columns is None else min(int(columns), total)
     if h == 0:
         # the exact flow of the 1-d model acts on (N,) arrays
-        eps = model.params["epsilon"]
-        step = lambda q: xhmc_step_gaussian_arrays(eps, q, T, stream)
+        step = lambda q: xhmc_step_gaussian_arrays(model.epsilon, q, T, stream)
         state = x0[:, 0]
     else:
         step = lambda q: uhmc_step_arrays(model, q, T, h, stream)
@@ -573,7 +577,6 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     recorded = run_chain(step, state, m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
     rows = [(idx * thin, *r) for idx, r in enumerate(recorded)]
-    tc = compute_constants(model, T, m2_init=float((x0 * x0).sum(axis=-1).mean()))
     footer = ["constants: " + config_json(
         {name: json_safe(val) for name, val, _ in constants_table(tc)})]
     config = {"model": model.name, "model_params": model.params, "N": N,

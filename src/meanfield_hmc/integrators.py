@@ -17,10 +17,12 @@ import math
 
 import numpy as np
 
-from .models import MeanFieldModel, mean_field_grad_all
+from .models import (MeanFieldModel, _check_quadratic_epsilon,
+                     mean_field_grad_all)
 from .rng import RngStream
 
 DIVERGENCE_LIMIT = 1e100
+_RATIO_MESSAGE = "T/h must be a positive integer, got T={T}, h={h}"
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -56,7 +58,7 @@ def _integral_steps(T: float, h: float) -> int:
     ratio = T / h
     n = int(round(ratio)) if ratio < math.inf else 0
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
-        raise ValueError(f"T/h must be a positive integer, got T={T}, h={h}")
+        raise ValueError(_RATIO_MESSAGE.format(T=T, h=h))
     return n
 
 
@@ -64,7 +66,10 @@ def _snap_step_size(T: float, h_raw: float) -> float:
     """Largest h <= h_raw with T/h integral (T itself when h_raw >= T)."""
     _check_duration(T)
     _check_step(h_raw)
-    return T / max(1, math.ceil(T / h_raw - 1e-12))
+    ratio = T / h_raw
+    if ratio == math.inf:
+        raise ValueError(_RATIO_MESSAGE.format(T=T, h=h_raw))
+    return T / max(1, math.ceil(ratio - 1e-12))
 
 
 def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
@@ -147,8 +152,7 @@ def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
     The mean-mode correction is one number per batch element, so the
     rounding error does not grow with N.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1) for a real mean-mode frequency")
+    _check_quadratic_epsilon(epsilon)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     q_bar = q.mean(axis=-1, keepdims=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .integrators import (IntegrationDivergedError, exact_gaussian_flow_arrays,
                           randomized_flow_arrays)
-from .models import MeanFieldModel
+from .models import MeanFieldModel, _check_quadratic_epsilon
 from .rng import RngStream
 
 
@@ -42,8 +42,7 @@ def stationary_gaussian_sample_arrays(epsilon: float, shape, stream: RngStream) 
     with M = I - (eps/N) 11^T: draw z ~ N(0, I) and stretch its mean
     direction by 1/sqrt(1 - eps).
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
+    _check_quadratic_epsilon(epsilon)
     shape = tuple(int(s) for s in shape)
     z = stream.normal_vector(int(np.prod(shape))).reshape(shape)
     scale = 1.0 / np.sqrt(1.0 - epsilon) - 1.0
@@ -60,8 +59,7 @@ def draw_initial_positions(model: MeanFieldModel, N: int, init: str,
     if init == "stationary":
         if model.name != "gaussian":
             raise ValueError("stationary start is available only for the gaussian model")
-        eps = model.params["epsilon"]
-        return stationary_gaussian_sample_arrays(eps, (N,), stream)[:, None]
+        return stationary_gaussian_sample_arrays(model.epsilon, (N,), stream)[:, None]
     raise ValueError(f"unknown init {init!r}; expected cold, normal, or stationary")
 
 

@@ -241,17 +241,23 @@ def potential_energy(model: MeanFieldModel, positions: np.ndarray) -> np.ndarray
 # built-in model: 1-d quadratic confinement + mean-attracting pair term
 
 
-def gaussian_model(epsilon: float) -> MeanFieldModel:
-    """1-d model with V(x) = x^2 (1 - eps)/2 and W(x, y) = eps ((x-y)^2 - 1)/2.
-
-    The per-particle force is -q^i + (eps/N) sum_j q^j and the
-    single-particle target reduces exactly to N(0, 1).  ``eps`` lives
-    inside W, so the model's interaction-strength field is 1.
-    """
+def _check_quadratic_epsilon(epsilon: float) -> None:
+    """Raise InvalidModelError unless 0 <= epsilon < 1, the range of the
+    gaussian model, its exact flow and its stationary sampler."""
     if not 0.0 <= epsilon < 1.0:
         raise InvalidModelError(
-            "epsilon must lie in [0, 1); at 1 the target loses integrability "
-            "along the mean direction")
+            f"epsilon must lie in [0, 1), got epsilon={epsilon}; at 1 the "
+            "target loses integrability along the mean direction")
+
+
+def gaussian_model(epsilon: float) -> MeanFieldModel:
+    """1-d model with V(x) = x^2 (1 - eps)/2 and W(x, y) = ((x-y)^2 - 1)/2
+    at strength eps.
+
+    The per-particle force is -q^i + (eps/N) sum_j q^j and the
+    single-particle target reduces exactly to N(0, 1).
+    """
+    _check_quadratic_epsilon(epsilon)
     eps = float(epsilon)
 
     def V(x):
@@ -262,11 +268,7 @@ def gaussian_model(epsilon: float) -> MeanFieldModel:
         return (1.0 - eps) * np.asarray(x, dtype=float)
 
     def W(x, y):
-        diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return 0.5 * eps * (np.sum(diff * diff, axis=-1) - 1.0)
-
-    def grad1_W(x, y):
-        return eps * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+        return _quadratic_pair(x, y) - 0.5
 
     def grad_U_all(q):
         # grad_i U = q^i - (eps/N) sum_j q^j, via the shared particle sum;
@@ -274,10 +276,10 @@ def gaussian_model(epsilon: float) -> MeanFieldModel:
         return q - eps * (np.add.reduce(q, axis=-2, keepdims=True) / q.shape[-2])
 
     constants = AssumptionConstants(
-        K=1.0 - eps, L1=1.0, L2=1.0, L_tilde=eps, R_conv=0.0, W0=0.0)
+        K=1.0 - eps, L1=1.0, L2=1.0, L_tilde=1.0, R_conv=0.0, W0=0.0)
     return MeanFieldModel(
-        name="gaussian", dim=1, epsilon=1.0,
-        grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
+        name="gaussian", dim=1, epsilon=eps,
+        grad_V=grad_V, grad1_W=_quadratic_pair_grad, V=V, W=W,
         constants=constants, grad_U_all=grad_U_all,
         params={"epsilon": eps})
 
@@ -315,13 +317,7 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         # W = 0, so epsilon scales nothing and the force is grad_V alone
         grad_U_all = grad_V
     elif interaction == "quadratic":
-        def W(x, y):
-            diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-            return 0.5 * np.sum(diff * diff, axis=-1)
-
-        def grad1_W(x, y):
-            return np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-
+        W, grad1_W = _quadratic_pair, _quadratic_pair_grad
         l_tilde = 1.0
         eps = float(epsilon)
 
@@ -340,6 +336,15 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
         constants=constants, grad_U_all=grad_U_all,
         params={"a": a, "epsilon": float(epsilon), "interaction": interaction})
+
+
+def _quadratic_pair(x, y):
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return 0.5 * np.sum(diff * diff, axis=-1)
+
+
+def _quadratic_pair_grad(x, y):
+    return np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
 
 
 def _zero_pair(x, y):

@@ -11,11 +11,11 @@ treated as +infinity.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .couplings import (CouplingParams, _exact_reciprocal, metric_f_prime,
-                        metric_radius)
+from .couplings import CouplingParams, metric_radius
 from .integrators import _check_duration
 from .models import MeanFieldModel
 
@@ -35,50 +35,50 @@ class ConditionReport:
     @property
     def ratio(self) -> float:
         """lhs / rhs; 0 when both sides vanish or rhs is infinite."""
-        if self.lhs == 0.0:
-            return 0.0
-        if math.isinf(self.rhs):
+        if self.lhs == 0.0 or math.isinf(self.rhs):
             return 0.0
         return self.lhs / self.rhs
+
+
+def _formula(text: str):
+    """A TheoryConstants field reported by :func:`constants_table` with ``text``."""
+    return field(metadata={"formula": text})
 
 
 @dataclass(frozen=True)
 class TheoryConstants:
     """Derived rates, bound constants, and admissibility flags.
 
-    ``B3`` is a free numerical prefactor of the discretization-bias
-    constant ``C``; no closed form pins it, so ``C`` is reported as the
-    family C(B3) with B3 = 1 by default.
+    Every field declared with a formula is a row of :func:`constants_table`,
+    in declaration order.  ``B3`` is a free numerical prefactor of the
+    discretization-bias constant ``C``; no closed form pins it, so ``C`` is
+    reported as the family C(B3) with B3 = 1 by default.
     """
 
-    T: float
+    K: float = _formula("strong co-coercivity rate")
+    L: float = _formula("max(L1, L2)")
+    L_tilde: float = _formula("interaction gradient Lipschitz constant")
+    R_conv: float = _formula("co-coercivity radius")
+    W0: float = _formula("|grad1_W(0, 0)|")
+    epsilon: float = _formula("interaction strength")
+    T: float = _formula("kernel duration")
+    R_tilde: float = _formula("sqrt((2L+K)/(6K)) * R_conv")
+    R1: float = _formula("(5/4) (R_tilde + 2T)")
+    gamma: float = _formula("min(1/T, 1/(4 R_tilde))")
+    C_hat: float = _formula("(2L+K) R_conv^2")
+    L_e: float = _formula("L + 2 eps L_tilde")
+    c_nhmc: float = _formula("(K T^2/156) exp(-5 R_tilde/(4T))")
+    c_strongconvex: float = _formula("K T^2 / 8")
+    c_uhmc: float = _formula("(K T^2/156) exp(-R_tilde/T)")
+    A: float = _formula("exp(R1/T) = 1/f'(R1)")
+    B1: float = _formula("m2_init + (1280/(13K)) (R_conv^2 (2L+K) + 11 d + 6 (eps W0)^2 T^2 + (45/2)(eps^2/K) W0^2)")
+    B: float = _formula("4 T^2 eps L_tilde sqrt(B1)")
+    B2: float = _formula("m2_init + (13/(1280 K)) (11 d + (15 eps/(2 L_tilde) + 6 eps^2 T^2) W0^2 + R_conv^2 (2L+K))")
+    B3: float = _formula("free numerical prefactor (default 1)")
+    C: float = _formula("B3 L^(3/4) (T sqrt(d) + sqrt(B2) + (eps/K) W0) / c_uhmc")
     d: int
-    epsilon: float
     m2_init: float
-    K: float
-    L: float
-    L_tilde: float
-    R_conv: float
-    W0: float
-    R_tilde: float
-    R1: float
-    gamma: float
-    C_hat: float
-    L_e: float
-    c_nhmc: float
-    c_strongconvex: float
-    c_uhmc: float
-    A: float
-    B1: float
-    B: float
-    B2: float
-    B3: float
-    C: float
     conditions: dict = field(default_factory=dict)
-
-
-def _inv_or_inf(x: float) -> float:
-    return math.inf if x == 0.0 else 1.0 / x
 
 
 def _r_tilde(c) -> float:
@@ -86,6 +86,22 @@ def _r_tilde(c) -> float:
     return math.sqrt((2.0 * c.L + c.K) / (6.0 * c.K)) * c.R_conv
 
 
+def _in_float_range(fn):
+    """``fn(model, T, ...)`` with an ArithmeticError (a T^2 that overflows or
+    underflows to a zero divisor) re-raised as a ValueError naming T and the model."""
+    @functools.wraps(fn)
+    def checked(model: MeanFieldModel, T: float, *args, **kwargs):
+        try:
+            return fn(model, T, *args, **kwargs)
+        except ArithmeticError:
+            params = ", ".join(f"{key}={value}" for key, value in model.params.items())
+            raise ValueError(
+                f"theory constants leave the floating-point range at T={T} "
+                f"for the {model.name} model ({params})") from None
+    return checked
+
+
+@_in_float_range
 def check_conditions(model: MeanFieldModel, T: float) -> dict:
     """Evaluate every admissibility inequality at duration ``T``.
 
@@ -99,7 +115,9 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
     K, L, Lt = c.K, c.L, c.L_tilde
     eps_lt = model.epsilon * Lt
     r_tilde = _r_tilde(c)
-    inv_rt2 = _inv_or_inf(r_tilde**2)
+    inv_rt2 = math.inf if r_tilde**2 == 0.0 else 1.0 / r_tilde**2
+    root = math.sqrt(7.0 / 6.0 + 3.0 / (2.0 * K * T**2))
+    decay = math.exp(-2.5 * r_tilde / T - 5.0)
 
     reports = {}
 
@@ -107,23 +125,19 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
         reports[name] = ConditionReport(name=name, lhs=lhs, rhs=rhs)
 
     add("cond_T", L * T**2, 0.6 * min(0.25, (3.0 / (1280.0 * L)) * inv_rt2))
-    add("cond_eps", eps_lt,
-        (5.0 / 64.0) * K / math.sqrt(7.0 / 6.0 + 3.0 / (2.0 * K * T**2))
-        * math.exp(-2.5 * r_tilde / T - 5.0))
+    add("cond_eps", eps_lt, (5.0 / 64.0) * K / root * decay)
     add("cond_T_strong", L * T**2, 0.15)
-    add("cond_eps_strong", eps_lt,
-        (K / 15.0) / math.sqrt(7.0 / 6.0 + 3.0 / (2.0 * K * T**2)))
+    add("cond_eps_strong", eps_lt, (K / 15.0) / root)
     add("cond_CT", (L + 2.0 * eps_lt) * T**2,
         min(1.0 / 9.0, (1.0 / (1296.0 * L)) * inv_rt2))
     add("cond_Cepsi", eps_lt,
-        min(K / 3.0,
-            (125.0 * K / 624.0) / math.sqrt(7.0 + 1.0 / (K * T**2))
-            * math.exp(-2.5 * r_tilde / T - 5.0)))
+        min(K / 3.0, (125.0 * K / 624.0) / math.sqrt(7.0 + 1.0 / (K * T**2)) * decay))
     add("cond_T_moment", (L + 2.0 * eps_lt) * T**2, 0.25)
     add("cond_eps_moment", eps_lt, K / 3.0)
     return reports
 
 
+@_in_float_range
 def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
                       B3: float = 1.0) -> TheoryConstants:
     """Evaluate every derived constant and rate at duration ``T``.
@@ -138,23 +152,16 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
     if not 0 < B3 < math.inf:
         raise ValueError(f"B3 must be finite and positive, got B3={B3}")
     c = model.constants
-    if not c.K > 0:
-        raise ValueError("K must be positive")
     K, L, Lt, R, W0 = c.K, c.L, c.L_tilde, c.R_conv, c.W0
-    eps = model.epsilon
-    d = model.dim
+    eps, d = model.epsilon, model.dim
 
     r_tilde = _r_tilde(c)
-    r1 = metric_radius(r_tilde, T)
+    r1, a_const = metric_radius(r_tilde, T)
     l_e = L + 2.0 * eps * Lt
 
     c_nhmc = (K * T**2 / 156.0) * math.exp(-1.25 * r_tilde / T)
     c_strong = K * T**2 / 8.0
     c_uhmc = (K * T**2 / 156.0) * math.exp(-r_tilde / T)
-    # exp(-R1/T) can underflow for strongly multi-well models at small T;
-    # the reciprocal then reports as +inf rather than raising
-    fprime_r1 = float(metric_f_prime(r1, r1, T))
-    a_const = math.inf if fprime_r1 == 0.0 else _exact_reciprocal(fprime_r1)
 
     b1 = m2_init + (1280.0 / (13.0 * K)) * (
         R**2 * (2.0 * L + K) + 11.0 * d
@@ -215,28 +222,7 @@ def max_admissible_T(model: MeanFieldModel, condition_set: str) -> float:
 
 
 def constants_table(tc: TheoryConstants) -> list:
-    """(name, value, formula) rows for reporting."""
-    rows = [
-        ("K", tc.K, "strong co-coercivity rate"),
-        ("L", tc.L, "max(L1, L2)"),
-        ("L_tilde", tc.L_tilde, "interaction gradient Lipschitz constant"),
-        ("R_conv", tc.R_conv, "co-coercivity radius"),
-        ("W0", tc.W0, "|grad1_W(0, 0)|"),
-        ("epsilon", tc.epsilon, "interaction strength"),
-        ("T", tc.T, "kernel duration"),
-        ("R_tilde", tc.R_tilde, "sqrt((2L+K)/(6K)) * R_conv"),
-        ("R1", tc.R1, "(5/4) (R_tilde + 2T)"),
-        ("gamma", tc.gamma, "min(1/T, 1/(4 R_tilde))"),
-        ("C_hat", tc.C_hat, "(2L+K) R_conv^2"),
-        ("L_e", tc.L_e, "L + 2 eps L_tilde"),
-        ("c_nhmc", tc.c_nhmc, "(K T^2/156) exp(-5 R_tilde/(4T))"),
-        ("c_strongconvex", tc.c_strongconvex, "K T^2 / 8"),
-        ("c_uhmc", tc.c_uhmc, "(K T^2/156) exp(-R_tilde/T)"),
-        ("A", tc.A, "exp(R1/T) = 1/f'(R1)"),
-        ("B1", tc.B1, "m2_init + (1280/(13K)) (R_conv^2 (2L+K) + 11 d + 6 (eps W0)^2 T^2 + (45/2)(eps^2/K) W0^2)"),
-        ("B", tc.B, "4 T^2 eps L_tilde sqrt(B1)"),
-        ("B2", tc.B2, "m2_init + (13/(1280 K)) (11 d + (15 eps/(2 L_tilde) + 6 eps^2 T^2) W0^2 + R_conv^2 (2L+K))"),
-        ("B3", tc.B3, "free numerical prefactor (default 1)"),
-        ("C", tc.C, "B3 L^(3/4) (T sqrt(d) + sqrt(B2) + (eps/K) W0) / c_uhmc"),
-    ]
-    return rows
+    """(name, value, formula) rows for reporting, one per field of
+    :class:`TheoryConstants` that carries a formula."""
+    return [(f.name, getattr(tc, f.name), f.metadata["formula"])
+            for f in fields(tc) if "formula" in f.metadata]

@@ -27,7 +27,12 @@ GOLDEN = Path(__file__).parent / "golden"
 # and order-check files were last re-recorded when the exact flow of the
 # quadratic model became a closed form in the particle means, which moved
 # their values in the 14th-16th significant digit (the old mode transform's
-# prefix sum rounded more).  contraction_multiwell_2d.csv, the one run with
+# prefix sum rounded more); order_check.csv was re-recorded again when its
+# footer gained the per-h standard errors as a detail line, its rows
+# unchanged.  sample.csv was last re-recorded when the gaussian model came
+# to carry its interaction strength eps in epsilon, with a unit-strength W
+# (L_tilde 1): only the footer's "epsilon" (1.0 to 0.25) and "L_tilde"
+# (0.25 to 1.0) changed.  contraction_multiwell_2d.csv, the one run with
 # d > 1 and a pair interaction, was recorded before the multiwell force and
 # the velocity coupling moved their coordinate-axis reductions and
 # broadcasts into column loops.  shallow_net_data.csv is an input (12
@@ -110,6 +115,16 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
     assert [svg.read_bytes() for svg in tmp_path.glob("*.svg")] == expected
 
 
+def _theory_range(T, model):
+    return f"theory constants leave the floating-point range at T={T} for the {model}"
+
+
+_GAUSSIAN = "gaussian model (epsilon=0.25)"
+_MULTIWELL = "multiwell model (a={a}, epsilon={eps}, interaction={inter})"
+_EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
+              "at 1 the target loses integrability along the mean direction")
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["chaos-scan", "--N-list", "4,x"], 2, "cannot parse --N-list '4,x'"),
     (["order-check", "--h-list", "0.5,y"], 2, "cannot parse --h-list '0.5,y'"),
@@ -152,7 +167,7 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
     (["bias-scan", "--steps", "10", "--burn-in", "0.95"], 2,
      "--steps 10 with --burn-in 0.95 keeps 0 samples per k; "
      "the density estimate needs at least 100"),
-    (["bias-scan", "--steps", "-5"], 2, "steps must be a positive integer"),
+    (["bias-scan", "--steps", "-5"], 2, "steps must be a positive integer, got -5"),
     (["order-check", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
     (["order-check", "--T", "-1"], 2, "T must be finite and positive, got T=-1.0"),
     # a non-finite offset is an input error, not a divergence
@@ -177,9 +192,49 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
     (["sample", "--h", "0", "--T", "inf"], 2, "T must be finite and positive, got T=inf"),
     (["bias-scan", "--h-rule", "fixed", "--h", "inf"], 2,
      "h must be finite and positive, got h=inf"),
+    # a T^2 that overflows, or underflows to a zero divisor, in the theory
+    (["constants", "--T", "1e200"], 2, _theory_range("1e+200", _GAUSSIAN)),
+    (["constants", "--model", "multiwell", "--a", "1e300"], 2,
+     _theory_range("1.0", _MULTIWELL.format(a="1e+300", eps="0.25", inter=None))),
+    (["constants", "--model", "multiwell", "--interaction", "quadratic", "--eps", "1e300"],
+     2, _theory_range("1.0", _MULTIWELL.format(a="1.0", eps="1e+300", inter="quadratic"))),
+    (["contraction", "--T", "1e200", "--h", "1e200"], 2,
+     _theory_range("1e+200", _GAUSSIAN)),
+    (["contraction", "--model", "multiwell", "--a", "1e300", "--steps", "2",
+      "--replicas", "2"], 2,
+     _theory_range("1.0", _MULTIWELL.format(a="1e+300", eps="0.25", inter=None))),
+    (["sample", "--model", "multiwell", "--a", "1e300", "--steps", "2"], 2,
+     _theory_range("1.0", _MULTIWELL.format(a="1e+300", eps="0.25", inter=None))),
+    (["order-check", "--T", "1e200", "--h-list", "1e200", "--replicas", "2", "--N", "2"],
+     2, _theory_range("1e+200", _GAUSSIAN)),
+    (["constants", "--T", "1e-200"], 2, _theory_range("1e-200", _GAUSSIAN)),
+    (["contraction", "--T", "1e-300", "--h", "1e-300", "--steps", "2", "--replicas", "2"],
+     2, _theory_range("1e-300", _GAUSSIAN)),
+    (["sample", "--T", "1e-200", "--h", "1e-200", "--steps", "2"], 2,
+     _theory_range("1e-200", _GAUSSIAN)),
+    # T/h overflows for a subnormal h before the step size is snapped
+    (["bias-scan", "--h-rule", "fixed", "--h", "1e-320"], 2,
+     "T/h must be a positive integer, got T=1.0, h=1e-320"),
+    # every count names its flag and value
+    (["chaos-scan", "--steps", "0"], 2, "steps must be a positive integer, got 0"),
+    (["chaos-scan", "--replicas", "1"], 2, "replicas must be at least 2, got 1"),
+    (["chaos-scan", "--N-list", "1,4"], 2, "N must be at least 2, got 1"),
+    (["contraction", "--steps", "0"], 2, "steps must be a positive integer, got 0"),
+    (["contraction", "--replicas", "1"], 2, "replicas must be at least 2, got 1"),
+    (["order-check", "--replicas", "1"], 2, "replicas must be at least 2, got 1"),
+    (["sample", "--steps", "0"], 2, "steps must be a positive integer, got 0"),
+    (["sample", "--N", "0"], 2, "N must be a positive integer, got 0"),
+    (["sample", "--thin", "0"], 2, "thin must be a positive integer, got 0"),
+    (["bias-scan", "--k-max", "9"], 2, "k_max must lie in 1..5, got 9"),
+    (["bias-scan", "--burn-in", "1"], 2, "burn-in fraction must lie in [0, 1), got 1.0"),
+    # the one interaction-strength range of the quadratic model
+    (["sample", "--eps", "1"], 2, _EPS_RANGE),
+    (["chaos-scan", "--eps", "1"], 2, _EPS_RANGE),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
-    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+    # constants writes no file and takes no --out
+    out = [] if argv[0] == "constants" else ["--out", str(tmp_path / "out.csv")]
+    assert main(argv + out) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
 
@@ -235,6 +290,16 @@ def test_constants_json_is_valid(capsys, model_args):
     payload = json.loads(capsys.readouterr().out)
     assert payload["model"] == model_args[1]
     assert set(payload["conditions"]) and set(payload["constants"])
+
+
+def test_constants_json_reports_the_gaussian_interaction_strength(capsys):
+    # epsilon is the model's interaction strength, W has unit strength
+    assert main(["constants", "--model", "gaussian", "--eps", "0.25", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["model_params"] == {"epsilon": 0.25}
+    assert payload["constants"]["epsilon"] == 0.25
+    assert payload["constants"]["L_tilde"] == 1.0
+    assert payload["constants"]["L_e"] == 1.5
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,11 +34,13 @@ def test_gaussian_potential_value():
 
 
 def test_gaussian_zero_interaction():
+    # the pair term enters the potential as epsilon * W
     m = gaussian_model(0.0)
+    assert m.epsilon == 0.0
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, y = rng.normal(size=(2, 1))
-        assert m.W(np.array([x]), np.array([y])) == 0.0
+        assert m.epsilon * m.W(np.array([x]), np.array([y])) == 0.0
 
 
 def test_gaussian_two_particle_force():
@@ -57,20 +59,25 @@ def test_gaussian_epsilon_range():
 
 
 def test_gaussian_constants():
-    c = gaussian_model(0.25).constants
+    # epsilon is the interaction strength and W has unit strength, so the
+    # interaction force epsilon * grad1_W is Lipschitz in epsilon * L_tilde
+    m = gaussian_model(0.25)
+    c = m.constants
+    assert m.epsilon == 0.25 and m.params == {"epsilon": 0.25}
     assert c.K == 0.75 and c.L1 == 1.0 and c.L2 == 1.0
-    assert c.L_tilde == 0.25 and c.R_conv == 0.0 and c.W0 == 0.0
+    assert c.L_tilde == 1.0 and c.R_conv == 0.0 and c.W0 == 0.0
+    assert m.epsilon * c.L_tilde == 0.25
     assert c.L == 1.0 and c.C_hat == 0.0
 
 
 def test_gaussian_target_reduces_to_standard_normal():
-    # V(x) + E_{y~N(0,1)} W(x, y) = x^2/2, by Gauss-Hermite quadrature
+    # V(x) + eps E_{y~N(0,1)} W(x, y) = x^2/2, by Gauss-Hermite quadrature
     m = gaussian_model(0.25)
     nodes, weights = np.polynomial.hermite.hermgauss(64)
     y = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
     for x in (-2.0, -0.3, 0.0, 1.1, 3.0):
-        integral = np.sum(w * m.W(np.array([x]), y[:, None]))
+        integral = np.sum(w * m.epsilon * m.W(np.array([x]), y[:, None]))
         total = m.V(np.array([x])) + integral
         assert total == pytest.approx(0.5 * x * x, abs=1e-8)
 

@@ -152,9 +152,10 @@ def test_invalid_inputs_raise():
 
 
 def test_constants_table_is_complete():
+    # the rows are the fields of TheoryConstants with a formula, in this order
     tc = compute_constants(gaussian_model(0.25), 1.0)
     names = [row[0] for row in constants_table(tc)]
-    for expected in ("K", "L", "R_tilde", "R1", "gamma", "c_nhmc", "c_uhmc",
-                     "c_strongconvex", "A", "B1", "B", "B2", "B3", "C", "L_e",
-                     "C_hat"):
-        assert expected in names
+    assert names == ["K", "L", "L_tilde", "R_conv", "W0", "epsilon", "T",
+                     "R_tilde", "R1", "gamma", "C_hat", "L_e", "c_nhmc",
+                     "c_strongconvex", "c_uhmc", "A", "B1", "B", "B2", "B3", "C"]
+    assert all(value == getattr(tc, name) for name, value, _ in constants_table(tc))
