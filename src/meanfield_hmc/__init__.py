@@ -19,12 +19,11 @@ from .kernels import (draw_initial_positions, run_chain,
                       stationary_gaussian_sample_arrays, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
 from .models import (AssumptionConstants, InvalidModelError, MeanFieldModel,
-                     ShallowNetDataset, gaussian_model, mean_field_grad,
-                     mean_field_grad_all, multiwell_model, potential_energy,
-                     shallow_net_model)
+                     ShallowNetDataset, gaussian_model, mean_field_grad_all,
+                     multiwell_model, shallow_net_model)
 from .rng import RngStream, derive_stream_id
 from .statistics import (gaussian_kde_on_grid, kde_relative_error,
-                         loglog_slope, silverman_bandwidth, wasserstein1_1d)
+                         silverman_bandwidth, wasserstein1_1d)
 from .theory import (ConditionReport, TheoryConstants, check_conditions,
                      compute_constants, constants_table, max_admissible_T)
 

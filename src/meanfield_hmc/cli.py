@@ -161,12 +161,18 @@ def _parse_list(text: str, kind, flag: str) -> list:
 
 def _write_outputs(args, report):
     """Write the CSV (``--out``, default the command name with '_' for '-'
-    plus .csv), the ``--plot`` SVG when the report has a plot (commands
-    without one have no ``--plot`` flag), and the ``--json`` line: the CSV
-    path plus the report's summary with non-finite values as null."""
+    plus .csv) with the report's detail as its last footer line, the
+    ``--plot`` SVG when the report has a plot (commands without one have no
+    ``--plot`` flag), and the ``--json`` line: the CSV path plus the
+    report's summary.  Non-finite values in the detail and the summary
+    print as null."""
     path = args.out or args.command.replace("-", "_") + ".csv"
+    footer = list(report.footer)
+    if report.detail:
+        footer.append("detail: " + config_json(
+            [{key: json_safe(value) for key, value in d.items()} for d in report.detail]))
     write_csv(path, report.columns, report.rows,
-              header_lines(args.command, args.seed, report.config), report.footer)
+              header_lines(args.command, args.seed, report.config), footer)
     if report.plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
         write_scaling_svg(svg, **report.plot)

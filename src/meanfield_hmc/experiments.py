@@ -34,8 +34,7 @@ from .kernels import (run_chain, stationary_gaussian_sample_arrays,
 from .models import (MeanFieldModel, ShallowNetDataset, gaussian_model,
                      multiwell_model, shallow_net_model)
 from .rng import RngStream
-from .statistics import (KDE_MIN_SAMPLES, kde_relative_error, loglog_slope,
-                         wasserstein1_1d)
+from .statistics import KDE_MIN_SAMPLES, kde_relative_error, wasserstein1_1d
 from .theory import compute_constants, constants_table
 
 W1_SUBSAMPLE_CAP = 200_000
@@ -89,11 +88,11 @@ def _scan(one_point, points, seed: int, threads: int):
 
 
 def _slope(xs, ys) -> float:
-    """Log-log slope of ``ys`` on ``xs``; nan below 3 points or at a
-    non-positive value."""
+    """Least-squares slope of log(ys) on log(xs); nan below 3 points or at
+    a non-positive value."""
     if len(xs) < 3 or min(*xs, *ys) <= 0:
         return float("nan")
-    return loglog_slope(xs, ys)[0]
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +142,14 @@ def write_csv(path, columns, rows, header, footer=()):
 
 
 def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
-                      guide_factor: float | None = None):
-    """Minimal deterministic SVG: log2(y) against x with an optional dashed
-    guide line through the first point whose slope is log2(guide_factor)
-    per unit x.  Without points only the frame, labels and title are drawn."""
+                      guide_factor: float):
+    """Minimal deterministic SVG: log2(y) against x with a dashed guide line
+    through the first point whose slope is log2(guide_factor) per unit x.
+    Without points only the frame, labels and title are drawn."""
     xs = [float(x) for x in xs]
     ly = [math.log2(float(y)) for y in ys]
     w, h, margin = 480, 360, 56
-    guide = ([ly[0] + math.log2(guide_factor) * (x - xs[0]) for x in xs]
-             if guide_factor is not None else [])
+    guide = [ly[0] + math.log2(guide_factor) * (x - xs[0]) for x in xs]
     x_lo, x_hi = min(xs, default=0.0), max(xs, default=1.0)
     y_lo, y_hi = min(ly + guide, default=0.0), max(ly + guide, default=1.0)
     x_span = (x_hi - x_lo) or 1.0
@@ -205,7 +203,9 @@ class Report:
     ``--json`` line (a non-finite top-level value prints as null), and
     ``plot`` the keywords of :func:`write_scaling_svg` for ``--plot``, or
     None where the command draws nothing.  ``detail`` holds one dict per
-    row with the estimates the rows leave out.
+    row with the estimates the rows leave out; when it is not empty, the
+    CSV's last line is ``# detail:`` and the dicts as JSON, with each
+    non-finite value as null.
     """
 
     columns: tuple
@@ -324,10 +324,8 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     config = {"k_max": k_max, "steps": steps, "h_rule": h_rule,
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
               "h_fixed": h_fixed}
-    footer_detail = [{key: json_safe(value) for key, value in d.items()} for d in detail]
     return Report(
-        BIAS_COLUMNS, rows, config,
-        [f"loglog_slope_vs_eps_acc: {slope!r}", "detail: " + config_json(footer_detail)],
+        BIAS_COLUMNS, rows, config, [f"loglog_slope_vs_eps_acc: {slope!r}"],
         {"slope": slope, "errors": errors},
         dict(xs=[r[0] for r in rows], ys=errors, xlabel="k (accuracy 2^-k)",
              ylabel="density error", title="stationary density error vs accuracy",
@@ -396,7 +394,7 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
               "epsilon": epsilon, "T": T}
     return Report(
         CHAOS_COLUMNS, rows, config,
-        [f"loglog_slope_vs_N: {slope!r}", "detail: " + config_json(detail)],
+        [f"loglog_slope_vs_N: {slope!r}"],
         {"slope": slope, "detail": detail},
         dict(xs=[math.log2(r[0]) for r in rows], ys=[r[1] for r in rows],
              xlabel="log2 N", ylabel="variance error",
@@ -529,7 +527,7 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
               "epsilon": epsilon, "replicas": replicas}
     return Report(
         ORDER_COLUMNS, rows, config,
-        [f"loglog_slope_vs_h: {slope!r}", "detail: " + config_json(detail)],
+        [f"loglog_slope_vs_h: {slope!r}"],
         {"slope": slope},
         dict(xs=[math.log2(h) for h, _ in rows], ys=[e for _, e in rows],
              xlabel="log2 h", ylabel="weighted error",

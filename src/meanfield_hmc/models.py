@@ -84,12 +84,13 @@ class MeanFieldModel:
     """A mean-field sampling target.
 
     ``epsilon`` is the interaction strength multiplying the W-term of the
-    particle potential.  ``grad_U_all``, when present, evaluates the full
-    per-particle gradient in one pass that avoids the O(N^2 d) pair sum:
-    O(N d) for the gaussian and multiwell models, O(N d M) for the
-    shallow-net model on M data points.  Every built-in model sets it; the
-    generic pairwise pass serves models without it.  Instances are
-    immutable and safe to share across threads.
+    particle potential.  ``grad_U_all`` is the force every sampler calls:
+    the full per-particle gradient, (..., N, d) -> (..., N, d), in one pass
+    that avoids the O(N^2 d) pair sum: O(N d) for the gaussian and
+    multiwell models, O(N d M) for the shallow-net model on M data points.
+    ``V``, ``W``, ``grad_V`` and ``grad1_W`` define the target and serve
+    the checks of the force and of the constants against it.  Instances
+    are immutable and safe to share across threads.
     """
 
     name: str
@@ -100,7 +101,7 @@ class MeanFieldModel:
     V: Callable[[np.ndarray], np.ndarray]
     W: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constants: AssumptionConstants
-    grad_U_all: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_U_all: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -188,53 +189,15 @@ def _select_rows(mask, a, b):
 # all-particle gradients
 
 
-def mean_field_grad_all(model: MeanFieldModel, positions: np.ndarray, *,
-                        pairwise: bool = False) -> np.ndarray:
+def mean_field_grad_all(model: MeanFieldModel, positions: np.ndarray) -> np.ndarray:
     """Gradient of the N-particle potential for every particle.
 
     ``positions`` has shape (..., N, d); the result has the same shape.
-    Uses the model's fast path unless ``pairwise`` forces the generic
-    O(N^2 d) double sum.
     """
     q = np.asarray(positions, dtype=float)
     if q.ndim < 2 or q.shape[-1] != model.dim:
         raise ValueError(f"positions must have shape (..., N, {model.dim})")
-    if not pairwise and model.grad_U_all is not None:
-        return model.grad_U_all(q)
-    grad = model.grad_V(q)
-    if model.epsilon == 0.0:
-        return grad
-    n = q.shape[-2]
-    xi = q[..., :, None, :]
-    xj = q[..., None, :, :]
-    pair = model.grad1_W(xi, xj)
-    return grad + (model.epsilon / n) * pair.sum(axis=-2)
-
-
-def mean_field_grad(model: MeanFieldModel, positions: np.ndarray, i: int) -> np.ndarray:
-    """Gradient of the N-particle potential in the ``i``-th particle (0-based)."""
-    q = np.asarray(positions, dtype=float)
-    if q.ndim != 2 or q.shape[1] != model.dim:
-        raise ValueError(f"positions must have shape (N, {model.dim})")
-    n = q.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"particle index {i} out of range for N={n}")
-    grad = model.grad_V(q[i])
-    if model.epsilon == 0.0:
-        return grad
-    return grad + (model.epsilon / n) * model.grad1_W(q[i], q).sum(axis=0)
-
-
-def potential_energy(model: MeanFieldModel, positions: np.ndarray) -> np.ndarray:
-    """N-particle potential U at ``positions`` of shape (..., N, d)."""
-    q = np.asarray(positions, dtype=float)
-    n = q.shape[-2]
-    total = model.V(q).sum(axis=-1)
-    if model.epsilon != 0.0:
-        xi = q[..., :, None, :]
-        xj = q[..., None, :, :]
-        total = total + (model.epsilon / (2.0 * n)) * model.W(xi, xj).sum(axis=(-2, -1))
-    return total
+    return model.grad_U_all(q)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +496,7 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
         return (q + (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, y, z, work)
                 + (eps / n) * inter)
 
-    w0 = float(np.linalg.norm(grad1_W(np.zeros(dim), np.zeros(dim))))
-    constants = _estimate_constants(z, y, w0)
+    constants = _estimate_constants(z, y)
     return MeanFieldModel(
         name="shallow-net", dim=dim, epsilon=eps,
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
@@ -543,14 +505,15 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
                 "input_dim": data.input_dim, "probe_radius": _PROBE_RADIUS})
 
 
-def _estimate_constants(z, y, w0):
+def _estimate_constants(z, y):
     """Probe-based constant estimates for the shallow-net model on data (z, y).
 
     L1 and L_tilde are maxima of difference quotients over random pairs in
     the probe box.  Asymptotic strong convexity is probed around half the
     quadratic regularizer's curvature (m0 = 1/2), its worst defect Upsilon
     mapped to (K, L2, R_conv) = (m0/4, 4 L1^2/m0, sqrt(2 Upsilon/m0)).
-    ``w0`` is |grad1_W(0, 0)|.
+    W0 = |grad1_W(0, 0)| is exactly 0 on every dataset, because
+    phi(0, z) = 0 * sigmoid(0) = 0 makes every weight of the sum zero.
 
     The probe runs one loop over blocks of max(1, _PROBE_BLOCK // M) pairs,
     M being the features per point (the dataset size).  Each block takes
@@ -613,5 +576,5 @@ def _estimate_constants(z, y, w0):
     ok = denom > 1e-8
     l_tilde = float((wnorms[ok] / denom[ok]).max())
     return AssumptionConstants(
-        K=k, L1=l1, L2=l2, L_tilde=l_tilde, R_conv=float(r_conv), W0=w0,
+        K=k, L1=l1, L2=l2, L_tilde=l_tilde, R_conv=float(r_conv), W0=0.0,
         certified=False)

@@ -102,10 +102,6 @@ class RngStream:
             tail = self._buf[:need]
         return np.concatenate((head, tail)) if head.size else tail
 
-    def uniform(self) -> float:
-        """One uniform variate in (0, 1)."""
-        return float(self.uniforms(1)[0])
-
     def normal_vector(self, n: int) -> np.ndarray:
         """``n`` independent standard normal variates."""
         if n < 1:

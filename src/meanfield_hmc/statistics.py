@@ -59,15 +59,14 @@ def silverman_bandwidth(samples) -> float:
     return 1.06 * float(sigma) * len(a) ** (-0.2)
 
 
-def gaussian_kde_on_grid(samples, grid, bandwidth: float | None = None) -> np.ndarray:
-    """Gaussian-kernel density estimate evaluated on ``grid``."""
+def gaussian_kde_on_grid(samples, grid) -> np.ndarray:
+    """Gaussian-kernel density estimate, at the Silverman bandwidth,
+    evaluated on ``grid``."""
     a = _as_1d(samples)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
-    bw = silverman_bandwidth(a) if bandwidth is None else float(bandwidth)
-    if bw <= 0:
-        raise ValueError("bandwidth must be positive")
+    bw = silverman_bandwidth(a)
     out = np.zeros_like(grid)
     # chunked so the (n_chunk, n_grid) kernel matrix stays small
     for start in range(0, len(a), 16384):
@@ -82,39 +81,17 @@ def standard_normal_pdf(x) -> np.ndarray:
     return np.exp(-0.5 * x * x) / _SQRT2PI
 
 
-def kde_relative_error(samples, bandwidth: float | None = None,
-                       grid_lo: float = -4.0, grid_hi: float = 4.0,
-                       grid_n: int = 401) -> float:
+def kde_relative_error(samples) -> float:
     """Relative grid-L1 error of a KDE against the standard normal density.
 
-    Returns sum_grid |p_hat - phi| / sum_grid phi on a uniform grid
-    (Silverman bandwidth unless overridden).  Requires at least
-    KDE_MIN_SAMPLES samples.
+    Returns sum_grid |p_hat - phi| / sum_grid phi on 401 evenly spaced
+    points of [-4, 4].  Requires at least KDE_MIN_SAMPLES samples.
     """
     a = _as_1d(samples)
     if len(a) < KDE_MIN_SAMPLES:
         raise ValueError(f"need at least {KDE_MIN_SAMPLES} samples for a density estimate")
-    if grid_n < 2:
-        raise ValueError("grid must contain at least 2 points")
-    grid = np.linspace(grid_lo, grid_hi, grid_n)
-    p_hat = gaussian_kde_on_grid(a, grid, bandwidth)
+    grid = np.linspace(-4.0, 4.0, 401)
+    p_hat = gaussian_kde_on_grid(a, grid)
     phi = standard_normal_pdf(grid)
     return float(np.abs(p_hat - phi).sum() / phi.sum())
 
-
-def loglog_slope(xs, ys):
-    """Least-squares slope of log(y) on log(x).
-
-    Returns (slope, intercept, residual_rms); requires >= 3 strictly
-    positive points.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 3:
-        raise ValueError("need at least 3 paired points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit requires strictly positive data")
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))

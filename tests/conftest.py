@@ -12,6 +12,15 @@ def central_diff_grad(f, x, h=1e-6):
     return g
 
 
+def pairwise_grad_all(model, q):
+    """The N-particle force as the O(N^2 d) pair sum of the model's own
+    grad_V and grad1_W: grad_V(q^i) + (eps / N) sum_j grad1_W(q^i, q^j) on
+    (..., N, d) ``q``.  The reference for every model's grad_U_all."""
+    q = np.asarray(q, dtype=float)
+    pair = model.grad1_W(q[..., :, None, :], q[..., None, :, :])
+    return model.grad_V(q) + (model.epsilon / q.shape[-2]) * pair.sum(axis=-2)
+
+
 def rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)

@@ -321,6 +321,18 @@ def test_plot_rejected_where_no_svg_is_written(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_single_replica_detail_footer_is_valid_json(tmp_path):
+    # at 111 steps no replica split keeps enough samples, so one chain runs
+    # and the SE across replicas is nan; the footer must print it as null,
+    # not as NaN, which json.loads would read back as a float
+    out = tmp_path / "bias.csv"
+    assert main(["bias-scan", "--k-max", "1", "--steps", "111", "--out", str(out)]) == 0
+    last = out.read_text().splitlines()[-1]
+    assert last.startswith("# detail: ")
+    [detail] = json.loads(last[len("# detail: "):])
+    assert detail["replicas"] == 1 and detail["first_var_se"] is None
+
+
 def test_closed_stdout_exits_cleanly():
     # the reader is gone before the first write, as with `| head -c 10`
     src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)

@@ -66,7 +66,7 @@ def test_uhmc_single_inner_step_composition():
     out = uhmc_step_arrays(m, x, T, h, RngStream(13))
     s = RngStream(13)
     xi = s.normal_vector(3).reshape(3, 1)
-    u = s.uniform()
+    u = s.uniforms(1)[0]
     manual, _ = randomized_step_arrays(m, x, xi, 0.5, u)
     assert np.array_equal(out, manual)
 

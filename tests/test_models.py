@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from meanfield_hmc import (InvalidModelError, RngStream, ShallowNetDataset,
-                           gaussian_model, mean_field_grad, mean_field_grad_all,
-                           models, multiwell_model, shallow_net_model)
-from conftest import central_diff_grad, rel_err
+                           gaussian_model, mean_field_grad_all, models,
+                           multiwell_model, shallow_net_model)
+from conftest import central_diff_grad, pairwise_grad_all, rel_err
 
 
 def _builtin_models():
@@ -404,23 +404,15 @@ def test_grad_all_matches_pairwise_and_single():
     for m in _builtin_models():
         q = rng.normal(size=(7, m.dim))
         fast = mean_field_grad_all(m, q)
-        pair = mean_field_grad_all(m, q, pairwise=True)
-        assert np.allclose(fast, pair, rtol=1e-12, atol=1e-12)
-        for i in range(7):
-            assert np.allclose(mean_field_grad(m, q, i), fast[i],
-                               rtol=1e-12, atol=1e-12)
+        assert np.allclose(fast, pairwise_grad_all(m, q), rtol=1e-12, atol=1e-12)
         # batched (R, N, d): each replica is its own N-particle system
         qb = rng.normal(size=(3, 5, m.dim))
         fast = mean_field_grad_all(m, qb)
-        pair = mean_field_grad_all(m, qb, pairwise=True)
         assert fast.shape == qb.shape
-        assert np.allclose(fast, pair, rtol=1e-12, atol=1e-12)
+        assert np.allclose(fast, pairwise_grad_all(m, qb), rtol=1e-12, atol=1e-12)
         for r in range(3):
             assert np.allclose(fast[r], mean_field_grad_all(m, qb[r]),
                                rtol=1e-12, atol=1e-12)
-            for i in range(5):
-                assert np.allclose(mean_field_grad(m, qb[r], i), fast[r, i],
-                                   rtol=1e-12, atol=1e-12)
 
 
 def _assert_fast_force_matches_pairwise(m, seed, n, replicas):
@@ -429,7 +421,7 @@ def _assert_fast_force_matches_pairwise(m, seed, n, replicas):
         q = rng.uniform(-3.0, 3.0, size=shape)
         fast = mean_field_grad_all(m, q)
         assert fast.shape == q.shape
-        assert rel_err(fast, mean_field_grad_all(m, q, pairwise=True)) <= 1e-12
+        assert rel_err(fast, pairwise_grad_all(m, q)) <= 1e-12
 
 
 _seeds = st.integers(0, 2**32 - 1)
@@ -469,12 +461,9 @@ def test_grad_all_batched():
 def test_mean_field_grad_values():
     m = gaussian_model(0.25)
     q = np.ones((4, 1))
-    for i in range(4):
-        assert mean_field_grad(m, q, i) == pytest.approx(0.75)
-    with pytest.raises(IndexError):
-        mean_field_grad(m, q, 4)
+    assert mean_field_grad_all(m, q) == pytest.approx(np.full((4, 1), 0.75))
     mw = multiwell_model(1.0)
-    assert np.allclose(mean_field_grad(mw, np.zeros((1, 1)), 0), 0.0)
+    assert np.allclose(mean_field_grad_all(mw, np.zeros((1, 1))), 0.0)
     neutral = gaussian_model(0.0)
     q = np.array([[0.3], [-1.2]])
     assert np.allclose(mean_field_grad_all(neutral, q), neutral.grad_V(q))

@@ -24,7 +24,7 @@ def test_counter_tracks_consumption():
     s = RngStream(0)
     s.uniforms(10)
     s.normal_vector(5)
-    s.uniform()
+    s.uniforms(1)
     assert s.counter == 16
 
 
@@ -97,7 +97,7 @@ def test_buffered_draws_equal_one_unbuffered_draw(seed, stream_id, calls):
     outputs = []
     for name, arg in calls:
         if name == "uniform":
-            out = np.array([s.uniform()])
+            out = np.array([s.uniforms(1)[0]])
         else:
             out = getattr(s, name)(arg)
         outputs.append((name, out.copy(), out))
