@@ -512,7 +512,10 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     def one_h(stream, h):
         q0 = stationary_gaussian_sample_arrays(epsilon, (replicas, N), stream)
         p0 = stream.normal_vector(replicas * N).reshape(replicas, N)
-        q_exact, p_exact = exact_gaussian_flow_arrays(epsilon, q0, p0, T)
+        q_exact = exact_gaussian_flow_arrays(epsilon, q0, p0, T)
+        # the momentum obeys the position's linear equation from (p0, -grad U(q0))
+        force0 = -model.grad_U_all(q0[..., None])[..., 0]
+        p_exact = exact_gaussian_flow_arrays(epsilon, p0, force0, T)
         q_num, p_num = randomized_flow_arrays(
             model, q0[..., None], p0[..., None], T, h, stream)
         dq = q_num[..., 0] - q_exact

@@ -138,8 +138,9 @@ def randomized_flow_arrays(model: MeanFieldModel, q, p, T: float, h: float,
 # closed-form flow for the 1-d quadratic model
 
 
-def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
-    """Exact flow of the 1-d quadratic model on (..., N) arrays.
+def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float) -> np.ndarray:
+    """Position at time t of the exact flow of the 1-d quadratic model on
+    (..., N) arrays.
 
     The force is -M q with M = I - (eps/N) 11^T.  Every direction
     orthogonal to 1 rotates at frequency 1 and the particle mean at
@@ -147,10 +148,10 @@ def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
     cos w0 t, sin w0 t and q_bar, p_bar the particle means:
 
         q_t = c1 q + s1 p + (c0 - c1) q_bar + (s0/w0 - s1) p_bar
-        p_t = c1 p - s1 q + (c0 - c1) p_bar + (s1 - w0 s0) q_bar
 
-    The mean-mode correction is one number per batch element, so the
-    rounding error does not grow with N.
+    The momentum obeys the same linear equation, so p_t is this map applied
+    to (p, -M q).  The mean-mode correction is one number per batch element,
+    so the rounding error does not grow with N.
     """
     _check_quadratic_epsilon(epsilon)
     q = np.asarray(q, dtype=float)
@@ -161,12 +162,8 @@ def exact_gaussian_flow_arrays(epsilon: float, q, p, t: float):
     w0 = np.sqrt(1.0 - epsilon)
     c0, s0 = np.cos(w0 * t), np.sin(w0 * t)
     c1, s1 = np.cos(t), np.sin(t)
-    dc = c0 - c1
 
     q_t = c1 * q
     q_t += s1 * p
-    q_t += dc * q_bar + (s0 / w0 - s1) * p_bar
-    p_t = c1 * p
-    p_t -= s1 * q
-    p_t += dc * p_bar + (s1 - w0 * s0) * q_bar
-    return q_t, p_t
+    q_t += (c0 - c1) * q_bar + (s0 / w0 - s1) * p_bar
+    return q_t

@@ -31,8 +31,7 @@ def uhmc_step_arrays(model: MeanFieldModel, q, T: float, h: float,
 def xhmc_step_gaussian_arrays(epsilon: float, q, T: float, stream: RngStream) -> np.ndarray:
     """One exact step on raw (..., N) position arrays of the 1-d quadratic model."""
     p = stream.normal_vector(q.size).reshape(q.shape)
-    q_out, _ = exact_gaussian_flow_arrays(epsilon, q, p, T)
-    return q_out
+    return exact_gaussian_flow_arrays(epsilon, q, p, T)
 
 
 def stationary_gaussian_sample_arrays(epsilon: float, shape, stream: RngStream) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Distance and density estimators for sample ensembles.
 
-Ensembles are plain arrays: (n,) or (n, d) with one sample per row.
+Ensembles are plain one-dimensional arrays of n samples.
 The 1-d Wasserstein-1 distance is computed exactly by sorting; the
 density diagnostic is a Gaussian kernel estimate compared with the
 standard normal density in relative grid-L1 error.
@@ -16,8 +16,6 @@ KDE_MIN_SAMPLES = 100
 
 def _as_1d(samples) -> np.ndarray:
     a = np.asarray(samples, dtype=float)
-    if a.ndim == 2 and a.shape[1] == 1:
-        a = a[:, 0]
     if a.ndim != 1:
         raise ValueError("expected a one-dimensional sample ensemble")
     if a.size == 0:

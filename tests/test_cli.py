@@ -13,7 +13,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Each golden file is the CLI's output for these arguments at seed 0.  The
 # contraction and sample files were recorded before the RNG buffer and the
-# lean integrator loop existed, the shallow-net sample file before its force
+# lean integrator loop existed, and stayed byte-identical when the buffer was
+# deleted again, the shallow-net sample file before its force
 # shared one feature pass (it stayed byte-identical again when the force and
 # the constants probe came to reuse scratch arrays and the probe to take one
 # feature pass per point set), and the multiwell constants file before the object
@@ -23,13 +24,18 @@ GOLDEN = Path(__file__).parent / "golden"
 # gcd(steps, 10) and became the widest divisor of --steps that leaves each
 # stationary-started replica at least 20 steps (6 replicas of 20 where there
 # were 10 of 12 at 120 steps), an intended change of output; the CSV's
-# detail footer also gained the replica count.  The chaos-scan
-# and order-check files were last re-recorded when the exact flow of the
-# quadratic model became a closed form in the particle means, which moved
+# detail footer also gained the replica count.  The chaos-scan files
+# were last re-recorded, with the order-check files, when the exact flow of
+# the quadratic model became a closed form in the particle means, which moved
 # their values in the 14th-16th significant digit (the old mode transform's
 # prefix sum rounded more); order_check.csv was re-recorded again when its
 # footer gained the per-h standard errors as a detail line, its rows
-# unchanged.  sample.csv was last re-recorded when the gaussian model came
+# unchanged.  order_check.csv and order_check_plot.stdout were last
+# re-recorded when the exact flow came to return the position alone and
+# order-check to take the exact momentum from the same closed form started
+# at (p0, -grad U(q0)): the errors, slope and SEs moved in the 15th-16th
+# significant digit, and order_check_plot.svg stayed byte-identical.
+# sample.csv was last re-recorded when the gaussian model came
 # to carry its interaction strength eps in epsilon, with a unit-strength W
 # (L_tilde 1): only the footer's "epsilon" (1.0 to 0.25) and "L_tilde"
 # (0.25 to 1.0) changed.  contraction_multiwell_2d.csv, the one run with

@@ -95,7 +95,7 @@ def test_flow_refines_toward_exact_flow():
     stream = RngStream(23)
     q0 = stream.normal_vector(n_rep * n_part).reshape(n_rep, n_part)
     p0 = stream.normal_vector(n_rep * n_part).reshape(n_rep, n_part)
-    q_ref, _ = exact_gaussian_flow_arrays(eps, q0, p0, 1.0)
+    q_ref = exact_gaussian_flow_arrays(eps, q0, p0, 1.0)
     errs = {}
     for h in (1 / 8, 1 / 128):
         q_num, _ = randomized_flow_arrays(m, q0[..., None], p0[..., None],
@@ -154,21 +154,30 @@ def test_step_rejects_wrong_trailing_dimension():
 
 # --- exact flow of the 1-d quadratic model ---------------------------------
 
+def _exact_phase_flow(eps, q, p, t):
+    """(q_t, p_t) of the exact flow: the momentum obeys the position's linear
+    equation, so p_t is the position map applied to (p, -grad U(q))."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    force = -gaussian_model(eps).grad_U_all(q[..., None])[..., 0]
+    return (exact_gaussian_flow_arrays(eps, q, p, t),
+            exact_gaussian_flow_arrays(eps, p, force, t))
+
+
 def test_exact_flow_identity_at_t0():
     q, p = np.array([0.3, 1.4]), np.array([-1.0, 0.2])
-    qt, pt = exact_gaussian_flow_arrays(0.25, q, p, 0.0)
+    qt, pt = _exact_phase_flow(0.25, q, p, 0.0)
     assert np.allclose(qt, q, atol=1e-15)
     assert np.allclose(pt, p, atol=1e-15)
 
 
 def test_exact_flow_quarter_period():
-    qt, pt = exact_gaussian_flow_arrays(0.0, np.array([1.0]), np.array([0.0]), np.pi / 2)
+    qt, pt = _exact_phase_flow(0.0, np.array([1.0]), np.array([0.0]), np.pi / 2)
     assert qt[0] == pytest.approx(0.0, abs=1e-15)
     assert pt[0] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_exact_flow_mean_mode_only():
-    qt, _ = exact_gaussian_flow_arrays(0.25, np.ones(2), np.zeros(2), 1.0)
+    qt = exact_gaussian_flow_arrays(0.25, np.ones(2), np.zeros(2), 1.0)
     expected = np.cos(np.sqrt(0.75))
     assert np.allclose(qt, expected, atol=1e-14)
 
@@ -182,8 +191,8 @@ def test_exact_flow_reversibility():
     rng = np.random.default_rng(31)
     q = rng.normal(size=12)
     p = rng.normal(size=12)
-    qt, pt = exact_gaussian_flow_arrays(0.25, q, p, 3.7)
-    q0, p0 = exact_gaussian_flow_arrays(0.25, qt, pt, -3.7)
+    qt, pt = _exact_phase_flow(0.25, q, p, 3.7)
+    q0, p0 = _exact_phase_flow(0.25, qt, pt, -3.7)
     assert np.abs(q0 - q).max() < 1e-9
     assert np.abs(p0 - p).max() < 1e-9
 
@@ -200,7 +209,7 @@ def test_exact_flow_conserves_energy():
     p = rng.normal(size=8)
     h0 = energy(q, p)
     for t in np.linspace(0.5, 10.0, 20):
-        qt, pt = exact_gaussian_flow_arrays(eps, q, p, t)
+        qt, pt = _exact_phase_flow(eps, q, p, t)
         assert abs(energy(qt, pt) - h0) <= 1e-9 * abs(h0)
 
 
@@ -215,24 +224,26 @@ def test_exact_flow_matches_matrix_exponential():
         gen = np.block([[np.zeros((n, n)), np.eye(n)], [-M, np.zeros((n, n))]])
         for t in (-3.7, 0.3, 1.0, 10.0):
             want = np.concatenate([q, p], axis=-1) @ expm(t * gen).T
-            qt, pt = exact_gaussian_flow_arrays(eps, q, p, t)
+            qt, pt = _exact_phase_flow(eps, q, p, t)
             assert qt.shape == pt.shape == q.shape
             assert np.abs(qt - want[..., :n]).max() < 1e-12
             assert np.abs(pt - want[..., n:]).max() < 1e-12
 
 
 def _longdouble_flow(eps, q, p, t):
-    """The same closed form as exact_gaussian_flow_arrays, in np.longdouble."""
+    """The same closed form as _exact_phase_flow, in np.longdouble."""
     q, p = q.astype(np.longdouble), p.astype(np.longdouble)
-    one = np.longdouble(1)
-    w0 = np.sqrt(one - np.longdouble(eps))
-    t = np.longdouble(t)
+    eps, t = np.longdouble(eps), np.longdouble(t)
+    w0 = np.sqrt(np.longdouble(1) - eps)
     c0, s0, c1, s1 = np.cos(w0 * t), np.sin(w0 * t), np.cos(t), np.sin(t)
-    q_bar = q.mean(axis=-1, keepdims=True)
-    p_bar = p.mean(axis=-1, keepdims=True)
-    q_t = c1 * q + s1 * p + (c0 - c1) * q_bar + (s0 / w0 - s1) * p_bar
-    p_t = c1 * p - s1 * q + (c0 - c1) * p_bar + (s1 - w0 * s0) * q_bar
-    return q_t, p_t
+
+    def position(q, p):
+        q_bar = q.mean(axis=-1, keepdims=True)
+        p_bar = p.mean(axis=-1, keepdims=True)
+        return c1 * q + s1 * p + (c0 - c1) * q_bar + (s0 / w0 - s1) * p_bar
+
+    force = -(q - eps * q.mean(axis=-1, keepdims=True))
+    return position(q, p), position(p, force)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
@@ -246,7 +257,7 @@ def test_exact_flow_rounding_flat_in_N():
     rng = np.random.default_rng(43)
     q = rng.normal(size=(4, n))
     p = rng.normal(size=(4, n))
-    qt, pt = exact_gaussian_flow_arrays(eps, q, p, t)
+    qt, pt = _exact_phase_flow(eps, q, p, t)
     q_ref, p_ref = _longdouble_flow(eps, q, p, t)
     assert float(np.abs(qt - q_ref).max()) < 1e-14
     assert float(np.abs(pt - p_ref).max()) < 1e-14

@@ -4,7 +4,6 @@ from scipy.special import ndtri
 from scipy.stats import kstest
 
 from meanfield_hmc import RngStream, derive_stream_id
-from meanfield_hmc.rng import BLOCK
 
 
 def test_same_key_reproduces_sequence():
@@ -63,6 +62,23 @@ def test_substreams_are_stable_and_distinct():
     assert derive_stream_id(99, 7) == derive_stream_id(99, 7)
 
 
+def test_zero_uniforms_is_an_empty_draw():
+    s = RngStream(5)
+    s.uniforms(3)
+    u = s.uniforms(0)
+    assert u.dtype == np.float64 and u.shape == (0,)
+    assert s.counter == 3
+    assert np.array_equal(s.uniforms(2), RngStream(5).uniforms(5)[3:])
+
+
+def test_negative_uniform_count_raises():
+    import pytest
+    s = RngStream(5)
+    with pytest.raises(ValueError):
+        s.uniforms(-1)
+    assert s.counter == 0
+
+
 def test_seed_validation():
     import pytest
     with pytest.raises(ValueError):
@@ -71,14 +87,15 @@ def test_seed_validation():
         RngStream(2**64)
 
 
-def _unbuffered_uniforms(seed, stream_id, n):
-    """Reference: one direct draw of ``n`` uniforms from the stream's generator."""
+def _reference_uniforms(seed, stream_id, n):
+    """Reference: ``n`` uniforms from one ``Generator.integers`` draw on the
+    stream's Philox key, the stream the package has always handed out."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
     k = (gen.integers(0, 1 << 64, size=n, dtype=np.uint64) >> np.uint64(12)).astype(np.float64)
     return (k + 0.5) * 2.0**-52
 
 
-_sizes = st.integers(min_value=0, max_value=3 * BLOCK + 7)
+_sizes = st.integers(min_value=0, max_value=12_295)
 _calls = st.one_of(
     st.tuples(st.just("uniforms"), _sizes),
     st.tuples(st.just("normal_vector"), _sizes.map(lambda n: max(n, 1))),
@@ -89,10 +106,11 @@ _calls = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1),
        calls=st.lists(_calls, max_size=12))
-@example(seed=0, stream_id=0, calls=[("uniforms", 0), ("uniforms", BLOCK - 1),
-                                     ("uniforms", 0), ("uniforms", BLOCK + 2),
-                                     ("normal_vector", 1), ("uniform", None)])
-def test_buffered_draws_equal_one_unbuffered_draw(seed, stream_id, calls):
+@example(seed=0, stream_id=0, calls=[("uniforms", 0), ("uniforms", 1),
+                                     ("uniforms", 4095), ("uniforms", 0),
+                                     ("uniforms", 4098), ("normal_vector", 1),
+                                     ("uniform", None)])
+def test_any_split_of_draws_equals_one_draw(seed, stream_id, calls):
     s = RngStream(seed, stream_id)
     outputs = []
     for name, arg in calls:
@@ -103,7 +121,7 @@ def test_buffered_draws_equal_one_unbuffered_draw(seed, stream_id, calls):
         outputs.append((name, out.copy(), out))
     total = sum(out.size for _, out, _ in outputs)
     assert s.counter == total
-    ref = _unbuffered_uniforms(seed, stream_id, total)
+    ref = _reference_uniforms(seed, stream_id, total)
     pos = 0
     for name, first_seen, out in outputs:
         expected = ref[pos:pos + out.size]
