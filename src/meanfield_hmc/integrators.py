@@ -14,6 +14,7 @@ replicas and the two copies of a coupled chain all run through.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -26,10 +27,16 @@ _RATIO_MESSAGE = "T/h must be a positive integer, got T={T}, h={h}"
 
 
 class IntegrationDivergedError(RuntimeError):
-    """A trajectory left the representable range."""
+    """A trajectory left the representable range.
 
-    def __init__(self, step_index: int, message: str = ""):
+    ``replica`` is the flat index, in C order over the batch axes, of the
+    first batched replica that left it; None for an unbatched trajectory.
+    """
+
+    def __init__(self, step_index: int, message: str = "",
+                 replica: Optional[int] = None):
         self.step_index = int(step_index)
+        self.replica = replica
         super().__init__(message or f"trajectory diverged at integrator step {step_index}")
 
 
@@ -82,9 +89,10 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
 
         q' = q + h p + (h^2/2) g,   p' = p + h g,   g = -grad U(q + h u p).
 
-    Raises :class:`IntegrationDivergedError` carrying ``step_index`` when
-    the force is not finite or an entry of q' or p' reaches
-    ``DIVERGENCE_LIMIT`` in absolute value.
+    Raises :class:`IntegrationDivergedError` carrying ``step_index``, and
+    for batched arrays the first replica at fault, when the force is not
+    finite or an entry of q' or p' reaches ``DIVERGENCE_LIMIT`` in
+    absolute value.
     """
     hu = h * u
     if getattr(hu, "ndim", 0):
@@ -97,10 +105,21 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     # endpoint covers both failures; the force is inspected only to name it
     if not (np.abs(q1).max(initial=0.0) < DIVERGENCE_LIMIT
             and np.abs(p1).max(initial=0.0) < DIVERGENCE_LIMIT):
+        replica = _first_diverged_replica(q1, p1)
         if not np.isfinite(g).all():
-            raise IntegrationDivergedError(step_index, f"non-finite force at step {step_index}")
-        raise IntegrationDivergedError(step_index)
+            raise IntegrationDivergedError(
+                step_index, f"non-finite force at step {step_index}", replica)
+        raise IntegrationDivergedError(step_index, replica=replica)
     return q1, p1
+
+
+def _first_diverged_replica(q, p):
+    """Flat batch index of the first replica of (..., N, d) ``q`` and ``p``
+    with an entry out of range (nan included); None when unbatched."""
+    if q.ndim < 3:
+        return None
+    inside = (np.abs(q) < DIVERGENCE_LIMIT) & (np.abs(p) < DIVERGENCE_LIMIT)
+    return int(np.argmin(inside.all(axis=(-2, -1))))
 
 
 def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,

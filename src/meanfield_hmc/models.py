@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .rng import RngStream
 
@@ -410,10 +409,20 @@ _PROBE_BLOCK = 1 << 16
 def _ridge_features(x, z, out=None):
     """beta (...,) and sigma(alpha . z_m) (..., M) of parameters x = (beta, alpha).
 
-    The features are written into ``out`` when it is given.
+    The features are written into ``out`` when it is given.  The sigmoid
+    is 1 / (1 + exp(-s)), scipy's ``expit`` formula, in numpy ufuncs in
+    place on the matmul output.  Where exp(-s) overflows (s < -709.78)
+    the feature is 0, as in ``expit``, without a warning; -inf, inf and
+    nan map to 0, 1 and nan.  numpy's exp may differ from the C library's
+    in the last bit, so a feature may differ from ``expit``'s by a few
+    ulp, and numpy picks its exp kernel by CPU.
     """
     sig = np.matmul(x[..., 1:], z.T, out=out)
-    return x[..., 0], expit(sig, out=sig)
+    np.negative(sig, out=sig)
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
+    sig += 1.0
+    return x[..., 0], np.divide(1.0, sig, out=sig)
 
 
 def _ridge_grad(beta, sig, one_minus, weights, z, work):
@@ -443,6 +452,12 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
     activation; they are estimated from finite-difference quotients over
     random probe pairs in a box of radius ``_PROBE_RADIUS`` and flagged
     ``certified=False``.
+
+    The force takes one feature pass and one weighted ridge sum per call:
+    the sum is linear in its weights, so the V term and the interaction
+    share the weights y_m + (eps/N) sum_j phi(q^j, z_m).  The sigmoid is
+    numpy's (see ``_ridge_features``), so the force's last bits may depend
+    on the CPU's exp kernel, as they already do on the BLAS matmul's.
     """
     eps = float(epsilon)
     z = data.inputs          # (M, d-1)
@@ -484,17 +499,17 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
         return (2.0 / m_count) * _weighted(x, phi(xt))
 
     def grad_U_all(q):
-        # one feature pass, one 1 - sigma and one work array serve the V
-        # term and the shared sums S_m = sum_j phi(q^j, z_m) through which
-        # the interaction enters; all three belong to this call
+        # one weighted pass with weights y_m + (eps/N) S_m, where
+        # S_m = sum_j phi(q^j, z_m); the features, 1 - sigma and the work
+        # array belong to this call
         n = q.shape[-2]
         beta, sig = _features(q)
         one_minus = 1.0 - sig
         work = np.multiply(beta[..., None], sig)
-        s = work.sum(axis=-2, keepdims=True)
-        inter = (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, s, z, work)
-        return (q + (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, y, z, work)
-                + (eps / n) * inter)
+        weights = work.sum(axis=-2, keepdims=True)
+        weights *= eps / n
+        weights += y
+        return q + (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, weights, z, work)
 
     constants = _estimate_constants(z, y)
     return MeanFieldModel(

@@ -18,6 +18,8 @@ from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the bits of 1.0: sign 0, biased exponent 1023, zero mantissa
+_ONE_BITS = 0x3FF0000000000000
 
 
 def _splitmix64(x: int) -> int:
@@ -61,15 +63,20 @@ class RngStream:
 
         Values are of the form (k + 1/2) * 2**-52 with k the top 52 bits of
         the raw draw, so 0.0 and 1.0 are never produced and the map from raw
-        bits to floats is exact.
+        bits to floats is exact.  The map works in place on the draw: k
+        under the exponent bits of 1.0 is the float x = 1 + k * 2**-52 in
+        [1, 2), and y = 1 - 2**-53 satisfies y/2 <= x <= 2y, so x - y is
+        exact (Sterbenz's lemma) and equals (k + 1/2) * 2**-52.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
         n = int(n)
         self.counter += n
-        u = (self._philox.random_raw(n) >> 12).astype(np.float64)
-        u += 0.5
-        u *= 2.0**-52
+        k = self._philox.random_raw(n)
+        k >>= 12
+        k |= _ONE_BITS
+        u = k.view(np.float64)
+        u -= 1.0 - 2.0**-53
         return u
 
     def normal_vector(self, n: int) -> np.ndarray:

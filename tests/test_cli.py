@@ -12,14 +12,17 @@ from meanfield_hmc.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 # Each golden file is the CLI's output for these arguments at seed 0.  The
-# contraction and sample files were recorded before the RNG buffer and the
+# contraction files and sample.csv were recorded before the RNG buffer and the
 # lean integrator loop existed, and stayed byte-identical when the buffer was
-# deleted again, the shallow-net sample file before its force
-# shared one feature pass (it stayed byte-identical again when the force and
-# the constants probe came to reuse scratch arrays and the probe to take one
-# feature pass per point set), and the multiwell constants file before the object
+# deleted again, and the multiwell constants file before the object
 # API and the coupled step's own loop were removed, so a byte difference is a
-# change of output, not of speed or structure.  The three bias-scan files
+# change of output, not of speed or structure.  sample_shallow_net.csv stayed
+# byte-identical when its force came to share one feature pass and to reuse
+# scratch arrays; it was last re-recorded when the sigmoid moved from scipy's
+# expit to numpy ufuncs (whose exp may differ from the C library's in the
+# last bit) and the force's V and interaction terms came to share one
+# weighted ridge sum: 56 of its 275 values moved, by at most 8.9e-14
+# relative, and its constants footer stayed byte-identical.  The three bias-scan files
 # were last re-recorded when bias-scan's replica count stopped being
 # gcd(steps, 10) and became the widest divisor of --steps that leaves each
 # stationary-started replica at least 20 steps (6 replicas of 20 where there
@@ -161,7 +164,8 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     (["order-check", "--N", "0"], 2, "N must be a positive integer, got 0"),
     # 50 replicas of 20 steps: enough kept samples to pass the checks
     (["bias-scan", "--k-max", "1", "--steps", "1000", "--h-rule", "fixed", "--h", "2.5",
-      "--T", "2500", "--eps", "0"], 3, "chain diverged at kernel step 0 (inner step 178)"),
+      "--T", "2500", "--eps", "0"], 3,
+     "chain diverged at kernel step 0 (inner step 178, replica 31)"),
     (["sample", "--model", "multiwell", "--h", "0"], 2,
      "the exact kernel is implemented only for the gaussian model"),
     (["bias-scan", "--h", "0.1"], 2, "--h applies to --h-rule fixed only, not eps23"),

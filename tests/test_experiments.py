@@ -169,8 +169,8 @@ def test_contraction_experiment_divergence_names_the_kernel_step():
     with pytest.raises(IntegrationDivergedError) as err:
         contraction_experiment(gaussian_model(0.25), T=2500.0, h=2.5, m=2,
                                replicas=4, N=8, seed=0)
-    assert err.value.step_index == 0
-    assert str(err.value) == "chain diverged at kernel step 0 (inner step 186)"
+    assert err.value.step_index == 0 and err.value.replica == 2
+    assert str(err.value) == "chain diverged at kernel step 0 (inner step 186, replica 2)"
 
 
 def test_contraction_experiment_strongly_convex_rate():

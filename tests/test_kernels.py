@@ -255,6 +255,20 @@ def test_run_chain_divergence_names_kernel_and_inner_step():
     assert str(err.value) == "chain diverged at kernel step 9 (inner step 8)"
 
 
+def test_run_chain_divergence_names_the_replica():
+    # h = 2.5 is unstable for every replica alike; replica (1, 0) of a
+    # (2, 3) batch starts 1e90 times further out, so it alone leaves the
+    # range, at inner step 16 where the others would need about 180; the
+    # message names its flat index
+    q = np.ones((2, 3, 4, 1))
+    q[1, 0] = 1e90
+    step = _uhmc(gaussian_model(0.0), 50.0, 2.5, RngStream(3))
+    with pytest.raises(IntegrationDivergedError) as err:
+        run_chain(step, q, 100, _whole)
+    assert err.value.replica == 3
+    assert str(err.value) == "chain diverged at kernel step 0 (inner step 16, replica 3)"
+
+
 def test_run_chain_kernel_validation():
     for m, thin in ((0, 1), (5, 0)):
         with pytest.raises(ValueError):

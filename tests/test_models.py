@@ -1,5 +1,7 @@
+import math
 import sys
 import threading
+import warnings
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -119,6 +121,56 @@ def test_multiwell_interaction_modes():
 
 # --- shallow-net model ------------------------------------------------------
 
+def _sigmoid_features(s):
+    """The sigmoid features of parameters (1, s) against the one datum z = 1."""
+    s = np.asarray(s, dtype=float)
+    x = np.stack([np.ones_like(s), s], axis=-1)
+    return models._ridge_features(x, np.array([[1.0]]))[1][..., 0]
+
+
+def _ulps_apart(a, b):
+    # nonnegative floats are ordered as their int64 bit patterns are
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_shallow_net_sigmoid_matches_expit_within_four_ulp():
+    # Premise, checked first: numpy's exp and the C library's, which expit
+    # calls, are at most 1 ulp apart.  With u = 2**-53, ulp(v) lies in
+    # (u v, 2u v], so the two values of e = exp(-s) differ by at most 2u e,
+    # the exact sums 1 + e by less than 2 ulp(1 + e), and the rounded sums
+    # by at most 2 ulp, a relative 4u.  The exact quotients 1 / (1 + e)
+    # then differ by 4u sigma < 4 ulp(sigma) to first order, and the
+    # rounded ones by at most 4 ulp.
+    grid = np.linspace(-800.0, 800.0, 160_001)
+    finite = grid[grid > -709.0]
+    libm = np.array([math.exp(-v) for v in finite])
+    assert _ulps_apart(np.exp(-finite), libm).max() <= 1
+    assert _ulps_apart(_sigmoid_features(grid), expit(grid)).max() <= 4
+    special = np.array([np.inf, -np.inf, 0.0, -0.0])
+    assert np.array_equal(_sigmoid_features(special), expit(special))
+    assert np.isnan(_sigmoid_features(np.nan)) and np.isnan(expit(np.nan))
+
+
+def test_shallow_net_sigmoid_underflows_to_zero_without_warning():
+    # exp(-s) overflows for s < -709.78; expit returns 0 there
+    s = np.array([-745.5, -1e4, -np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_sigmoid_features(s), np.zeros(3))
+
+
+def test_shallow_net_force_is_finite_where_every_feature_underflows():
+    data = ShallowNetDataset(inputs=np.array([[1.0], [2.0]]),
+                             outputs=np.array([1.0, -1.0]))
+    m = shallow_net_model(data, epsilon=0.5)
+    q = np.array([[3.0, -800.0], [-2.0, -1000.0]])   # alpha z_m <= -800
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = m.grad_U_all(q)
+    # sigma = 0 zeroes every ridge term, leaving the regularizer's q
+    assert np.array_equal(g, q)
+
+
 def test_shallow_net_zero_outputs_reduce_to_regularizer():
     rng = np.random.default_rng(1)
     data = ShallowNetDataset(inputs=rng.normal(size=(30, 3)),
@@ -224,12 +276,14 @@ def test_shallow_net_build_memory_stays_flat():
 
 def _reference_shallow_net(data, epsilon):
     """grad_V, grad1_W and grad_U_all as written before the force reused
-    scratch arrays: one temporary per expression, 1 - sigma per weighted sum."""
+    scratch arrays: one temporary per expression, 1 - sigma per weighted sum,
+    the sigmoid as one numpy expression, and the force's V and interaction
+    weights added before its one weighted sum."""
     z, y, m_count = data.inputs, data.outputs, data.count
 
     def features(x):
         x = np.asarray(x, dtype=float)
-        return x[..., 0], expit(x[..., 1:] @ z.T)
+        return x[..., 0], 1.0 / (1.0 + np.exp(-(x[..., 1:] @ z.T)))
 
     def weighted(beta, sig, weights):
         dbeta = np.sum(weights * sig, axis=-1)
@@ -252,8 +306,7 @@ def _reference_shallow_net(data, epsilon):
         n = q.shape[-2]
         beta, sig = features(q)
         s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
-        inter = (2.0 / m_count) * weighted(beta, sig, s)
-        return q + (2.0 / m_count) * weighted(beta, sig, y) + (epsilon / n) * inter
+        return q + (2.0 / m_count) * weighted(beta, sig, y + (epsilon / n) * s)
 
     return grad_V, grad1_W, grad_U_all
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
@@ -37,6 +39,17 @@ def test_uniform_range_and_mean():
     u = RngStream(7).uniforms(1_000_000)
     assert u.min() > 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 2e-3
+
+
+def test_uniform_bit_map_matches_the_float_expression():
+    # k in the top 52 bits of the raw draw, the 12 discarded low bits set
+    ks = np.array([0, 1, 2**51, 2**52 - 1], dtype=np.uint64)
+    raw = (ks << np.uint64(12)) | np.uint64(0xFFF)
+    s = RngStream(0)
+    s._philox = SimpleNamespace(random_raw=lambda n: raw[:n].copy())
+    expected = (ks.astype(np.float64) + 0.5) * 2.0**-52
+    assert np.array_equal(s.uniforms(4), expected)
+    assert expected[0] == 2.0**-53 and expected[-1] == 1.0 - 2.0**-53
 
 
 def test_uniform_ks_statistic():
