@@ -1,8 +1,8 @@
 import math
 import sys
 import threading
-import warnings
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
