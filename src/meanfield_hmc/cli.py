@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -32,6 +33,23 @@ from .theory import compute_constants, constants_table
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+
+
+# argparse takes an argument that starts with '-' for a value only if it
+# reads as -1, -1.5 or -.5; exponent forms such as -1e-3 and -inf would be
+# taken for options.  No option of this CLI looks like a number, so every
+# float spelling below reaches its option and then its value check.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float spelling as a value;
+    its subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _add_model_flags(p):
@@ -66,7 +84,7 @@ def _add_plot_flag(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanfield-hmc",
         description="Sample mean-field measures with unadjusted HMC and "
                     "verify contraction, chaos-propagation, accuracy, and "

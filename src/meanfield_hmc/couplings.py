@@ -21,7 +21,7 @@ import numpy as np
 
 from .integrators import _check_duration, _integral_steps, lockstep_flow_arrays
 from .models import (MeanFieldModel, _columnwise, _dot_last, _norm_last,
-                     _select_rows)
+                     _put_rows)
 from .rng import RngStream
 
 
@@ -78,20 +78,29 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
     u = stream.uniforms(count).reshape(batch)
 
     r = _norm_last(z)
-    e = np.zeros_like(z)
+    e = np.zeros(z.shape)
     e[..., 0] = 1.0
     _columnwise(np.divide, z, r, out=e, where=r > 0)
 
     a = _dot_last(e, xi)
-    gr = cp.gamma * r
-    # log of phi(a + gamma r) / phi(a)
-    log_ratio = -gr * a - 0.5 * gr * gr
-    accept = np.log(u) <= log_ratio
+    gr = np.multiply(cp.gamma, r)
+    # log of phi(a + gamma r) / phi(a): (-gr) a - (0.5 gr) gr
+    log_ratio = np.negative(gr)
+    log_ratio *= a
+    half_sq = np.multiply(0.5, gr)
+    half_sq *= gr
+    log_ratio -= half_sq
+    accept = np.log(u, out=u) <= log_ratio
 
     synchronous = r >= cp.R_tilde
-    reflected = xi - _columnwise(np.multiply, e, 2.0 * a)
-    shifted = xi + cp.gamma * z
-    eta = _select_rows(synchronous, xi, _select_rows(accept, shifted, reflected))
+    # eta is the shifted xi + gamma z, except the reflected xi - (2a) e
+    # (written over e) where the shift is refused and xi where synchronous
+    eta = np.multiply(cp.gamma, z, order="C")
+    np.add(xi, eta, out=eta)
+    reflected = _columnwise(np.multiply, e, 2.0 * a, out=e)
+    np.subtract(xi, reflected, out=reflected)
+    _put_rows(~accept, eta, reflected)
+    _put_rows(synchronous, eta, xi)
     coalescing = np.where(synchronous, r == 0.0, accept)
     return CoupleResult(xi=xi, eta=eta, synchronous=synchronous,
                         coalescing=coalescing)
@@ -138,9 +147,16 @@ def metric_f(r, R1: float, T: float):
         raise ValueError("r must be nonnegative")
     if not (R1 > 0 and T > 0):
         raise ValueError("R1 and T must be positive")
-    inner = T * (-np.expm1(-np.minimum(r, R1) / T))
-    tail = np.exp(-R1 / T) * np.maximum(r - R1, 0.0)
-    out = inner + tail
+    # T (-expm1(-min(r, R1) / T)) with each sign change moved onto T,
+    # which rounds the same, in one array of its own
+    out = np.minimum(r, R1, out=np.empty(r.shape))
+    out /= -T
+    np.expm1(out, out=out)
+    out *= -T
+    tail = np.subtract(r, R1, out=np.empty(r.shape))
+    np.maximum(tail, 0.0, out=tail)
+    tail *= np.exp(-R1 / T)
+    out += tail
     return float(out) if out.ndim == 0 else out
 
 

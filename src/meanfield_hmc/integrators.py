@@ -85,9 +85,15 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
 
     ``u`` is the step's uniform variate (scalar, or batch-shaped for
     vectorized replicas).  The force is evaluated once at q + h*u*p and
-    held constant, so the in-step update is exact:
+    held constant, so the in-step update is exact.  With G = grad U(q*),
+    each entry is computed in this order, which the golden files pin:
 
-        q' = q + h p + (h^2/2) g,   p' = p + h g,   g = -grad U(q + h u p).
+        q* = q + (h u) p,   q' = (q + h p) - (h^2/2) G,   p' = p - h G.
+
+    Subtracting (h^2/2) G rounds exactly as adding (h^2/2) times the force
+    -G.  The step writes none of its inputs and not the force's return
+    value, which may alias q*; q' and p' are new arrays, and the bound
+    test reuses q* once it is spent.
 
     Raises :class:`IntegrationDivergedError` carrying ``step_index``, and
     for batched arrays the first replica at fault, when the force is not
@@ -97,16 +103,22 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     hu = h * u
     if getattr(hu, "ndim", 0):
         hu = hu[..., None, None]
-    q_star = q + hu * p
-    g = -mean_field_grad_all(model, q_star)
-    q1 = q + h * p + (0.5 * h * h) * g
-    p1 = p + h * g
+    q_star = np.multiply(hu, p)
+    np.add(q, q_star, out=q_star)
+    grad = mean_field_grad_all(model, q_star)
+    p1 = np.multiply(h, grad)
+    np.subtract(p, p1, out=p1)
+    q1 = np.multiply(h, p)
+    np.add(q, q1, out=q1)
+    # q* is spent once the force is known, unless the force returned it
+    work = None if np.may_share_memory(grad, q_star) else q_star
+    q1 -= np.multiply(0.5 * h * h, grad, out=work)
     # a non-finite force makes p1 non-finite, so one bound test on the
     # endpoint covers both failures; the force is inspected only to name it
-    if not (np.abs(q1).max(initial=0.0) < DIVERGENCE_LIMIT
-            and np.abs(p1).max(initial=0.0) < DIVERGENCE_LIMIT):
+    if not (np.abs(q1, out=work).max(initial=0.0) < DIVERGENCE_LIMIT
+            and np.abs(p1, out=work).max(initial=0.0) < DIVERGENCE_LIMIT):
         replica = _first_diverged_replica(q1, p1)
-        if not np.isfinite(g).all():
+        if not np.isfinite(grad).all():
             raise IntegrationDivergedError(
                 step_index, f"non-finite force at step {step_index}", replica)
         raise IntegrationDivergedError(step_index, replica=replica)

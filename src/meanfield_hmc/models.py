@@ -87,9 +87,12 @@ class MeanFieldModel:
     the full per-particle gradient, (..., N, d) -> (..., N, d), in one pass
     that avoids the O(N^2 d) pair sum: O(N d) for the gaussian and
     multiwell models, O(N d M) for the shallow-net model on M data points.
-    ``V``, ``W``, ``grad_V`` and ``grad1_W`` define the target and serve
-    the checks of the force and of the constants against it.  Instances
-    are immutable and safe to share across threads.
+    The integrator relies on its contract: it returns an array of q's
+    shape that callers only read, and it may alias its input (return q
+    itself, or a view of it).  ``V``, ``W``, ``grad_V`` and ``grad1_W``
+    define the target and serve the checks of the force and of the
+    constants against it.  Instances are immutable and safe to share
+    across threads.
     """
 
     name: str
@@ -172,16 +175,16 @@ def _columnwise(ufunc, x, y, out=None, **kwargs):
     return out
 
 
-def _select_rows(mask, a, b):
-    """np.where(mask[..., None], a, b) for (..., N, d) ``a`` and ``b``.
+def _put_rows(mask, dst, src):
+    """np.copyto(dst, src, where=mask[..., None]) for (..., N, d) ``dst``
+    and ``src``: the rows of ``src`` where ``mask`` holds replace those of
+    ``dst`` in place.
 
     Each length-d row moves as one opaque item, so the copy is exact; the
-    rows of ``a`` and ``b`` must be contiguous.
+    rows of both arrays must be contiguous.
     """
-    row = np.dtype((np.void, a.shape[-1] * a.itemsize))
-    out = np.where(mask, a.view(row)[..., 0], b.view(row)[..., 0])
-    # flattened first, since a 0-d array cannot change its item size
-    return out.reshape(-1).view(a.dtype).reshape(a.shape)
+    row = np.dtype((np.void, dst.shape[-1] * dst.itemsize))
+    np.copyto(dst.view(row)[..., 0], src.view(row)[..., 0], where=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +271,16 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         return 0.5 * sq + np.exp(-0.5 * a * sq)
 
     def grad_V(x):
+        # x (1 - a exp(-(a/2)|x|^2)), the factor computed in place on the
+        # squared norms in that expression's order (a single point's norm
+        # comes back from _dot_last as a numpy scalar)
         x = np.asarray(x, dtype=float)
-        sq = _dot_last(x, x)
-        return _columnwise(np.multiply, x, 1.0 - a * np.exp(-0.5 * a * sq))
+        factor = np.asarray(_dot_last(x, x))
+        np.multiply(-0.5 * a, factor, out=factor)
+        np.exp(factor, out=factor)
+        np.multiply(a, factor, out=factor)
+        np.subtract(1.0, factor, out=factor)
+        return _columnwise(np.multiply, x, factor)
 
     if interaction is None:
         W = _zero_pair
@@ -284,9 +294,14 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         eps = float(epsilon)
 
         def grad_U_all(q):
-            # sum_j (q^i - q^j) = N q^i - sum_j q^j
+            # sum_j (q^i - q^j) = N q^i - sum_j q^j; the result is
+            # grad_V(q) + eps * (q - mean), summed into grad_V's array
             mean = _particle_sum(q) / q.shape[-2]
-            return grad_V(q) + eps * _columnwise(np.subtract, q, mean)
+            pull = _columnwise(np.subtract, q, mean)
+            np.multiply(eps, pull, out=pull)
+            out = grad_V(q)
+            out += pull
+            return out
     else:
         raise InvalidModelError(f"unknown interaction {interaction!r}")
 

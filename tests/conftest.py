@@ -21,6 +21,29 @@ def pairwise_grad_all(model, q):
     return model.grad_V(q) + (model.epsilon / q.shape[-2]) * pair.sum(axis=-2)
 
 
+def reference_randomized_step(model, q, p, h, u):
+    """One randomized step in expression form, the arithmetic the golden
+    files were recorded with: the force -grad U at q + (h u) p, then
+    q' = q + h p + (h^2/2) force and p' = p + h force.  ``u`` is a scalar
+    or one uniform per batch element.  No divergence check."""
+    hu = h * u
+    if np.ndim(hu):
+        hu = hu[..., None, None]
+    force = -model.grad_U_all(q + hu * p)
+    return q + h * p + (0.5 * h * h) * force, p + h * force
+
+
+def read_only(*arrays):
+    """Read-only float copies of ``arrays``, so that any write into them
+    raises."""
+    out = []
+    for a in arrays:
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+        out.append(a)
+    return out
+
+
 def rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)

@@ -240,6 +240,9 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # the one interaction-strength range of the quadratic model
     (["sample", "--eps", "1"], 2, _EPS_RANGE),
     (["chaos-scan", "--eps", "1"], 2, _EPS_RANGE),
+    # exponent forms and -inf reach their option and its value check
+    (["contraction", "--offset", "-inf"], 2, "offset must be finite, got offset=-inf"),
+    (["sample", "--eps", "-1e-3"], 2, _EPS_RANGE.replace("=1.0;", "=-0.001;")),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out
@@ -247,6 +250,19 @@ def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv + out) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value, offset", [("-1e-3", -0.001), ("-2.5E+1", -25.0),
+                                           ("-.5e1", -5.0), ("-1", -1.0)])
+def test_negative_values_in_every_float_spelling_are_values(tmp_path, value, offset):
+    # argparse alone reads only -1, -1.5 and -.5 as values
+    out = tmp_path / "out.csv"
+    argv = ["contraction", "--offset", value, "--steps", "2", "--replicas", "4",
+            "--N", "2", "--out", str(out)]
+    assert main(argv) == 0
+    config = next(line for line in out.read_text().splitlines()
+                  if line.startswith("# config: "))
+    assert json.loads(config[len("# config: "):])["offset"] == offset
 
 
 @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"),

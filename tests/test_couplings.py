@@ -8,9 +8,10 @@ from scipy.stats import kstest, kstwo, norm
 from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
                            RngStream, compute_constants,
                            couple_velocities_batch, coupled_uhmc_step,
-                           ell1_bar, gaussian_model,
+                           ell1_bar, gaussian_model, lockstep_flow_arrays,
                            metric_f, metric_f_prime, multiwell_model, rho_N)
 from meanfield_hmc.couplings import metric_radius
+from conftest import read_only
 
 
 def test_gamma_convention():
@@ -213,6 +214,70 @@ def test_coupled_step_reports_earlier_divergence():
         assert err.value.step_index == step
 
 
+def _reference_couple(z, cp, stream):
+    """couple_velocities_batch in plain numpy broadcasts: (xi, eta,
+    synchronous, coalescing), with the variates drawn in the same order."""
+    xi = stream.normal_vector(z.size).reshape(z.shape)
+    u = stream.uniforms(z.size // z.shape[-1]).reshape(z.shape[:-1])
+    r = np.linalg.norm(z, axis=-1)
+    e = np.zeros_like(z)
+    e[..., 0] = 1.0
+    np.divide(z, r[..., None], out=e, where=(r > 0)[..., None])
+    a = np.sum(e * xi, axis=-1)
+    gr = cp.gamma * r
+    accept = np.log(u) <= -gr * a - 0.5 * gr * gr
+    synchronous = r >= cp.R_tilde
+    eta = np.where(synchronous[..., None], xi,
+                   np.where(accept[..., None], xi + cp.gamma * z, xi - e * (2.0 * a)[..., None]))
+    return xi, eta, synchronous, np.where(synchronous, r == 0.0, accept)
+
+
+@pytest.mark.parametrize("shape, order", [((40, 1), "C"), ((30, 8, 2), "C"),
+                                          ((30, 8, 2), "F"), ((5, 4, 6, 3), "C")])
+def test_coupling_matches_expression_form_bit_for_bit(shape, order):
+    # a Fortran-ordered separation has no contiguous rows of its own
+    rng = np.random.default_rng(19)
+    z = np.asarray(rng.normal(scale=1.5, size=shape), order=order)
+    z[..., 0, :] = 0.0
+    cp = CouplingParams(R_tilde=2.0, T=0.5)
+    res = couple_velocities_batch(z, cp, RngStream(4))
+    want = _reference_couple(z, cp, RngStream(4))
+    for got, expected in zip((res.xi, res.eta, res.synchronous, res.coalescing), want):
+        assert np.array_equal(got, expected)
+
+
+def test_coupling_and_coupled_step_leave_their_inputs_unchanged():
+    # read-only inputs make any write raise; the copies check the values
+    m = multiwell_model(2.0, 2, 0.1, "quadratic")
+    cp = CouplingParams(R_tilde=1.5, T=0.5)
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(6, 5, 2))
+    xp = x + rng.normal(scale=0.7, size=x.shape)
+    fx, fxp, fz = read_only(x, xp, x - xp)
+    res = couple_velocities_batch(fz, cp, RngStream(1))
+    assert res.synchronous.any() and not res.synchronous.all()
+    for synchronous in (False, True):
+        coupled_uhmc_step(m, fx, fxp, 0.125, cp, RngStream(2), synchronous=synchronous)
+    for frozen, copy in ((fx, x), (fxp, xp), (fz, x - xp)):
+        assert np.array_equal(frozen, copy)
+
+
+def test_synchronous_step_keeps_the_shared_momentum():
+    # the synchronous step hands one momentum array to both copies; each
+    # copy must flow as if it had its own
+    m = multiwell_model(2.0, 2, 0.1, "quadratic")
+    cp = CouplingParams(R_tilde=1.5, T=0.5)
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(4, 5, 2))
+    xp = x + 0.3
+    got = coupled_uhmc_step(m, x, xp, 0.125, cp, RngStream(3), synchronous=True)
+    stream = RngStream(3)
+    xi = stream.normal_vector(x.size).reshape(x.shape)
+    (q, _), (qp, _) = lockstep_flow_arrays(m, [(x, xi), (xp, xi.copy())], cp.T, 0.125,
+                                           stream)
+    assert np.array_equal(got[0], q) and np.array_equal(got[1], qp)
+
+
 def test_multiwell_one_step_contracts_on_average():
     mw = multiwell_model(1.0)
     T = 0.5
@@ -236,6 +301,15 @@ def test_metric_f_closed_form():
     assert metric_f(1.0, R1=10.0, T=1.0) == pytest.approx(1 - np.exp(-1.0), rel=1e-14)
     with pytest.raises(ValueError):
         metric_f(-0.1, R1=1.0, T=1.0)
+
+
+def test_metric_f_matches_expression_form_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for r1, t in [(2.5, 1.0), (0.8, 0.3), (6.0, 2.0)]:
+        r = np.concatenate([rng.uniform(0.0, 3.0 * r1, size=200), [0.0, r1, np.inf]])
+        want = t * (-np.expm1(-np.minimum(r, r1) / t)) + np.exp(-r1 / t) * np.maximum(r - r1, 0.0)
+        assert np.array_equal(metric_f(r, r1, t), want)
+        assert metric_f(r[0], r1, t) == want[0]
 
 
 def test_metric_f_matches_quadrature():

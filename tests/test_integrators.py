@@ -5,9 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
-                           MeanFieldModel, RngStream,
+                           MeanFieldModel, RngStream, ShallowNetDataset,
                            exact_gaussian_flow_arrays, gaussian_model,
-                           randomized_flow_arrays, randomized_step_arrays)
+                           lockstep_flow_arrays, multiwell_model,
+                           randomized_flow_arrays, randomized_step_arrays,
+                           shallow_net_model)
+from conftest import read_only, reference_randomized_step
 
 
 def _free_model(dim=1):
@@ -150,6 +153,114 @@ def test_step_rejects_wrong_trailing_dimension():
     m = gaussian_model(0.25)
     with pytest.raises(ValueError, match=r"\(\.\.\., N, 1\)"):
         randomized_step_arrays(m, np.zeros((4, 2)), np.zeros((4, 2)), 0.1, 0.5)
+
+
+# --- the step's arithmetic and its inputs -----------------------------------
+
+def _shallow_model():
+    rng = np.random.default_rng(5)
+    return shallow_net_model(ShallowNetDataset(rng.normal(size=(30, 2)),
+                                               rng.normal(size=30)), 0.5)
+
+
+def _identity_force_model(dim, seen=None):
+    """V = |x|^2 / 2 and no interaction, so grad U(q) is q itself: the force
+    returns its own input.  ``seen`` collects each returned array with a
+    copy of it taken on return."""
+    def grad_U_all(q):
+        if seen is not None:
+            seen.append((q, q.copy()))
+        return q
+    return MeanFieldModel(
+        name="identity", dim=dim, epsilon=0.0,
+        grad_V=lambda x: np.asarray(x, dtype=float),
+        grad1_W=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        V=lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
+        W=lambda x, y: np.zeros(np.shape(x)[:-1]),
+        constants=AssumptionConstants(K=1.0, L1=1.0, L2=1.0, L_tilde=0.0,
+                                      R_conv=0.0, W0=0.0),
+        grad_U_all=grad_U_all)
+
+
+STEP_CASES = {
+    "gaussian-unbatched": (gaussian_model(0.25), (16, 1)),
+    "gaussian-batched": (gaussian_model(0.25), (6, 16, 1)),
+    "multiwell-interacting": (multiwell_model(2.0, 2, 0.1, "quadratic"), (5, 8, 2)),
+    "multiwell-alone": (multiwell_model(2.0, 2, 0.25), (5, 8, 2)),
+    "shallow-net": (_shallow_model(), (4, 6, 3)),
+    "identity-force": (_identity_force_model(2), (3, 5, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_step_matches_expression_form_bit_for_bit(case):
+    model, shape = STEP_CASES[case]
+    rng = np.random.default_rng(11)
+    for scale, h in itertools.product((1e-3, 1.0, 40.0), (0.0, 0.125, 0.7)):
+        q, p = scale * rng.normal(size=shape), rng.normal(size=shape)
+        u = rng.uniform(size=shape[:-2]) if len(shape) > 2 else float(rng.uniform())
+        got = randomized_step_arrays(model, *read_only(q, p), h, u)
+        want = reference_randomized_step(model, q, p, h, u)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_step_and_flow_leave_their_inputs_unchanged(case):
+    # read-only inputs make any write raise; the copies check the values
+    model, shape = STEP_CASES[case]
+    rng = np.random.default_rng(12)
+    q, p, u = rng.normal(size=shape), rng.normal(size=shape), rng.uniform(size=shape[:-2])
+    fq, fp, fu = read_only(q, p, u)
+    randomized_step_arrays(model, fq, fp, 0.25, fu)
+    # two pairs sharing one momentum array, as the synchronous coupling has
+    lockstep_flow_arrays(model, [(fq, fp), (fp, fp)], 1.0, 0.25, RngStream(1))
+    for frozen, copy in ((fq, q), (fp, p), (fu, u)):
+        assert np.array_equal(frozen, copy)
+
+
+def test_step_never_writes_the_force_return_value():
+    # the force hands back the evaluation point itself; every array it
+    # returned must still hold what it held on return
+    seen = []
+    model = _identity_force_model(2, seen)
+    rng = np.random.default_rng(13)
+    q, p = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+    lockstep_flow_arrays(model, [(q, p), (p, q)], 1.0, 0.125, RngStream(2))
+    assert len(seen) == 16
+    for returned, on_return in seen:
+        assert np.array_equal(returned, on_return)
+
+
+@pytest.mark.parametrize("batch, replica", [((), None), ((4,), 2), ((2, 3), 4)])
+@pytest.mark.parametrize("where, value, force", [
+    ("q", np.nan, False), ("p", np.nan, False), ("q", -np.inf, False),
+    ("p", -np.inf, False), ("q", np.nan, True), ("p", np.nan, True)])
+def test_bound_check_names_step_and_replica(batch, replica, where, value, force):
+    # one bad entry in one replica; the force is zero, or the identity,
+    # which turns the nan at the evaluation point into a nan force
+    model = _identity_force_model(2) if force else _free_model(2)
+    q = np.ones(batch + (3, 2))
+    p = np.zeros(batch + (3, 2))
+    bad = np.unravel_index(replica, batch) if batch else ()
+    (q if where == "q" else p)[bad + (1, 0)] = value
+    with pytest.raises(IntegrationDivergedError) as err:
+        randomized_step_arrays(model, q, p, 0.25, np.full(batch, 0.5), step_index=7)
+    assert err.value.step_index == 7 and err.value.replica == replica
+    assert str(err.value) == ("non-finite force at step 7" if force
+                              else "trajectory diverged at integrator step 7")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_flow_names_the_inner_step_on_either_bound(sign):
+    # free flight at speed 3e99 with h = 0.25 leaves |q| < 1e100 for 13
+    # steps; the step with index 13 lands on 3.5 * 3e99 = 1.05e100, past
+    # the bound on the side of the sign
+    model = _free_model(1)
+    q, p = np.zeros((2, 5, 3, 1)), np.zeros((2, 5, 3, 1))
+    p[1, 2, 0, 0] = sign * 3e99
+    with pytest.raises(IntegrationDivergedError) as err:
+        randomized_flow_arrays(model, q, p, 10.0, 0.25, RngStream(3))
+    assert err.value.step_index == 13 and err.value.replica == 7
 
 
 # --- exact flow of the 1-d quadratic model ---------------------------------

@@ -501,6 +501,26 @@ def test_multiwell_fast_force_matches_pairwise(a, eps, dim, interaction, seed, n
     _assert_fast_force_matches_pairwise(m, seed, n, replicas)
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.0, 5.0), eps=st.floats(0.0, 2.0), dim=st.integers(1, 9),
+       interaction=st.sampled_from([None, "quadratic"]), seed=_seeds,
+       n=st.integers(1, 9), replicas=st.integers(1, 4))
+def test_multiwell_force_matches_expression_form_bit_for_bit(a, eps, dim, interaction,
+                                                              seed, n, replicas):
+    # the force as numpy broadcasts: grad_V(x) = x (1 - a exp(-(a/2)|x|^2))
+    # plus eps (q - particle mean) with the quadratic pair term
+    m = multiwell_model(a, dim=dim, epsilon=eps, interaction=interaction)
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(replicas, n, dim)) * 10.0 ** rng.uniform(-3.0, 1.0)
+    grad_v = q * (1.0 - a * np.exp(-0.5 * a * np.sum(q * q, axis=-1)))[..., None]
+    assert _same_bits(m.grad_V(q), grad_v)
+    assert _same_bits(m.grad_V(q[0, 0]), grad_v[0, 0])
+    want = grad_v
+    if interaction is not None:
+        want = grad_v + eps * (q - np.add.reduce(q, axis=-2, keepdims=True) / n)
+    assert _same_bits(mean_field_grad_all(m, q), want)
+
+
 def test_grad_all_batched():
     m = gaussian_model(0.25)
     rng = np.random.default_rng(11)
@@ -575,4 +595,6 @@ def test_columnwise_and_row_selection_match_broadcasts(arrays):
     np.divide(x, per_particle[..., None], out=want, where=mask[..., None])
     assert _same_bits(got, want)
     rows = z[..., 0] > 0
-    assert _same_bits(models._select_rows(rows, x, y), np.where(rows[..., None], x, y))
+    got = x.copy()
+    models._put_rows(rows, got, y)
+    assert _same_bits(got, np.where(rows[..., None], y, x))
