@@ -22,13 +22,14 @@ import re
 import sys
 
 from . import __version__
-from .experiments import (ConfigError, bias_scan, build_model, chaos_scan,
-                          config_json, contraction_experiment, header_lines,
-                          json_safe, order_check, sample_command, write_csv,
-                          write_scaling_svg)
+from .experiments import (ConfigError, _check_count, bias_scan, build_model,
+                          chaos_scan, config_json, contraction_experiment,
+                          header_lines, json_safe, order_check, sample_command,
+                          write_csv, write_scaling_svg)
 from .integrators import IntegrationDivergedError
 from .models import InvalidModelError
-from .theory import compute_constants, constants_table
+from .theory import (CONDITION_SETS, compute_constants, constants_table,
+                     max_admissible_T)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,6 +224,7 @@ def _run_constants(args):
     model = _model_from_args(args)
     tc = compute_constants(model, args.T, m2_init=args.m2_init, B3=args.B3)
     table = constants_table(tc)
+    t_max = {name: max_admissible_T(model, name) for name in CONDITION_SETS}
     if args.json:
         payload = {
             "model": model.name,
@@ -234,6 +236,7 @@ def _run_constants(args):
                                   "rhs": json_safe(rep.rhs),
                                   "ratio": json_safe(rep.ratio)}
                            for name, rep in tc.conditions.items()},
+            "max_admissible_T": {name: json_safe(t) for name, t in t_max.items()},
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return EXIT_OK
@@ -248,6 +251,10 @@ def _run_constants(args):
     for name, rep in tc.conditions.items():
         status = "pass" if rep.passed else "FAIL"
         print(f"{name:<18}{status:<8}{rep.lhs:<14.6g}{rep.rhs:<14.6g}{rep.ratio:.6g}")
+    print()
+    print(f"{'condition set':<16}max_admissible_T")
+    for name, t in t_max.items():
+        print(f"{name:<16}{t:.12g}")
     return EXIT_OK
 
 
@@ -258,6 +265,7 @@ def main(argv=None) -> int:
         if args.command == "constants":
             code = _run_constants(args)
         else:
+            _check_count("--threads", args.threads)
             code = _write_outputs(args, _EXPERIMENTS[args.command](args))
         # surface a closed stdout here rather than in the interpreter's exit flush
         sys.stdout.flush()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 from .couplings import CouplingParams, metric_radius
@@ -193,7 +194,8 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
         conditions=check_conditions(model, T))
 
 
-_CONDITION_SETS = {
+# each condition set of :func:`max_admissible_T` and its T-inequality
+CONDITION_SETS = {
     "nhmc": "cond_T",
     "strong-convex": "cond_T_strong",
     "uhmc": "cond_CT",
@@ -208,12 +210,20 @@ def max_admissible_T(model: MeanFieldModel, condition_set: str) -> float:
     the root is sqrt(rhs / coef).  The interaction-strength inequalities
     have right-hand sides that only grow with T, so they cannot be
     satisfied by shrinking T; they are checked separately.
+
+    coef >= L2 > 0 and every rhs is capped, so a root always exists; where
+    rhs or T^2 falls outside the normal floats (an rhs that underflowed to
+    0, a non-finite coef) no T can be checked and the result is nan.
     """
-    if condition_set not in _CONDITION_SETS:
-        raise ValueError(f"condition set must be one of {sorted(_CONDITION_SETS)}")
-    name = _CONDITION_SETS[condition_set]
+    if condition_set not in CONDITION_SETS:
+        raise ValueError(f"condition set must be one of {sorted(CONDITION_SETS)}")
+    name = CONDITION_SETS[condition_set]
     unit = check_conditions(model, 1.0)[name]
     t = math.sqrt(unit.rhs / unit.lhs)
+    # with a subnormal rhs or T^2 the root can sit many ulps past the
+    # boundary, or the check at T leaves the float range
+    if not (unit.rhs >= sys.float_info.min and sys.float_info.min <= t * t < math.inf):
+        return math.nan
     # the closed-form root can overshoot the boundary by an ulp; step down
     # until the inverted inequality actually holds
     while not check_conditions(model, t)[name].passed:

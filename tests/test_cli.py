@@ -16,7 +16,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # lean integrator loop existed, and stayed byte-identical when the buffer was
 # deleted again, and the multiwell constants file before the object
 # API and the coupled step's own loop were removed, so a byte difference is a
-# change of output, not of speed or structure.  sample_shallow_net.csv stayed
+# change of output, not of speed or structure.  constants_multiwell.txt was
+# last re-recorded when it gained the max_admissible_T table, every line
+# above that table unchanged.  sample_shallow_net.csv stayed
 # byte-identical when its force came to share one feature pass and to reuse
 # scratch arrays; it was last re-recorded when the sigmoid moved from scipy's
 # expit to numpy ufuncs (whose exp may differ from the C library's in the
@@ -243,6 +245,9 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # exponent forms and -inf reach their option and its value check
     (["contraction", "--offset", "-inf"], 2, "offset must be finite, got offset=-inf"),
     (["sample", "--eps", "-1e-3"], 2, _EPS_RANGE.replace("=1.0;", "=-0.001;")),
+    # a thread count below 1 is an error, not a silent single-threaded run
+    (["order-check", "--threads", "0"], 2, "--threads must be a positive integer, got 0"),
+    (["sample", "--threads", "-3"], 2, "--threads must be a positive integer, got -3"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out
@@ -316,6 +321,24 @@ def test_constants_json_is_valid(capsys, model_args):
     payload = json.loads(capsys.readouterr().out)
     assert payload["model"] == model_args[1]
     assert set(payload["conditions"]) and set(payload["constants"])
+    assert set(payload["max_admissible_T"]) == {"nhmc", "strong-convex", "uhmc"}
+    assert all(0 < t < 1 for t in payload["max_admissible_T"].values())
+
+
+def test_constants_reports_the_largest_admissible_duration(capsys):
+    # at a = 1e100 the nhmc and uhmc right sides underflow to 0, so no
+    # duration can be checked: nan in the table, null in the JSON
+    argv = ["constants", "--model", "multiwell", "--a", "1e100"]
+    assert main(argv + ["--json"]) == 0
+    t_max = json.loads(capsys.readouterr().out)["max_admissible_T"]
+    model = meanfield_hmc.multiwell_model(1e100)
+    assert t_max == {"nhmc": None, "uhmc": None,
+                     "strong-convex": meanfield_hmc.max_admissible_T(model, "strong-convex")}
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.split("max_admissible_T\n")[1].splitlines()
+    table = dict(row.split() for row in rows)
+    assert table["nhmc"] == table["uhmc"] == "nan"
+    assert float(table["strong-convex"]) == pytest.approx(t_max["strong-convex"], rel=1e-11)
 
 
 def test_constants_json_reports_the_gaussian_interaction_strength(capsys):

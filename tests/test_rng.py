@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+import meanfield_hmc
 from meanfield_hmc import RngStream, derive_stream_id
 
 
@@ -144,3 +150,77 @@ def test_any_split_of_draws_equals_one_draw(seed, stream_id, calls):
         # values handed out are never overwritten by later calls
         assert np.array_equal(out, first_seen)
         pos += out.size
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this package's source."""
+    src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_skips_scipy_special_init():
+    # scipy.special's __init__ pulls in numpy.f2py and numpy.testing
+    # through its array-API shim; the package loads the ufunc without it
+    out = _fresh("""
+        import sys
+        import meanfield_hmc.cli
+        heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+        print([name for name in heavy if name in sys.modules])
+    """)
+    assert out == "[]\n"
+
+
+def test_later_scipy_special_import_shares_the_ufunc():
+    out = _fresh("""
+        import meanfield_hmc.rng
+        import scipy.special
+        print(meanfield_hmc.rng.ndtri is scipy.special.ndtri)
+    """)
+    assert out == "True\n"
+
+
+def test_earlier_scipy_special_import_shares_the_ufunc():
+    out = _fresh("""
+        import scipy.special
+        import meanfield_hmc.rng
+        print(meanfield_hmc.rng.ndtri is scipy.special.ndtri)
+    """)
+    assert out == "True\n"
+
+
+def test_private_layout_failure_falls_back_to_the_public_import():
+    # a scipy whose _ufuncs cannot load under the stub parent: the public
+    # import runs instead and no stub stays behind
+    out = _fresh("""
+        import sys
+
+        class RefuseUnderStub:
+            def find_spec(self, name, path=None, target=None):
+                parent = sys.modules.get("scipy.special")
+                if name == "scipy.special._ufuncs" and not hasattr(parent, "__file__"):
+                    raise ImportError("refused under the stub")
+                return None
+
+        sys.meta_path.insert(0, RefuseUnderStub())
+        import meanfield_hmc.rng
+        import scipy.special
+        print(meanfield_hmc.rng.ndtri is scipy.special.ndtri,
+              hasattr(sys.modules["scipy.special"], "__file__"))
+    """)
+    assert out == "True True\n"
+
+
+def test_a_run_imports_nothing(tmp_path):
+    # every import is paid at package load, none inside a run
+    out = _fresh(f"""
+        import sys
+        from meanfield_hmc import cli
+        before = set(sys.modules)
+        code = cli.main(["sample", "--steps", "2", "--out", {str(tmp_path / "s.csv")!r}])
+        print(code, sorted(set(sys.modules) - before))
+    """)
+    assert out == "0 []\n"

@@ -90,6 +90,19 @@ def test_condition_boundary_saturation():
     assert rep.ratio == pytest.approx(1.0, rel=1e-9)
 
 
+def test_max_admissible_T_is_nan_where_no_duration_can_be_checked():
+    # the nhmc and uhmc right sides are subnormal at a = 10^77.5 (where the
+    # ulp step-down did not end within 2 s) and underflow to 0 at a = 1e100; the
+    # strong-convex side stays normal and keeps its root
+    for a in (10.0**77.5, 1e100):
+        m = multiwell_model(a)
+        assert math.isnan(max_admissible_T(m, "nhmc"))
+        assert math.isnan(max_admissible_T(m, "uhmc"))
+        t = max_admissible_T(m, "strong-convex")
+        assert check_conditions(m, t)["cond_T_strong"].passed
+        assert not check_conditions(m, math.nextafter(t, math.inf))["cond_T_strong"].passed
+
+
 def test_condition_reports_all_evaluated():
     reports = check_conditions(multiwell_model(1.0, epsilon=0.2,
                                                interaction="quadratic"), 0.05)
