@@ -212,8 +212,8 @@ def max_admissible_T(model: MeanFieldModel, condition_set: str) -> float:
     satisfied by shrinking T; they are checked separately.
 
     coef >= L2 > 0 and every rhs is capped, so a root always exists; where
-    rhs or T^2 falls outside the normal floats (an rhs that underflowed to
-    0, a non-finite coef) no T can be checked and the result is nan.
+    rhs or T^2 falls outside the normal floats (a root below about 1.5e-154,
+    or one that underflowed to 0) no T can be checked and the result is nan.
     """
     if condition_set not in CONDITION_SETS:
         raise ValueError(f"condition set must be one of {sorted(CONDITION_SETS)}")

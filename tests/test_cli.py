@@ -326,8 +326,8 @@ def test_constants_json_is_valid(capsys, model_args):
 
 
 def test_constants_reports_the_largest_admissible_duration(capsys):
-    # at a = 1e100 the nhmc and uhmc right sides underflow to 0, so no
-    # duration can be checked: nan in the table, null in the JSON
+    # at a = 1e100 the nhmc and uhmc roots underflow to 0, so no duration
+    # can be checked: nan in the table, null in the JSON
     argv = ["constants", "--model", "multiwell", "--a", "1e100"]
     assert main(argv + ["--json"]) == 0
     t_max = json.loads(capsys.readouterr().out)["max_admissible_T"]

@@ -91,9 +91,9 @@ def test_condition_boundary_saturation():
 
 
 def test_max_admissible_T_is_nan_where_no_duration_can_be_checked():
-    # the nhmc and uhmc right sides are subnormal at a = 10^77.5 (where the
-    # ulp step-down did not end within 2 s) and underflow to 0 at a = 1e100; the
-    # strong-convex side stays normal and keeps its root
+    # the nhmc and uhmc roots have a subnormal square at a = 10^77.5 (where
+    # the ulp step-down did not end within 2 s) and underflow to 0 at
+    # a = 1e100; the strong-convex root stays normal
     for a in (10.0**77.5, 1e100):
         m = multiwell_model(a)
         assert math.isnan(max_admissible_T(m, "nhmc"))
