@@ -161,9 +161,13 @@ def metric_f(r, R1: float, T: float):
 
 
 def metric_f_prime(r, R1: float, T: float):
-    """Derivative of :func:`metric_f`: exp(-min(R1, r)/T)."""
+    """Derivative of :func:`metric_f`: exp(-min(R1, r)/T).
+
+    A ratio min(R1, r)/T that overflows gives 0, without a warning.
+    """
     r = np.asarray(r, dtype=float)
-    out = np.exp(-np.minimum(r, R1) / T)
+    with np.errstate(over="ignore"):
+        out = np.exp(-np.minimum(r, R1) / T)
     return float(out) if out.ndim == 0 else out
 
 

@@ -20,12 +20,11 @@ the coupling metric on (..., N, d) arrays, bit for bit as numpy would.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-from .rng import RngStream
 
 
 class InvalidModelError(ValueError):
@@ -411,28 +410,28 @@ class ShallowNetDataset:
                 fh.write(",".join(repr(float(v)) for v in (y, *z)) + "\n")
 
 
-# the shallow-net model's one activation, and the radius of the box its
-# constants are probed in; both are recorded in the model's params
+# the shallow-net model's one activation, and the radius R of the box
+# |x_j| <= R on which its constants are closed-form bounds (see
+# _box_constants); both are recorded in the model's params
 _ACTIVATION = "sigmoid"
-_PROBE_RADIUS = 4.0
-_PROBE_PAIRS = 10_000
-_PROBE_SEED = 0x5EED_CAFE
-# feature values (probe rows x data points) one probe block may hold
-_PROBE_BLOCK = 1 << 16
+_BOX_RADIUS = 4.0
+# max |sigma'| and max |sigma''| of the sigmoid sigma, the latter where
+# sigma = 1/2 +- 1/(2 sqrt 3)
+_SIGMOID_D1_MAX = 0.25
+_SIGMOID_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 
 
-def _ridge_features(x, z, out=None):
+def _ridge_features(x, z):
     """beta (...,) and sigma(alpha . z_m) (..., M) of parameters x = (beta, alpha).
 
-    The features are written into ``out`` when it is given.  The sigmoid
-    is 1 / (1 + exp(-s)), scipy's ``expit`` formula, in numpy ufuncs in
-    place on the matmul output.  Where exp(-s) overflows (s < -709.78)
-    the feature is 0, as in ``expit``, without a warning; -inf, inf and
-    nan map to 0, 1 and nan.  numpy's exp may differ from the C library's
-    in the last bit, so a feature may differ from ``expit``'s by a few
-    ulp, and numpy picks its exp kernel by CPU.
+    The sigmoid is 1 / (1 + exp(-s)), scipy's ``expit`` formula, in numpy
+    ufuncs in place on the matmul output.  Where exp(-s) overflows
+    (s < -709.78) the feature is 0, as in ``expit``, without a warning;
+    -inf, inf and nan map to 0, 1 and nan.  numpy's exp may differ from
+    the C library's in the last bit, so a feature may differ from
+    ``expit``'s by a few ulp, and numpy picks its exp kernel by CPU.
     """
-    sig = np.matmul(x[..., 1:], z.T, out=out)
+    sig = np.matmul(x[..., 1:], z.T)
     np.negative(sig, out=sig)
     with np.errstate(over="ignore"):
         np.exp(sig, out=sig)
@@ -463,10 +462,10 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
         V(x)       = |x|^2/2 + 2 * mean_m [ y_m * phi(x, z_m) ]
         W(x, xt)   = 2 * mean_m [ phi(x, z_m) * phi(xt, z_m) ]
 
-    The regularity constants cannot be certified globally for a sigmoid
-    activation; they are estimated from finite-difference quotients over
-    random probe pairs in a box of radius ``_PROBE_RADIUS`` and flagged
-    ``certified=False``.
+    No global regularity constants exist, because the Hessian of phi grows
+    with |beta|.  The model's constants are closed-form bounds that hold
+    on the box |x_j| <= 4 (``box_radius`` in its params; see
+    ``_box_constants``), and are certified there.
 
     The force takes one feature pass and one weighted ridge sum per call:
     the sum is linear in its weights, so the V term and the interaction
@@ -526,85 +525,59 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
         weights += y
         return q + (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, weights, z, work)
 
-    constants = _estimate_constants(z, y)
+    constants = _box_constants(z, y)
     return MeanFieldModel(
         name="shallow-net", dim=dim, epsilon=eps,
         grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
         constants=constants, grad_U_all=grad_U_all,
         params={"epsilon": eps, "activation": _ACTIVATION, "M": m_count,
-                "input_dim": data.input_dim, "probe_radius": _PROBE_RADIUS})
+                "input_dim": data.input_dim, "box_radius": _BOX_RADIUS})
 
 
-def _estimate_constants(z, y):
-    """Probe-based constant estimates for the shallow-net model on data (z, y).
+def _box_constants(z, y):
+    """Closed-form constants of the shallow-net model on data (z, y), valid
+    on the box |x_j| <= R = _BOX_RADIUS.
 
-    L1 and L_tilde are maxima of difference quotients over random pairs in
-    the probe box.  Asymptotic strong convexity is probed around half the
-    quadratic regularizer's curvature (m0 = 1/2), its worst defect Upsilon
-    mapped to (K, L2, R_conv) = (m0/4, 4 L1^2/m0, sqrt(2 Upsilon/m0)).
-    W0 = |grad1_W(0, 0)| is exactly 0 on every dataset, because
-    phi(0, z) = 0 * sigmoid(0) = 0 makes every weight of the sum zero.
+    The Hessian of phi = beta sigma(alpha . z) is
+    [[0, sigma' z^T], [sigma' z, beta sigma'' z z^T]].  On the box, for
+    each data point m,
 
-    The probe runs one loop over blocks of max(1, _PROBE_BLOCK // M) pairs,
-    M being the features per point (the dataset size).  Each block takes
-    one feature pass per point set (xs, ys, xt, yt), yields both gradient
-    differences, grad_V(xs) - grad_V(ys) and grad1_W(xs, ys) -
-    grad1_W(xt, yt), and keeps only their (pairs, d) values.  All feature
-    arithmetic happens in four (rows, M) scratch arrays allocated once per
-    call, each holding at most max(_PROBE_BLOCK, M) values: 2 MiB in all
-    for M <= 65536, so the build's memory does not grow with the dataset.
-    A BLAS matmul may round a row differently depending on how many rows
-    one call holds, so the maxima can depend on the block size in the last
-    ulp, far below the sampling error of these uncertified estimates.
+        |phi| <= R,   |grad phi|^2 <= G_m^2 = 1 + R^2 |z_m|^2 / 16,
+        |hess phi| <= H_m = |z_m| / 4 + R |z_m|^2 / (6 sqrt 3),
+
+    the last from the norms of the Hessian's two blocks.  The Hessian of V
+    is I + (2/M) sum_m y_m hess phi_m, so L1 = 1 + S with
+    S = (2/M) sum_m |y_m| H_m.  Splitting
+    phi(xt) grad phi(x) - phi(xt') grad phi(x') at phi(xt) grad phi(x')
+    bounds grad1_W's differences in the metric |x - x'| + |xt - xt'| by
+    L_tilde = (2/M) max(R sum_m H_m, sum_m G_m^2).
+
+    The Hessian of V is at least (1 - S) I on the box.  If S < 1, V is
+    (1 - S)-strongly convex there: m0 = 1 - S and the convexity defect
+    Upsilon is 0.  Otherwise m0 = 1/2, and the defect
+    m0 |x - x'|^2 - <x - x', grad V(x) - grad V(x')> is at most (S - 1/2)
+    times the box's squared diameter 4 R^2 d.  Either way (K, L2, R_conv) =
+    (m0/4, 4 L1^2/m0, sqrt(2 Upsilon/m0)).  W0 = |grad1_W(0, 0)| is 0,
+    because phi(0, z) = 0 * sigma(0) = 0 makes every weight of the sum zero.
+    Inputs so large that a bound overflows give infinite constants, which
+    bound nothing but are not wrong; H_m is capped at the largest float so
+    that a zero output times it adds 0 to S, not nan.
     """
     m_count, dim = z.shape[0], 1 + z.shape[1]
-    stream = RngStream(_PROBE_SEED)
-    xs, ys, xt, yt = (
-        _PROBE_RADIUS
-        * (2.0 * stream.uniforms(_PROBE_PAIRS * dim).reshape(_PROBE_PAIRS, dim) - 1.0)
-        for _ in range(4))
-    rows = max(1, _PROBE_BLOCK // m_count)
-    scratch = np.empty((4, rows, m_count))
-    scale = 2.0 / m_count
-    dg = np.empty((_PROBE_PAIRS, dim))
-    dgw = np.empty((_PROBE_PAIRS, dim))
-    # sig_a and sig_b hold the features of xs and ys, then of xt and yt; a
-    # y-side phi is written over the features it is computed from
-    for i in range(0, _PROBE_PAIRS, rows):
-        b = slice(i, i + rows)
-        sig_a, sig_b, one_minus, work = scratch[:, :min(rows, _PROBE_PAIRS - i)]
-        beta_xs, sig_xs = _ridge_features(xs[b], z, sig_a)
-        beta_ys, sig_ys = _ridge_features(ys[b], z, sig_b)
-        np.subtract(1.0, sig_ys, out=one_minus)
-        grad_ys = ys[b] + scale * _ridge_grad(beta_ys, sig_ys, one_minus, y, z, work)
-        phi_ys = np.multiply(beta_ys[:, None], sig_ys, out=sig_ys)
-        np.subtract(1.0, sig_xs, out=one_minus)
-        grad_xs = xs[b] + scale * _ridge_grad(beta_xs, sig_xs, one_minus, y, z, work)
-        dg[b] = grad_xs - grad_ys
-        pair_s = scale * _ridge_grad(beta_xs, sig_xs, one_minus, phi_ys, z, work)
-        beta_xt, sig_xt = _ridge_features(xt[b], z, sig_a)
-        beta_yt, sig_yt = _ridge_features(yt[b], z, sig_b)
-        phi_yt = np.multiply(beta_yt[:, None], sig_yt, out=sig_yt)
-        np.subtract(1.0, sig_xt, out=one_minus)
-        dgw[b] = pair_s - scale * _ridge_grad(beta_xt, sig_xt, one_minus, phi_yt, z, work)
-
-    dx = xs - ys
-    norms = np.linalg.norm(dx, axis=-1)
-    keep = norms > 1e-8
-    quot = np.linalg.norm(dg, axis=-1)[keep] / norms[keep]
-    l1 = max(1.0, float(quot.max()))
-
-    inner = np.sum(dx * dg, axis=-1)
-    m0 = 0.5
-    upsilon = max(0.0, float((m0 * norms**2 - inner).max()))
-    k = m0 / 4.0
-    l2 = 4.0 * l1**2 / m0
-    r_conv = np.sqrt(2.0 * upsilon / m0)
-
-    wnorms = np.linalg.norm(dgw, axis=-1)
-    denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
-    ok = denom > 1e-8
-    l_tilde = float((wnorms[ok] / denom[ok]).max())
+    r = _BOX_RADIUS
+    with np.errstate(over="ignore"):
+        norm2 = np.sum(z * z, axis=1)
+        hess = np.minimum(_SIGMOID_D1_MAX * np.sqrt(norm2) + (r * _SIGMOID_D2_MAX) * norm2,
+                          np.finfo(float).max)
+        grad2 = 1.0 + (r * _SIGMOID_D1_MAX) ** 2 * norm2
+        scale = 2.0 / m_count
+        s = scale * float(np.abs(y) @ hess)
+        l_tilde = scale * max(r * float(hess.sum()), float(grad2.sum()))
+    if s < 1.0:
+        m0, upsilon = 1.0 - s, 0.0
+    else:
+        m0, upsilon = 0.5, (s - 0.5) * 4.0 * r * r * dim
+    l1 = 1.0 + s
     return AssumptionConstants(
-        K=k, L1=l1, L2=l2, L_tilde=l_tilde, R_conv=float(r_conv), W0=0.0,
-        certified=False)
+        K=m0 / 4.0, L1=l1, L2=4.0 * l1 * l1 / m0, L_tilde=l_tilde,
+        R_conv=math.sqrt(2.0 * upsilon / m0), W0=0.0)

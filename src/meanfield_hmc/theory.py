@@ -35,9 +35,12 @@ class ConditionReport:
 
     @property
     def ratio(self) -> float:
-        """lhs / rhs; 0 when both sides vanish or rhs is infinite."""
+        """lhs / rhs; 0 when both sides vanish or rhs is infinite, and inf
+        when rhs alone vanishes (an exp(-R_tilde/T) factor that underflows)."""
         if self.lhs == 0.0 or math.isinf(self.rhs):
             return 0.0
+        if self.rhs == 0.0:
+            return math.inf
         return self.lhs / self.rhs
 
 

@@ -24,7 +24,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # expit to numpy ufuncs (whose exp may differ from the C library's in the
 # last bit) and the force's V and interaction terms came to share one
 # weighted ridge sum: 56 of its 275 values moved, by at most 8.9e-14
-# relative, and its constants footer stayed byte-identical.  The three bias-scan files
+# relative, and its constants footer stayed byte-identical.  Its constants
+# footer and the config line's model_params were last re-recorded when the
+# probe-estimated constants became closed-form bounds on the box named by
+# model_params' box_radius (was probe_radius), every data row
+# byte-identical.  The three bias-scan files
 # were last re-recorded when bias-scan's replica count stopped being
 # gcd(steps, 10) and became the widest divisor of --steps that leaves each
 # stationary-started replica at least 20 steps (6 replicas of 20 where there
@@ -394,3 +398,18 @@ def test_closed_stdout_exits_cleanly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_overflowing_metric_slope_prints_only_the_error_line():
+    # R1/T overflows in the metric's slope exp(-R1/T) before the theory
+    # leaves the float range; numpy must not warn ahead of the one message
+    src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "meanfield_hmc", "constants",
+         "--model", "multiwell", "--a", "1e300", "--T", "1e-100"],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    message = _theory_range("1e-100", _MULTIWELL.format(a="1e+300", eps="0.25", inter=None))
+    assert proc.stderr.decode() == f"error: {message}\n"
+    assert proc.stdout == b""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from meanfield_hmc import (InvalidModelError, RngStream, ShallowNetDataset,
+from meanfield_hmc import (InvalidModelError, ShallowNetDataset,
                            gaussian_model, mean_field_grad_all, models,
                            multiwell_model, shallow_net_model)
 from conftest import central_diff_grad, pairwise_grad_all, rel_err
@@ -212,56 +212,103 @@ def test_shallow_net_validation():
         m.V(np.zeros(5))  # parameter dim is 3
 
 
-def test_shallow_net_constants_flagged_estimates():
-    rng = np.random.default_rng(4)
-    data = ShallowNetDataset(inputs=rng.normal(size=(20, 2)),
-                             outputs=rng.normal(size=20))
-    m = shallow_net_model(data)
-    assert not m.constants.certified
-    assert m.constants.L1 >= 1.0 and m.constants.L_tilde > 0.0
-    # rebuilt model reproduces identical estimates (deterministic probes)
-    again = shallow_net_model(data)
-    assert again.constants == m.constants
+def _reference_constants(data, d2_max=1.0 / (6.0 * math.sqrt(3.0)), radius=4.0):
+    """The shallow-net box bounds of ``models._box_constants``, one data
+    point at a time; ``d2_max`` bounds |sigma''|."""
+    m_count, dim = data.count, 1 + data.input_dim
+    norms = [math.sqrt(sum(v * v for v in z)) for z in data.inputs]
+    hess = [n / 4.0 + radius * d2_max * n * n for n in norms]
+    grad2 = [1.0 + (radius * n / 4.0) ** 2 for n in norms]
+    s = 2.0 / m_count * sum(abs(y) * h for y, h in zip(data.outputs, hess))
+    if s < 1.0:
+        m0, upsilon = 1.0 - s, 0.0
+    else:
+        m0, upsilon = 0.5, (s - 0.5) * 4.0 * radius**2 * dim
+    return {"K": m0 / 4.0, "L1": 1.0 + s, "L2": 4.0 * (1.0 + s) ** 2 / m0,
+            "L_tilde": 2.0 / m_count * max(radius * sum(hess), sum(grad2)),
+            "R_conv": math.sqrt(2.0 * upsilon / m0), "W0": 0.0}
 
 
-def _whole_array_probe(model, probe_radius=4.0):
-    """L1, L_tilde and R_conv from all probe pairs in one gradient call each."""
-    n, dim = models._PROBE_PAIRS, model.dim
-    stream = RngStream(models._PROBE_SEED)
-    xs, ys, xt, yt = (probe_radius * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
-                      for _ in range(4))
-    dx = xs - ys
-    norms = np.linalg.norm(dx, axis=-1)
-    keep = norms > 1e-8
-    dg = model.grad_V(xs) - model.grad_V(ys)
-    l1 = max(1.0, float((np.linalg.norm(dg, axis=-1)[keep] / norms[keep]).max()))
-    upsilon = max(0.0, float((0.5 * norms**2 - np.sum(dx * dg, axis=-1)).max()))
-    dgw = np.linalg.norm(model.grad1_W(xs, ys) - model.grad1_W(xt, yt), axis=-1)
-    denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
-    ok = denom > 1e-8
-    l_tilde = float((dgw[ok] / denom[ok]).max())
-    return {"L1": l1, "L_tilde": l_tilde, "R_conv": float(np.sqrt(4.0 * upsilon))}
+def _in_box_excess(m, constants, seed, pairs=100_000, block=10_000):
+    """How far pairs inside the model's box exceed the bounds in ``constants``.
+
+    Returns the largest grad_V difference quotient, grad1_W quotient (in
+    the metric |x - y| + |xt - yt|) and convexity defect
+    m0 |x - y|^2 - <x - y, grad_V(x) - grad_V(y)>, each less its bound
+    (L1, L_tilde and Upsilon = (m0/2) R_conv^2 with m0 = 4K) and relative
+    to it (to 1 where Upsilon is 0).  x and xt are uniform in the box; y and
+    yt lie a log-uniform fraction in [1e-3, 1] of the way to a second
+    uniform point, so short pairs see the local curvature.
+    """
+    rng = np.random.default_rng(seed)
+    box = m.params["box_radius"]
+    m0 = 4.0 * constants["K"]
+    upsilon = 0.5 * m0 * constants["R_conv"] ** 2
+    bounds = np.array([constants["L1"], constants["L_tilde"], max(upsilon, 1.0)])
+    excess = np.full(3, -np.inf)
+    for _ in range(pairs // block):
+        x, w, xt, wt = rng.uniform(-box, box, size=(4, block, m.dim))
+        frac = 10.0 ** rng.uniform(-3.0, 0.0, size=(2, block, 1))
+        y, yt = x + frac[0] * (w - x), xt + frac[1] * (wt - xt)
+        dist = np.linalg.norm(x - y, axis=-1)
+        dg = m.grad_V(x) - m.grad_V(y)
+        dgw = m.grad1_W(x, xt) - m.grad1_W(y, yt)
+        worst = [
+            (np.linalg.norm(dg, axis=-1) / dist).max() - constants["L1"],
+            (np.linalg.norm(dgw, axis=-1)
+             / (dist + np.linalg.norm(xt - yt, axis=-1))).max() - constants["L_tilde"],
+            (m0 * dist**2 - np.sum((x - y) * dg, axis=-1)).max() - upsilon]
+        excess = np.maximum(excess, np.array(worst) / bounds)
+    return excess
 
 
-@pytest.mark.parametrize("count, inputs, scale", [(40, 1, 1.0), (300, 2, 20.0)])
-def test_shallow_net_blocked_probe_matches_whole_array_probe(count, inputs, scale):
-    # neither count divides the block budget and the last probe block is
-    # short; outputs scaled by 20 make the convexity defect (R_conv) nonzero
-    assert models._PROBE_BLOCK % count != 0
-    assert models._PROBE_PAIRS % (models._PROBE_BLOCK // count) != 0
-    rng = np.random.default_rng(count)
-    data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
+def _shallow_net_data(count, inputs, scale):
+    rng = np.random.default_rng(count + inputs)
+    return ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
                              outputs=scale * rng.normal(size=count))
+
+
+# outputs scaled by 0.2 keep S = (2/M) sum_m |y_m| H_m below 1 (V strongly
+# convex on the box); scaled by 20 they take it past 1 (R_conv > 0)
+_BOX_DATASETS = [(5, 2, 0.2), (5, 2, 20.0), (20, 2, 0.2), (60, 3, 20.0)]
+
+
+@pytest.mark.parametrize("count, inputs, scale", _BOX_DATASETS)
+def test_shallow_net_constants_bound_every_in_box_pair(count, inputs, scale):
+    data = _shallow_net_data(count, inputs, scale)
     m = shallow_net_model(data)
-    for name, ref in _whole_array_probe(m).items():
-        got = getattr(m.constants, name)
-        assert abs(got - ref) <= 1e-15 * abs(ref), (name, got, ref)
+    assert m.constants.certified
     assert (m.constants.R_conv > 0.0) == (scale > 1.0)
+    excess = _in_box_excess(m, vars(m.constants), seed=count)
+    assert (excess <= 1e-12).all(), excess
+
+
+@pytest.mark.parametrize("count, inputs, scale", _BOX_DATASETS[:2])
+def test_shallow_net_bounds_without_the_sigma_curvature_fail_the_in_box_check(
+        count, inputs, scale):
+    # dropping the beta sigma'' z z^T block of phi's Hessian leaves bounds
+    # that some in-box pair exceeds, on either convexity branch
+    data = _shallow_net_data(count, inputs, scale)
+    excess = _in_box_excess(shallow_net_model(data),
+                            _reference_constants(data, d2_max=0.0), seed=count)
+    assert (excess > 0.0).any(), excess
+
+
+def test_shallow_net_constants_overflow_to_infinity_not_nan():
+    # |z|^2 overflows at the first point; the force and a sample do not read
+    # the constants, so the model must still build.  With a zero output there
+    # the point adds nothing to S, and V stays strongly convex on the box.
+    inputs = np.array([[1e200], [1.0]])
+    for outputs in ([0.0, 0.5], [1.0, 0.5]):
+        c = shallow_net_model(ShallowNetDataset(inputs, np.array(outputs))).constants
+        assert not any(math.isnan(v) for v in vars(c).values())
+        assert c.L_tilde == math.inf
+        assert c.R_conv == (0.0 if outputs[0] == 0.0 else math.inf)
 
 
 def test_shallow_net_build_memory_stays_flat():
-    # all 10,000 probe pairs in one call would hold (10000, 512) feature
-    # arrays, a peak near 159 MiB; in row blocks the build stays near 4 MiB
+    # the build holds O(M d) values: no array of force evaluations at many
+    # points, whose (points, M) features would grow with the dataset
     rng = np.random.default_rng(13)
     data = ShallowNetDataset(inputs=rng.normal(size=(512, 3)),
                              outputs=rng.normal(size=512))
@@ -311,49 +358,16 @@ def _reference_shallow_net(data, epsilon):
     return grad_V, grad1_W, grad_U_all
 
 
-def _reference_constants(grad_V, grad1_W, dim, m_count, probe_radius=4.0):
-    """The probe as written before it became one loop over row blocks: a
-    blocked pass of grad_V, then a blocked pass of grad1_W, each computing
-    its own features."""
-    stream = RngStream(models._PROBE_SEED)
-    box = probe_radius
-    n = models._PROBE_PAIRS
-    xs = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
-    ys = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
-    rows = max(1, models._PROBE_BLOCK // m_count)
-
-    def blocked(diff):
-        return np.concatenate([diff(slice(i, i + rows)) for i in range(0, n, rows)])
-
-    dx = xs - ys
-    norms = np.linalg.norm(dx, axis=-1)
-    keep = norms > 1e-8
-    dg = blocked(lambda b: grad_V(xs[b]) - grad_V(ys[b]))
-    l1 = max(1.0, float((np.linalg.norm(dg, axis=-1)[keep] / norms[keep]).max()))
-    upsilon = max(0.0, float((0.5 * norms**2 - np.sum(dx * dg, axis=-1)).max()))
-    xt = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
-    yt = box * (2.0 * stream.uniforms(n * dim).reshape(n, dim) - 1.0)
-    dgw = np.linalg.norm(blocked(lambda b: grad1_W(xs[b], ys[b]) - grad1_W(xt[b], yt[b])),
-                         axis=-1)
-    denom = np.linalg.norm(xs - xt, axis=-1) + np.linalg.norm(ys - yt, axis=-1)
-    ok = denom > 1e-8
-    l_tilde = float((dgw[ok] / denom[ok]).max())
-    w0 = float(np.linalg.norm(grad1_W(np.zeros(dim), np.zeros(dim))))
-    return models.AssumptionConstants(
-        K=0.125, L1=l1, L2=8.0 * l1**2, L_tilde=l_tilde,
-        R_conv=float(np.sqrt(4.0 * upsilon)), W0=w0, certified=False)
-
-
 @pytest.mark.parametrize("count, inputs, scale", [(256, 3, 1.0), (256, 1, 20.0), (40, 2, 1.0)])
 def test_shallow_net_rewrite_matches_reference_bit_for_bit(count, inputs, scale):
-    # at M = 256 a probe block holds 256 rows and the last one 16
-    assert models._PROBE_PAIRS % (models._PROBE_BLOCK // 256) == 16
     rng = np.random.default_rng(count + inputs)
     data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
                              outputs=scale * rng.normal(size=count))
     m = shallow_net_model(data, epsilon=0.5)
     grad_V, grad1_W, grad_U_all = _reference_shallow_net(data, 0.5)
-    assert m.constants == _reference_constants(grad_V, grad1_W, m.dim, count)
+    assert vars(m.constants) == {
+        **{k: pytest.approx(v, rel=1e-14) for k, v in _reference_constants(data).items()},
+        "certified": True}
     for shape in [(1, m.dim), (64, m.dim), (3, 64, m.dim), (2, 1, 5, m.dim)]:
         q = 2.0 * rng.normal(size=shape)
         assert np.array_equal(m.grad_U_all(q), grad_U_all(q)), shape
@@ -429,11 +443,20 @@ def test_gradients_match_central_differences():
             assert np.abs(g1 - fd1).max() <= 1e-5 * max(1.0, np.abs(g1).max())
 
 
+def _probe_points(m, rng, sets):
+    """``sets`` arrays of 1000 points: standard normal, or uniform in the box
+    of a model whose constants hold only there (``box_radius`` in params)."""
+    box = m.params.get("box_radius")
+    if box is None:
+        return rng.normal(size=(sets, 1000, m.dim))
+    return rng.uniform(-box, box, size=(sets, 1000, m.dim))
+
+
 def test_interaction_gradient_lipschitz_probes():
     rng = np.random.default_rng(8)
     for m in _builtin_models():
         lt = m.constants.L_tilde
-        x, y, xt, yt = rng.normal(size=(4, 1000, m.dim))
+        x, y, xt, yt = _probe_points(m, rng, 4)
         lhs = np.linalg.norm(m.grad1_W(x, y) - m.grad1_W(xt, yt), axis=-1)
         rhs = lt * (np.linalg.norm(x - xt, axis=-1) + np.linalg.norm(y - yt, axis=-1))
         assert (lhs <= rhs * (1 + 1e-9) + 1e-12).all()
@@ -442,10 +465,8 @@ def test_interaction_gradient_lipschitz_probes():
 def test_confinement_gradient_lipschitz_probes():
     rng = np.random.default_rng(9)
     for m in _builtin_models():
-        if not m.constants.certified:
-            continue  # estimated constants hold only inside the probe box
         l1 = m.constants.L1
-        x, y = rng.normal(size=(2, 1000, m.dim))
+        x, y = _probe_points(m, rng, 2)
         lhs = np.linalg.norm(m.grad_V(x) - m.grad_V(y), axis=-1)
         rhs = l1 * np.linalg.norm(x - y, axis=-1)
         assert (lhs <= rhs * (1 + 1e-9)).all()

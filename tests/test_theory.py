@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_hmc import (check_conditions, compute_constants, gaussian_model,
-                           max_admissible_T, metric_f_prime, multiwell_model)
+from meanfield_hmc import (ShallowNetDataset, check_conditions, compute_constants,
+                           gaussian_model, max_admissible_T, metric_f_prime,
+                           multiwell_model, shallow_net_model)
 from meanfield_hmc.theory import constants_table
 
 
@@ -80,6 +81,15 @@ def test_condition_reports_zero_interaction():
         assert reports[name].passed
         assert reports[name].lhs == 0.0
         assert reports[name].ratio == 0.0
+
+
+def test_condition_ratio_is_infinite_where_only_the_bound_vanishes():
+    # at R_conv = 160 (shallow-net outputs of size 20) exp(-2.5 R_tilde/T)
+    # underflows and the cond_eps bound is 0
+    m = shallow_net_model(ShallowNetDataset(inputs=np.eye(3), outputs=np.full(3, 20.0)))
+    rep = check_conditions(m, 1.0)["cond_eps"]
+    assert rep.rhs == 0.0 < rep.lhs
+    assert rep.ratio == math.inf and not rep.passed
 
 
 def test_condition_boundary_saturation():
