@@ -3,7 +3,8 @@
     meanfield-hmc <subcommand> [flags]
 
 Subcommands: sample, bias-scan, chaos-scan, contraction, order-check,
-constants.  Exit codes: 0 success, 2 configuration error, 3 numerical
+constants.  Exit codes: 0 success, 2 configuration error (an unreadable
+``--data`` file or an unwritable ``--out`` path included), 3 numerical
 divergence.  All outputs are CSV with '#'-prefixed comment lines
 carrying the seed, version, and full configuration.
 
@@ -22,12 +23,13 @@ import re
 import sys
 
 from . import __version__
-from .experiments import (ConfigError, _check_count, bias_scan, build_model,
-                          chaos_scan, config_json, contraction_experiment,
-                          header_lines, json_safe, order_check, sample_command,
-                          write_csv, write_scaling_svg)
+from .experiments import (ConfigError, _check_count, bias_scan, chaos_scan,
+                          config_json, contraction_experiment, header_lines,
+                          json_safe, order_check, sample_command, write_csv,
+                          write_scaling_svg)
 from .integrators import IntegrationDivergedError
-from .models import InvalidModelError
+from .models import (ShallowNetDataset, gaussian_model, multiwell_model,
+                     shallow_net_model)
 from .theory import (CONDITION_SETS, compute_constants, constants_table,
                      max_admissible_T)
 
@@ -162,8 +164,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _model_from_args(args):
-    return build_model(args.model, epsilon=args.eps, a=args.a, dim=args.dim,
-                       interaction=args.interaction, data_path=args.data)
+    """The built-in model the model flags name; ``--dim`` applies to
+    multiwell only, and shallow-net takes its dimension from ``--data``."""
+    if args.dim is not None and args.model != "multiwell":
+        raise ConfigError(f"--dim applies to the multiwell model only, not {args.model}")
+    if args.model == "gaussian":
+        return gaussian_model(args.eps)
+    if args.model == "multiwell":
+        return multiwell_model(args.a, dim=1 if args.dim is None else args.dim,
+                               epsilon=args.eps, interaction=args.interaction)
+    if args.data is None:
+        raise ConfigError("shallow-net model requires --data <csv>")
+    return shallow_net_model(ShallowNetDataset.from_csv(args.data), epsilon=args.eps)
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
@@ -229,7 +241,6 @@ def _run_constants(args):
         payload = {
             "model": model.name,
             "model_params": model.params,
-            "certified": model.constants.certified,
             "constants": {name: json_safe(val) for name, val, _ in table},
             "conditions": {name: {"passed": rep.passed,
                                   "lhs": json_safe(rep.lhs),
@@ -241,8 +252,6 @@ def _run_constants(args):
         print(json.dumps(payload, sort_keys=True, indent=2))
         return EXIT_OK
     print(f"model: {model.name}  params: {config_json(model.params)}")
-    if not model.constants.certified:
-        print("note: constants are numerical estimates (not certified)")
     print(f"{'name':<16}{'value':<24}formula")
     for name, value, formula in table:
         print(f"{name:<16}{value:<24.12g}{formula}")
@@ -275,7 +284,7 @@ def main(argv=None) -> int:
         # at devnull so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ConfigError, InvalidModelError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as err:

@@ -31,8 +31,7 @@ from .integrators import (_check_duration, _integral_steps, _snap_step_size,
 from .kernels import (run_chain, stationary_gaussian_sample_arrays,
                       draw_initial_positions, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
-from .models import (MeanFieldModel, ShallowNetDataset, gaussian_model,
-                     multiwell_model, shallow_net_model)
+from .models import MeanFieldModel, gaussian_model
 from .rng import RngStream
 from .statistics import KDE_MIN_SAMPLES, kde_relative_error, wasserstein1_1d
 from .theory import compute_constants, constants_table
@@ -42,28 +41,6 @@ W1_SUBSAMPLE_CAP = 200_000
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
-
-
-def build_model(name: str, epsilon: float = 0.25, a: float = 1.0,
-                dim: int | None = None, interaction: str | None = None,
-                data_path: str | None = None) -> MeanFieldModel:
-    """Construct a built-in model from CLI-style parameters.
-
-    ``dim`` (default 1) applies to multiwell only; the gaussian model is
-    1-d and shallow-net takes its dimension from the data.
-    """
-    if dim is not None and name != "multiwell":
-        raise ConfigError(f"--dim applies to the multiwell model only, not {name}")
-    if name == "gaussian":
-        return gaussian_model(epsilon)
-    if name == "multiwell":
-        return multiwell_model(a, dim=1 if dim is None else dim, epsilon=epsilon,
-                               interaction=interaction)
-    if name == "shallow-net":
-        if data_path is None:
-            raise ConfigError("shallow-net model requires --data <csv>")
-        return shallow_net_model(ShallowNetDataset.from_csv(data_path), epsilon=epsilon)
-    raise ConfigError(f"unknown model {name!r}")
 
 
 def _check_count(flag: str, value: int, least: int = 1) -> None:
@@ -100,13 +77,9 @@ def _slope(xs, ys) -> float:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value))
 
 
 def json_safe(value):

@@ -147,10 +147,7 @@ def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,
     """
     n = _integral_steps(T, h)
     batch = states[0][0].shape[:-2]
-    if batch:
-        us = stream.uniforms(n * math.prod(batch)).reshape((n,) + batch)
-    else:
-        us = stream.uniforms(n).tolist()
+    us = stream.uniforms(n * math.prod(batch)).reshape((n,) + batch)
     for k in range(n):
         u = us[k]
         states = [randomized_step_arrays(model, q, p, h, u, step_index=k)

@@ -43,8 +43,6 @@ class AssumptionConstants:
     R_conv: radius outside which strong co-coercivity holds (0 means
        globally).
     W0: norm of the interaction gradient at the origin.
-    certified: False when the values are numerical estimates rather than
-       closed forms.
     """
 
     K: float
@@ -53,7 +51,6 @@ class AssumptionConstants:
     L_tilde: float
     R_conv: float
     W0: float
-    certified: bool = True
 
     def __post_init__(self):
         if not self.K > 0:
@@ -400,14 +397,6 @@ class ShallowNetDataset:
             raise InvalidModelError(f"{path}: no data rows")
         arr = np.asarray(rows, dtype=float)
         return cls(inputs=arr[:, 1:], outputs=arr[:, 0])
-
-    def to_csv(self, path) -> None:
-        """Write in the same format :meth:`from_csv` reads."""
-        cols = ["y"] + [f"z{i + 1}" for i in range(self.input_dim)]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for y, z in zip(self.outputs, self.inputs):
-                fh.write(",".join(repr(float(v)) for v in (y, *z)) + "\n")
 
 
 # the shallow-net model's one activation, and the radius R of the box

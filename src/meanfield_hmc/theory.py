@@ -25,7 +25,6 @@ from .models import MeanFieldModel
 class ConditionReport:
     """One admissibility inequality lhs <= rhs with its margin."""
 
-    name: str
     lhs: float
     rhs: float
 
@@ -80,8 +79,6 @@ class TheoryConstants:
     B2: float = _formula("m2_init + (13/(1280 K)) (11 d + (15 eps/(2 L_tilde) + 6 eps^2 T^2) W0^2 + R_conv^2 (2L+K))")
     B3: float = _formula("free numerical prefactor (default 1)")
     C: float = _formula("B3 L^(3/4) (T sqrt(d) + sqrt(B2) + (eps/K) W0) / c_uhmc")
-    d: int
-    m2_init: float
     conditions: dict = field(default_factory=dict)
 
 
@@ -126,7 +123,7 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
     reports = {}
 
     def add(name, lhs, rhs):
-        reports[name] = ConditionReport(name=name, lhs=lhs, rhs=rhs)
+        reports[name] = ConditionReport(lhs=lhs, rhs=rhs)
 
     add("cond_T", L * T**2, 0.6 * min(0.25, (3.0 / (1280.0 * L)) * inv_rt2))
     add("cond_eps", eps_lt, (5.0 / 64.0) * K / root * decay)
@@ -156,7 +153,7 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
     if not 0 < B3 < math.inf:
         raise ValueError(f"B3 must be finite and positive, got B3={B3}")
     c = model.constants
-    K, L, Lt, R, W0 = c.K, c.L, c.L_tilde, c.R_conv, c.W0
+    K, L, Lt, W0 = c.K, c.L, c.L_tilde, c.W0
     eps, d = model.epsilon, model.dim
 
     r_tilde = _r_tilde(c)
@@ -168,7 +165,7 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
     c_uhmc = (K * T**2 / 156.0) * math.exp(-r_tilde / T)
 
     b1 = m2_init + (1280.0 / (13.0 * K)) * (
-        R**2 * (2.0 * L + K) + 11.0 * d
+        c.C_hat + 11.0 * d
         + 6.0 * (eps * W0)**2 * T**2 + 22.5 * (eps**2 / K) * W0**2)
     b = 4.0 * T**2 * eps * Lt * math.sqrt(b1)
 
@@ -179,7 +176,7 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
     else:
         w0_term = (15.0 * eps / (2.0 * Lt) + 6.0 * eps**2 * T**2) * W0**2
     b2 = m2_init + (13.0 / (1280.0 * K)) * (
-        11.0 * d + w0_term + R**2 * (2.0 * L + K))
+        11.0 * d + w0_term + c.C_hat)
 
     if c_uhmc == 0.0 or math.isinf(b2):
         c_bias = math.inf
@@ -188,8 +185,8 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
             T * math.sqrt(d) + math.sqrt(b2) + (eps / K) * W0)
 
     return TheoryConstants(
-        T=float(T), d=d, epsilon=eps, m2_init=float(m2_init),
-        K=K, L=L, L_tilde=Lt, R_conv=R, W0=W0,
+        T=float(T), epsilon=eps,
+        K=K, L=L, L_tilde=Lt, R_conv=c.R_conv, W0=W0,
         R_tilde=r_tilde, R1=r1, gamma=CouplingParams(r_tilde, T).gamma,
         C_hat=c.C_hat, L_e=l_e,
         c_nhmc=c_nhmc, c_strongconvex=c_strong, c_uhmc=c_uhmc, A=a_const,

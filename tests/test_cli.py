@@ -50,8 +50,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # (0.25 to 1.0) changed.  contraction_multiwell_2d.csv, the one run with
 # d > 1 and a pair interaction, was recorded before the multiwell force and
 # the velocity coupling moved their coordinate-axis reductions and
-# broadcasts into column loops.  shallow_net_data.csv is an input (12
-# points, 2 features), not an output.
+# broadcasts into column loops.  sample_exact.csv, the one run of the exact
+# kernel through sample, was recorded before the unread fields, functions
+# and branches of the models, theory, integrators, experiments and CLI were
+# deleted.  shallow_net_data.csv is an input (12 points, 2 features), not an
+# output.
 GOLDEN_ARGS = {
     "bias_scan.csv": ["bias-scan", "--k-max", "2", "--steps", "120"],
     "chaos_scan.csv": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
@@ -65,6 +68,8 @@ GOLDEN_ARGS = {
     "order_check.csv": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "8",
                         "--replicas", "6"],
     "sample.csv": ["sample", "--model", "gaussian", "--steps", "20"],
+    "sample_exact.csv": ["sample", "--model", "gaussian", "--h", "0", "--init",
+                         "stationary", "--N", "8", "--steps", "10"],
     "sample_shallow_net.csv": ["sample", "--model", "shallow-net", "--data",
                                str(GOLDEN / "shallow_net_data.csv"), "--N", "8",
                                "--steps", "10"],
@@ -252,6 +257,8 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # a thread count below 1 is an error, not a silent single-threaded run
     (["order-check", "--threads", "0"], 2, "--threads must be a positive integer, got 0"),
     (["sample", "--threads", "-3"], 2, "--threads must be a positive integer, got -3"),
+    (["contraction", "--model", "shallow-net"], 2, "shallow-net model requires --data <csv>"),
+    (["bias-scan", "--h-rule", "fixed"], 2, "h rule 'fixed' requires an explicit step size"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out
@@ -374,6 +381,25 @@ def test_plot_rejected_where_no_svg_is_written(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_out_path_exits_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["sample", "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_bias_scan_eps12_rule_snaps_the_step_size(tmp_path):
+    # eps_acc^(1/2) is 0.707 at k = 1 and 0.5 at k = 2; both snap to T/2
+    out = tmp_path / "bias.csv"
+    argv = ["bias-scan", "--h-rule", "eps12", "--k-max", "2", "--steps", "120",
+            "--out", str(out)]
+    assert main(argv) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(row["k"], row["h"]) for row in rows] == [("1", "0.5"), ("2", "0.5")]
+
+
 def test_single_replica_detail_footer_is_valid_json(tmp_path):
     # at 111 steps no replica split keeps enough samples, so one chain runs
     # and the SE across replicas is nan; the footer must print it as null,
@@ -398,6 +424,15 @@ def test_closed_stdout_exits_cleanly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_module_entry_point_prints_the_version():
+    src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "meanfield_hmc", "--version"],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == f"{meanfield_hmc.__version__}\n" == "0.1.0\n"
 
 
 def test_overflowing_metric_slope_prints_only_the_error_line():

@@ -277,7 +277,6 @@ _BOX_DATASETS = [(5, 2, 0.2), (5, 2, 20.0), (20, 2, 0.2), (60, 3, 20.0)]
 def test_shallow_net_constants_bound_every_in_box_pair(count, inputs, scale):
     data = _shallow_net_data(count, inputs, scale)
     m = shallow_net_model(data)
-    assert m.constants.certified
     assert (m.constants.R_conv > 0.0) == (scale > 1.0)
     excess = _in_box_excess(m, vars(m.constants), seed=count)
     assert (excess <= 1e-12).all(), excess
@@ -366,8 +365,7 @@ def test_shallow_net_rewrite_matches_reference_bit_for_bit(count, inputs, scale)
     m = shallow_net_model(data, epsilon=0.5)
     grad_V, grad1_W, grad_U_all = _reference_shallow_net(data, 0.5)
     assert vars(m.constants) == {
-        **{k: pytest.approx(v, rel=1e-14) for k, v in _reference_constants(data).items()},
-        "certified": True}
+        k: pytest.approx(v, rel=1e-14) for k, v in _reference_constants(data).items()}
     for shape in [(1, m.dim), (64, m.dim), (3, 64, m.dim), (2, 1, 5, m.dim)]:
         q = 2.0 * rng.normal(size=shape)
         assert np.array_equal(m.grad_U_all(q), grad_U_all(q)), shape
@@ -408,7 +406,9 @@ def test_shallow_net_csv_roundtrip(tmp_path):
     data = ShallowNetDataset(inputs=rng.normal(size=(12, 3)),
                              outputs=rng.normal(size=12))
     path = tmp_path / "data.csv"
-    data.to_csv(path)
+    lines = ["y,z1,z2,z3"] + [",".join(repr(float(v)) for v in (y, *z))
+                              for y, z in zip(data.outputs, data.inputs)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     back = ShallowNetDataset.from_csv(path)
     assert np.array_equal(back.inputs, data.inputs)
     assert np.array_equal(back.outputs, data.outputs)

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from meanfield_hmc import (ShallowNetDataset, check_conditions, compute_constants,
-                           gaussian_model, max_admissible_T, metric_f_prime,
-                           multiwell_model, shallow_net_model)
+from meanfield_hmc import (AssumptionConstants, ShallowNetDataset, check_conditions,
+                           compute_constants, gaussian_model, max_admissible_T,
+                           metric_f_prime, multiwell_model, shallow_net_model)
 from meanfield_hmc.theory import constants_table
 
 
@@ -164,6 +165,36 @@ def test_second_moment_bounds_formulas():
     assert tc.B2 == pytest.approx(2.0 + (13.0 / (1280.0 * k)) * 11.0, rel=1e-12)
     assert tc.B == pytest.approx(4.0 * 0.4**2 * 1.0 * 0.25 * math.sqrt(tc.B1),
                                  rel=1e-12)
+
+
+def _model_with_interaction_at_origin(L_tilde):
+    # no built-in model has W0 > 0; only the constants, eps and d enter the theory
+    constants = AssumptionConstants(K=0.5, L1=1.5, L2=2.0, L_tilde=L_tilde,
+                                    R_conv=0.7, W0=1.3)
+    return dataclasses.replace(gaussian_model(0.3), dim=2, constants=constants)
+
+
+def test_second_moment_bounds_formulas_with_interaction_at_origin():
+    m2, T, B3 = 1.5, 0.4, 2.0
+    K, L, Lt, R, W0, eps, d = 0.5, 2.0, 0.8, 0.7, 1.3, 0.3, 2
+    tc = compute_constants(_model_with_interaction_at_origin(Lt), T, m2_init=m2, B3=B3)
+    b1 = m2 + (1280 / (13 * K)) * (R**2 * (2 * L + K) + 11 * d + 6 * (eps * W0)**2 * T**2
+                                   + (45 / 2) * (eps**2 / K) * W0**2)
+    b2 = m2 + (13 / (1280 * K)) * (11 * d + (15 * eps / (2 * Lt) + 6 * eps**2 * T**2) * W0**2
+                                   + R**2 * (2 * L + K))
+    c_uhmc = (K * T**2 / 156) * math.exp(-math.sqrt((2 * L + K) / (6 * K)) * R / T)
+    assert tc.B1 == pytest.approx(b1, rel=1e-12)
+    assert tc.B2 == pytest.approx(b2, rel=1e-12)
+    assert tc.C == pytest.approx(
+        B3 * L**0.75 * (T * math.sqrt(d) + math.sqrt(b2) + (eps / K) * W0) / c_uhmc, rel=1e-12)
+
+
+def test_interaction_at_origin_without_lipschitz_interaction_has_no_bias_bound():
+    # B2's term 15 eps W0^2 / (2 L_tilde) has no finite value at L_tilde = 0
+    tc = compute_constants(_model_with_interaction_at_origin(0.0), 0.4)
+    assert math.isfinite(tc.B1)
+    assert tc.B2 == math.inf
+    assert tc.C == math.inf
 
 
 def test_invalid_inputs_raise():
