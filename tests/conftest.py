@@ -1,5 +1,7 @@
 import numpy as np
 
+from meanfield_hmc.statistics import _SQRT2PI, silverman_bandwidth
+
 
 def central_diff_grad(f, x, h=1e-6):
     """Central finite-difference gradient of a scalar function at x."""
@@ -49,3 +51,20 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=float)
     scale = max(1.0, float(np.abs(exact).max()))
     return float(np.abs(approx - exact).max()) / scale
+
+
+def reference_gaussian_kde_on_grid(samples, grid):
+    """The Gaussian KDE in expression form, the arithmetic the bias-scan
+    golden files were recorded with: one (n_chunk, n_grid) kernel matrix
+    per chunk of 16384 samples, summed over its samples and added to the
+    running total."""
+    a = np.asarray(samples, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    bw = silverman_bandwidth(a)
+    out = np.zeros_like(grid)
+    # chunked so the (n_chunk, n_grid) kernel matrix stays small
+    for start in range(0, len(a), 16384):
+        block = a[start:start + 16384]
+        t = (grid[None, :] - block[:, None]) / bw
+        out += np.exp(-0.5 * t * t).sum(axis=0)
+    return out / (len(a) * bw * _SQRT2PI)

@@ -400,6 +400,16 @@ def test_bias_scan_eps12_rule_snaps_the_step_size(tmp_path):
     assert [(row["k"], row["h"]) for row in rows] == [("1", "0.5"), ("2", "0.5")]
 
 
+def test_bias_scan_kde_blocks_write_the_same_bytes_on_two_threads(tmp_path):
+    # 2250 kept samples per k, about 36 blocks of kernel rows per density
+    # estimate, with the three k run side by side on the thread pool
+    argv = ["bias-scan", "--k-max", "3", "--steps", "2500"]
+    outs = [tmp_path / f"bias{threads}.csv" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_single_replica_detail_footer_is_valid_json(tmp_path):
     # at 111 steps no replica split keeps enough samples, so one chain runs
     # and the SE across replicas is nan; the footer must print it as null,
