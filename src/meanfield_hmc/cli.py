@@ -5,13 +5,12 @@
 Subcommands: sample, bias-scan, chaos-scan, contraction, order-check,
 constants.  Exit codes: 0 success, 2 configuration error (an unreadable
 ``--data`` file or an unwritable ``--out`` path included), 3 numerical
-divergence.  All outputs are CSV with '#'-prefixed comment lines
-carrying the seed, version, and full configuration.
+divergence.
 
 Each subcommand but ``constants`` maps its flags to one call of its
-experiment, which returns an :class:`experiments.Report`;
-:func:`_write_outputs` is the one writer of every Report (CSV, ``--plot``
-SVG and ``--json`` line).
+experiment, which returns an :class:`experiments.Report` of plain values;
+:func:`experiments.write_csv` writes its CSV, and :func:`_write_outputs`
+adds the ``--plot`` SVG and the ``--json`` line.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import sys
 
 from . import __version__
 from .experiments import (ConfigError, _check_count, bias_scan, chaos_scan,
-                          config_json, contraction_experiment, header_lines,
-                          json_safe, order_check, sample_command, write_csv,
+                          config_json, contraction_experiment, json_safe,
+                          order_check, sample_command, write_csv,
                           write_scaling_svg)
 from .integrators import IntegrationDivergedError
 from .models import (ShallowNetDataset, gaussian_model, multiwell_model,
@@ -191,25 +190,17 @@ def _parse_list(text: str, kind, flag: str) -> list:
 
 
 def _write_outputs(args, report):
-    """Write the CSV (``--out``, default the command name with '_' for '-'
-    plus .csv) with the report's detail as its last footer line, the
-    ``--plot`` SVG when the report has a plot (commands without one have no
-    ``--plot`` flag), and the ``--json`` line: the CSV path plus the
-    report's summary.  Non-finite values in the detail and the summary
-    print as null."""
+    """Write the CSV to ``--out`` (default the command name with '_' for
+    '-', plus .csv); write the ``--plot`` SVG next to it when the report
+    has a plot (commands without one have no ``--plot`` flag); print the
+    ``--json`` line, the CSV path plus the report's summary."""
     path = args.out or args.command.replace("-", "_") + ".csv"
-    footer = list(report.footer)
-    if report.detail:
-        footer.append("detail: " + config_json(
-            [{key: json_safe(value) for key, value in d.items()} for d in report.detail]))
-    write_csv(path, report.columns, report.rows,
-              header_lines(args.command, args.seed, report.config), footer)
+    write_csv(path, report, args.command, args.seed)
     if report.plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
         write_scaling_svg(svg, **report.plot)
     if args.json:
-        summary = {key: json_safe(value) for key, value in report.summary.items()}
-        print(config_json({"out": path, **summary}))
+        print(config_json({"out": path, **report.summary}))
     return EXIT_OK
 
 
@@ -241,15 +232,13 @@ def _run_constants(args):
         payload = {
             "model": model.name,
             "model_params": model.params,
-            "constants": {name: json_safe(val) for name, val, _ in table},
-            "conditions": {name: {"passed": rep.passed,
-                                  "lhs": json_safe(rep.lhs),
-                                  "rhs": json_safe(rep.rhs),
-                                  "ratio": json_safe(rep.ratio)}
+            "constants": {name: val for name, val, _ in table},
+            "conditions": {name: {"passed": rep.passed, "lhs": rep.lhs,
+                                  "rhs": rep.rhs, "ratio": rep.ratio}
                            for name, rep in tc.conditions.items()},
-            "max_admissible_T": {name: json_safe(t) for name, t in t_max.items()},
+            "max_admissible_T": t_max,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(json_safe(payload), sort_keys=True, indent=2))
         return EXIT_OK
     print(f"model: {model.name}  params: {config_json(model.params)}")
     print(f"{'name':<16}{'value':<24}formula")

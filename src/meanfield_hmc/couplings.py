@@ -147,16 +147,7 @@ def metric_f(r, R1: float, T: float):
         raise ValueError("r must be nonnegative")
     if not (R1 > 0 and T > 0):
         raise ValueError("R1 and T must be positive")
-    # T (-expm1(-min(r, R1) / T)) with each sign change moved onto T,
-    # which rounds the same, in one array of its own
-    out = np.minimum(r, R1, out=np.empty(r.shape))
-    out /= -T
-    np.expm1(out, out=out)
-    out *= -T
-    tail = np.subtract(r, R1, out=np.empty(r.shape))
-    np.maximum(tail, 0.0, out=tail)
-    tail *= np.exp(-R1 / T)
-    out += tail
+    out = T * -np.expm1(-np.minimum(r, R1) / T) + np.exp(-R1 / T) * np.maximum(r - R1, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

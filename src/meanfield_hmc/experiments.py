@@ -10,7 +10,7 @@ thread pool, and two runs with the same seed emit byte-identical files.
 
 Each experiment returns one :class:`Report`: its CSV columns and rows, the
 configuration for the CSV header, and, next to the estimates they
-describe, its footer lines, its ``--json`` summary and its plot.  The CLI
+describe, its footer values, its ``--json`` summary and its plot.  The CLI
 only writes a Report; it knows nothing of any one experiment's results.
 """
 
@@ -83,35 +83,37 @@ def _fmt(value) -> str:
 
 
 def json_safe(value):
-    """``value`` with a non-finite float replaced by None (JSON null)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+    """``value`` with every non-finite float, at any depth of dicts and
+    lists (or tuples, which come back as lists), replaced by None (JSON
+    null): the one non-finite rule of every JSON output."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(item) for item in value]
     return value
 
 
-def config_json(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+def config_json(value) -> str:
+    """Compact JSON of ``value`` with sorted keys, under :func:`json_safe`."""
+    return json.dumps(json_safe(value), sort_keys=True, separators=(",", ":"))
 
 
-def header_lines(command: str, seed: int, config: dict) -> list:
-    return [
-        f"meanfield-hmc {__version__}",
-        f"command: {command}",
-        f"seed: {seed}",
-        f"config: {config_json(config)}",
-    ]
-
-
-def write_csv(path, columns, rows, header, footer=()):
-    """Write comment-prefixed header lines, a CSV header, rows, then footer lines."""
+def write_csv(path, report, command: str, seed: int):
+    """Write ``report`` as the one CSV layout of every experiment: four '#'
+    header lines (version, command, seed, config as JSON), the column
+    header, the rows, then one '# key: value' line per footer entry, whose
+    value is compact JSON for a dict or list and its repr otherwise."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
+        fh.write(f"# meanfield-hmc {__version__}\n# command: {command}\n"
+                 f"# seed: {seed}\n# config: {config_json(report.config)}\n")
+        fh.write(",".join(report.columns) + "\n")
+        for row in report.rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-        for line in footer:
-            fh.write(f"# {line}\n")
+        for key, value in report.footer.items():
+            text = config_json(value) if isinstance(value, (dict, list)) else repr(value)
+            fh.write(f"# {key}: {text}\n")
 
 
 def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
@@ -171,23 +173,21 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
 class Report:
     """What one experiment run writes.
 
-    ``columns`` and ``rows`` are the CSV table, ``config`` the settings in
-    its header and ``footer`` its trailing '#' lines.  ``summary`` is the
-    ``--json`` line (a non-finite top-level value prints as null), and
+    ``columns`` and ``rows`` are the CSV table and ``config`` the settings
+    in its header.  ``footer`` maps each trailing '#' line's key to a plain
+    value; a scan's last entry is ``detail``, one dict per row with the
+    estimates the rows leave out.  ``summary`` is the ``--json`` line, and
     ``plot`` the keywords of :func:`write_scaling_svg` for ``--plot``, or
-    None where the command draws nothing.  ``detail`` holds one dict per
-    row with the estimates the rows leave out; when it is not empty, the
-    CSV's last line is ``# detail:`` and the dicts as JSON, with each
-    non-finite value as null.
+    None where the command draws nothing.  :func:`write_csv` and
+    :func:`config_json` alone format these values.
     """
 
     columns: tuple
     rows: list
     config: dict
-    footer: list
+    footer: dict
     summary: dict
     plot: dict | None = None
-    detail: list | tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         raise ConfigError(f"k_max must lie in 1..5, got {k_max}")
     if h_rule not in _H_RULES:
         raise ConfigError(f"h rule must be one of {_H_RULES}")
-    if h_rule == "fixed" and not h_fixed:
+    if h_rule == "fixed" and h_fixed is None:
         raise ConfigError("h rule 'fixed' requires an explicit step size")
     if h_rule != "fixed" and h_fixed is not None:
         raise ConfigError(f"--h applies to --h-rule fixed only, not {h_rule}")
@@ -298,12 +298,12 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
               "h_fixed": h_fixed}
     return Report(
-        BIAS_COLUMNS, rows, config, [f"loglog_slope_vs_eps_acc: {slope!r}"],
+        BIAS_COLUMNS, rows, config,
+        {"loglog_slope_vs_eps_acc": slope, "detail": detail},
         {"slope": slope, "errors": errors},
         dict(xs=[r[0] for r in rows], ys=errors, xlabel="k (accuracy 2^-k)",
              ylabel="density error", title="stationary density error vs accuracy",
-             guide_factor=0.5),
-        detail)
+             guide_factor=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +367,11 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
               "epsilon": epsilon, "T": T}
     return Report(
         CHAOS_COLUMNS, rows, config,
-        [f"loglog_slope_vs_N: {slope!r}"],
+        {"loglog_slope_vs_N": slope, "detail": detail},
         {"slope": slope, "detail": detail},
         dict(xs=[math.log2(r[0]) for r in rows], ys=[r[1] for r in rows],
              xlabel="log2 N", ylabel="variance error",
-             title="marginal variance error vs particle count", guide_factor=0.5),
-        detail)
+             title="marginal variance error vs particle count", guide_factor=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +443,8 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     positive = [(k, v) for k, v, _ in rows if v > 0]
     return Report(
         CONTRACTION_COLUMNS, rows, config,
-        [f"fitted_decay_factor: {factor!r}",
-         f"fitted_decay_factor_se: {factor_se!r}",
-         f"c_uhmc: {tc.c_uhmc!r}",
-         f"one_minus_c_uhmc: {1.0 - tc.c_uhmc!r}",
-         f"A: {json_safe(tc.A)!r}"],
+        {"fitted_decay_factor": factor, "fitted_decay_factor_se": factor_se,
+         "c_uhmc": tc.c_uhmc, "one_minus_c_uhmc": 1.0 - tc.c_uhmc, "A": tc.A},
         {"decay_factor": factor, "decay_factor_se": factor_se,
          "c_uhmc": tc.c_uhmc, "warnings": warnings},
         dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
@@ -503,12 +499,11 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
               "epsilon": epsilon, "replicas": replicas}
     return Report(
         ORDER_COLUMNS, rows, config,
-        [f"loglog_slope_vs_h: {slope!r}"],
+        {"loglog_slope_vs_h": slope, "detail": detail},
         {"slope": slope},
         dict(xs=[math.log2(h) for h, _ in rows], ys=[e for _, e in rows],
              xlabel="log2 h", ylabel="weighted error",
-             title="randomized integrator strong error", guide_factor=2.0 ** 1.5),
-        detail)
+             title="randomized integrator strong error", guide_factor=2.0 ** 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +546,7 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     recorded = run_chain(step, state, m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
     rows = [(idx * thin, *r) for idx, r in enumerate(recorded)]
-    footer = ["constants: " + config_json(
-        {name: json_safe(val) for name, val, _ in constants_table(tc)})]
+    footer = {"constants": {name: val for name, val, _ in constants_table(tc)}}
     config = {"model": model.name, "model_params": model.params, "N": N,
               "T": T, "h": h, "steps": m, "thin": thin, "init": init,
               "columns": n_cols}

@@ -267,16 +267,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         return 0.5 * sq + np.exp(-0.5 * a * sq)
 
     def grad_V(x):
-        # x (1 - a exp(-(a/2)|x|^2)), the factor computed in place on the
-        # squared norms in that expression's order (a single point's norm
-        # comes back from _dot_last as a numpy scalar)
         x = np.asarray(x, dtype=float)
-        factor = np.asarray(_dot_last(x, x))
-        np.multiply(-0.5 * a, factor, out=factor)
-        np.exp(factor, out=factor)
-        np.multiply(a, factor, out=factor)
-        np.subtract(1.0, factor, out=factor)
-        return _columnwise(np.multiply, x, factor)
+        return _columnwise(np.multiply, x, 1.0 - a * np.exp(-0.5 * a * _dot_last(x, x)))
 
     if interaction is None:
         W = _zero_pair

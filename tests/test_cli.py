@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import meanfield_hmc
+from meanfield_hmc import cli
 from meanfield_hmc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -259,6 +261,10 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     (["sample", "--threads", "-3"], 2, "--threads must be a positive integer, got -3"),
     (["contraction", "--model", "shallow-net"], 2, "shallow-net model requires --data <csv>"),
     (["bias-scan", "--h-rule", "fixed"], 2, "h rule 'fixed' requires an explicit step size"),
+    # an explicit 0 is a step size, so it fails the step-size check as
+    # --h inf and --h 1e-320 do above
+    (["bias-scan", "--h-rule", "fixed", "--h", "0"], 2,
+     "h must be finite and positive, got h=0.0"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out
@@ -420,6 +426,87 @@ def test_single_replica_detail_footer_is_valid_json(tmp_path):
     assert last.startswith("# detail: ")
     [detail] = json.loads(last[len("# detail: "):])
     assert detail["replicas"] == 1 and detail["first_var_se"] is None
+
+
+# the experiment each subcommand calls, by its name in cli's namespace
+_EXPERIMENT_NAMES = {"sample": "sample_command", "bias-scan": "bias_scan",
+                     "chaos-scan": "chaos_scan", "contraction": "contraction_experiment",
+                     "order-check": "order_check"}
+
+
+@pytest.mark.parametrize("command", sorted(_EXPERIMENT_NAMES))
+def test_parser_defaults_equal_the_experiment_defaults(monkeypatch, command):
+    # each default is written twice, in the parser and in the experiment's
+    # signature; a bare subcommand must pass every signature default (a
+    # tuple default and the list the parser builds compare alike)
+    name = _EXPERIMENT_NAMES[command]
+    signature = inspect.signature(getattr(cli, name))
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(signature.bind(*a, **kw)))
+    cli._EXPERIMENTS[command](cli.build_parser().parse_args([command]))
+    [bound] = calls
+    defaults = {key: param.default for key, param in signature.parameters.items()
+                if param.default is not inspect.Parameter.empty}
+    passed = {key: bound.arguments[key] for key in defaults}
+    normalize = lambda v: list(v) if isinstance(v, (tuple, list)) else v
+    assert ({key: normalize(v) for key, v in passed.items()}
+            == {key: normalize(v) for key, v in defaults.items()})
+
+
+def _strict_json(text):
+    # json.loads reads NaN, Infinity and -Infinity unless told to refuse them
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _footer(path):
+    """The '# key: value' lines below the rows, in order, as (key, text)."""
+    lines = path.read_text().splitlines()
+    body = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return [tuple(line[2:].split(": ", 1)) for line in lines[body:] if line.startswith("#")]
+
+
+def test_overflowing_envelope_constant_prints_as_inf(tmp_path):
+    # at a = 5 and T = 0.02 the theory's A overflows; a scalar footer value
+    # is its repr, so A reads inf like every other non-finite scalar
+    out = tmp_path / "c.csv"
+    argv = ["contraction", "--model", "multiwell", "--a", "5", "--T", "0.02", "--h", "0.01",
+            "--replicas", "3", "--steps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    footer = _footer(out)
+    assert footer[-1] == ("A", "inf")
+    assert [key for key, _ in footer] == ["fitted_decay_factor", "fitted_decay_factor_se",
+                                          "c_uhmc", "one_minus_c_uhmc", "A"]
+    for _, text in footer:
+        float(text)  # raises on a text such as None
+
+
+@pytest.mark.parametrize("argv, last", [
+    # one k: nan slope, and one replica, so a nan SE in the detail
+    (["bias-scan", "--k-max", "1", "--steps", "111"], "detail"),
+    # two N: nan slope
+    (["chaos-scan", "--N-list", "4,8", "--steps", "5", "--replicas", "2"], "detail"),
+    (["order-check", "--h-list", "0.5,0.25", "--N", "2", "--replicas", "2"], "detail"),
+    # A and C overflow in the constants footer
+    (["sample", "--model", "multiwell", "--a", "5", "--T", "0.02", "--h", "0.01",
+      "--steps", "2"], "constants"),
+])
+def test_json_outputs_print_non_finite_values_as_null(tmp_path, capsys, argv, last):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--json", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert _strict_json(stdout)["out"] == str(out)
+    key, text = _footer(out)[-1]
+    assert key == last and out.read_text().splitlines()[-1] == f"# {key}: {text}"
+    _strict_json(text)
+    assert "null" in stdout + text
+
+
+def test_constants_json_prints_non_finite_values_as_null(capsys):
+    assert main(["constants", "--model", "multiwell", "--a", "5", "--T", "0.02", "--json"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["constants"]["A"] is None and payload["constants"]["C"] is None
 
 
 def test_closed_stdout_exits_cleanly():

@@ -17,7 +17,7 @@ def test_bias_scan_single_replica_reproduces_the_single_chain_rows(monkeypatch):
     # the rows the one-chain design wrote for `bias-scan --k-max 2 --steps 120`
     monkeypatch.setattr(experiments, "_BIAS_MAX_REPLICAS", 1)
     result = bias_scan(k_max=2, steps=120)
-    assert [d["replicas"] for d in result.detail] == [1, 1]
+    assert [d["replicas"] for d in result.footer["detail"]] == [1, 1]
     assert result.rows == [
         (1, 0.5, 4, 0.5, 120, 0.24077487322225144),
         (2, 0.25, 16, 0.3333333333333333, 120, 0.1969201922849852),
@@ -32,11 +32,22 @@ def test_bias_scan_single_replica_reproduces_the_single_chain_rows(monkeypatch):
 def test_bias_scan_replicas_divide_any_step_count(steps, kept):
     result = bias_scan(k_max=1, steps=steps)
     assert result.rows[0][4] == steps
-    assert steps % result.detail[0]["replicas"] == 0
-    assert result.detail[0]["kept"] == kept
+    assert steps % result.footer["detail"][0]["replicas"] == 0
+    assert result.footer["detail"][0]["kept"] == kept
 
 
 BURN_INS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9)
+
+
+def test_json_safe_nulls_non_finite_floats_at_any_depth():
+    nan, inf = float("nan"), float("inf")
+    value = {"a": [1, {"b": nan, "c": (inf, -inf, 2.5)}], "d": np.float64(nan),
+             "e": "x", "f": None, "g": True, "h": 0.5}
+    want = {"a": [1, {"b": None, "c": [None, None, 2.5]}], "d": None,
+            "e": "x", "f": None, "g": True, "h": 0.5}
+    assert experiments.json_safe(value) == want
+    assert experiments.config_json(value) == (
+        '{"a":[1,{"b":null,"c":[null,null,2.5]}],"d":null,"e":"x","f":null,"g":true,"h":0.5}')
 
 
 def test_slope_is_the_least_squares_slope_of_the_logs():
@@ -89,7 +100,7 @@ def test_bias_replica_rule_rejects_two_pairs_the_gcd_rule_accepted():
 def test_bias_scan_at_the_benchmark_size_keeps_2250_samples_per_k():
     # 125 replicas of 20 steps, 2 dropped from each
     result = bias_scan(k_max=3, steps=2500)
-    assert [(d["replicas"], d["kept"]) for d in result.detail] == [(125, 2250)] * 3
+    assert [(d["replicas"], d["kept"]) for d in result.footer["detail"]] == [(125, 2250)] * 3
 
 
 def _first_var_oracle(eps, T, n, h):
@@ -102,7 +113,7 @@ def _first_var_oracle(eps, T, n, h):
 
 
 def _check_first_var(result, eps, T, per, kept):
-    for row, d in zip(result.rows, result.detail):
+    for row, d in zip(result.rows, result.footer["detail"]):
         n, h = row[2], row[3]
         assert d["replicas"] * per == row[4] and d["kept"] == kept
         assert d["first_var_se"] > 0
@@ -131,8 +142,8 @@ def test_chaos_scan_mean_coord_var_matches_exact_value():
     # particle mean has variance 1/((1 - eps) N); the estimate takes it
     # about the known mean 0, so it is unbiased
     result = chaos_scan(N_list=(4, 16), m=400, replicas=200)
-    assert [d["N"] for d in result.detail] == [4, 16]
-    for d in result.detail:
+    assert [d["N"] for d in result.footer["detail"]] == [4, 16]
+    for d in result.footer["detail"]:
         assert d["analytic_mean_coord_var"] == pytest.approx(1.0 / (0.75 * d["N"]))
         assert d["mean_coord_var_se"] > 0
         assert (abs(d["mean_coord_var"] - d["analytic_mean_coord_var"])
