@@ -432,6 +432,11 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
 
     mean_rho = rho.mean(axis=1)
     stderr = rho.std(axis=1, ddof=1) / np.sqrt(replicas)
+    if not stderr[1:].any() and mean_rho[1:].all():
+        # every replica read the same positive rho_N: pairs far apart
+        # against T sit where metric_f is flat, T to rounding
+        print(f"warning: rho_N saturates (stderr 0 after step 0; offset={offset:.6g}, "
+              f"T={T:.6g}); the fitted decay factor measures nothing", file=sys.stderr)
     blocks = np.array_split(np.arange(replicas), min(CONTRACTION_BLOCKS, replicas))
     refits = np.array([_fit_factor(rho[:, idx].mean(axis=1)) for idx in blocks])
     rows = [(k, mean_rho[k], stderr[k]) for k in range(m + 1)]

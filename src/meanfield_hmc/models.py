@@ -420,18 +420,19 @@ def _ridge_features(x, z):
     return x[..., 0], np.divide(1.0, sig, out=sig)
 
 
-def _ridge_grad(beta, sig, one_minus, weights, z, work):
-    """sum_m weights[..., m] * grad_x phi(x, z_m), shape (..., d).
+def _ridge_sum(beta, sig, wt, z):
+    """sum_m w_m * grad_x phi(x, z_m) for each row x of a block, (..., K, d).
 
-    ``beta`` and ``sig`` are the features of x and ``one_minus`` is
-    1 - sig; ``weights`` broadcasts against sig.  ``work``, an array of
-    sig's shape, is overwritten.
+    ``beta`` (..., K) and ``sig`` (..., K, M) are the rows' features, and
+    the column ``wt`` (..., M, 1) holds the weights every row shares.  With
+    grad_beta phi = sigma and grad_alpha phi = beta sigma (1 - sigma) z the
+    sum is sigma @ w and beta * ((1 - sigma) sigma) @ (w z).
     """
-    dbeta = np.sum(np.multiply(weights, sig, out=work), axis=-1)
-    coef = np.multiply(weights, beta[..., None], out=work)
+    coef = np.subtract(1.0, sig)
     coef *= sig
-    coef *= one_minus
-    return np.concatenate([dbeta[..., None], coef @ z], axis=-1)
+    dalpha = coef @ (wt * z)
+    dalpha *= beta[..., None]
+    return np.concatenate([sig @ wt, dalpha], axis=-1)
 
 
 def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFieldModel:
@@ -448,11 +449,11 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
     on the box |x_j| <= 4 (``box_radius`` in its params; see
     ``_box_constants``), and are certified there.
 
-    The force takes one feature pass and one weighted ridge sum per call:
-    the sum is linear in its weights, so the V term and the interaction
-    share the weights y_m + (eps/N) sum_j phi(q^j, z_m).  The sigmoid is
-    numpy's (see ``_ridge_features``), so the force's last bits may depend
-    on the CPU's exp kernel, as they already do on the BLAS matmul's.
+    The force is one feature pass, two elementwise passes and three BLAS
+    contractions: S = beta @ sigma, then ``_ridge_sum`` with the weights
+    w_m = y_m + (eps/N) S_m that every particle of a replica shares.  Its
+    last bits depend on the BLAS's order of summation, as they already did,
+    and on the CPU's exp kernel (see ``_ridge_features``).
     """
     eps = float(epsilon)
     z = data.inputs          # (M, d-1)
@@ -477,34 +478,27 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
         x = np.asarray(x, dtype=float)
         return 0.5 * np.sum(x * x, axis=-1) + (2.0 / m_count) * (phi(x) @ y)
 
-    def _weighted(x, weights):
-        # sum_m weights[..., m] * grad_x phi(x, z_m) with its own scratch
-        beta, sig = _features(x)
-        return _ridge_grad(beta, sig, 1.0 - sig, weights, z, np.empty(sig.shape))
-
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        return x + (2.0 / m_count) * _weighted(x, y)
+        return x + (2.0 / m_count) * _ridge_sum(*_features(x), y[:, None], z)
 
     def W(x, xt):
         return (2.0 / m_count) * np.sum(phi(x) * phi(xt), axis=-1)
 
     def grad1_W(x, xt):
+        # each row has its own weights phi(xt): a block of one row
         x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
-        return (2.0 / m_count) * _weighted(x, phi(xt))
+        beta, sig = _features(x)
+        r = _ridge_sum(beta[..., None], sig[..., None, :], phi(xt)[..., None], z)
+        return (2.0 / m_count) * r[..., 0, :]
 
     def grad_U_all(q):
-        # one weighted pass with weights y_m + (eps/N) S_m, where
-        # S_m = sum_j phi(q^j, z_m); the features, 1 - sigma and the work
-        # array belong to this call
-        n = q.shape[-2]
         beta, sig = _features(q)
-        one_minus = 1.0 - sig
-        work = np.multiply(beta[..., None], sig)
-        weights = work.sum(axis=-2, keepdims=True)
-        weights *= eps / n
+        weights = beta[..., None, :] @ sig
+        weights *= eps / q.shape[-2]
         weights += y
-        return q + (2.0 / m_count) * _ridge_grad(beta, sig, one_minus, weights, z, work)
+        r = _ridge_sum(beta, sig, weights.swapaxes(-1, -2), z)
+        return q + (2.0 / m_count) * r
 
     constants = _box_constants(z, y)
     return MeanFieldModel(

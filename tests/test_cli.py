@@ -22,11 +22,16 @@ GOLDEN = Path(__file__).parent / "golden"
 # last re-recorded when it gained the max_admissible_T table, every line
 # above that table unchanged.  sample_shallow_net.csv stayed
 # byte-identical when its force came to share one feature pass and to reuse
-# scratch arrays; it was last re-recorded when the sigmoid moved from scipy's
+# scratch arrays; it was re-recorded when the sigmoid moved from scipy's
 # expit to numpy ufuncs (whose exp may differ from the C library's in the
 # last bit) and the force's V and interaction terms came to share one
 # weighted ridge sum: 56 of its 275 values moved, by at most 8.9e-14
-# relative, and its constants footer stayed byte-identical.  Its constants
+# relative, and its constants footer stayed byte-identical.  It was last
+# re-recorded when the force came to take its sums as BLAS contractions
+# (beta @ sigma over the particles, sigma @ w and ((1 - sigma) sigma) @ (w z)
+# over the data): 30 of its 275 values moved, by at most 4.3e-15 relative
+# (4.4e-16 absolute), and its config line and constants footer stayed
+# byte-identical; it is the same at 1 and 2 BLAS threads.  Its constants
 # footer and the config line's model_params were last re-recorded when the
 # probe-estimated constants became closed-form bounds on the box named by
 # model_params' box_radius (was probe_radius), every data row
@@ -521,6 +526,48 @@ def test_closed_stdout_exits_cleanly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_shallow_net_golden_bytes_at_two_blas_threads(tmp_path):
+    # the force takes its sums with BLAS, which reads its thread count from
+    # the environment at import: a fresh process at 2 threads must write
+    # the golden bytes recorded at 1
+    src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    out = tmp_path / "sample_shallow_net.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanfield_hmc", *GOLDEN_ARGS["sample_shallow_net.csv"],
+         "--out", str(out)], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / "sample_shallow_net.csv").read_bytes()
+
+
+# coupled-nonconvex's arguments in perfbench/workloads.py
+_COUPLED_NONCONVEX = ["contraction", "--model", "multiwell", "--a", "2", "--dim", "2",
+                      "--interaction", "quadratic", "--eps", "0.1", "--N", "32",
+                      "--replicas", "500", "--T", "0.5", "--h", "0.125", "--steps", "50"]
+
+
+@pytest.mark.parametrize("argv, saturates", [
+    (["contraction", "--model", "multiwell", "--a", "5", "--T", "0.02", "--h", "0.01",
+      "--replicas", "3", "--steps", "2"], True),
+    (GOLDEN_ARGS["contraction.csv"], False),
+    (_COUPLED_NONCONVEX, False),
+    # coalesced pairs read rho_N = 0 in every replica: a measurement
+    (["contraction", "--offset", "0", "--steps", "5", "--replicas", "20"], False),
+])
+def test_contraction_warns_where_its_metric_saturates(tmp_path, capsys, argv, saturates):
+    # at offset 1 against T = 0.02 every replica reads rho_N = T to rounding
+    out = tmp_path / "contraction.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    warning = ("warning: rho_N saturates (stderr 0 after step 0; offset=1, T=0.02); "
+               "the fitted decay factor measures nothing\n")
+    assert err.count("rho_N saturates") == saturates
+    if saturates:
+        assert warning in err
+        rows = [line.split(",") for line in out.read_text().splitlines()[5:8]]
+        assert [float(r[2]) for r in rows] == [0.0] * 3
 
 
 def test_module_entry_point_prints_the_version():

@@ -320,21 +320,30 @@ def test_shallow_net_build_memory_stays_flat():
     assert peak < 16 * 2**20
 
 
-def _reference_shallow_net(data, epsilon):
-    """grad_V, grad1_W and grad_U_all as written before the force reused
-    scratch arrays: one temporary per expression, 1 - sigma per weighted sum,
-    the sigmoid as one numpy expression, and the force's V and interaction
-    weights added before its one weighted sum."""
+def _reference_shallow_net(data, epsilon, elementwise=False):
+    """grad_V, grad1_W and grad_U_all in expression form: one temporary per
+    expression and the sigmoid as one numpy expression.
+
+    By default the sums are the force's contractions: the particle sum
+    S = beta @ sigma, then sigma @ w^T and ((1 - sigma) sigma) @ (w^T z) beta
+    over the data, where w = y + (eps/N) S is shared by the rows of a block.
+    With ``elementwise`` they are the form the force took before: elementwise
+    products summed by numpy, and w beta sigma (1 - sigma) @ z."""
     z, y, m_count = data.inputs, data.outputs, data.count
 
     def features(x):
         x = np.asarray(x, dtype=float)
         return x[..., 0], 1.0 / (1.0 + np.exp(-(x[..., 1:] @ z.T)))
 
-    def weighted(beta, sig, weights):
-        dbeta = np.sum(weights * sig, axis=-1)
-        coef = weights * beta[..., None] * sig * (1.0 - sig)
-        return np.concatenate([dbeta[..., None], coef @ z], axis=-1)
+    def ridge_sum(beta, sig, w):
+        # rows of sig (..., K, M) share the weights w (..., 1, M)
+        if elementwise:
+            dbeta = np.sum(w * sig, axis=-1)[..., None]
+            dalpha = (w * beta[..., None] * sig * (1.0 - sig)) @ z
+        else:
+            dbeta = sig @ w.swapaxes(-1, -2)
+            dalpha = ((1.0 - sig) * sig) @ (w.swapaxes(-1, -2) * z) * beta[..., None]
+        return np.concatenate([dbeta, dalpha], axis=-1)
 
     def phi(x):
         beta, sig = features(x)
@@ -342,22 +351,67 @@ def _reference_shallow_net(data, epsilon):
 
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        return x + (2.0 / m_count) * weighted(*features(x), y)
+        return x + (2.0 / m_count) * ridge_sum(*features(x), y[None, :])
 
     def grad1_W(x, xt):
         x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
-        return (2.0 / m_count) * weighted(*features(x), phi(xt))
+        beta, sig = features(x)
+        r = ridge_sum(beta[..., None], sig[..., None, :], phi(xt)[..., None, :])
+        return (2.0 / m_count) * r[..., 0, :]
 
     def grad_U_all(q):
         n = q.shape[-2]
         beta, sig = features(q)
-        s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
-        return q + (2.0 / m_count) * weighted(beta, sig, y + (epsilon / n) * s)
+        if elementwise:
+            s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
+        else:
+            s = beta[..., None, :] @ sig
+        return q + (2.0 / m_count) * ridge_sum(beta, sig, y + (epsilon / n) * s)
 
     return grad_V, grad1_W, grad_U_all
 
 
-@pytest.mark.parametrize("count, inputs, scale", [(256, 3, 1.0), (256, 1, 20.0), (40, 2, 1.0)])
+def _ridge_sum_bound(data, epsilon, x, weights=None):
+    """Bound on |contraction form - elementwise form| of grad_U_all(x), or of
+    grad1_W(x, xt) given weights = phi(xt), each entry.
+
+    Both forms take every entry as a sum over m (and, through S, over the
+    particles j) of products of the same inputs: beta, sigma, y, z, eps/N,
+    2/M and q.  Along any term there are at most k = M + N + 8 roundings
+    (N in S, two for w, one for 1 - sigma, three products, M - 1 additions
+    over m, the scale 2/M and the addition of q), so by the standard
+    error bound of a sum of products (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1), in any order of summation and with or
+    without fused multiply-adds, each form lies within gamma_k * sum |term|
+    of the exact value, gamma_k = k u / (1 - k u).  The two forms then
+    differ by at most 2 gamma_k * sum |term|, which is the force on the
+    absolute values of its terms.  grad_V is grad_U_all with eps = 0.
+    """
+    z, y, m_count = data.inputs, data.outputs, data.count
+    x = np.asarray(x, dtype=float)
+    beta = np.abs(x[..., 0])
+    sig = 1.0 / (1.0 + np.exp(-(x[..., 1:] @ z.T)))
+    if weights is None:
+        n = x.shape[-2]
+        w = np.abs(y) + (epsilon / n) * (beta[..., None, :] @ sig)
+        scale = np.abs(x)
+    else:
+        n, w, beta, sig = 0, np.abs(weights)[..., None, :], beta[..., None], sig[..., None, :]
+        scale = 0.0
+    wt = w.swapaxes(-1, -2)
+    terms = np.concatenate(
+        [sig @ wt, ((1.0 - sig) * sig) @ (wt * np.abs(z)) * beta[..., None]], axis=-1)
+    if weights is not None:
+        terms = terms[..., 0, :]
+    k = m_count + n + 8
+    u = np.finfo(float).eps / 2
+    return 2.0 * (k * u / (1.0 - k * u)) * (scale + (2.0 / m_count) * terms)
+
+
+_FORCE_DATASETS = [(256, 3, 1.0), (256, 1, 20.0), (40, 2, 1.0)]
+
+
+@pytest.mark.parametrize("count, inputs, scale", _FORCE_DATASETS)
 def test_shallow_net_rewrite_matches_reference_bit_for_bit(count, inputs, scale):
     rng = np.random.default_rng(count + inputs)
     data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
@@ -371,8 +425,42 @@ def test_shallow_net_rewrite_matches_reference_bit_for_bit(count, inputs, scale)
         assert np.array_equal(m.grad_U_all(q), grad_U_all(q)), shape
     x, xt = rng.normal(size=(2, 10, m.dim))
     assert np.array_equal(m.grad_V(x), grad_V(x))
+    assert np.array_equal(m.grad_V(x[0]), grad_V(x[0]))
     assert np.array_equal(m.grad1_W(x, xt), grad1_W(x, xt))
     assert np.array_equal(m.grad1_W(x[0], xt), grad1_W(x[0], xt))
+
+
+@pytest.mark.parametrize("count, inputs, scale", _FORCE_DATASETS)
+def test_shallow_net_contractions_within_dot_product_bound_of_elementwise_form(
+        count, inputs, scale):
+    rng = np.random.default_rng(count + inputs)
+    data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
+                             outputs=scale * rng.normal(size=count))
+    m = shallow_net_model(data, epsilon=0.5)
+    grad_V, grad1_W, grad_U_all = _reference_shallow_net(data, 0.5, elementwise=True)
+    for shape in [(1, m.dim), (64, m.dim), (3, 64, m.dim), (2, 1, 5, m.dim)]:
+        q = 2.0 * rng.normal(size=shape)
+        bound = _ridge_sum_bound(data, 0.5, q)
+        assert (np.abs(m.grad_U_all(q) - grad_U_all(q)) <= bound).all(), shape
+    x, xt = 2.0 * rng.normal(size=(2, 10, m.dim))
+    assert (np.abs(m.grad_V(x) - grad_V(x)) <= _ridge_sum_bound(data, 0.0, x[:, None])[:, 0]).all()
+    phi_xt = xt[:, :1] / (1.0 + np.exp(-(xt[:, 1:] @ data.inputs.T)))
+    bound = _ridge_sum_bound(data, 0.5, x, weights=phi_xt)
+    assert (np.abs(m.grad1_W(x, xt) - grad1_W(x, xt)) <= bound).all()
+
+
+@pytest.mark.parametrize("count, inputs", [(256, 3), (40, 2), (256, 1), (1000, 5)])
+def test_shallow_net_batched_force_matches_per_replica_calls(count, inputs):
+    # each replica's matmuls hold the same rows whether it is called alone
+    # or in a batch, so no row is re-blocked and no bit moves
+    data = _shallow_net_data(count, inputs, 1.0)
+    m = shallow_net_model(data, epsilon=0.5)
+    rng = np.random.default_rng(count * inputs)
+    for shape in [(3, 64, m.dim), (2, 3, 17, m.dim)]:
+        q = 2.0 * rng.normal(size=shape)
+        batched = m.grad_U_all(q)
+        for idx in np.ndindex(shape[:-2]):
+            assert np.array_equal(batched[idx], m.grad_U_all(q[idx])), (shape, idx)
 
 
 def test_shallow_net_force_is_thread_safe():
