@@ -396,8 +396,9 @@ def _ridge_sum_bound(data, epsilon, x, weights=None):
         w = np.abs(y) + (epsilon / n) * (beta[..., None, :] @ sig)
         scale = np.abs(x)
     else:
-        n, w, beta, sig = 0, np.abs(weights)[..., None, :], beta[..., None], sig[..., None, :]
-        scale = 0.0
+        # grad1_W: each row is a block of one, with weights of its own
+        n, scale = 0, 0.0
+        w, beta, sig = np.abs(weights)[..., None, :], beta[..., None], sig[..., None, :]
     wt = w.swapaxes(-1, -2)
     terms = np.concatenate(
         [sig @ wt, ((1.0 - sig) * sig) @ (wt * np.abs(z)) * beta[..., None]], axis=-1)
@@ -443,7 +444,8 @@ def test_shallow_net_contractions_within_dot_product_bound_of_elementwise_form(
         bound = _ridge_sum_bound(data, 0.5, q)
         assert (np.abs(m.grad_U_all(q) - grad_U_all(q)) <= bound).all(), shape
     x, xt = 2.0 * rng.normal(size=(2, 10, m.dim))
-    assert (np.abs(m.grad_V(x) - grad_V(x)) <= _ridge_sum_bound(data, 0.0, x[:, None])[:, 0]).all()
+    bound = _ridge_sum_bound(data, 0.0, x[:, None])[:, 0]
+    assert (np.abs(m.grad_V(x) - grad_V(x)) <= bound).all()
     phi_xt = xt[:, :1] / (1.0 + np.exp(-(xt[:, 1:] @ data.inputs.T)))
     bound = _ridge_sum_bound(data, 0.5, x, weights=phi_xt)
     assert (np.abs(m.grad1_W(x, xt) - grad1_W(x, xt)) <= bound).all()
