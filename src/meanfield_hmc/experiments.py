@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,15 @@ def _check_count(flag: str, value: int, least: int = 1) -> None:
 def _scan(one_point, points, seed: int, threads: int):
     """Run ``one_point(stream, point)``, which returns (row, detail), for
     each point on substream i of ``seed``; return (rows, detail) in input
-    order.  ``threads`` > 1 runs the points on a thread pool."""
+    order.  ``threads`` > 1 runs the points on a thread pool, whose modules
+    (``concurrent.futures``, ``logging``, ``queue``) are imported on first
+    use, so a one-thread scan never pays for them."""
     base = RngStream(seed)
     streams = [base.substream(i) for i in range(len(points))]
     if threads <= 1:
         results = list(map(one_point, streams, points))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_point, streams, points))
     return [row for row, _ in results], [detail for _, detail in results]

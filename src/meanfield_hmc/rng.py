@@ -11,14 +11,18 @@ any split of the requests into calls returns the same numbers as one
 draw of their total length.
 
 ``ndtri`` is scipy's own ufunc, taken from ``scipy.special._ufuncs``
-because ``scipy.special``'s ``__init__`` costs about 0.23 s of import
-(its array-API shim loads ``numpy.f2py`` and ``numpy.testing``) against
-about 0.02 s for the extension alone (Python 3.11, scipy 1.17, 2-core
-x86 VM).
+without running the ``__init__`` of ``scipy``, ``scipy._lib`` or
+``scipy.special``.  ``scipy.special``'s costs about 0.23 s of import (its
+array-API shim loads ``numpy.f2py`` and ``numpy.testing``); those of
+``scipy`` and ``scipy._lib`` about 14 ms (they load
+``scipy._lib._testutils``, ``subprocess``, ``_pep440`` and scipy's config
+modules).  ``_ufuncs`` with the extensions it needs takes about 15 ms
+(``-X importtime``, Python 3.11, scipy 1.17, 2-core x86 VM).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 import types
@@ -28,26 +32,36 @@ from numpy.random import Philox
 
 
 def _load_ndtri():
-    """scipy's ``ndtri`` ufunc, loaded without ``scipy.special``'s ``__init__``.
+    """scipy's ``ndtri`` ufunc, loaded without the package ``__init__``s.
 
-    ``_ufuncs`` imports its sibling extensions through its parent package,
-    so a bare stub whose ``__path__`` is scipy's ``special/`` directory
-    stands in for ``scipy.special`` while it loads.  The stub goes again in
-    the ``finally``; a later ``import scipy.special`` reuses the cached
-    extensions and so returns this same ufunc object.
+    ``_ufuncs`` imports its sibling extensions and ``scipy._lib._ccallback``
+    through their parent packages, so while it loads, each of ``scipy``,
+    ``scipy._lib`` and ``scipy.special`` that is not yet imported is a bare
+    stub whose ``__path__`` is the package's directory, found by
+    ``find_spec`` without running anything.  The stubs go again in the
+    ``finally``; a later ``import scipy.special`` reuses the cached
+    extensions and so returns this same ufunc object.  The real package
+    objects then lack the attributes of the submodules loaded here
+    (``scipy.special._ufuncs_cxx``, ``scipy._lib._ccallback``, ...), which
+    stay reachable through ``sys.modules``.
     """
-    if "scipy.special" not in sys.modules:
-        import scipy
-        stub = types.ModuleType("scipy.special")
-        stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
-        sys.modules["scipy.special"] = stub
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        root = spec.submodule_search_locations[0]
+        stubs = [name for name in ("scipy", "scipy._lib", "scipy.special")
+                 if name not in sys.modules]
+        for name in stubs:
+            stub = types.ModuleType(name)
+            stub.__path__ = [os.path.join(root, *name.split(".")[1:])]
+            sys.modules[name] = stub
         try:
             from scipy.special._ufuncs import ndtri
             return ndtri
-        except ImportError:
+        except (ImportError, AttributeError):
             pass  # a scipy whose private layout differs: the public import below
         finally:
-            del sys.modules["scipy.special"]
+            for name in stubs:
+                del sys.modules[name]
     from scipy.special import ndtri
     return ndtri
 

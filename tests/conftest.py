@@ -1,6 +1,20 @@
+import warnings
+
 import numpy as np
 
 from meanfield_hmc.statistics import _SQRT2PI, silverman_bandwidth
+
+# hypothesis's pytest plugin imports this module to print a patch for a
+# failing property test; its import (through libcst) raises a
+# DeprecationWarning, which the "error" warning filter would turn into an
+# INTERNALERROR that ends the session.  Imported here once with that
+# warning ignored, the module is cached and the plugin's import is silent.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass  # no libcst: hypothesis prints no patch and imports nothing
 
 
 def central_diff_grad(f, x, h=1e-6):

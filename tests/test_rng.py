@@ -6,6 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import kstest
@@ -91,7 +92,6 @@ def test_zero_uniforms_is_an_empty_draw():
 
 
 def test_negative_uniform_count_raises():
-    import pytest
     s = RngStream(5)
     with pytest.raises(ValueError):
         s.uniforms(-1)
@@ -99,7 +99,6 @@ def test_negative_uniform_count_raises():
 
 
 def test_seed_validation():
-    import pytest
     with pytest.raises(ValueError):
         RngStream(-1)
     with pytest.raises(ValueError):
@@ -174,13 +173,43 @@ def test_package_import_skips_scipy_special_init():
     assert out == "[]\n"
 
 
+def test_package_import_skips_scipy_package_inits_and_the_thread_pool():
+    # scipy's and scipy._lib's __init__ load _testutils, subprocess and the
+    # config modules; the thread pool loads logging and queue
+    out = _fresh("""
+        import sys
+        import meanfield_hmc.cli
+        heavy = ("scipy", "scipy._lib", "scipy._lib._testutils", "subprocess",
+                 "concurrent.futures", "logging")
+        print([name for name in heavy if name in sys.modules])
+    """)
+    assert out == "[]\n"
+
+
 def test_later_scipy_special_import_shares_the_ufunc():
     out = _fresh("""
+        import meanfield_hmc.cli
         import meanfield_hmc.rng
+        import scipy.special
+        import scipy.stats
+        print(meanfield_hmc.rng.ndtri is scipy.special.ndtri,
+              scipy.special.expit(0.0), scipy.stats.norm.ppf(0.5))
+    """)
+    assert out == "True 0.5 0.0\n"
+
+
+def test_earlier_scipy_import_still_skips_scipy_special_init():
+    # only scipy.special is stubbed then: its array-API shim, which loads
+    # numpy.f2py, still does not run
+    out = _fresh("""
+        import sys
+        import scipy
+        import meanfield_hmc.rng
+        print("scipy.special" in sys.modules, "numpy.f2py" in sys.modules)
         import scipy.special
         print(meanfield_hmc.rng.ndtri is scipy.special.ndtri)
     """)
-    assert out == "True\n"
+    assert out == "False False\nTrue\n"
 
 
 def test_earlier_scipy_special_import_shares_the_ufunc():
@@ -192,30 +221,48 @@ def test_earlier_scipy_special_import_shares_the_ufunc():
     assert out == "True\n"
 
 
-def test_private_layout_failure_falls_back_to_the_public_import():
-    # a scipy whose _ufuncs cannot load under the stub parent: the public
-    # import runs instead and no stub stays behind
-    out = _fresh("""
+_STUBBED = ("scipy", "scipy._lib", "scipy.special")
+
+
+def _load_under(refusal: str) -> str:
+    """stdout of a fresh ``import meanfield_hmc.rng`` while a finder runs
+    ``refusal`` on finding ``scipy.special._ufuncs`` under the stubs: the
+    ufunc's identity with the public one, then whether each stubbed name
+    is the real package afterwards."""
+    return _fresh(f"""
         import sys
 
         class RefuseUnderStub:
             def find_spec(self, name, path=None, target=None):
                 parent = sys.modules.get("scipy.special")
                 if name == "scipy.special._ufuncs" and not hasattr(parent, "__file__"):
-                    raise ImportError("refused under the stub")
+                    {refusal}
                 return None
 
         sys.meta_path.insert(0, RefuseUnderStub())
         import meanfield_hmc.rng
         import scipy.special
         print(meanfield_hmc.rng.ndtri is scipy.special.ndtri,
-              hasattr(sys.modules["scipy.special"], "__file__"))
+              [hasattr(sys.modules[name], "__file__") for name in {_STUBBED!r}])
     """)
-    assert out == "True True\n"
+
+
+def test_private_layout_failure_falls_back_to_the_public_import():
+    # a scipy whose _ufuncs cannot load under the stub parents: the public
+    # import runs instead and none of the three stubs stays behind
+    out = _load_under('raise ImportError("refused under the stub")')
+    assert out == "True [True, True, True]\n"
+
+
+def test_attribute_of_the_real_package_falls_back_to_the_public_import():
+    # an extension that reads an attribute the real scipy package has and
+    # the stub lacks
+    out = _load_under('sys.modules["scipy"].__version__')
+    assert out == "True [True, True, True]\n"
 
 
 def test_a_run_imports_nothing(tmp_path):
-    # every import is paid at package load, none inside a run
+    # at --threads 1 every import is paid at package load, none inside a run
     out = _fresh(f"""
         import sys
         from meanfield_hmc import cli
@@ -224,3 +271,47 @@ def test_a_run_imports_nothing(tmp_path):
         print(code, sorted(set(sys.modules) - before))
     """)
     assert out == "0 []\n"
+
+
+_TINY_RUNS = {
+    "sample": ["sample", "--steps", "2"],
+    "bias-scan": ["bias-scan", "--k-max", "1", "--steps", "120"],
+    "chaos-scan": ["chaos-scan", "--N-list", "4,8,16", "--steps", "3", "--replicas", "2"],
+    "contraction": ["contraction", "--steps", "2", "--replicas", "4"],
+    "order-check": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "4",
+                    "--replicas", "2"],
+    "constants": ["constants"],
+}
+
+
+def _new_modules_of_run(argv, out_path) -> str:
+    """The modules that ``cli.main(argv + --out out_path)``, the first call
+    in a fresh interpreter, imports, as the printed sorted list after its
+    exit code."""
+    if argv[0] != "constants":
+        argv = [*argv, "--out", str(out_path)]
+    return _fresh(f"""
+        import sys
+        from meanfield_hmc import cli
+        before = set(sys.modules)
+        code = cli.main({argv!r})
+        print(code, sorted(set(sys.modules) - before))
+    """).splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", list(_TINY_RUNS))
+def test_every_subcommand_at_one_thread_imports_nothing(command, tmp_path):
+    assert _new_modules_of_run(_TINY_RUNS[command], tmp_path / "o.csv") == "0 []"
+
+
+def test_a_threaded_scan_imports_only_the_thread_pool(tmp_path):
+    pool = _fresh("""
+        import sys
+        from meanfield_hmc import cli
+        before = set(sys.modules)
+        from concurrent.futures import ThreadPoolExecutor
+        print(0, sorted(set(sys.modules) - before))
+    """).splitlines()[-1]
+    assert "'concurrent.futures'" in pool
+    argv = [*_TINY_RUNS["chaos-scan"], "--threads", "2"]
+    assert _new_modules_of_run(argv, tmp_path / "o.csv") == pool
