@@ -163,23 +163,14 @@ def _fresh(code: str) -> str:
 
 def test_package_import_skips_scipy_special_init():
     # scipy.special's __init__ pulls in numpy.f2py and numpy.testing
-    # through its array-API shim; the package loads the ufunc without it
+    # through its array-API shim, scipy's and scipy._lib's load _testutils,
+    # subprocess and the config modules, and the thread pool loads logging;
+    # the package loads the ufunc, and a one-thread run, without any of them
     out = _fresh("""
         import sys
         import meanfield_hmc.cli
-        heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
-        print([name for name in heavy if name in sys.modules])
-    """)
-    assert out == "[]\n"
-
-
-def test_package_import_skips_scipy_package_inits_and_the_thread_pool():
-    # scipy's and scipy._lib's __init__ load _testutils, subprocess and the
-    # config modules; the thread pool loads logging and queue
-    out = _fresh("""
-        import sys
-        import meanfield_hmc.cli
-        heavy = ("scipy", "scipy._lib", "scipy._lib._testutils", "subprocess",
+        heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+                 "scipy", "scipy._lib", "scipy._lib._testutils", "subprocess",
                  "concurrent.futures", "logging")
         print([name for name in heavy if name in sys.modules])
     """)
@@ -221,9 +212,6 @@ def test_earlier_scipy_special_import_shares_the_ufunc():
     assert out == "True\n"
 
 
-_STUBBED = ("scipy", "scipy._lib", "scipy.special")
-
-
 def _load_under(refusal: str) -> str:
     """stdout of a fresh ``import meanfield_hmc.rng`` while a finder runs
     ``refusal`` on finding ``scipy.special._ufuncs`` under the stubs: the
@@ -243,7 +231,7 @@ def _load_under(refusal: str) -> str:
         import meanfield_hmc.rng
         import scipy.special
         print(meanfield_hmc.rng.ndtri is scipy.special.ndtri,
-              [hasattr(sys.modules[name], "__file__") for name in {_STUBBED!r}])
+              [hasattr(sys.modules[name], "__file__") for name in ("scipy", "scipy._lib", "scipy.special")])
     """)
 
 
@@ -273,8 +261,8 @@ def test_a_run_imports_nothing(tmp_path):
     assert out == "0 []\n"
 
 
+# the other subcommands at a tiny size; sample is test_a_run_imports_nothing's
 _TINY_RUNS = {
-    "sample": ["sample", "--steps", "2"],
     "bias-scan": ["bias-scan", "--k-max", "1", "--steps", "120"],
     "chaos-scan": ["chaos-scan", "--N-list", "4,8,16", "--steps", "3", "--replicas", "2"],
     "contraction": ["contraction", "--steps", "2", "--replicas", "4"],
@@ -300,7 +288,7 @@ def _new_modules_of_run(argv, out_path) -> str:
 
 
 @pytest.mark.parametrize("command", list(_TINY_RUNS))
-def test_every_subcommand_at_one_thread_imports_nothing(command, tmp_path):
+def test_a_run_of_another_subcommand_imports_nothing(command, tmp_path):
     assert _new_modules_of_run(_TINY_RUNS[command], tmp_path / "o.csv") == "0 []"
 
 
