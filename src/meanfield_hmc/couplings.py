@@ -142,13 +142,34 @@ def metric_f(r, R1: float, T: float):
     Closed form: T (1 - e^{-r/T}) for r <= R1, continued linearly with
     slope e^{-R1/T} beyond.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
+    out = _metric_f_in_place(r, R1, T)
+    return float(out) if out.ndim == 0 else out
+
+
+def _metric_f_in_place(r, R1: float, T: float):
+    """metric_f of a float array ``r >= 0`` that the caller owns, written
+    over ``r``, which is returned.
+
+    The profile T (-expm1((-min(r, R1)) / T)) + exp(-R1/T) max(r - R1, 0)
+    is evaluated as (-T) expm1(min(r, R1) / (-T)) + ...: negating a factor
+    or a divisor instead of the product or the quotient rounds alike, so
+    the result is bit for bit the expression's.
+    """
     if not (R1 > 0 and T > 0):
         raise ValueError("R1 and T must be positive")
-    out = T * -np.expm1(-np.minimum(r, R1) / T) + np.exp(-R1 / T) * np.maximum(r - R1, 0.0)
-    return float(out) if out.ndim == 0 else out
+    linear = np.empty_like(r)
+    np.subtract(r, R1, out=linear)
+    np.maximum(linear, 0.0, out=linear)
+    np.multiply(np.exp(-R1 / T), linear, out=linear)
+    np.minimum(r, R1, out=r)
+    np.divide(r, -T, out=r)
+    np.expm1(r, out=r)
+    np.multiply(-T, r, out=r)
+    np.add(r, linear, out=r)
+    return r
 
 
 def metric_f_prime(r, R1: float, T: float):
@@ -213,7 +234,8 @@ def rho_N(x: np.ndarray, y: np.ndarray, R1: float, T: float):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("shape mismatch between the two states")
-    out = metric_f(_norm_last(x - y), R1, T).mean(axis=-1)
+    # a norm is never negative, so metric_f's scan of r is skipped
+    out = _metric_f_in_place(_norm_last(x - y), R1, T).mean(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -529,6 +529,9 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     _check_count("steps", m)
     _check_count("N", N)
     _check_count("thin", thin)
+    if thin > m:
+        # the chain would run every step and record only its start
+        raise ConfigError(f"thin must not exceed steps, got thin={thin}, steps={m}")
     if columns is not None:
         _check_count("columns", columns)
     if h != 0:

@@ -146,12 +146,15 @@ def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,
     Returns the endpoint pairs in input order.
     """
     n = _integral_steps(T, h)
+    states = list(states)
     batch = states[0][0].shape[:-2]
     us = stream.uniforms(n * math.prod(batch)).reshape((n,) + batch)
     for k in range(n):
         u = us[k]
-        states = [randomized_step_arrays(model, q, p, h, u, step_index=k)
-                  for q, p in states]
+        # each pair is replaced as soon as it has stepped, so a spent pair
+        # is freed before the next pair's step allocates
+        for i, (q, p) in enumerate(states):
+            states[i] = randomized_step_arrays(model, q, p, h, u, step_index=k)
     return states
 
 

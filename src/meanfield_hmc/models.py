@@ -15,11 +15,15 @@ maps (..., d) -> (..., d) and ``V`` maps (..., d) -> (...); the pair
 functions broadcast their two arguments.  The private helpers under
 "reductions and broadcasts over the coordinate axis" serve the forces and
 the coupling metric on (..., N, d) arrays, bit for bit as numpy would.
+The one exception is the particle mean of the quadratic-interaction
+multiwell force, a BLAS contraction: its last bits depend on how many
+rows the call holds, not on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -117,7 +121,10 @@ class MeanFieldModel:
 # array as one inner-loop call per length-d row, which at small d costs far
 # more than the arithmetic.  These helpers loop over the d columns instead
 # and keep numpy's order of summation, so each result equals the numpy
-# expression it replaces bit for bit (tests/test_models.py pins them).
+# expression it replaces bit for bit (tests/test_models.py pins them).  The
+# sum over the particle axis has no such helper: the multiwell force takes
+# it as one BLAS contraction of the flat (..., N*d) rows (see
+# _particle_selector), whose order of summation is the BLAS's.
 
 # numpy sums a row of at most 7 values one by one from the first, and
 # longer rows pairwise in unrolled blocks
@@ -140,35 +147,29 @@ def _norm_last(x):
     return np.sqrt(_dot_last(x, x))
 
 
-def _particle_sum(q):
-    """np.add.reduce(q, axis=-2, keepdims=True) on (..., N, d) ``q``.
-
-    At d >= 2 einsum adds the particles in add.reduce's order; at d = 1
-    add.reduce runs pairwise along the contiguous particle axis, so it stays.
-    """
-    if q.shape[-1] == 1:
-        return np.add.reduce(q, axis=-2, keepdims=True)
-    return np.einsum("...nd->...d", q)[..., None, :]
-
-
 def _columnwise(ufunc, x, y, out=None, **kwargs):
-    """ufunc(x, y) on (..., N, d) ``x``, one length-N column at a time.
+    """ufunc(x, y[..., None]) on (..., N, d) ``x`` and per-particle ``y``
+    (..., N), one length-N column at a time.
 
-    ``y`` is one value per particle, shape (..., N), standing for
-    y[..., None]; or one value per coordinate, shape (..., 1, d).  The ufunc
-    acts elementwise, so the result is exact.  ``out`` (default a new array
-    of x's shape) is filled column by column; ``kwargs`` such as ``where``
-    go to every call.
+    The ufunc acts elementwise, so the result is exact.  ``out`` (default a
+    new array of x's shape) is filled column by column; ``kwargs`` such as
+    ``where`` go to every call.
     """
     if out is None:
         out = np.empty(x.shape)
-    if np.ndim(y) < x.ndim:
-        for j in range(x.shape[-1]):
-            ufunc(x[..., j], y, out=out[..., j], **kwargs)
-    else:
-        for j in range(x.shape[-1]):
-            ufunc(x[..., j], y[..., j], out=out[..., j], **kwargs)
+    for j in range(x.shape[-1]):
+        ufunc(x[..., j], y, out=out[..., j], **kwargs)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _particle_selector(n, d):
+    """The read-only 0/1 matrix np.tile(np.eye(d), (n, 1)), (n*d, d): a flat
+    row of n length-d particles times it is their sum.  Every caller shares
+    the cached array, so it is never written."""
+    sel = np.tile(np.eye(d), (n, 1))
+    sel.flags.writeable = False
+    return sel
 
 
 def _put_rows(mask, dst, src):
@@ -283,12 +284,19 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
 
         def grad_U_all(q):
             # sum_j (q^i - q^j) = N q^i - sum_j q^j; the result is
-            # grad_V(q) + eps * (q - mean), summed into grad_V's array
-            mean = _particle_sum(q) / q.shape[-2]
-            pull = _columnwise(np.subtract, q, mean)
+            # grad_V(q) + eps * (q - mean), summed into grad_V's array.
+            # The mean is one matmul of the flat (rows, N*d) view with the
+            # particle selector, and q - mean one contiguous pass against
+            # the mean tiled N times along the row
+            n, d = q.shape[-2:]
+            flat = q.reshape(-1, n * d)
+            mean = flat @ _particle_selector(n, d)
+            mean /= n
+            pull = np.tile(mean, n)
+            np.subtract(flat, pull, out=pull)
             np.multiply(eps, pull, out=pull)
             out = grad_V(q)
-            out += pull
+            out += pull.reshape(q.shape)
             return out
     else:
         raise InvalidModelError(f"unknown interaction {interaction!r}")
@@ -366,8 +374,12 @@ class ShallowNetDataset:
 
     @classmethod
     def from_csv(cls, path) -> "ShallowNetDataset":
-        """Load from CSV with header ``y,z1,...,z{d-1}`` (UTF-8, '.' decimals)."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        """Load from CSV with header ``y,z1,...,z{d-1}`` (UTF-8, '.' decimals).
+
+        A leading byte-order mark, as spreadsheet "CSV UTF-8" exports
+        write, is skipped.
+        """
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -253,6 +253,9 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     (["sample", "--steps", "0"], 2, "steps must be a positive integer, got 0"),
     (["sample", "--N", "0"], 2, "N must be a positive integer, got 0"),
     (["sample", "--thin", "0"], 2, "thin must be a positive integer, got 0"),
+    # a thinning step past the last step would record only the start
+    (["sample", "--steps", "3", "--thin", "5"], 2,
+     "thin must not exceed steps, got thin=5, steps=3"),
     (["bias-scan", "--k-max", "9"], 2, "k_max must lie in 1..5, got 9"),
     (["bias-scan", "--burn-in", "1"], 2, "burn-in fraction must lie in [0, 1), got 1.0"),
     # the one interaction-strength range of the quadratic model
@@ -528,18 +531,20 @@ def test_closed_stdout_exits_cleanly():
     assert err == b""
 
 
-def test_shallow_net_golden_bytes_at_two_blas_threads(tmp_path):
-    # the force takes its sums with BLAS, which reads its thread count from
-    # the environment at import: a fresh process at 2 threads must write
-    # the golden bytes recorded at 1
+@pytest.mark.parametrize("name", ["sample_shallow_net.csv", "contraction_multiwell_2d.csv"])
+def test_golden_bytes_at_two_blas_threads(tmp_path, name):
+    # the shallow-net force and the interacting multiwell force take sums
+    # with BLAS, which reads its thread count from the environment at
+    # import: a fresh process at 2 threads must write the golden bytes
+    # recorded at 1
     src = str(Path(meanfield_hmc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-    out = tmp_path / "sample_shallow_net.csv"
+    out = tmp_path / name
     proc = subprocess.run(
-        [sys.executable, "-m", "meanfield_hmc", *GOLDEN_ARGS["sample_shallow_net.csv"],
-         "--out", str(out)], capture_output=True, env=env, timeout=60)
+        [sys.executable, "-m", "meanfield_hmc", *GOLDEN_ARGS[name], "--out", str(out)],
+        capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (GOLDEN / "sample_shallow_net.csv").read_bytes()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 # coupled-nonconvex's arguments in perfbench/workloads.py

@@ -10,6 +10,7 @@ from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
                            couple_velocities_batch, coupled_uhmc_step,
                            ell1_bar, gaussian_model, lockstep_flow_arrays,
                            metric_f, metric_f_prime, multiwell_model, rho_N)
+from meanfield_hmc import models
 from meanfield_hmc.couplings import metric_radius
 from conftest import read_only
 
@@ -346,6 +347,23 @@ def test_metric_radius_slope_has_exact_reciprocal():
     # the grid holds radii that had to move and radii that did not
     assert 0 < moved < 400
     assert metric_radius(0.0, 1.0)[0] == 2.5
+
+
+def test_rho_N_matches_metric_f_bit_for_bit_on_read_only_inputs():
+    # rho_N evaluates metric_f's profile in place on the distances; a write
+    # into an input would raise
+    rng = np.random.default_rng(21)
+    for shape, r1, t in [((4, 2), 2.5, 1.0), ((50, 8, 3), 0.8, 0.3),
+                         ((2, 7, 5, 1), 6.0, 2.0)]:
+        x0 = rng.normal(size=shape)
+        y0 = x0 + rng.uniform(0.0, 3.0 * r1) * rng.normal(size=shape)
+        x, y = read_only(x0, y0)
+        want = metric_f(models._norm_last(x0 - y0), r1, t).mean(-1)
+        got = rho_N(x, y, r1, t)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    with pytest.raises(ValueError, match="R1 and T must be positive"):
+        rho_N(x, y, 0.0, 1.0)
 
 
 def test_rho_N_reductions():

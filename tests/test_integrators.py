@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,24 @@ def test_step_never_writes_the_force_return_value():
     assert len(seen) == 16
     for returned, on_return in seen:
         assert np.array_equal(returned, on_return)
+
+
+def test_lockstep_flow_frees_each_spent_pair():
+    # a pair is replaced as soon as it has stepped, so while the second
+    # pair steps the flow holds the first pair's new arrays, the second
+    # pair's old ones and the step's own four (q*, p', q' and one
+    # temporary, as the identity force returns q*): 8 arrays of a pair's
+    # size; holding both old pairs to the end of each step would take 10
+    model = _identity_force_model(8)
+    rng = np.random.default_rng(14)
+    q, p = rng.normal(size=(2, 20, 64, 8))
+    tracemalloc.start()
+    try:
+        lockstep_flow_arrays(model, [(q, p), (p, q)], 1.0, 0.25, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * q.nbytes
 
 
 @pytest.mark.parametrize("batch, replica", [((), None), ((4,), 2), ((2, 3), 4)])

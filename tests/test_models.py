@@ -502,6 +502,12 @@ def test_shallow_net_csv_roundtrip(tmp_path):
     back = ShallowNetDataset.from_csv(path)
     assert np.array_equal(back.inputs, data.inputs)
     assert np.array_equal(back.outputs, data.outputs)
+    # a UTF-8 byte-order mark, as a spreadsheet's "CSV UTF-8" export writes
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = ShallowNetDataset.from_csv(marked)
+    assert np.array_equal(back.inputs, data.inputs)
+    assert np.array_equal(back.outputs, data.outputs)
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(InvalidModelError):
@@ -619,7 +625,9 @@ def test_multiwell_fast_force_matches_pairwise(a, eps, dim, interaction, seed, n
 def test_multiwell_force_matches_expression_form_bit_for_bit(a, eps, dim, interaction,
                                                               seed, n, replicas):
     # the force as numpy broadcasts: grad_V(x) = x (1 - a exp(-(a/2)|x|^2))
-    # plus eps (q - particle mean) with the quadratic pair term
+    # plus eps (q - particle mean) with the quadratic pair term.  The mean
+    # is the force's own contraction of the flat (replicas, n*dim) rows
+    # with the 0/1 selector, so every operation after it stays pinned
     m = multiwell_model(a, dim=dim, epsilon=eps, interaction=interaction)
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(replicas, n, dim)) * 10.0 ** rng.uniform(-3.0, 1.0)
@@ -628,8 +636,38 @@ def test_multiwell_force_matches_expression_form_bit_for_bit(a, eps, dim, intera
     assert _same_bits(m.grad_V(q[0, 0]), grad_v[0, 0])
     want = grad_v
     if interaction is not None:
-        want = grad_v + eps * (q - np.add.reduce(q, axis=-2, keepdims=True) / n)
+        selector = np.tile(np.eye(dim), (n, 1))
+        mean = q.reshape(replicas, n * dim) @ selector / n
+        want = grad_v + eps * (q - mean[:, None, :])
     assert _same_bits(mean_field_grad_all(m, q), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.0, 5.0), eps=st.floats(0.0, 2.0), dim=st.integers(1, 9),
+       seed=_seeds, n=st.integers(1, 70),
+       lead=st.sampled_from([(), (1,), (5,), (2, 3)]))
+def test_multiwell_force_within_sum_bound_of_sequential_mean(a, eps, dim, seed, n, lead):
+    # The force's particle mean is a BLAS contraction, summed in the BLAS's
+    # order, which may depend on how many rows the call holds.  Against
+    # the form with numpy's sequential mean, each entry of grad_V(q) +
+    # eps (q - mean) is a sum of products of the same inputs with at most
+    # k = n + 4 roundings along any term (n - 1 additions, the division by
+    # n, the subtraction, eps and the addition of grad_V, taken as exact).
+    # By the error bound of a sum of products (Higham, Accuracy and
+    # Stability of Numerical Algorithms, sec. 3.1), in any order and with
+    # or without fused multiply-adds, each form lies within gamma_k times
+    # the sum of the terms' absolute values, so the two differ by at most
+    # twice that.
+    m = multiwell_model(a, dim=dim, epsilon=eps, interaction="quadratic")
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=lead + (n, dim)) * 10.0 ** rng.uniform(-3.0, 1.0)
+    grad_v = m.grad_V(q)
+    want = grad_v + eps * (q - np.add.reduce(q, axis=-2, keepdims=True) / n)
+    k, u = n + 4, np.finfo(float).eps / 2
+    gamma = k * u / (1.0 - k * u)
+    mean_abs = np.add.reduce(np.abs(q), axis=-2, keepdims=True) / n
+    bound = 2.0 * gamma * (np.abs(grad_v) + eps * (np.abs(q) + mean_abs))
+    assert (np.abs(mean_field_grad_all(m, q) - want) <= bound).all()
 
 
 def test_grad_all_batched():
@@ -685,7 +723,6 @@ def test_coordinate_sums_match_numpy(arrays):
     assert _same_bits(models._dot_last(x, x), np.sum(x * x, -1))
     assert _same_bits(models._dot_last(x, y), np.sum(x * y, axis=-1))
     assert _same_bits(models._norm_last(x), np.linalg.norm(x, axis=-1))
-    assert _same_bits(models._particle_sum(x), np.add.reduce(x, axis=-2, keepdims=True))
 
 
 @settings(max_examples=150, deadline=None)
@@ -693,11 +730,8 @@ def test_coordinate_sums_match_numpy(arrays):
 def test_columnwise_and_row_selection_match_broadcasts(arrays):
     x, y, z = arrays
     per_particle = y[..., 0]
-    per_coordinate = y[..., :1, :]
     assert _same_bits(models._columnwise(np.multiply, x, per_particle),
                       x * per_particle[..., None])
-    assert _same_bits(models._columnwise(np.subtract, x, per_coordinate),
-                      x - per_coordinate)
     # masked division into a prepared output, as the velocity coupling does
     mask = per_particle > 0
     got = np.zeros_like(x)
