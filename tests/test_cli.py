@@ -253,9 +253,6 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     (["sample", "--steps", "0"], 2, "steps must be a positive integer, got 0"),
     (["sample", "--N", "0"], 2, "N must be a positive integer, got 0"),
     (["sample", "--thin", "0"], 2, "thin must be a positive integer, got 0"),
-    # a thinning step past the last step would record only the start
-    (["sample", "--steps", "3", "--thin", "5"], 2,
-     "thin must not exceed steps, got thin=5, steps=3"),
     (["bias-scan", "--k-max", "9"], 2, "k_max must lie in 1..5, got 9"),
     (["bias-scan", "--burn-in", "1"], 2, "burn-in fraction must lie in [0, 1), got 1.0"),
     # the one interaction-strength range of the quadratic model
@@ -273,6 +270,9 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # --h inf and --h 1e-320 do above
     (["bias-scan", "--h-rule", "fixed", "--h", "0"], 2,
      "h must be finite and positive, got h=0.0"),
+    # a thinning step past the last step would record only the start
+    (["sample", "--steps", "3", "--thin", "5"], 2,
+     "thin must not exceed steps, got thin=5, steps=3"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out

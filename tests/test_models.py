@@ -652,7 +652,8 @@ def test_multiwell_force_within_sum_bound_of_sequential_mean(a, eps, dim, seed, 
     # the form with numpy's sequential mean, each entry of grad_V(q) +
     # eps (q - mean) is a sum of products of the same inputs with at most
     # k = n + 4 roundings along any term (n - 1 additions, the division by
-    # n, the subtraction, eps and the addition of grad_V, taken as exact).
+    # n, the subtraction, the product with eps and the addition of grad_V,
+    # whose value both forms share).
     # By the error bound of a sum of products (Higham, Accuracy and
     # Stability of Numerical Algorithms, sec. 3.1), in any order and with
     # or without fused multiply-adds, each form lies within gamma_k times
