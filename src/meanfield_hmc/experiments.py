@@ -78,12 +78,6 @@ def _slope(xs, ys) -> float:
 # CSV / SVG output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def json_safe(value):
     """``value`` with every non-finite float, at any depth of dicts and
     lists (or tuples, which come back as lists), replaced by None (JSON
@@ -106,13 +100,18 @@ def write_csv(path, report, command: str, seed: int):
     """Write ``report`` as the one CSV layout of every experiment: four '#'
     header lines (version, command, seed, config as JSON), the column
     header, the rows, then one '# key: value' line per footer entry, whose
-    value is compact JSON for a dict or list and its repr otherwise."""
+    value is compact JSON for a dict or list and its repr otherwise.
+
+    A row value is an integer (Python or numpy) or a float64 (Python float
+    or ``np.float64``), and ``str`` writes it as str(int(v)) or
+    repr(float(v)): under numpy's default print options a float64 prints
+    in Python's shortest form.  So a row is formatted by one map in C."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# meanfield-hmc {__version__}\n# command: {command}\n"
                  f"# seed: {seed}\n# config: {config_json(report.config)}\n")
         fh.write(",".join(report.columns) + "\n")
         for row in report.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
         for key, value in report.footer.items():
             text = config_json(value) if isinstance(value, (dict, list)) else repr(value)
             fh.write(f"# {key}: {text}\n")
@@ -555,7 +554,8 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
         state = x0
     recorded = run_chain(step, state, m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
-    rows = [(idx * thin, *r) for idx, r in enumerate(recorded)]
+    # Python floats, which write_csv formats fastest
+    rows = [(idx * thin, *r) for idx, r in enumerate(recorded.tolist())]
     footer = {"constants": {name: val for name, val, _ in constants_table(tc)}}
     config = {"model": model.name, "model_params": model.params, "N": N,
               "T": T, "h": h, "steps": m, "thin": thin, "init": init,

@@ -114,9 +114,13 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     work = None if np.may_share_memory(grad, q_star) else q_star
     q1 -= np.multiply(0.5 * h * h, grad, out=work)
     # a non-finite force makes p1 non-finite, so one bound test on the
-    # endpoint covers both failures; the force is inspected only to name it
-    if not (np.abs(q1, out=work).max(initial=0.0) < DIVERGENCE_LIMIT
-            and np.abs(p1, out=work).max(initial=0.0) < DIVERGENCE_LIMIT):
+    # endpoint covers both failures; the force is inspected only to name it.
+    # The maxima are ndarray.max(initial=0.0) without numpy's Python wrapper:
+    # the reduce with the arguments that max passes on
+    if not (np.maximum.reduce(np.abs(q1, out=work), axis=None, initial=0.0,
+                              where=True) < DIVERGENCE_LIMIT
+            and np.maximum.reduce(np.abs(p1, out=work), axis=None, initial=0.0,
+                                  where=True) < DIVERGENCE_LIMIT):
         replica = _first_diverged_replica(q1, p1)
         if not np.isfinite(grad).all():
             raise IntegrationDivergedError(

@@ -414,18 +414,21 @@ _SIGMOID_D1_MAX = 0.25
 _SIGMOID_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 
 
-def _ridge_features(x, z):
-    """beta (...,) and sigma(alpha . z_m) (..., M) of parameters x = (beta, alpha).
+def _ridge_features(x, neg_zt):
+    """beta (...,) and sigma(alpha . z_m) (..., M) of parameters x = (beta, alpha),
+    given the data negated and transposed, ``neg_zt`` = (-z).T (d-1, M).
 
     The sigmoid is 1 / (1 + exp(-s)), scipy's ``expit`` formula, in numpy
-    ufuncs in place on the matmul output.  Where exp(-s) overflows
-    (s < -709.78) the feature is 0, as in ``expit``, without a warning;
-    -inf, inf and nan map to 0, 1 and nan.  numpy's exp may differ from
-    the C library's in the last bit, so a feature may differ from
-    ``expit``'s by a few ulp, and numpy picks its exp kernel by CPU.
+    ufuncs in place on the matmul output.  The matmul against the negated
+    data gives -s itself: negation is exact and rounding is symmetric in
+    sign, so alpha . (-z_m) is -(alpha . z_m) bit for bit, and (-z).T has
+    the strides of z.T, so the BLAS takes the same kernel.  Where exp(-s)
+    overflows (s < -709.78) the feature is 0, as in ``expit``, without a
+    warning; -inf, inf and nan map to 0, 1 and nan.  numpy's exp may
+    differ from the C library's in the last bit, so a feature may differ
+    from ``expit``'s by a few ulp, and numpy picks its exp kernel by CPU.
     """
-    sig = np.matmul(x[..., 1:], z.T)
-    np.negative(sig, out=sig)
+    sig = np.matmul(x[..., 1:], neg_zt)
     with np.errstate(over="ignore"):
         np.exp(sig, out=sig)
     sig += 1.0
@@ -438,13 +441,16 @@ def _ridge_sum(beta, sig, wt, z):
     ``beta`` (..., K) and ``sig`` (..., K, M) are the rows' features, and
     the column ``wt`` (..., M, 1) holds the weights every row shares.  With
     grad_beta phi = sigma and grad_alpha phi = beta sigma (1 - sigma) z the
-    sum is sigma @ w and beta * ((1 - sigma) sigma) @ (w z).
+    sum is sigma @ w and beta * ((1 - sigma) sigma) @ (w z), each written
+    into its columns of one new array, which the caller may finish in place.
     """
     coef = np.subtract(1.0, sig)
     coef *= sig
-    dalpha = coef @ (wt * z)
+    out = np.empty(sig.shape[:-1] + (1 + z.shape[1],))
+    np.matmul(sig, wt, out=out[..., :1])
+    dalpha = np.matmul(coef, wt * z, out=out[..., 1:])
     dalpha *= beta[..., None]
-    return np.concatenate([sig @ wt, dalpha], axis=-1)
+    return out
 
 
 def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFieldModel:
@@ -470,6 +476,7 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
     eps = float(epsilon)
     z = data.inputs          # (M, d-1)
     y = data.outputs         # (M,)
+    neg_zt = (-z).T          # (d-1, M), for the feature pass
     m_count = data.count
     dim = 1 + data.input_dim
 
@@ -480,7 +487,7 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
             raise InvalidModelError(
                 f"parameter dimension {x.shape[-1]} does not match dataset "
                 f"(expected {dim})")
-        return _ridge_features(x, z)
+        return _ridge_features(x, neg_zt)
 
     def phi(x):
         beta, sig = _features(x)
@@ -492,7 +499,9 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
 
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        return x + (2.0 / m_count) * _ridge_sum(*_features(x), y[:, None], z)
+        r = _ridge_sum(*_features(x), y[:, None], z)
+        np.multiply(2.0 / m_count, r, out=r)
+        return np.add(x, r, out=r)
 
     def W(x, xt):
         return (2.0 / m_count) * np.sum(phi(x) * phi(xt), axis=-1)
@@ -510,7 +519,9 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
         weights *= eps / q.shape[-2]
         weights += y
         r = _ridge_sum(beta, sig, weights.swapaxes(-1, -2), z)
-        return q + (2.0 / m_count) * r
+        # q + (2/M) r, finished in r, which _ridge_sum allocated
+        np.multiply(2.0 / m_count, r, out=r)
+        return np.add(q, r, out=r)
 
     constants = _box_constants(z, y)
     return MeanFieldModel(

@@ -132,9 +132,8 @@ class RngStream:
         return u
 
     def normal_vector(self, n: int) -> np.ndarray:
-        """``n`` independent standard normal variates."""
-        if n < 1:
-            raise ValueError("n must be positive")
+        """``n`` independent standard normal variates; ``n = 0`` is an empty
+        draw, as for :meth:`uniforms`, which rejects a negative ``n``."""
         return ndtri(self.uniforms(n))
 
     def substream(self, index: int) -> "RngStream":

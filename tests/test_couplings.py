@@ -9,7 +9,8 @@ from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
                            RngStream, compute_constants,
                            couple_velocities_batch, coupled_uhmc_step,
                            ell1_bar, gaussian_model, lockstep_flow_arrays,
-                           metric_f, metric_f_prime, multiwell_model, rho_N)
+                           metric_f, metric_f_prime, multiwell_model, rho_N,
+                           uhmc_step_arrays, xhmc_step_gaussian_arrays)
 from meanfield_hmc import models
 from meanfield_hmc.couplings import metric_radius
 from conftest import read_only
@@ -261,6 +262,22 @@ def test_coupling_and_coupled_step_leave_their_inputs_unchanged():
         coupled_uhmc_step(m, fx, fxp, 0.125, cp, RngStream(2), synchronous=synchronous)
     for frozen, copy in ((fx, x), (fxp, xp), (fz, x - xp)):
         assert np.array_equal(frozen, copy)
+
+
+def test_zero_replica_batch_steps_to_an_empty_batch():
+    # a batch of no replicas draws no variate and keeps its shape
+    m = multiwell_model(2.0, 2, 0.1, "quadratic")
+    cp = CouplingParams(R_tilde=1.5, T=0.5)
+    x = np.empty((0, 4, 2))
+    stream = RngStream(1)
+    steps = [uhmc_step_arrays(m, x, 0.5, 0.125, stream),
+             couple_velocities_batch(x, cp, stream).eta]
+    for synchronous in (False, True):
+        steps += coupled_uhmc_step(m, x, x.copy(), 0.125, cp, stream,
+                                   synchronous=synchronous)
+    assert all(q.shape == (0, 4, 2) for q in steps)
+    assert xhmc_step_gaussian_arrays(0.25, np.empty((0, 4)), 1.0, stream).shape == (0, 4)
+    assert stream.counter == 0
 
 
 def test_synchronous_step_keeps_the_shared_momentum():

@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from meanfield_hmc import (compute_constants, experiments, gaussian_model,
-                           max_admissible_T, multiwell_model)
-from meanfield_hmc.experiments import (ConfigError, bias_scan, chaos_scan,
-                                       contraction_experiment)
+from meanfield_hmc import (__version__, compute_constants, experiments,
+                           gaussian_model, max_admissible_T, multiwell_model)
+from meanfield_hmc.experiments import (ConfigError, Report, bias_scan, chaos_scan,
+                                       contraction_experiment, write_csv)
 from meanfield_hmc.integrators import IntegrationDivergedError
 from meanfield_hmc.statistics import KDE_MIN_SAMPLES
 
@@ -213,3 +215,60 @@ def test_contraction_experiment_multiwell_theory_envelope():
     # the measured contraction: 0.99822 with SE 0.00017 at seed 19
     summary = result.summary
     assert summary["decay_factor"] + 4.0 * summary["decay_factor_se"] < 1.0
+
+
+# --- the CSV writer ---------------------------------------------------------
+
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_ROW_VALUES = (st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+               | st.integers(0, 2**32 - 1).map(np.uint32)
+               | _FLOATS | _FLOATS.map(np.float64))
+_KEYS = st.text("abcxyz_", min_size=1, max_size=4)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8)
+_FOOTER_VALUES = (_FLOATS | st.integers() | st.text(max_size=4)
+                  | st.lists(_JSON_VALUES, max_size=3)
+                  | st.dictionaries(_KEYS, _JSON_VALUES, max_size=3))
+
+
+def _nulled(value):
+    # JSON null for every non-finite float, at any depth
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nulled(v) for v in value]
+    return value
+
+
+def _compact_sorted_json(value):
+    return json.dumps(_nulled(value), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_ROW_VALUES, max_size=6), max_size=4),
+       config=st.dictionaries(_KEYS, _JSON_VALUES, max_size=3),
+       footer=st.dictionaries(_KEYS, _FOOTER_VALUES, max_size=3),
+       seed=st.integers(0, 2**64 - 1))
+def test_write_csv_text(tmp_path, rows, config, footer, seed):
+    path = tmp_path / "out.csv"
+    report = Report(("step", "x_1"), [tuple(r) for r in rows], config, footer, {})
+    write_csv(path, report, "sample", seed)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines[:5] == [f"# meanfield-hmc {__version__}", "# command: sample",
+                         f"# seed: {seed}", "# config: " + _compact_sorted_json(config),
+                         "step,x_1"]
+    # an integer as str(int(v)), any other value as repr(float(v))
+    cells = [",".join(str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+                      for v in row) for row in rows]
+    assert lines[5:5 + len(rows)] == cells
+    notes = [f"# {key}: " + (_compact_sorted_json(value) if isinstance(value, (dict, list))
+                             else repr(value)) for key, value in footer.items()]
+    assert lines[5 + len(rows):] == notes

@@ -13,7 +13,7 @@ from scipy.special import expit
 from meanfield_hmc import (InvalidModelError, ShallowNetDataset,
                            gaussian_model, mean_field_grad_all, models,
                            multiwell_model, shallow_net_model)
-from conftest import central_diff_grad, pairwise_grad_all, rel_err
+from conftest import central_diff_grad, pairwise_grad_all, read_only, rel_err
 
 
 def _builtin_models():
@@ -122,10 +122,11 @@ def test_multiwell_interaction_modes():
 # --- shallow-net model ------------------------------------------------------
 
 def _sigmoid_features(s):
-    """The sigmoid features of parameters (1, s) against the one datum z = 1."""
+    """The sigmoid features of parameters (1, s) against the one datum z = 1,
+    which the feature pass takes negated and transposed."""
     s = np.asarray(s, dtype=float)
     x = np.stack([np.ones_like(s), s], axis=-1)
-    return models._ridge_features(x, np.array([[1.0]]))[1][..., 0]
+    return models._ridge_features(x, np.array([[-1.0]]))[1][..., 0]
 
 
 def _ulps_apart(a, b):
@@ -489,6 +490,26 @@ def test_shallow_net_force_is_thread_safe():
         sys.setswitchinterval(switch)
     for got, want in zip(results, expected):
         assert all(np.array_equal(g, want) for g in got)
+
+
+def test_shallow_net_force_leaves_read_only_inputs_unchanged():
+    # read-only inputs and data make any write raise; the copies check the
+    # values, and no result may share memory with an input, as the forces
+    # finish their sums in arrays of their own
+    rng = np.random.default_rng(23)
+    z0, y0 = rng.normal(size=(40, 3)), rng.normal(size=40)
+    z, y = read_only(z0, y0)
+    m = shallow_net_model(ShallowNetDataset(inputs=z, outputs=y), epsilon=0.5)
+    q0 = 2.0 * rng.normal(size=(3, 8, m.dim))
+    x0, xt0 = rng.normal(size=(2, 8, m.dim))
+    q, x, xt = read_only(q0, x0, xt0)
+    results = [m.grad_U_all(q), mean_field_grad_all(m, q), m.grad_V(x),
+               m.grad_V(x[0]), m.grad1_W(x, xt), m.grad1_W(x[0], xt)]
+    assert np.array_equal(results[0], m.grad_U_all(q0))
+    assert np.array_equal(results[2], m.grad_V(x0))
+    for frozen, copy in ((q, q0), (x, x0), (xt, xt0), (z, z0), (y, y0)):
+        assert np.array_equal(frozen, copy)
+        assert not any(np.shares_memory(r, frozen) for r in results)
 
 
 def test_shallow_net_csv_roundtrip(tmp_path):

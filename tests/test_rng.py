@@ -91,10 +91,22 @@ def test_zero_uniforms_is_an_empty_draw():
     assert np.array_equal(s.uniforms(2), RngStream(5).uniforms(5)[3:])
 
 
+def test_zero_normals_is_an_empty_draw():
+    s = RngStream(5)
+    s.normal_vector(3)
+    z = s.normal_vector(0)
+    assert z.dtype == np.float64 and z.shape == (0,)
+    assert s.counter == 3
+    assert np.array_equal(s.normal_vector(2), RngStream(5).normal_vector(5)[3:])
+
+
 def test_negative_uniform_count_raises():
     s = RngStream(5)
     with pytest.raises(ValueError):
         s.uniforms(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        s.normal_vector(-1)
+    assert s.counter == 0
     assert s.counter == 0
 
 
