@@ -88,16 +88,7 @@ def _add_plot_flag(p):
                    help="also write an SVG plot next to the CSV")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="meanfield-hmc",
-        description="Sample mean-field measures with unadjusted HMC and "
-                    "verify contraction, chaos-propagation, accuracy, and "
-                    "bias properties at desk scale.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="run one chain and write thinned positions")
+def _add_sample_flags(p):
     _add_model_flags(p)
     p.add_argument("--N", type=int, default=16)
     p.add_argument("--T", type=float, default=1.0)
@@ -111,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write only the first k coordinates")
     _add_common_flags(p)
 
-    p = sub.add_parser("bias-scan", help="stationary density error at accuracies 2^-k")
+
+def _add_bias_scan_flags(p):
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--steps", type=int, default=200_000,
                    help="kernel steps per k, split over up to 1000 stationary "
@@ -124,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_plot_flag(p)
 
-    p = sub.add_parser("chaos-scan", help="finite-N marginal bias of the exact kernel")
+
+def _add_chaos_scan_flags(p):
     p.add_argument("--N-list", default="16,64,256",
                    help="comma-separated particle counts")
     p.add_argument("--steps", type=int, default=1500)
@@ -134,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_plot_flag(p)
 
-    p = sub.add_parser("contraction", help="coupled-chain distance decay")
+
+def _add_contraction_flags(p):
     _add_model_flags(p)
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--T", type=float, default=1.0)
@@ -146,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_plot_flag(p)
 
-    p = sub.add_parser("order-check", help="strong error of the randomized integrator")
+
+def _add_order_check_flags(p):
     p.add_argument("--h-list", default="0.125,0.0625,0.03125,0.015625,0.0078125")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--N", type=int, default=64)
@@ -155,13 +150,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_plot_flag(p)
 
-    p = sub.add_parser("constants", help="derived rates and condition margins")
+
+def _add_constants_flags(p):
     _add_model_flags(p)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--m2-init", type=float, default=0.0)
     p.add_argument("--B3", type=float, default=1.0)
     p.add_argument("--json", action="store_true",
                    help="print the constants and conditions as JSON")
+
+
+# each subcommand, its help line and the function that adds its flags
+_SUBCOMMANDS = (
+    ("sample", "run one chain and write thinned positions", _add_sample_flags),
+    ("bias-scan", "stationary density error at accuracies 2^-k", _add_bias_scan_flags),
+    ("chaos-scan", "finite-N marginal bias of the exact kernel", _add_chaos_scan_flags),
+    ("contraction", "coupled-chain distance decay", _add_contraction_flags),
+    ("order-check", "strong error of the randomized integrator", _add_order_check_flags),
+    ("constants", "derived rates and condition margins", _add_constants_flags),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered, but only those
+    named by a token of ``argv`` get their flags (all of them when ``argv``
+    is None); argparse parses no other subcommand's flags."""
+    parser = _Parser(
+        prog="meanfield-hmc",
+        description="Sample mean-field measures with unadjusted HMC and "
+                    "verify contraction, chaos-propagation, accuracy, and "
+                    "bias properties at desk scale.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if argv is None or name in argv:
+            add_flags(p)
     return parser
 
 
@@ -260,8 +284,9 @@ def _run_constants(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "constants":
             code = _run_constants(args)

@@ -15,26 +15,22 @@ experiment runs the coupled steps and tabulates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .integrators import _check_duration, _integral_steps, lockstep_flow_arrays
-from .models import (MeanFieldModel, _columnwise, _dot_last, _norm_last,
-                     _put_rows)
+from .models import (MeanFieldModel, _columnwise, _dot_last, _Frozen,
+                     _norm_last, _put_rows)
 from .rng import RngStream
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(_Frozen):
     """Threshold radius R_tilde and the coupled kernel's duration T; the
     coupling strength gamma = min(1/T, 1/(4 R_tilde)) is derived from them
     (1/T when R_tilde = 0)."""
 
-    R_tilde: float
-    T: float
-
-    def __post_init__(self):
+    def __init__(self, R_tilde: float, T: float):
+        self._set(locals())
         if self.R_tilde < 0:
             raise ValueError("R_tilde must be nonnegative")
         _check_duration(self.T)
@@ -46,8 +42,7 @@ class CouplingParams:
         return min(1.0 / self.T, 0.25 / self.R_tilde)
 
 
-@dataclass(frozen=True)
-class CoupleResult:
+class CoupleResult(_Frozen):
     """Coupled velocity draw with branch bookkeeping.
 
     ``synchronous`` marks pairs at or beyond the threshold radius;
@@ -55,10 +50,9 @@ class CoupleResult:
     (it is True on synchronous pairs only if z = 0).
     """
 
-    xi: np.ndarray
-    eta: np.ndarray
-    synchronous: np.ndarray
-    coalescing: np.ndarray
+    def __init__(self, xi: np.ndarray, eta: np.ndarray, synchronous: np.ndarray,
+                 coalescing: np.ndarray):
+        self._set(locals())
 
 
 def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,

@@ -19,18 +19,18 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .couplings import CouplingParams, coupled_uhmc_step, rho_N
-from .integrators import (_check_duration, _integral_steps, _snap_step_size,
-                          exact_gaussian_flow_arrays, randomized_flow_arrays)
+from .integrators import (DIVERGENCE_LIMIT, _check_duration, _integral_steps,
+                          _snap_step_size, exact_gaussian_flow_arrays,
+                          randomized_flow_arrays)
 from .kernels import (run_chain, stationary_gaussian_sample_arrays,
                       draw_initial_positions, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
-from .models import MeanFieldModel, gaussian_model
+from .models import MeanFieldModel, _Frozen, gaussian_model
 from .rng import RngStream
 from .statistics import KDE_MIN_SAMPLES, kde_relative_error, wasserstein1_1d
 from .theory import compute_constants, constants_table
@@ -170,8 +170,7 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
         fh.write("\n".join(parts) + "\n")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """What one experiment run writes.
 
     ``columns`` and ``rows`` are the CSV table and ``config`` the settings
@@ -183,12 +182,9 @@ class Report:
     :func:`config_json` alone format these values.
     """
 
-    columns: tuple
-    rows: list
-    config: dict
-    footer: dict
-    summary: dict
-    plot: dict | None = None
+    def __init__(self, columns: tuple, rows: list, config: dict, footer: dict,
+                 summary: dict, plot: dict | None = None):
+        self._set(locals())
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +396,8 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     """Coupled-chain decay of the particle-averaged coupled distance.
 
     Initial pairs are x ~ product standard normal and x' = x + offset in
-    every coordinate; each replica then runs ``m`` coupled steps.
+    every coordinate, with |offset| below ``DIVERGENCE_LIMIT``; each
+    replica then runs ``m`` coupled steps.
     Admissibility of (T, eps) for the discretized kernel is checked first;
     failures warn and proceed.  Row k holds the replica mean of rho_N after
     k coupled steps and its standard error.  The summary's decay factor is
@@ -415,6 +412,10 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     _integral_steps(T, h)
     if not math.isfinite(offset):
         raise ConfigError(f"offset must be finite, got offset={offset}")
+    if abs(offset) >= DIVERGENCE_LIMIT:
+        # such a copy starts past the bound that ends every trajectory
+        raise ConfigError(f"|offset| must be below the divergence limit "
+                          f"{DIVERGENCE_LIMIT:g}, got offset={offset}")
     tc = compute_constants(model, T)
     warnings = [name for name in ("cond_CT", "cond_Cepsi")
                 if not tc.conditions[name].passed]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,8 +34,41 @@ class InvalidModelError(ValueError):
     """Model parameters outside their valid range."""
 
 
-@dataclass(frozen=True)
-class AssumptionConstants:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass's ``__init__`` names its fields as its parameters and hands
+    them, as ``locals()`` holding nothing else, to ``_set``; so ``vars()``
+    of an instance is its field dict, in parameter order.  Assigning or
+    deleting any attribute raises AttributeError.  ``==`` compares two
+    instances of one class field by field, and the hash is that of the
+    field tuple, which raises TypeError if a field is unhashable.
+    """
+
+    def _set(self, fields):
+        vars(self).update(fields)
+        del vars(self)["self"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple(vars(self).values()) == tuple(vars(other).values())
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class AssumptionConstants(_Frozen):
     """Regularity and convexity constants attached to a model.
 
     K: strong co-coercivity rate of the confinement gradient outside
@@ -49,14 +81,9 @@ class AssumptionConstants:
     W0: norm of the interaction gradient at the origin.
     """
 
-    K: float
-    L1: float
-    L2: float
-    L_tilde: float
-    R_conv: float
-    W0: float
-
-    def __post_init__(self):
+    def __init__(self, K: float, L1: float, L2: float, L_tilde: float,
+                 R_conv: float, W0: float):
+        self._set(locals())
         if not self.K > 0:
             raise InvalidModelError("K must be positive")
         if not self.L2 > 0:
@@ -78,8 +105,7 @@ class AssumptionConstants:
         return (2.0 * self.L + self.K) * self.R_conv**2
 
 
-@dataclass(frozen=True)
-class MeanFieldModel:
+class MeanFieldModel(_Frozen):
     """A mean-field sampling target.
 
     ``epsilon`` is the interaction strength multiplying the W-term of the
@@ -92,21 +118,20 @@ class MeanFieldModel:
     itself, or a view of it).  ``V``, ``W``, ``grad_V`` and ``grad1_W``
     define the target and serve the checks of the force and of the
     constants against it.  Instances are immutable and safe to share
-    across threads.
+    across threads.  ``params`` defaults to a new empty dict.
     """
 
-    name: str
-    dim: int
-    epsilon: float
-    grad_V: Callable[[np.ndarray], np.ndarray]
-    grad1_W: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    V: Callable[[np.ndarray], np.ndarray]
-    W: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    constants: AssumptionConstants
-    grad_U_all: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, name: str, dim: int, epsilon: float,
+                 grad_V: Callable[[np.ndarray], np.ndarray],
+                 grad1_W: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 V: Callable[[np.ndarray], np.ndarray],
+                 W: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 constants: AssumptionConstants,
+                 grad_U_all: Callable[[np.ndarray], np.ndarray],
+                 params: Optional[dict] = None):
+        if params is None:
+            params = {}
+        self._set(locals())
         if self.dim < 1:
             raise InvalidModelError("dim must be a positive integer")
         if not 0 <= self.epsilon < np.inf:
@@ -340,19 +365,16 @@ def _csv_float(text, where):
         raise InvalidModelError(f"{where}: {text!r} is not a number") from None
 
 
-@dataclass(frozen=True)
-class ShallowNetDataset:
+class ShallowNetDataset(_Frozen):
     """Regression data (z_m, y_m) feeding the shallow-network model.
 
-    ``inputs`` has shape (M, d-1) and ``outputs`` shape (M,).
+    ``inputs`` has shape (M, d-1) and ``outputs`` shape (M,), both kept
+    as float arrays.
     """
 
-    inputs: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        outputs = np.asarray(self.outputs, dtype=float)
+    def __init__(self, inputs: np.ndarray, outputs: np.ndarray):
+        inputs = np.asarray(inputs, dtype=float)
+        outputs = np.asarray(outputs, dtype=float)
         if inputs.ndim != 2:
             raise InvalidModelError("inputs must be a 2-d array (M, d-1)")
         if outputs.shape != (inputs.shape[0],):
@@ -361,8 +383,7 @@ class ShallowNetDataset:
             raise InvalidModelError("dataset must contain at least one point")
         if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
             raise InvalidModelError("dataset entries must be finite")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
+        self._set(locals())
 
     @property
     def count(self) -> int:

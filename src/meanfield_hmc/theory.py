@@ -14,19 +14,17 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, fields
 
 from .couplings import CouplingParams, metric_radius
 from .integrators import _check_duration
-from .models import MeanFieldModel
+from .models import MeanFieldModel, _Frozen
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Frozen):
     """One admissibility inequality lhs <= rhs with its margin."""
 
-    lhs: float
-    rhs: float
+    def __init__(self, lhs: float, rhs: float):
+        self._set(locals())
 
     @property
     def passed(self) -> bool:
@@ -43,43 +41,52 @@ class ConditionReport:
         return self.lhs / self.rhs
 
 
-def _formula(text: str):
-    """A TheoryConstants field reported by :func:`constants_table` with ``text``."""
-    return field(metadata={"formula": text})
+# (name, formula) of each reported field of TheoryConstants, in its
+# parameter order: the rows of :func:`constants_table`
+_FORMULAS = (
+    ("K", "strong co-coercivity rate"),
+    ("L", "max(L1, L2)"),
+    ("L_tilde", "interaction gradient Lipschitz constant"),
+    ("R_conv", "co-coercivity radius"),
+    ("W0", "|grad1_W(0, 0)|"),
+    ("epsilon", "interaction strength"),
+    ("T", "kernel duration"),
+    ("R_tilde", "sqrt((2L+K)/(6K)) * R_conv"),
+    ("R1", "(5/4) (R_tilde + 2T)"),
+    ("gamma", "min(1/T, 1/(4 R_tilde))"),
+    ("C_hat", "(2L+K) R_conv^2"),
+    ("L_e", "L + 2 eps L_tilde"),
+    ("c_nhmc", "(K T^2/156) exp(-5 R_tilde/(4T))"),
+    ("c_strongconvex", "K T^2 / 8"),
+    ("c_uhmc", "(K T^2/156) exp(-R_tilde/T)"),
+    ("A", "exp(R1/T) = 1/f'(R1)"),
+    ("B1", "m2_init + (1280/(13K)) (R_conv^2 (2L+K) + 11 d + 6 (eps W0)^2 T^2 + (45/2)(eps^2/K) W0^2)"),
+    ("B", "4 T^2 eps L_tilde sqrt(B1)"),
+    ("B2", "m2_init + (13/(1280 K)) (11 d + (15 eps/(2 L_tilde) + 6 eps^2 T^2) W0^2 + R_conv^2 (2L+K))"),
+    ("B3", "free numerical prefactor (default 1)"),
+    ("C", "B3 L^(3/4) (T sqrt(d) + sqrt(B2) + (eps/K) W0) / c_uhmc"),
+)
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
+class TheoryConstants(_Frozen):
     """Derived rates, bound constants, and admissibility flags.
 
-    Every field declared with a formula is a row of :func:`constants_table`,
-    in declaration order.  ``B3`` is a free numerical prefactor of the
+    Every field but ``conditions`` (a new empty dict by default) is a row
+    of :func:`constants_table`, with its formula from ``_FORMULAS``, in
+    parameter order.  ``B3`` is a free numerical prefactor of the
     discretization-bias constant ``C``; no closed form pins it, so ``C`` is
     reported as the family C(B3) with B3 = 1 by default.
     """
 
-    K: float = _formula("strong co-coercivity rate")
-    L: float = _formula("max(L1, L2)")
-    L_tilde: float = _formula("interaction gradient Lipschitz constant")
-    R_conv: float = _formula("co-coercivity radius")
-    W0: float = _formula("|grad1_W(0, 0)|")
-    epsilon: float = _formula("interaction strength")
-    T: float = _formula("kernel duration")
-    R_tilde: float = _formula("sqrt((2L+K)/(6K)) * R_conv")
-    R1: float = _formula("(5/4) (R_tilde + 2T)")
-    gamma: float = _formula("min(1/T, 1/(4 R_tilde))")
-    C_hat: float = _formula("(2L+K) R_conv^2")
-    L_e: float = _formula("L + 2 eps L_tilde")
-    c_nhmc: float = _formula("(K T^2/156) exp(-5 R_tilde/(4T))")
-    c_strongconvex: float = _formula("K T^2 / 8")
-    c_uhmc: float = _formula("(K T^2/156) exp(-R_tilde/T)")
-    A: float = _formula("exp(R1/T) = 1/f'(R1)")
-    B1: float = _formula("m2_init + (1280/(13K)) (R_conv^2 (2L+K) + 11 d + 6 (eps W0)^2 T^2 + (45/2)(eps^2/K) W0^2)")
-    B: float = _formula("4 T^2 eps L_tilde sqrt(B1)")
-    B2: float = _formula("m2_init + (13/(1280 K)) (11 d + (15 eps/(2 L_tilde) + 6 eps^2 T^2) W0^2 + R_conv^2 (2L+K))")
-    B3: float = _formula("free numerical prefactor (default 1)")
-    C: float = _formula("B3 L^(3/4) (T sqrt(d) + sqrt(B2) + (eps/K) W0) / c_uhmc")
-    conditions: dict = field(default_factory=dict)
+    def __init__(self, K: float, L: float, L_tilde: float, R_conv: float,
+                 W0: float, epsilon: float, T: float, R_tilde: float, R1: float,
+                 gamma: float, C_hat: float, L_e: float, c_nhmc: float,
+                 c_strongconvex: float, c_uhmc: float, A: float, B1: float,
+                 B: float, B2: float, B3: float, C: float,
+                 conditions: dict | None = None):
+        if conditions is None:
+            conditions = {}
+        self._set(locals())
 
 
 def _r_tilde(c) -> float:
@@ -234,5 +241,4 @@ def max_admissible_T(model: MeanFieldModel, condition_set: str) -> float:
 def constants_table(tc: TheoryConstants) -> list:
     """(name, value, formula) rows for reporting, one per field of
     :class:`TheoryConstants` that carries a formula."""
-    return [(f.name, getattr(tc, f.name), f.metadata["formula"])
-            for f in fields(tc) if "formula" in f.metadata]
+    return [(name, getattr(tc, name), formula) for name, formula in _FORMULAS]

@@ -273,6 +273,11 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # a thinning step past the last step would record only the start
     (["sample", "--steps", "3", "--thin", "5"], 2,
      "thin must not exceed steps, got thin=5, steps=3"),
+    # a copy that starts past the divergence limit is refused before any step
+    (["contraction", "--offset", "1e200"], 2,
+     "|offset| must be below the divergence limit 1e+100, got offset=1e+200"),
+    (["contraction", "--offset", "-1e100"], 2,
+     "|offset| must be below the divergence limit 1e+100, got offset=-1e+100"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out

@@ -177,13 +177,14 @@ def test_package_import_skips_scipy_special_init():
     # scipy.special's __init__ pulls in numpy.f2py and numpy.testing
     # through its array-API shim, scipy's and scipy._lib's load _testutils,
     # subprocess and the config modules, and the thread pool loads logging;
-    # the package loads the ufunc, and a one-thread run, without any of them
+    # the package loads the ufunc, and a one-thread run, without any of them.
+    # Its value classes need no dataclass code generation either
     out = _fresh("""
         import sys
         import meanfield_hmc.cli
         heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
                  "scipy", "scipy._lib", "scipy._lib._testutils", "subprocess",
-                 "concurrent.futures", "logging")
+                 "concurrent.futures", "logging", "dataclasses")
         print([name for name in heavy if name in sys.modules])
     """)
     assert out == "[]\n"

@@ -1,12 +1,12 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from meanfield_hmc import (AssumptionConstants, ShallowNetDataset, check_conditions,
-                           compute_constants, gaussian_model, max_admissible_T,
-                           metric_f_prime, multiwell_model, shallow_net_model)
+from meanfield_hmc import (AssumptionConstants, MeanFieldModel, ShallowNetDataset,
+                           check_conditions, compute_constants, gaussian_model,
+                           max_admissible_T, metric_f_prime, multiwell_model,
+                           shallow_net_model)
 from meanfield_hmc.theory import constants_table
 
 
@@ -171,7 +171,8 @@ def _model_with_interaction_at_origin(L_tilde):
     # no built-in model has W0 > 0; only the constants, eps and d enter the theory
     constants = AssumptionConstants(K=0.5, L1=1.5, L2=2.0, L_tilde=L_tilde,
                                     R_conv=0.7, W0=1.3)
-    return dataclasses.replace(gaussian_model(0.3), dim=2, constants=constants)
+    m = gaussian_model(0.3)
+    return MeanFieldModel(**{**vars(m), "dim": 2, "constants": constants})
 
 
 def test_second_moment_bounds_formulas_with_interaction_at_origin():

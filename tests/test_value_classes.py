@@ -1,0 +1,137 @@
+"""The contract of the package's immutable value classes: construction by
+keyword and by position with the documented defaults, read-only fields,
+field-by-field equality, the hash of the field tuple, and ``vars()`` as
+the field dict."""
+
+import numpy as np
+import pytest
+
+from meanfield_hmc import (AssumptionConstants, ConditionReport, CoupleResult,
+                           CouplingParams, MeanFieldModel, ShallowNetDataset,
+                           TheoryConstants, gaussian_model)
+from meanfield_hmc.experiments import Report
+
+_THEORY_FIELDS = ("K", "L", "L_tilde", "R_conv", "W0", "epsilon", "T", "R_tilde",
+                  "R1", "gamma", "C_hat", "L_e", "c_nhmc", "c_strongconvex",
+                  "c_uhmc", "A", "B1", "B", "B2", "B3", "C")
+
+
+def _model_fields():
+    m = gaussian_model(0.25)
+    names = ("name", "dim", "epsilon", "grad_V", "grad1_W", "V", "W",
+             "constants", "grad_U_all")
+    return names, tuple(getattr(m, name) for name in names)
+
+
+def _cases():
+    """(class, required field names and values, defaults, a second value
+    list that differs from the first, hashable)."""
+    model_names, model_values = _model_fields()
+    a1, a2 = np.array([[1.0]]), np.array([[2.0]])
+    b1, b2 = np.array([True]), np.array([False])
+    return {
+        "AssumptionConstants": (
+            AssumptionConstants, ("K", "L1", "L2", "L_tilde", "R_conv", "W0"),
+            (0.5, 1.5, 2.0, 0.8, 0.7, 1.3), {}, (0.5, 1.5, 2.0, 0.8, 0.7, 1.4), True),
+        "MeanFieldModel": (
+            MeanFieldModel, model_names, model_values, {"params": {}},
+            model_values[:1] + (2,) + model_values[2:], False),
+        "ShallowNetDataset": (
+            ShallowNetDataset, ("inputs", "outputs"), (a1, a1[:, 0]), {},
+            (a2, a1[:, 0]), False),
+        "CouplingParams": (
+            CouplingParams, ("R_tilde", "T"), (0.3, 1.0), {}, (0.3, 0.5), True),
+        "CoupleResult": (
+            CoupleResult, ("xi", "eta", "synchronous", "coalescing"),
+            (a1, a2, b1, b2), {}, (a1, a2, b1, b1), False),
+        "ConditionReport": (
+            ConditionReport, ("lhs", "rhs"), (1.0, 2.0), {}, (1.0, 3.0), True),
+        "TheoryConstants": (
+            TheoryConstants, _THEORY_FIELDS,
+            tuple(float(i) for i in range(1, 22)), {"conditions": {}},
+            tuple(float(i) for i in range(2, 23)), False),
+        "Report": (
+            Report, ("columns", "rows", "config", "footer", "summary"),
+            (("k",), [(1,)], {"seed": 0}, {"slope": 0.5}, {"rows": 1}),
+            {"plot": None}, (("k",), [(2,)], {"seed": 0}, {"slope": 0.5}, {"rows": 1}),
+            False),
+    }
+
+
+_CASES = _cases()
+
+
+@pytest.fixture(params=sorted(_CASES))
+def case(request):
+    return _CASES[request.param]
+
+
+def test_construction_by_keyword_and_position_with_defaults(case):
+    cls, names, values, defaults, _, _ = case
+    fields = {**dict(zip(names, values)), **defaults}
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    for obj in (by_position, by_keyword):
+        assert list(vars(obj)) == list(fields)
+        assert all(vars(obj)[name] is value for name, value in zip(names, values))
+        for name, default in defaults.items():
+            assert getattr(obj, name) == default
+    # every field given, the defaulted ones last, in order
+    full = cls(*values, *(f"given-{name}" for name in defaults))
+    assert [getattr(full, name) for name in defaults] == [
+        f"given-{name}" for name in defaults]
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+
+
+def test_mutable_defaults_are_new_per_instance(case):
+    cls, _, values, defaults, _, _ = case
+    first, second = cls(*values), cls(*values)
+    for name, default in defaults.items():
+        if isinstance(default, dict):
+            assert getattr(first, name) is not getattr(second, name)
+
+
+def test_fields_are_read_only(case):
+    cls, names, values, defaults, _, _ = case
+    obj = cls(*values)
+    before = dict(vars(obj))
+    for name in (*names, *defaults, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert vars(obj) == before
+
+
+def test_equality_is_field_by_field(case):
+    cls, _, values, _, other, _ = case
+    obj = cls(*values)
+    assert obj == cls(*values)
+    assert not obj != cls(*values)
+    assert obj != cls(*other)
+    assert obj != tuple(vars(obj).values())
+
+
+def test_hash_is_that_of_the_field_tuple(case):
+    cls, _, values, _, _, hashable = case
+    obj = cls(*values)
+    if hashable:
+        assert hash(obj) == hash(tuple(vars(obj).values())) == hash(cls(*values))
+    else:
+        with pytest.raises(TypeError):
+            hash(obj)
+
+
+def test_repr_names_every_field(case):
+    cls, names, values, defaults, _, _ = case
+    text = repr(cls(*values))
+    assert text.startswith(cls.__name__ + "(")
+    assert all(f"{name}=" in text for name in (*names, *defaults))
+
+
+def test_shallow_net_dataset_keeps_its_float_arrays():
+    data = ShallowNetDataset([[1], [2]], [3, 4])
+    assert data.inputs.dtype == data.outputs.dtype == np.float64
+    assert vars(data) == {"inputs": data.inputs, "outputs": data.outputs}
+    assert data.inputs.tolist() == [[1.0], [2.0]]
