@@ -8,8 +8,9 @@ the separation direction otherwise; distant pairs synchronize.  Both
 marginals stay exactly standard normal.  The two copies of a coupled
 kernel run through the integrator's lockstep flow on shared per-step
 uniforms, so only the initial velocities differ.  The concave metric
-rho_N measures how far apart the coupled copies are; the contraction
-experiment runs the coupled steps and tabulates it.
+rho_N, whose radius R1 and constant A = 1/f'(R1) are closed forms, measures
+how far apart the coupled copies are; the contraction experiment runs the
+coupled steps and tabulates it.
 """
 
 from __future__ import annotations
@@ -177,45 +178,14 @@ def metric_f_prime(r, R1: float, T: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _exact_reciprocal(y: float) -> float:
-    """Reciprocal adjusted by at most one ulp so that a * y == 1.0 exactly.
-
-    Returns the unadjusted 1/y when no such double exists.
-    """
-    a = 1.0 / y
-    for candidate in (a, math.nextafter(a, 0.0), math.nextafter(a, math.inf)):
-        if candidate * y == 1.0:
-            return candidate
-    return a
-
-
-# Upper limit on the ulps metric_radius may add.  Over 100k random
-# (R_tilde, T) pairs, 95% needed none, 5% one to three, and seven needed
-# between 77 and 2500: single ulp steps of R1 can move the slope by a
-# near-constant stride that keeps missing the doubles with a reciprocal.
-_R1_MAX_ULPS = 4096
-
-
 def metric_radius(R_tilde: float, T: float) -> tuple:
     """(R1, A): the radius R1 = (5/4)(R_tilde + 2T) beyond which the metric
-    profile is linear, and the envelope constant A = exp(R1/T) = 1/f'(R1).
-
-    Not every double slope exp(-R1/T) has a double reciprocal, so R1 is
-    raised by the fewest ulps that give it one; A * f'(R1) == 1 then holds
-    exactly.  A slope that underflows (A = inf), or whose reciprocal
-    overflows, leaves R1 as computed.  The contraction metric and the
-    reported A both come from here.
-    """
-    r1 = base = 1.25 * (R_tilde + 2.0 * T)
-    for _ in range(_R1_MAX_ULPS):
-        slope = metric_f_prime(r1, r1, T)
-        if slope == 0.0:
-            return r1, math.inf
-        a = _exact_reciprocal(slope)
-        if math.isinf(a) or a * slope == 1.0:
-            return r1, a
-        r1 = math.nextafter(r1, math.inf)
-    return base, _exact_reciprocal(metric_f_prime(base, base, T))
+    profile is linear, and the envelope constant A = exp(R1/T) = 1/f'(R1),
+    inf where f'(R1) underflows.  Both are closed forms, so A * f'(R1) is 1
+    to within one ulp, not exactly; the metric and the reported A use them."""
+    r1 = 1.25 * (R_tilde + 2.0 * T)
+    slope = metric_f_prime(r1, r1, T)
+    return r1, (1.0 / slope if slope > 0.0 else math.inf)
 
 
 def rho_N(x: np.ndarray, y: np.ndarray, R1: float, T: float):

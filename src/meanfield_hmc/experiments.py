@@ -67,9 +67,9 @@ def _scan(one_point, points, seed: int, threads: int):
 
 
 def _slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) on log(xs); nan below 3 points or at
-    a non-positive value."""
-    if len(xs) < 3 or min(*xs, *ys) <= 0:
+    """Least-squares slope of log(ys) on log(xs); nan below 3 points, below
+    2 distinct xs or at a non-positive value."""
+    if len(xs) < 3 or len(set(xs)) < 2 or min(*xs, *ys) <= 0:
         return float("nan")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 

@@ -516,6 +516,20 @@ def test_json_outputs_print_non_finite_values_as_null(tmp_path, capsys, argv, la
     assert "null" in stdout + text
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["chaos-scan", "--N-list", "16,16,16", "--steps", "3", "--replicas", "4"],
+     "loglog_slope_vs_N"),
+    (["order-check", "--h-list", "0.5,0.5,0.5", "--N", "2", "--replicas", "4"],
+     "loglog_slope_vs_h"),
+])
+def test_scan_over_one_repeated_point_has_no_slope(tmp_path, capsys, argv, key):
+    # three rows at one x fit no line; numpy would warn and fit noise
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert dict(_footer(out))[key] == "nan"
+
+
 def test_constants_json_prints_non_finite_values_as_null(capsys):
     assert main(["constants", "--model", "multiwell", "--a", "5", "--T", "0.02", "--json"]) == 0
     payload = _strict_json(capsys.readouterr().out)

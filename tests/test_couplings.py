@@ -349,20 +349,17 @@ def test_metric_equivalence_bounds():
     assert (lower <= f + 1e-12).all()
 
 
-def test_metric_radius_slope_has_exact_reciprocal():
-    moved = 0
+def test_metric_radius_is_the_closed_form():
+    # A * f'(R1) is 1 to within one ulp, not exactly
     for a in np.linspace(0.05, 3.0, 20):
         for T in np.linspace(0.02, 2.0, 20):
-            tc = compute_constants(multiwell_model(float(a)), float(T))
-            r1, _ = metric_radius(tc.R_tilde, float(T))
-            base = 1.25 * (tc.R_tilde + 2.0 * T)
-            assert tc.R1 == r1
-            assert base <= r1 <= base * (1 + 64 * 2.0**-52)
-            moved += r1 != base
-            slope = metric_f_prime(r1, r1, float(T))
-            assert tc.A * slope == 1.0
-    # the grid holds radii that had to move and radii that did not
-    assert 0 < moved < 400
+            T = float(T)
+            tc = compute_constants(multiwell_model(float(a)), T)
+            assert (tc.R1, tc.A) == metric_radius(tc.R_tilde, T)
+            assert tc.R1 == 1.25 * (tc.R_tilde + 2.0 * T)
+            slope = metric_f_prime(tc.R1, tc.R1, T)
+            assert tc.A == 1.0 / slope
+            assert abs(tc.A * slope - 1.0) <= 2.0**-52
     assert metric_radius(0.0, 1.0)[0] == 2.5
 
 

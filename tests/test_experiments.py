@@ -55,6 +55,7 @@ def test_json_safe_nulls_non_finite_floats_at_any_depth():
 def test_slope_is_the_least_squares_slope_of_the_logs():
     assert math.isnan(experiments._slope([1.0, 2.0], [1.0, 0.5]))
     assert math.isnan(experiments._slope([1.0, 2.0, 4.0], [1.0, 0.0, 0.25]))
+    assert math.isnan(experiments._slope([16, 16, 16], [0.1, 0.2, 0.3]))
     assert experiments._slope([1.0, 2.0, 4.0], [3.0, 1.5, 0.75]) == pytest.approx(-1.0)
     xs, ys = [4, 16, 64, 256], [0.3, 0.07, 0.02, 0.004]
     assert experiments._slope(xs, ys) == np.polyfit(np.log(xs), np.log(ys), 1)[0]
