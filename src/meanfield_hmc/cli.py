@@ -10,13 +10,13 @@ divergence.
 Each subcommand but ``constants`` maps its flags to one call of its
 experiment, which returns an :class:`experiments.Report` of plain values;
 :func:`experiments.write_csv` writes its CSV, and :func:`_write_outputs`
-adds the ``--plot`` SVG and the ``--json`` line.
+adds the ``--plot`` SVG and the ``--json`` line.  Every JSON output goes
+through :func:`experiments.config_json`, the CLI's one JSON writer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 # argparse's gettext imports locale when the first parser is built;
 # importing it with the package keeps that cost out of the run
 import locale  # noqa: F401
@@ -26,9 +26,8 @@ import sys
 
 from . import __version__
 from .experiments import (ConfigError, _check_count, bias_scan, chaos_scan,
-                          config_json, contraction_experiment, json_safe,
-                          order_check, sample_command, write_csv,
-                          write_scaling_svg)
+                          config_json, contraction_experiment, order_check,
+                          sample_command, write_csv, write_scaling_svg)
 from .integrators import IntegrationDivergedError
 from .models import (ShallowNetDataset, gaussian_model, multiwell_model,
                      shallow_net_model)
@@ -76,7 +75,7 @@ def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--json", action="store_true",
-                   help="print a machine-readable summary to stdout")
+                   help="print the CSV path and its footer as one JSON line")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads over the scan points of bias-scan, "
                         "chaos-scan and order-check; sample and contraction "
@@ -157,7 +156,7 @@ def _add_constants_flags(p):
     p.add_argument("--m2-init", type=float, default=0.0)
     p.add_argument("--B3", type=float, default=1.0)
     p.add_argument("--json", action="store_true",
-                   help="print the constants and conditions as JSON")
+                   help="print the constants and conditions as one JSON line")
 
 
 # each subcommand, its help line and the function that adds its flags
@@ -220,14 +219,14 @@ def _write_outputs(args, report):
     """Write the CSV to ``--out`` (default the command name with '_' for
     '-', plus .csv); write the ``--plot`` SVG next to it when the report
     has a plot (commands without one have no ``--plot`` flag); print the
-    ``--json`` line, the CSV path plus the report's summary."""
+    ``--json`` line, the CSV path under "out" plus the footer's entries."""
     path = args.out or args.command.replace("-", "_") + ".csv"
     write_csv(path, report, args.command, args.seed)
     if report.plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
         write_scaling_svg(svg, **report.plot)
     if args.json:
-        print(config_json({"out": path, **report.summary}))
+        print(config_json({"out": path, **report.footer}))
     return EXIT_OK
 
 
@@ -265,7 +264,7 @@ def _run_constants(args):
                            for name, rep in tc.conditions.items()},
             "max_admissible_T": t_max,
         }
-        print(json.dumps(json_safe(payload), sort_keys=True, indent=2))
+        print(config_json(payload))
         return EXIT_OK
     print(f"model: {model.name}  params: {config_json(model.params)}")
     print(f"{'name':<16}{'value':<24}formula")

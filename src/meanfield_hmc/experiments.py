@@ -10,8 +10,9 @@ thread pool, and two runs with the same seed emit byte-identical files.
 
 Each experiment returns one :class:`Report`: its CSV columns and rows, the
 configuration for the CSV header, and, next to the estimates they
-describe, its footer values, its ``--json`` summary and its plot.  The CLI
-only writes a Report; it knows nothing of any one experiment's results.
+describe, its footer values (the run's one record, which the ``--json``
+line prints too) and its plot.  The CLI only writes a Report; it knows
+nothing of any one experiment's results.
 """
 
 from __future__ import annotations
@@ -176,14 +177,14 @@ class Report(_Frozen):
     ``columns`` and ``rows`` are the CSV table and ``config`` the settings
     in its header.  ``footer`` maps each trailing '#' line's key to a plain
     value; a scan's last entry is ``detail``, one dict per row with the
-    estimates the rows leave out.  ``summary`` is the ``--json`` line, and
-    ``plot`` the keywords of :func:`write_scaling_svg` for ``--plot``, or
-    None where the command draws nothing.  :func:`write_csv` and
-    :func:`config_json` alone format these values.
+    estimates the rows leave out; the ``--json`` line prints the same
+    entries.  ``plot`` holds the keywords of :func:`write_scaling_svg` for
+    ``--plot``, or None where the command draws nothing.  :func:`write_csv`
+    and :func:`config_json` alone format these values.
     """
 
     def __init__(self, columns: tuple, rows: list, config: dict, footer: dict,
-                 summary: dict, plot: dict | None = None):
+                 plot: dict | None = None):
         self._set(locals())
 
 
@@ -297,7 +298,6 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     return Report(
         BIAS_COLUMNS, rows, config,
         {"loglog_slope_vs_eps_acc": slope, "detail": detail},
-        {"slope": slope, "errors": errors},
         dict(xs=[r[0] for r in rows], ys=errors, xlabel="k (accuracy 2^-k)",
              ylabel="density error", title="stationary density error vs accuracy",
              guide_factor=0.5))
@@ -365,7 +365,6 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
     return Report(
         CHAOS_COLUMNS, rows, config,
         {"loglog_slope_vs_N": slope, "detail": detail},
-        {"slope": slope, "detail": detail},
         dict(xs=[math.log2(r[0]) for r in rows], ys=[r[1] for r in rows],
              xlabel="log2 N", ylabel="variance error",
              title="marginal variance error vs particle count", guide_factor=0.5))
@@ -400,11 +399,10 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     replica then runs ``m`` coupled steps.
     Admissibility of (T, eps) for the discretized kernel is checked first;
     failures warn and proceed.  Row k holds the replica mean of rho_N after
-    k coupled steps and its standard error.  The summary's decay factor is
+    k coupled steps and its standard error.  The footer's decay factor is
     exp(slope) of a log-linear fit of the means, and its standard error
-    comes from refitting on CONTRACTION_BLOCKS disjoint replica groups.
-    The footer adds the theory's rate c_uhmc and envelope constant A; the
-    summary's ``warnings`` names the admissibility conditions that failed.
+    comes from refitting on CONTRACTION_BLOCKS disjoint replica groups;
+    the footer adds the theory's rate c_uhmc and envelope constant A.
     """
     _check_count("steps", m)
     _check_count("replicas", replicas, 2)
@@ -417,12 +415,11 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         raise ConfigError(f"|offset| must be below the divergence limit "
                           f"{DIVERGENCE_LIMIT:g}, got offset={offset}")
     tc = compute_constants(model, T)
-    warnings = [name for name in ("cond_CT", "cond_Cepsi")
-                if not tc.conditions[name].passed]
-    for name in warnings:
+    for name in ("cond_CT", "cond_Cepsi"):
         rep = tc.conditions[name]
-        print(f"warning: {name} fails (lhs={rep.lhs:.6g} > rhs={rep.rhs:.6g}); "
-              f"proceeding anyway", file=sys.stderr)
+        if not rep.passed:
+            print(f"warning: {name} fails (lhs={rep.lhs:.6g} > rhs={rep.rhs:.6g}); "
+                  f"proceeding anyway", file=sys.stderr)
     cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
     stream = RngStream(seed)
 
@@ -452,8 +449,6 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         CONTRACTION_COLUMNS, rows, config,
         {"fitted_decay_factor": factor, "fitted_decay_factor_se": factor_se,
          "c_uhmc": tc.c_uhmc, "one_minus_c_uhmc": 1.0 - tc.c_uhmc, "A": tc.A},
-        {"decay_factor": factor, "decay_factor_se": factor_se,
-         "c_uhmc": tc.c_uhmc, "warnings": warnings},
         dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
              xlabel="coupled step", ylabel="mean coupled distance",
              title="coupled-chain contraction", guide_factor=1.0 - tc.c_uhmc))
@@ -507,7 +502,6 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     return Report(
         ORDER_COLUMNS, rows, config,
         {"loglog_slope_vs_h": slope, "detail": detail},
-        {"slope": slope},
         dict(xs=[math.log2(h) for h, _ in rows], ys=[e for _, e in rows],
              xlabel="log2 h", ylabel="weighted error",
              title="randomized integrator strong error", guide_factor=2.0 ** 1.5))
@@ -561,4 +555,4 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     config = {"model": model.name, "model_params": model.params, "N": N,
               "T": T, "h": h, "steps": m, "thin": thin, "init": init,
               "columns": n_cols}
-    return Report(col_names, rows, config, footer, {"rows": len(rows)})
+    return Report(col_names, rows, config, footer)

@@ -1,6 +1,8 @@
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,55 +15,23 @@ from meanfield_hmc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Each golden file is the CLI's output for these arguments at seed 0.  The
-# contraction files and sample.csv were recorded before the RNG buffer and the
-# lean integrator loop existed, and stayed byte-identical when the buffer was
-# deleted again, and the multiwell constants file before the object
-# API and the coupled step's own loop were removed, so a byte difference is a
-# change of output, not of speed or structure.  constants_multiwell.txt was
-# last re-recorded when it gained the max_admissible_T table, every line
-# above that table unchanged.  sample_shallow_net.csv stayed
-# byte-identical when its force came to share one feature pass and to reuse
-# scratch arrays; it was re-recorded when the sigmoid moved from scipy's
-# expit to numpy ufuncs (whose exp may differ from the C library's in the
-# last bit) and the force's V and interaction terms came to share one
-# weighted ridge sum: 56 of its 275 values moved, by at most 8.9e-14
-# relative, and its constants footer stayed byte-identical.  It was last
-# re-recorded when the force came to take its sums as BLAS contractions
-# (beta @ sigma over the particles, sigma @ w and ((1 - sigma) sigma) @ (w z)
-# over the data): 30 of its 275 values moved, by at most 4.3e-15 relative
-# (4.4e-16 absolute), and its config line and constants footer stayed
-# byte-identical; it is the same at 1 and 2 BLAS threads.  Its constants
-# footer and the config line's model_params were last re-recorded when the
-# probe-estimated constants became closed-form bounds on the box named by
-# model_params' box_radius (was probe_radius), every data row
-# byte-identical.  The three bias-scan files
-# were last re-recorded when bias-scan's replica count stopped being
-# gcd(steps, 10) and became the widest divisor of --steps that leaves each
-# stationary-started replica at least 20 steps (6 replicas of 20 where there
-# were 10 of 12 at 120 steps), an intended change of output; the CSV's
-# detail footer also gained the replica count.  The chaos-scan files
-# were last re-recorded, with the order-check files, when the exact flow of
-# the quadratic model became a closed form in the particle means, which moved
-# their values in the 14th-16th significant digit (the old mode transform's
-# prefix sum rounded more); order_check.csv was re-recorded again when its
-# footer gained the per-h standard errors as a detail line, its rows
-# unchanged.  order_check.csv and order_check_plot.stdout were last
-# re-recorded when the exact flow came to return the position alone and
-# order-check to take the exact momentum from the same closed form started
-# at (p0, -grad U(q0)): the errors, slope and SEs moved in the 15th-16th
-# significant digit, and order_check_plot.svg stayed byte-identical.
-# sample.csv was last re-recorded when the gaussian model came
-# to carry its interaction strength eps in epsilon, with a unit-strength W
-# (L_tilde 1): only the footer's "epsilon" (1.0 to 0.25) and "L_tilde"
-# (0.25 to 1.0) changed.  contraction_multiwell_2d.csv, the one run with
-# d > 1 and a pair interaction, was recorded before the multiwell force and
-# the velocity coupling moved their coordinate-axis reductions and
-# broadcasts into column loops.  sample_exact.csv, the one run of the exact
-# kernel through sample, was recorded before the unread fields, functions
-# and branches of the models, theory, integrators, experiments and CLI were
-# deleted.  shallow_net_data.csv is an input (12 points, 2 features), not an
-# output.
+# Each golden file is the CLI's output for these arguments at seed 0, at one
+# and two --threads, so a byte difference is a change of output:
+# - bias_scan.csv: bias-scan's rows and detail footer at two accuracies,
+#   each split over 6 stationary replicas of 20 kernel steps;
+# - chaos_scan.csv: the exact kernel's closed-form flow and the pooled
+#   marginal estimates at N = 4, 8 and 16;
+# - contraction.csv: coupled chains on the 1-d multiwell model without
+#   interaction, with the fitted decay factor and the theory's c_uhmc and A;
+# - contraction_multiwell_2d.csv: the one run with d > 1 and a pair
+#   interaction, through the multiwell force and the velocity coupling;
+# - order_check.csv: the randomized integrator's strong error against the
+#   exact flow of position and momentum, with each error's standard error;
+# - sample.csv: uHMC on the gaussian model, and its constants footer;
+# - sample_exact.csv: the one run of the exact kernel through sample;
+# - sample_shallow_net.csv: the shallow-net force and its closed-form box
+#   constants, the same at one and two BLAS threads.
+# shallow_net_data.csv is an input (12 points, 2 features), not an output.
 GOLDEN_ARGS = {
     "bias_scan.csv": ["bias-scan", "--k-max", "2", "--steps", "120"],
     "chaos_scan.csv": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
@@ -92,24 +62,20 @@ def test_cli_output_matches_golden_file(tmp_path, name, threads):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# constants_multiwell.txt: every constant with its formula, each condition's
+# margin and the max_admissible_T table of `constants --model multiwell --a 2`
 def test_constants_text_matches_golden_file(capsys):
     assert main(["constants", "--model", "multiwell", "--a", "2"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "constants_multiwell.txt").read_text()
 
 
 # Each <name>.stdout golden file is the --json line of these arguments at
-# seed 0, and <name>.svg, where it exists, the --plot SVG.  The
-# bias_scan_plot files were re-recorded with bias_scan.csv, when the
-# replica count came to grow with --steps.
-# chaos_scan_plot, contraction_plot and order_check_plot (.stdout and .svg)
-# and sample_json.stdout were recorded before each experiment came to build
-# its own Report (footer lines, --json summary and plot) and the CLI's five
-# per-command writers became one, so the refactor left them unchanged.
-# contraction_offset0_plot (.stdout and .svg) was recorded after the SVG
-# writer learned to draw a plot without points: at offset 0 every distance
-# is 0 and has no logarithm, and the run crashed after writing its CSV.  Its
-# .stdout was re-recorded when the decay factor and its SE of such a run
-# became null (nan) instead of 0.0, which read as an exact contraction.
+# seed 0: the CSV path under "out", then every footer entry of that CSV under
+# its footer key, non-finite values as null.  <name>.svg, where it exists, is
+# the --plot SVG.  contraction_offset0_plot pins a run whose pairs start
+# coalesced: every distance is 0, so the SVG is drawn without points and the
+# fitted decay factor and its standard error print as null.  sample_json
+# pins the theory's constants as the one footer entry of sample.
 PLOT_JSON_ARGS = {
     "bias_scan_plot": ["bias-scan", "--k-max", "3", "--steps", "120", "--plot",
                        "--json", "--out", "bias_scan.csv"],
@@ -278,6 +244,7 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
      "|offset| must be below the divergence limit 1e+100, got offset=1e+200"),
     (["contraction", "--offset", "-1e100"], 2,
      "|offset| must be below the divergence limit 1e+100, got offset=-1e+100"),
+    (["sample", "--model", "multiwell", "--dim", "0"], 2, "dim must be a positive integer"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out
@@ -348,7 +315,10 @@ def test_bad_data_file_exit_codes(tmp_path, capsys, text, message):
 ])
 def test_constants_json_is_valid(capsys, model_args):
     assert main(["constants", *model_args, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # one line, as every --json output
+    assert out.count("\n") == 1
+    payload = _strict_json(out)
     assert payload["model"] == model_args[1]
     assert set(payload["conditions"]) and set(payload["constants"])
     assert set(payload["max_admissible_T"]) == {"nhmc", "strong-convex", "uhmc"}
@@ -516,6 +486,27 @@ def test_json_outputs_print_non_finite_values_as_null(tmp_path, capsys, argv, la
     assert "null" in stdout + text
 
 
+@pytest.mark.parametrize("name", ["bias_scan.csv", "chaos_scan.csv", "contraction.csv",
+                                  "order_check.csv", "sample.csv"])
+def test_json_line_is_out_plus_the_csv_footer(tmp_path, capsys, name):
+    # the footer is the run's one record: --json prints the CSV path and
+    # each footer entry under its key, a non-finite value as null
+    out = tmp_path / name
+    assert main(GOLDEN_ARGS[name] + ["--json", "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert line.count("\n") == 1 and line.endswith("\n")
+    record = _strict_json(line)
+    footer = _footer(out)
+    assert list(record) == sorted(["out", *(key for key, _ in footer)])
+    assert record["out"] == str(out)
+    for key, text in footer:
+        if text[0] in "[{":
+            assert record[key] == _strict_json(text)
+        else:
+            value = float(text)
+            assert record[key] == (value if math.isfinite(value) else None)
+
+
 @pytest.mark.parametrize("argv, key", [
     (["chaos-scan", "--N-list", "16,16,16", "--steps", "3", "--replicas", "4"],
      "loglog_slope_vs_N"),
@@ -592,6 +583,17 @@ def test_contraction_warns_where_its_metric_saturates(tmp_path, capsys, argv, sa
         assert warning in err
         rows = [line.split(",") for line in out.read_text().splitlines()[5:8]]
         assert [float(r[2]) for r in rows] == [0.0] * 3
+
+
+def test_readme_examples_parse():
+    # README's subcommand table gives one example per subcommand, each of
+    # whose flags the parser must take; nothing runs
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([\w-]+)` \| [^|]+ \| `([^`]+)` \|$", text, re.MULTILINE)
+    assert [name for name, _ in rows] == [name for name, _, _ in cli._SUBCOMMANDS]
+    for name, example in rows:
+        argv = example.split()
+        assert cli.build_parser(argv).parse_args(argv).command == name
 
 
 def test_module_entry_point_prints_the_version():

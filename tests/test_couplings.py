@@ -20,6 +20,8 @@ def test_gamma_convention():
     assert CouplingParams(R_tilde=0.0, T=2.0).gamma == 0.5
     assert CouplingParams(R_tilde=4.0, T=1.0).gamma == 1.0 / 16.0
     assert CouplingParams(R_tilde=0.1, T=1.0).gamma == 1.0
+    with pytest.raises(ValueError, match="R_tilde must be nonnegative"):
+        CouplingParams(R_tilde=-1.0, T=1.0)
 
 
 def test_zero_separation_always_accepts():
@@ -394,4 +396,6 @@ def test_rho_N_reductions():
     assert rho_N(a, b, r1, t) <= ell1_bar(a, b) + 1e-12
     with pytest.raises(ValueError):
         rho_N(a, b[:3], r1, t)
+    with pytest.raises(ValueError, match="shape mismatch between the two states"):
+        ell1_bar(a, b[:3])
 

@@ -194,8 +194,8 @@ def test_contraction_experiment_strongly_convex_rate():
     result = contraction_experiment(m, T=T, h=T / 8, m=25, replicas=1000, N=4,
                                     seed=18, offset=1.0, synchronous=True)
     bound = 1.0 - m.constants.K * T**2 / 8.0
-    assert (result.summary["decay_factor"]
-            <= bound + 3.0 * result.summary["decay_factor_se"])
+    assert (result.footer["fitted_decay_factor"]
+            <= bound + 3.0 * result.footer["fitted_decay_factor_se"])
 
 
 def test_contraction_experiment_multiwell_theory_envelope():
@@ -214,8 +214,8 @@ def test_contraction_experiment_multiwell_theory_envelope():
         envelope = tc.A * np.exp(-tc.c_uhmc * k) * rho0
         assert mean_rho <= envelope + 3.0 * stderr
     # the measured contraction: 0.99822 with SE 0.00017 at seed 19
-    summary = result.summary
-    assert summary["decay_factor"] + 4.0 * summary["decay_factor_se"] < 1.0
+    footer = result.footer
+    assert footer["fitted_decay_factor"] + 4.0 * footer["fitted_decay_factor_se"] < 1.0
 
 
 # --- the CSV writer ---------------------------------------------------------

@@ -205,6 +205,10 @@ def test_shallow_net_validation():
         ShallowNetDataset(inputs=np.zeros((0, 2)), outputs=np.zeros(0))
     with pytest.raises(InvalidModelError):
         ShallowNetDataset(inputs=np.array([[np.inf, 0.0]]), outputs=np.ones(1))
+    with pytest.raises(InvalidModelError, match=r"inputs must be a 2-d array \(M, d-1\)"):
+        ShallowNetDataset(inputs=np.zeros(3), outputs=np.zeros(3))
+    with pytest.raises(InvalidModelError, match="outputs must have one entry per input row"):
+        ShallowNetDataset(inputs=np.zeros((3, 2)), outputs=np.zeros(2))
     rng = np.random.default_rng(3)
     data = ShallowNetDataset(inputs=rng.normal(size=(5, 2)),
                              outputs=rng.normal(size=5))
@@ -533,6 +537,11 @@ def test_shallow_net_csv_roundtrip(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(InvalidModelError):
         ShallowNetDataset.from_csv(bad)
+    for text, message in [("", "empty file"), ("y,z1\n", "no data rows")]:
+        bad.write_text(text)
+        with pytest.raises(InvalidModelError) as err:
+            ShallowNetDataset.from_csv(bad)
+        assert str(err.value) == f"{bad}: {message}"
 
 
 # --- shared invariants ------------------------------------------------------

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_hmc import (AssumptionConstants, MeanFieldModel, ShallowNetDataset,
-                           check_conditions, compute_constants, gaussian_model,
-                           max_admissible_T, multiwell_model, shallow_net_model)
+from meanfield_hmc import (AssumptionConstants, InvalidModelError, MeanFieldModel,
+                           ShallowNetDataset, check_conditions, compute_constants,
+                           gaussian_model, max_admissible_T, multiwell_model,
+                           shallow_net_model)
 from meanfield_hmc.theory import constants_table
 
 
@@ -195,6 +196,13 @@ def test_invalid_inputs_raise():
         compute_constants(m, 0.0)
     with pytest.raises(ValueError):
         check_conditions(m, -1.0)
+    valid = dict(K=0.5, L1=1.5, L2=2.0, L_tilde=0.8, R_conv=0.7, W0=1.3)
+    for change, message in [({"K": 0.0}, "K must be positive"),
+                            ({"L2": 0.0}, "L2 must be positive"),
+                            ({"K": 2.5}, "K must not exceed L2"),
+                            ({"L_tilde": -0.1}, "L_tilde must be nonnegative")]:
+        with pytest.raises(InvalidModelError, match=message):
+            AssumptionConstants(**{**valid, **change})
 
 
 def test_constants_table_is_complete():

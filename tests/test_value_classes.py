@@ -51,10 +51,9 @@ def _cases():
             tuple(float(i) for i in range(1, 22)), {"conditions": {}},
             tuple(float(i) for i in range(2, 23)), False),
         "Report": (
-            Report, ("columns", "rows", "config", "footer", "summary"),
-            (("k",), [(1,)], {"seed": 0}, {"slope": 0.5}, {"rows": 1}),
-            {"plot": None}, (("k",), [(2,)], {"seed": 0}, {"slope": 0.5}, {"rows": 1}),
-            False),
+            Report, ("columns", "rows", "config", "footer"),
+            (("k",), [(1,)], {"seed": 0}, {"slope": 0.5}),
+            {"plot": None}, (("k",), [(2,)], {"seed": 0}, {"slope": 0.5}), False),
     }
 
 
