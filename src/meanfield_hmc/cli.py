@@ -61,14 +61,14 @@ def _add_model_flags(p):
                    choices=["gaussian", "multiwell", "shallow-net"])
     p.add_argument("--eps", type=float, default=0.25,
                    help="interaction strength (model-specific meaning)")
-    p.add_argument("--a", type=float, default=1.0,
-                   help="multiwell bump sharpness")
+    p.add_argument("--a", type=float, default=None,
+                   help="multiwell bump sharpness (multiwell only; default 1)")
     p.add_argument("--dim", type=int, default=None,
                    help="per-particle dimension (multiwell only; default 1)")
     p.add_argument("--interaction", default=None, choices=["quadratic"],
-                   help="multiwell pair term (omit for no interaction)")
+                   help="multiwell pair term (multiwell only; default none)")
     p.add_argument("--data", default=None, metavar="CSV",
-                   help="shallow-net dataset (header y,z1,...)")
+                   help="shallow-net dataset (shallow-net only; header y,z1,...)")
 
 
 def _add_common_flags(p):
@@ -188,15 +188,22 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
+# each model flag that one model alone reads, and that model
+_MODEL_FLAG_OWNERS = {"a": "multiwell", "dim": "multiwell",
+                      "interaction": "multiwell", "data": "shallow-net"}
+
+
 def _model_from_args(args):
-    """The built-in model the model flags name; ``--dim`` applies to
-    multiwell only, and shallow-net takes its dimension from ``--data``."""
-    if args.dim is not None and args.model != "multiwell":
-        raise ConfigError(f"--dim applies to the multiwell model only, not {args.model}")
+    """The built-in model the model flags name; a flag that another model
+    owns is an error, and shallow-net takes its dimension from ``--data``."""
+    for flag, owner in _MODEL_FLAG_OWNERS.items():
+        if getattr(args, flag) is not None and args.model != owner:
+            raise ConfigError(f"--{flag} applies to the {owner} model only, not {args.model}")
     if args.model == "gaussian":
         return gaussian_model(args.eps)
     if args.model == "multiwell":
-        return multiwell_model(args.a, dim=1 if args.dim is None else args.dim,
+        return multiwell_model(1.0 if args.a is None else args.a,
+                               dim=1 if args.dim is None else args.dim,
                                epsilon=args.eps, interaction=args.interaction)
     if args.data is None:
         raise ConfigError("shallow-net model requires --data <csv>")

@@ -66,11 +66,8 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
     space.
     """
     z = np.asarray(z, dtype=float)
-    batch = z.shape[:-1]
-    d = z.shape[-1]
-    count = int(np.prod(batch)) if batch else 1
-    xi = stream.normal_vector(count * d).reshape(z.shape)
-    u = stream.uniforms(count).reshape(batch)
+    xi = stream.normal_vector(z.shape)
+    u = stream.uniforms(z.shape[:-1])
 
     r = _norm_last(z)
     e = np.zeros(z.shape)
@@ -118,7 +115,7 @@ def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
         raise ValueError("coupled copies must have identical shapes")
     _integral_steps(cp.T, h)
     if synchronous:
-        xi = eta = stream.normal_vector(x.size).reshape(x.shape)
+        xi = eta = stream.normal_vector(x.shape)
     else:
         res = couple_velocities_batch(x - xp, cp, stream)
         xi, eta = res.xi, res.eta
@@ -188,27 +185,25 @@ def metric_radius(R_tilde: float, T: float) -> tuple:
     return r1, (1.0 / slope if slope > 0.0 else math.inf)
 
 
+def _particle_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x^i - y^i| for (..., N, d) states of equal shape, as (..., N)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("shape mismatch between the two states")
+    return _norm_last(x - y)
+
+
 def rho_N(x: np.ndarray, y: np.ndarray, R1: float, T: float):
     """Particle-averaged coupled distance: mean_i f(|x^i - y^i|).
 
     ``x`` and ``y`` have shape (..., N, d); the result drops both trailing
     axes.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("shape mismatch between the two states")
     # a norm is never negative, so metric_f's scan of r is skipped
-    out = _metric_f_in_place(_norm_last(x - y), R1, T).mean(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _metric_f_in_place(_particle_distances(x, y), R1, T).mean(axis=-1)
 
 
 def ell1_bar(x: np.ndarray, y: np.ndarray):
     """Particle-averaged Euclidean distance: mean_i |x^i - y^i|."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("shape mismatch between the two states")
-    out = _norm_last(x - y).mean(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
+    return _particle_distances(x, y).mean(axis=-1)

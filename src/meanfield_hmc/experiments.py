@@ -27,7 +27,7 @@ from . import __version__
 from .couplings import CouplingParams, coupled_uhmc_step, rho_N
 from .integrators import (DIVERGENCE_LIMIT, _check_duration, _integral_steps,
                           _snap_step_size, exact_gaussian_flow_arrays,
-                          randomized_flow_arrays)
+                          lockstep_flow_arrays)
 from .kernels import (run_chain, stationary_gaussian_sample_arrays,
                       draw_initial_positions, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
@@ -423,7 +423,7 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
     stream = RngStream(seed)
 
-    x = stream.normal_vector(replicas * N * model.dim).reshape(replicas, N, model.dim)
+    x = stream.normal_vector((replicas, N, model.dim))
     rho = run_chain(
         lambda pair: coupled_uhmc_step(model, *pair, h, cp, stream,
                                        synchronous=synchronous),
@@ -482,13 +482,13 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
 
     def one_h(stream, h):
         q0 = stationary_gaussian_sample_arrays(epsilon, (replicas, N), stream)
-        p0 = stream.normal_vector(replicas * N).reshape(replicas, N)
+        p0 = stream.normal_vector((replicas, N))
         q_exact = exact_gaussian_flow_arrays(epsilon, q0, p0, T)
         # the momentum obeys the position's linear equation from (p0, -grad U(q0))
         force0 = -model.grad_U_all(q0[..., None])[..., 0]
         p_exact = exact_gaussian_flow_arrays(epsilon, p0, force0, T)
-        q_num, p_num = randomized_flow_arrays(
-            model, q0[..., None], p0[..., None], T, h, stream)
+        (q_num, p_num), = lockstep_flow_arrays(
+            model, [(q0[..., None], p0[..., None])], T, h, stream)
         dq = q_num[..., 0] - q_exact
         dp = p_num[..., 0] - p_exact
         err = np.sqrt(dq**2 + dp**2 / l_e).mean(axis=1)

@@ -100,10 +100,7 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     finite or an entry of q' or p' reaches ``DIVERGENCE_LIMIT`` in
     absolute value.
     """
-    hu = h * u
-    if getattr(hu, "ndim", 0):
-        hu = hu[..., None, None]
-    q_star = np.multiply(hu, p)
+    q_star = np.multiply(np.multiply(h, u)[..., None, None], p)
     np.add(q, q_star, out=q_star)
     grad = mean_field_grad_all(model, q_star)
     p1 = np.multiply(h, grad)
@@ -151,8 +148,7 @@ def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,
     """
     n = _integral_steps(T, h)
     states = list(states)
-    batch = states[0][0].shape[:-2]
-    us = stream.uniforms(n * math.prod(batch)).reshape((n,) + batch)
+    us = stream.uniforms((n, *states[0][0].shape[:-2]))
     for k in range(n):
         u = us[k]
         # each pair is replaced as soon as it has stepped, so a spent pair
@@ -160,13 +156,6 @@ def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,
         for i, (q, p) in enumerate(states):
             states[i] = randomized_step_arrays(model, q, p, h, u, step_index=k)
     return states
-
-
-def randomized_flow_arrays(model: MeanFieldModel, q, p, T: float, h: float,
-                           stream: RngStream):
-    """Randomized flow of one (q, p) pair over duration T on (..., N, d) arrays."""
-    (q, p), = lockstep_flow_arrays(model, [(q, p)], T, h, stream)
-    return q, p
 
 
 # ---------------------------------------------------------------------------

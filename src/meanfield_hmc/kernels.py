@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .integrators import (IntegrationDivergedError, exact_gaussian_flow_arrays,
-                          randomized_flow_arrays)
+                          lockstep_flow_arrays)
 from .models import MeanFieldModel, _check_quadratic_epsilon
 from .rng import RngStream
 
@@ -23,14 +23,14 @@ def uhmc_step_arrays(model: MeanFieldModel, q, T: float, h: float,
                      stream: RngStream) -> np.ndarray:
     """One unadjusted step of duration T in T/h inner steps on raw (..., N, d)
     position arrays; the flow checks T and h."""
-    p = stream.normal_vector(q.size).reshape(q.shape)
-    q_out, _ = randomized_flow_arrays(model, q, p, T, h, stream)
+    p = stream.normal_vector(q.shape)
+    (q_out, _), = lockstep_flow_arrays(model, [(q, p)], T, h, stream)
     return q_out
 
 
 def xhmc_step_gaussian_arrays(epsilon: float, q, T: float, stream: RngStream) -> np.ndarray:
     """One exact step on raw (..., N) position arrays of the 1-d quadratic model."""
-    p = stream.normal_vector(q.size).reshape(q.shape)
+    p = stream.normal_vector(q.shape)
     return exact_gaussian_flow_arrays(epsilon, q, p, T)
 
 
@@ -42,8 +42,7 @@ def stationary_gaussian_sample_arrays(epsilon: float, shape, stream: RngStream) 
     direction by 1/sqrt(1 - eps).
     """
     _check_quadratic_epsilon(epsilon)
-    shape = tuple(int(s) for s in shape)
-    z = stream.normal_vector(int(np.prod(shape))).reshape(shape)
+    z = stream.normal_vector(shape)
     scale = 1.0 / np.sqrt(1.0 - epsilon) - 1.0
     return z + scale * z.mean(axis=-1, keepdims=True)
 
@@ -54,7 +53,7 @@ def draw_initial_positions(model: MeanFieldModel, N: int, init: str,
     if init == "cold":
         return np.zeros((N, model.dim))
     if init == "normal":
-        return stream.normal_vector(N * model.dim).reshape(N, model.dim)
+        return stream.normal_vector((N, model.dim))
     if init == "stationary":
         if model.name != "gaussian":
             raise ValueError("stationary start is available only for the gaussian model")

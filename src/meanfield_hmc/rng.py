@@ -110,31 +110,30 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` independent uniforms in (0, 1), one 64-bit draw each.
+    def uniforms(self, shape) -> np.ndarray:
+        """Independent uniforms in (0, 1) filling ``shape`` (an int is a
+        1-d shape) in C order, one 64-bit draw each.
 
         Values are of the form (k + 1/2) * 2**-52 with k the top 52 bits of
         the raw draw, so 0.0 and 1.0 are never produced and the map from raw
         bits to floats is exact.  The map works in place on the draw: k
         under the exponent bits of 1.0 is the float x = 1 + k * 2**-52 in
         [1, 2), and y = 1 - 2**-53 satisfies y/2 <= x <= 2y, so x - y is
-        exact (Sterbenz's lemma) and equals (k + 1/2) * 2**-52.
+        exact (Sterbenz's lemma) and equals (k + 1/2) * 2**-52.  A negative
+        size raises numpy's ValueError.
         """
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        n = int(n)
-        self.counter += n
-        k = self._philox.random_raw(n)
+        k = self._philox.random_raw(shape)
+        self.counter += k.size
         k >>= 12
         k |= _ONE_BITS
         u = k.view(np.float64)
         u -= 1.0 - 2.0**-53
         return u
 
-    def normal_vector(self, n: int) -> np.ndarray:
-        """``n`` independent standard normal variates; ``n = 0`` is an empty
-        draw, as for :meth:`uniforms`, which rejects a negative ``n``."""
-        return ndtri(self.uniforms(n))
+    def normal_vector(self, shape) -> np.ndarray:
+        """Independent standard normal variates filling ``shape``, as for
+        :meth:`uniforms`; a zero size is an empty draw."""
+        return ndtri(self.uniforms(shape))
 
     def substream(self, index: int) -> "RngStream":
         """Independent stream for chain/replica ``index``.

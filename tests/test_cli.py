@@ -245,6 +245,15 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     (["contraction", "--offset", "-1e100"], 2,
      "|offset| must be below the divergence limit 1e+100, got offset=-1e+100"),
     (["sample", "--model", "multiwell", "--dim", "0"], 2, "dim must be a positive integer"),
+    # a model flag that the chosen model ignores is refused, as --dim is
+    (["sample", "--model", "gaussian", "--a", "2"], 2,
+     "--a applies to the multiwell model only, not gaussian"),
+    (["contraction", "--interaction", "quadratic"], 2,
+     "--interaction applies to the multiwell model only, not gaussian"),
+    (["sample", "--model", "gaussian", "--data", "/nonexistent.csv"], 2,
+     "--data applies to the shallow-net model only, not gaussian"),
+    (["constants", "--model", "shallow-net", "--a", "1"], 2,
+     "--a applies to the multiwell model only, not shallow-net"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out

@@ -140,7 +140,7 @@ def test_couple_velocities_single_pair():
 
 def test_particlewise_identical_inputs():
     cp = CouplingParams(R_tilde=2.0, T=1.0)
-    x = RngStream(6).normal_vector(12).reshape(4, 3)
+    x = RngStream(6).normal_vector((4, 3))
     res = couple_velocities_batch(x - x.copy(), cp, RngStream(7))
     assert np.array_equal(res.xi, res.eta)
 
@@ -163,7 +163,7 @@ def test_particlewise_mixed_branches():
 def test_coupled_step_faithful_on_equal_inputs():
     m = gaussian_model(0.25)
     cp = CouplingParams(R_tilde=0.0, T=1.0)
-    x = RngStream(9).normal_vector(6).reshape(6, 1)
+    x = RngStream(9).normal_vector((6, 1))
     a, b = coupled_uhmc_step(m, x, x.copy(), 0.25, cp, RngStream(10))
     assert np.array_equal(a, b)
 
@@ -171,7 +171,7 @@ def test_coupled_step_faithful_on_equal_inputs():
 def test_coupled_step_determinism():
     m = gaussian_model(0.25)
     cp = CouplingParams(R_tilde=0.0, T=1.0)
-    x = RngStream(11).normal_vector(6).reshape(6, 1)
+    x = RngStream(11).normal_vector((6, 1))
     xp = x + 0.7
     a1, b1 = coupled_uhmc_step(m, x, xp, 0.25, cp, RngStream(12))
     a2, b2 = coupled_uhmc_step(m, x, xp, 0.25, cp, RngStream(12))
@@ -221,8 +221,8 @@ def test_coupled_step_reports_earlier_divergence():
 def _reference_couple(z, cp, stream):
     """couple_velocities_batch in plain numpy broadcasts: (xi, eta,
     synchronous, coalescing), with the variates drawn in the same order."""
-    xi = stream.normal_vector(z.size).reshape(z.shape)
-    u = stream.uniforms(z.size // z.shape[-1]).reshape(z.shape[:-1])
+    xi = stream.normal_vector(z.shape)
+    u = stream.uniforms(z.shape[:-1])
     r = np.linalg.norm(z, axis=-1)
     e = np.zeros_like(z)
     e[..., 0] = 1.0
@@ -292,7 +292,7 @@ def test_synchronous_step_keeps_the_shared_momentum():
     xp = x + 0.3
     got = coupled_uhmc_step(m, x, xp, 0.125, cp, RngStream(3), synchronous=True)
     stream = RngStream(3)
-    xi = stream.normal_vector(x.size).reshape(x.shape)
+    xi = stream.normal_vector(x.shape)
     (q, _), (qp, _) = lockstep_flow_arrays(m, [(x, xi), (xp, xi.copy())], cp.T, 0.125,
                                            stream)
     assert np.array_equal(got[0], q) and np.array_equal(got[1], qp)
@@ -305,7 +305,7 @@ def test_multiwell_one_step_contracts_on_average():
     cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
     stream = RngStream(13)
     reps = 4000
-    x = stream.normal_vector(reps * 4).reshape(reps, 4, 1)
+    x = stream.normal_vector((reps, 4, 1))
     xp = x + 1.0
     r0 = rho_N(x, xp, tc.R1, T)
     a, b = coupled_uhmc_step(mw, x, xp, 0.125, cp, stream)

@@ -169,6 +169,12 @@ def test_chaos_scan_rejects_bad_config(kwargs):
         chaos_scan(**{"N_list": (4,), "m": 2, "replicas": 2, **kwargs})
 
 
+def test_bias_scan_rejects_an_unknown_h_rule():
+    # argparse's choices keep such a rule from the CLI
+    with pytest.raises(ConfigError, match="h rule must be one of"):
+        bias_scan(k_max=1, steps=120, h_rule="bogus")
+
+
 # --- contraction -------------------------------------------------------------
 
 def test_contraction_experiment_zero_offset_stays_zero():

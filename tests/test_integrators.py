@@ -9,8 +9,7 @@ from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
                            MeanFieldModel, RngStream, ShallowNetDataset,
                            exact_gaussian_flow_arrays, gaussian_model,
                            lockstep_flow_arrays, multiwell_model,
-                           randomized_flow_arrays, randomized_step_arrays,
-                           shallow_net_model)
+                           randomized_step_arrays, shallow_net_model)
 from conftest import read_only, reference_randomized_step
 
 
@@ -31,7 +30,7 @@ def _count_flow_steps(T, h):
     """Number of randomized steps the flow takes, read off its uniform draws."""
     m = gaussian_model(0.25)
     q, p = np.array([[0.1], [0.9]]), np.array([[-0.4], [0.3]])
-    got = randomized_flow_arrays(m, q, p, T, h, RngStream(3))
+    (got,) = lockstep_flow_arrays(m, [(q, p)], T, h, RngStream(3))
     us = RngStream(3).uniforms(64)
     for k in range(64):
         q, p = randomized_step_arrays(m, q, p, h, us[k], step_index=k)
@@ -44,9 +43,9 @@ def test_integrator_params_validation():
     m = gaussian_model(0.25)
     q, p = np.zeros((2, 1)), np.ones((2, 1))
     with pytest.raises(ValueError):
-        randomized_flow_arrays(m, q, p, 1.0, 0.3, RngStream(0))  # 1/0.3 not integral
+        lockstep_flow_arrays(m, [(q, p)], 1.0, 0.3, RngStream(0))  # 1/0.3 not integral
     with pytest.raises(ValueError):
-        randomized_flow_arrays(m, q, p, 1.0, 0.0, RngStream(0))
+        lockstep_flow_arrays(m, [(q, p)], 1.0, 0.0, RngStream(0))
     assert _count_flow_steps(1.0, 0.125) == 8
     t = np.sqrt(0.15)
     assert _count_flow_steps(t, t / 8) == 8
@@ -70,7 +69,7 @@ def test_free_flight_is_exact_straight_line():
     m = _free_model()
     q = np.array([[0.3], [-2.0], [1.5]])
     p = np.array([[1.0], [0.5], [-0.25]])
-    out, _ = randomized_flow_arrays(m, q, p, 2.0, 0.25, RngStream(0))
+    (out, _), = lockstep_flow_arrays(m, [(q, p)], 2.0, 0.25, RngStream(0))
     assert np.array_equal(out, q + 2.0 * p)
 
 
@@ -79,7 +78,7 @@ def test_flow_single_step_equals_one_randomized_step():
     q, p = np.array([[0.1], [0.9]]), np.array([[-0.4], [0.3]])
     u = RngStream(5).uniforms(1)[0]
     by_step = randomized_step_arrays(m, q, p, 0.5, u)
-    by_flow = randomized_flow_arrays(m, q, p, 0.5, 0.5, RngStream(5))
+    (by_flow,) = lockstep_flow_arrays(m, [(q, p)], 0.5, 0.5, RngStream(5))
     assert np.array_equal(by_flow[0], by_step[0])
     assert np.array_equal(by_flow[1], by_step[1])
 
@@ -87,8 +86,8 @@ def test_flow_single_step_equals_one_randomized_step():
 def test_flow_determinism():
     m = gaussian_model(0.25)
     q, p = np.ones((4, 1)), np.zeros((4, 1))
-    a = randomized_flow_arrays(m, q, p, 1.0, 0.125, RngStream(17))
-    b = randomized_flow_arrays(m, q, p, 1.0, 0.125, RngStream(17))
+    (a,) = lockstep_flow_arrays(m, [(q, p)], 1.0, 0.125, RngStream(17))
+    (b,) = lockstep_flow_arrays(m, [(q, p)], 1.0, 0.125, RngStream(17))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -97,13 +96,13 @@ def test_flow_refines_toward_exact_flow():
     eps, n_rep, n_part = 0.25, 64, 16
     m = gaussian_model(eps)
     stream = RngStream(23)
-    q0 = stream.normal_vector(n_rep * n_part).reshape(n_rep, n_part)
-    p0 = stream.normal_vector(n_rep * n_part).reshape(n_rep, n_part)
+    q0 = stream.normal_vector((n_rep, n_part))
+    p0 = stream.normal_vector((n_rep, n_part))
     q_ref = exact_gaussian_flow_arrays(eps, q0, p0, 1.0)
     errs = {}
     for h in (1 / 8, 1 / 128):
-        q_num, _ = randomized_flow_arrays(m, q0[..., None], p0[..., None],
-                                          1.0, h, RngStream(29))
+        (q_num, _), = lockstep_flow_arrays(m, [(q0[..., None], p0[..., None])],
+                                           1.0, h, RngStream(29))
         errs[h] = np.abs(q_num[..., 0] - q_ref).mean()
     assert errs[1 / 128] < errs[1 / 8] / 10
 
@@ -113,7 +112,7 @@ def test_divergence_guard_reports_step():
     q = np.array([[1.0]])
     p = np.array([[0.0]])
     with pytest.raises(IntegrationDivergedError) as err:
-        randomized_flow_arrays(m, q, p, 2500.0, 2.5, RngStream(0))
+        lockstep_flow_arrays(m, [(q, p)], 2500.0, 2.5, RngStream(0))
     assert err.value.step_index >= 0
 
 
@@ -126,8 +125,8 @@ def test_divergence_reports_exact_inner_step(shape, h, seed, step):
     # inner steps; the indices were read from the step-by-step reference loop
     m = gaussian_model(0.0)
     with pytest.raises(IntegrationDivergedError) as err:
-        randomized_flow_arrays(m, np.ones(shape), np.zeros(shape), 1000 * h, h,
-                               RngStream(seed))
+        lockstep_flow_arrays(m, [(np.ones(shape), np.zeros(shape))], 1000 * h, h,
+                             RngStream(seed))
     assert err.value.step_index == step
     assert str(err.value) == f"trajectory diverged at integrator step {step}"
 
@@ -144,8 +143,8 @@ def test_non_finite_force_names_its_step():
                                       R_conv=0.0, W0=0.0),
         grad_U_all=nan_beyond_3)
     with pytest.raises(IntegrationDivergedError) as err:
-        randomized_flow_arrays(m, np.zeros((2, 1)), np.ones((2, 1)), 10.0, 1.0,
-                               RngStream(4))
+        lockstep_flow_arrays(m, [(np.zeros((2, 1)), np.ones((2, 1)))], 10.0, 1.0,
+                             RngStream(4))
     assert err.value.step_index == 3
     assert str(err.value) == "non-finite force at step 3"
 
@@ -199,10 +198,17 @@ def test_step_matches_expression_form_bit_for_bit(case):
     rng = np.random.default_rng(11)
     for scale, h in itertools.product((1e-3, 1.0, 40.0), (0.0, 0.125, 0.7)):
         q, p = scale * rng.normal(size=shape), rng.normal(size=shape)
-        u = rng.uniform(size=shape[:-2]) if len(shape) > 2 else float(rng.uniform())
-        got = randomized_step_arrays(model, *read_only(q, p), h, u)
-        want = reference_randomized_step(model, q, p, h, u)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # a batch array, or for one chain a Python float and the 0-d
+        # np.float64 that the flow loop hands the step
+        if len(shape) > 2:
+            us = [rng.uniform(size=shape[:-2])]
+        else:
+            u = float(rng.uniform())
+            us = [u, np.float64(u)]
+        for u in us:
+            got = randomized_step_arrays(model, *read_only(q, p), h, u)
+            want = reference_randomized_step(model, q, p, h, u)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
@@ -278,7 +284,7 @@ def test_flow_names_the_inner_step_on_either_bound(sign):
     q, p = np.zeros((2, 5, 3, 1)), np.zeros((2, 5, 3, 1))
     p[1, 2, 0, 0] = sign * 3e99
     with pytest.raises(IntegrationDivergedError) as err:
-        randomized_flow_arrays(model, q, p, 10.0, 0.25, RngStream(3))
+        lockstep_flow_arrays(model, [(q, p)], 10.0, 0.25, RngStream(3))
     assert err.value.step_index == 13 and err.value.replica == 7
 
 

@@ -65,7 +65,7 @@ def test_uhmc_single_inner_step_composition():
     T, h = 0.5, 0.5
     out = uhmc_step_arrays(m, x, T, h, RngStream(13))
     s = RngStream(13)
-    xi = s.normal_vector(3).reshape(3, 1)
+    xi = s.normal_vector((3, 1))
     u = s.uniforms(1)[0]
     manual, _ = randomized_step_arrays(m, x, xi, 0.5, u)
     assert np.array_equal(out, manual)
@@ -86,7 +86,7 @@ def test_uhmc_long_run_variance_matches_target():
     T, h = 1.0, 1 / 32
     stream = RngStream(101)
     chains = 8
-    q = stream.normal_vector(chains).reshape(chains, 1, 1)
+    q = stream.normal_vector((chains, 1, 1))
     samples = np.empty((10_000, chains))
     for k in range(10_000):
         q = uhmc_step_arrays(m, q, T, h, stream)
@@ -112,7 +112,7 @@ def test_uhmc_stationary_bias_shrinks_with_step():
     ses = []
     for h in (1 / 8, 1 / 16, 1 / 32):
         chains = 48
-        q = stream.normal_vector(chains).reshape(chains, 1, 1)
+        q = stream.normal_vector((chains, 1, 1))
         acc = np.empty((3000, chains))
         for k in range(3300):
             q = uhmc_step_arrays(m, q, 1.0, h, stream)

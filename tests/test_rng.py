@@ -34,6 +34,7 @@ def test_counter_tracks_consumption():
     s.normal_vector(5)
     s.uniforms(1)
     assert s.counter == 16
+    assert repr(s) == "RngStream(seed=0, stream_id=0, counter=16)"
 
 
 def test_normal_moments():
@@ -104,7 +105,7 @@ def test_negative_uniform_count_raises():
     s = RngStream(5)
     with pytest.raises(ValueError):
         s.uniforms(-1)
-    with pytest.raises(ValueError, match="n must be nonnegative"):
+    with pytest.raises(ValueError, match="negative dimensions are not allowed"):
         s.normal_vector(-1)
     assert s.counter == 0
     assert s.counter == 0
@@ -126,10 +127,13 @@ def _reference_uniforms(seed, stream_id, n):
 
 
 _sizes = st.integers(min_value=0, max_value=12_295)
+# a shape fills in C order, so its draw flattens to a draw of its size
+_shapes = st.lists(st.integers(min_value=0, max_value=24), max_size=3).map(tuple)
 _calls = st.one_of(
     st.tuples(st.just("uniforms"), _sizes),
     st.tuples(st.just("normal_vector"), _sizes.map(lambda n: max(n, 1))),
     st.tuples(st.just("uniform"), st.none()),
+    st.tuples(st.sampled_from(["uniforms", "normal_vector"]), _shapes),
 )
 
 
@@ -139,7 +143,9 @@ _calls = st.one_of(
 @example(seed=0, stream_id=0, calls=[("uniforms", 0), ("uniforms", 1),
                                      ("uniforms", 4095), ("uniforms", 0),
                                      ("uniforms", 4098), ("normal_vector", 1),
-                                     ("uniform", None)])
+                                     ("uniform", None), ("uniforms", (2, 3)),
+                                     ("normal_vector", ()), ("uniforms", ()),
+                                     ("normal_vector", (4, 0, 2))])
 def test_any_split_of_draws_equals_one_draw(seed, stream_id, calls):
     s = RngStream(seed, stream_id)
     outputs = []
@@ -148,6 +154,7 @@ def test_any_split_of_draws_equals_one_draw(seed, stream_id, calls):
             out = np.array([s.uniforms(1)[0]])
         else:
             out = getattr(s, name)(arg)
+            assert out.shape == (arg if isinstance(arg, tuple) else (arg,))
         outputs.append((name, out.copy(), out))
     total = sum(out.size for _, out, _ in outputs)
     assert s.counter == total
