@@ -4,8 +4,8 @@
 
 Subcommands: sample, bias-scan, chaos-scan, contraction, order-check,
 constants.  Exit codes: 0 success, 2 configuration error (an unreadable
-``--data`` file or an unwritable ``--out`` path included), 3 numerical
-divergence.
+``--data`` file included, and an unwritable ``--out`` path, which is refused
+before the experiment runs), 3 numerical divergence.
 
 Each subcommand but ``constants`` maps its flags to one call of its
 experiment, which returns an :class:`experiments.Report` of plain values;
@@ -17,6 +17,7 @@ through :func:`experiments.config_json`, the CLI's one JSON writer.
 from __future__ import annotations
 
 import argparse
+import errno
 # argparse's gettext imports locale when the first parser is built;
 # importing it with the package keeps that cost out of the run
 import locale  # noqa: F401
@@ -222,12 +223,20 @@ def _parse_list(text: str, kind, flag: str) -> list:
     return values
 
 
-def _write_outputs(args, report):
-    """Write the CSV to ``--out`` (default the command name with '_' for
-    '-', plus .csv); write the ``--plot`` SVG next to it when the report
-    has a plot (commands without one have no ``--plot`` flag); print the
-    ``--json`` line, the CSV path under "out" plus the footer's entries."""
+def _out_path(args) -> str:
+    """``--out``, default the command name ('_' for '-') plus .csv; raises the
+    error of ``open(path, "w")`` if it is a directory or its directory is missing."""
     path = args.out or args.command.replace("-", "_") + ".csv"
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return path
+
+
+def _write_outputs(args, path, report):
+    """Write the CSV to ``path``, the ``--plot`` SVG next to it when the
+    report has a plot (commands without one have no ``--plot`` flag), and
+    the ``--json`` line: the CSV path under "out" plus the footer's entries."""
     write_csv(path, report, args.command, args.seed)
     if report.plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"
@@ -298,7 +307,8 @@ def main(argv=None) -> int:
             code = _run_constants(args)
         else:
             _check_count("--threads", args.threads)
-            code = _write_outputs(args, _EXPERIMENTS[args.command](args))
+            path = _out_path(args)
+            code = _write_outputs(args, path, _EXPERIMENTS[args.command](args))
         # surface a closed stdout here rather than in the interpreter's exit flush
         sys.stdout.flush()
         return code

@@ -40,9 +40,7 @@ class _Frozen:
     A subclass's ``__init__`` names its fields as its parameters and hands
     them, as ``locals()`` holding nothing else, to ``_set``; so ``vars()``
     of an instance is its field dict, in parameter order.  Assigning or
-    deleting any attribute raises AttributeError.  ``==`` compares two
-    instances of one class field by field, and the hash is that of the
-    field tuple, which raises TypeError if a field is unhashable.
+    deleting any attribute raises AttributeError.
     """
 
     def _set(self, fields):
@@ -54,14 +52,6 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return tuple(vars(self).values()) == tuple(vars(other).values())
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())

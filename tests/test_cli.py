@@ -379,12 +379,20 @@ def test_plot_rejected_where_no_svg_is_written(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unwritable_out_path_exits_with_one_error_line(tmp_path, capsys):
-    out = tmp_path / "missing" / "out.csv"
-    assert main(["sample", "--steps", "2", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
-    assert not out.parent.exists()
+def test_unwritable_out_path_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # a path in a missing directory, and one that is a directory, are
+    # refused before the experiment runs, with the error open would raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+    monkeypatch.setattr(cli, "sample_command", refuse)
+    for out, errno_text in ((str(tmp_path / "missing" / "out.csv"), "[Errno 2] "),
+                            (str(tmp_path), "[Errno 21] Is a directory")):
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert main(["sample", "--steps", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {opened.value}\n" and errno_text in err and out in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bias_scan_eps12_rule_snaps_the_step_size(tmp_path):
@@ -420,10 +428,14 @@ def test_single_replica_detail_footer_is_valid_json(tmp_path):
     assert detail["replicas"] == 1 and detail["first_var_se"] is None
 
 
-# the experiment each subcommand calls, by its name in cli's namespace
+# the function each subcommand hands its flags to, by its name in cli's namespace
 _EXPERIMENT_NAMES = {"sample": "sample_command", "bias-scan": "bias_scan",
                      "chaos-scan": "chaos_scan", "contraction": "contraction_experiment",
-                     "order-check": "order_check"}
+                     "order-check": "order_check", "constants": "compute_constants"}
+
+
+class _Called(Exception):
+    """Raised by a stand-in for the called function to end the run there."""
 
 
 @pytest.mark.parametrize("command", sorted(_EXPERIMENT_NAMES))
@@ -434,8 +446,14 @@ def test_parser_defaults_equal_the_experiment_defaults(monkeypatch, command):
     name = _EXPERIMENT_NAMES[command]
     signature = inspect.signature(getattr(cli, name))
     calls = []
-    monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(signature.bind(*a, **kw)))
-    cli._EXPERIMENTS[command](cli.build_parser().parse_args([command]))
+
+    def record(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs))
+        raise _Called
+    monkeypatch.setattr(cli, name, record)
+    run = cli._EXPERIMENTS.get(command, cli._run_constants)
+    with pytest.raises(_Called):
+        run(cli.build_parser().parse_args([command]))
     [bound] = calls
     defaults = {key: param.default for key, param in signature.parameters.items()
                 if param.default is not inspect.Parameter.empty}
