@@ -10,14 +10,26 @@ variates have been requested.  Because the generator is counter-based,
 any split of the requests into calls returns the same numbers as one
 draw of their total length.
 
-``ndtri`` is scipy's own ufunc, taken from ``scipy.special._ufuncs``
-without running the ``__init__`` of ``scipy``, ``scipy._lib`` or
-``scipy.special``.  ``scipy.special``'s costs about 0.23 s of import (its
-array-API shim loads ``numpy.f2py`` and ``numpy.testing``); those of
-``scipy`` and ``scipy._lib`` about 14 ms (they load
-``scipy._lib._testutils``, ``subprocess``, ``_pep440`` and scipy's config
-modules).  ``_ufuncs`` with the extensions it needs takes about 15 ms
-(``-X importtime``, Python 3.11, scipy 1.17, 2-core x86 VM).
+Both compiled pieces load through :func:`_load_bare`, which skips the
+``__init__`` of their parent packages (``-X importtime`` figures, Python
+3.11, numpy 2.4, scipy 1.17, 2-core x86 VM):
+
+- ``Philox`` is numpy's, taken from ``numpy.random._philox`` without
+  ``numpy.random``'s ``__init__``.  That ``__init__`` loads ``mtrand``,
+  ``_generator``, ``_bounded_integers``, ``_mt19937``, ``_pcg64``,
+  ``_sfc64`` and ``_pickle`` and seeds a global legacy ``RandomState``,
+  about 5-7 ms and 1.4-1.8 MB of peak memory that no run uses.  What
+  stays, about 6-8 ms, is ``_philox``, ``bit_generator`` and
+  ``_common``: ``bit_generator`` imports ``secrets``, and with it
+  ``hashlib`` and OpenSSL (4-6 ms), because ``SeedSequence`` needs them.
+- ``ndtri`` is scipy's own ufunc, taken from ``scipy.special._ufuncs``
+  without the ``__init__`` of ``scipy``, ``scipy._lib`` or
+  ``scipy.special``.  ``scipy.special``'s costs about 0.23 s (its
+  array-API shim loads ``numpy.f2py`` and ``numpy.testing``); those of
+  ``scipy`` and ``scipy._lib`` about 14 ms (they load
+  ``scipy._lib._testutils``, ``subprocess``, ``_pep440`` and scipy's
+  config modules).  ``_ufuncs`` with the extensions it needs takes about
+  10-18 ms.
 """
 
 from __future__ import annotations
@@ -28,45 +40,51 @@ import sys
 import types
 
 import numpy as np
-from numpy.random import Philox
 
 
-def _load_ndtri():
-    """scipy's ``ndtri`` ufunc, loaded without the package ``__init__``s.
+def _load_bare(module, attr, also=()):
+    """``getattr(module, attr)`` for a compiled ``module``, loaded without
+    the ``__init__`` of its parent packages.
 
-    ``_ufuncs`` imports its sibling extensions and ``scipy._lib._ccallback``
-    through their parent packages, so while it loads, each of ``scipy``,
-    ``scipy._lib`` and ``scipy.special`` that is not yet imported is a bare
-    stub whose ``__path__`` is the package's directory, found by
-    ``find_spec`` without running anything.  The stubs go again in the
-    ``finally``; a later ``import scipy.special`` reuses the cached
-    extensions and so returns this same ufunc object.  The real package
-    objects then lack the attributes of the submodules loaded here
-    (``scipy.special._ufuncs_cxx``, ``scipy._lib._ccallback``, ...), which
-    stay reachable through ``sys.modules``.
+    While ``module`` loads, each of its parent packages and of the packages
+    in ``also`` (those whose submodules it imports) that is not yet in
+    ``sys.modules`` is a bare stub whose ``__path__`` is the package's
+    directory, found by ``find_spec`` without running anything; where all
+    of them are imported already (numpy 1.x imports ``numpy.random`` in
+    ``import numpy``) this is the plain import.  The stubs go again in the
+    ``finally``; a later import of the real package reuses the cached
+    extensions and so returns this same object.  The real package then
+    lacks the attributes of the submodules loaded here (``numpy.random``
+    those of ``bit_generator`` and ``_philox``, ``scipy.special`` that of
+    ``_ufuncs_cxx``, ...), which stay in ``sys.modules``: ``from
+    numpy.random import bit_generator``, ``import
+    numpy.random.bit_generator`` and every public name still work, but
+    ``numpy.random.bit_generator`` as an attribute does not.  Where the
+    private layout differs, the attribute of the parent package, the
+    public import, is taken instead.
     """
-    spec = importlib.util.find_spec("scipy")
+    parent = module.rpartition(".")[0]
+    spec = importlib.util.find_spec(module.partition(".")[0])
     if spec is not None and spec.submodule_search_locations:
         root = spec.submodule_search_locations[0]
-        stubs = [name for name in ("scipy", "scipy._lib", "scipy.special")
-                 if name not in sys.modules]
+        parents = [module.rsplit(".", k)[0] for k in range(module.count("."), 0, -1)]
+        stubs = [name for name in (*parents, *also) if name not in sys.modules]
         for name in stubs:
             stub = types.ModuleType(name)
             stub.__path__ = [os.path.join(root, *name.split(".")[1:])]
             sys.modules[name] = stub
         try:
-            from scipy.special._ufuncs import ndtri
-            return ndtri
+            return getattr(__import__(module, fromlist=[attr]), attr)
         except (ImportError, AttributeError):
-            pass  # a scipy whose private layout differs: the public import below
+            pass  # a private layout that differs: the public import below
         finally:
             for name in stubs:
                 del sys.modules[name]
-    from scipy.special import ndtri
-    return ndtri
+    return getattr(__import__(parent, fromlist=[attr]), attr)
 
 
-ndtri = _load_ndtri()
+Philox = _load_bare("numpy.random._philox", "Philox")
+ndtri = _load_bare("scipy.special._ufuncs", "ndtri", also=("scipy._lib",))
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

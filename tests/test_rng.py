@@ -184,17 +184,24 @@ def test_package_import_skips_scipy_special_init():
     # scipy.special's __init__ pulls in numpy.f2py and numpy.testing
     # through its array-API shim, scipy's and scipy._lib's load _testutils,
     # subprocess and the config modules, and the thread pool loads logging;
-    # the package loads the ufunc, and a one-thread run, without any of them.
-    # Its value classes need no dataclass code generation either
+    # numpy.random's __init__ loads the other bit generators, Generator and
+    # the legacy RandomState; the package loads the ufunc, Philox, and a
+    # one-thread run, without any of them.  Its value classes need no
+    # dataclass code generation either
     out = _fresh("""
         import sys
         import meanfield_hmc.cli
         heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
                  "scipy", "scipy._lib", "scipy._lib._testutils", "subprocess",
-                 "concurrent.futures", "logging", "dataclasses")
+                 "concurrent.futures", "logging", "dataclasses",
+                 "numpy.random", "numpy.random.mtrand", "numpy.random._generator",
+                 "numpy.random._mt19937", "numpy.random._pcg64", "numpy.random._sfc64",
+                 "numpy.random._bounded_integers", "numpy.random._pickle")
         print([name for name in heavy if name in sys.modules])
+        print(sorted(name for name in sys.modules if name.startswith("numpy.random.")))
     """)
-    assert out == "[]\n"
+    assert out == ("[]\n['numpy.random._common', 'numpy.random._philox', "
+                   "'numpy.random.bit_generator']\n")
 
 
 def test_later_scipy_special_import_shares_the_ufunc():
@@ -232,41 +239,119 @@ def test_earlier_scipy_special_import_shares_the_ufunc():
     assert out == "True\n"
 
 
-def _load_under(refusal: str) -> str:
+# each bare load's module: the attribute taken from it, and the packages
+# stubbed while it loads in a fresh interpreter
+_BARE_LOADS = {
+    "scipy.special._ufuncs": ("ndtri", ("scipy", "scipy._lib", "scipy.special")),
+    "numpy.random._philox": ("Philox", ("numpy.random",)),
+}
+
+
+def _load_under(module: str, refusal: str) -> str:
     """stdout of a fresh ``import meanfield_hmc.rng`` while a finder runs
-    ``refusal`` on finding ``scipy.special._ufuncs`` under the stubs: the
-    ufunc's identity with the public one, then whether each stubbed name
-    is the real package afterwards."""
+    ``refusal`` on finding ``module`` under its stub parent: whether each
+    package the load stubs is the real one right after the import (so the
+    public import ran and no stub stayed), then the loaded object's
+    identity with the public one."""
+    attr, stubbed = _BARE_LOADS[module]
+    parent = module.rpartition(".")[0]
     return _fresh(f"""
         import sys
 
         class RefuseUnderStub:
             def find_spec(self, name, path=None, target=None):
-                parent = sys.modules.get("scipy.special")
-                if name == "scipy.special._ufuncs" and not hasattr(parent, "__file__"):
+                if name == {module!r} and not hasattr(sys.modules[{parent!r}], "__file__"):
                     {refusal}
                 return None
 
         sys.meta_path.insert(0, RefuseUnderStub())
         import meanfield_hmc.rng
-        import scipy.special
-        print(meanfield_hmc.rng.ndtri is scipy.special.ndtri,
-              [hasattr(sys.modules[name], "__file__") for name in ("scipy", "scipy._lib", "scipy.special")])
+        print([hasattr(sys.modules.get(name), "__file__") for name in {stubbed!r}])
+        import {parent}
+        print(meanfield_hmc.rng.{attr} is {parent}.{attr})
     """)
 
 
-def test_private_layout_failure_falls_back_to_the_public_import():
-    # a scipy whose _ufuncs cannot load under the stub parents: the public
-    # import runs instead and none of the three stubs stays behind
-    out = _load_under('raise ImportError("refused under the stub")')
-    assert out == "True [True, True, True]\n"
+@pytest.mark.parametrize("module", list(_BARE_LOADS))
+def test_private_layout_failure_falls_back_to_the_public_import(module):
+    # a layout whose compiled module cannot load under the stub parents:
+    # the public import runs instead and none of the stubs stays behind
+    out = _load_under(module, 'raise ImportError("refused under the stub")')
+    assert out == f"{[True] * len(_BARE_LOADS[module][1])}\nTrue\n"
 
 
-def test_attribute_of_the_real_package_falls_back_to_the_public_import():
-    # an extension that reads an attribute the real scipy package has and
+@pytest.mark.parametrize("module", list(_BARE_LOADS))
+def test_attribute_of_the_real_package_falls_back_to_the_public_import(module):
+    # an extension that reads an attribute the real parent package has and
     # the stub lacks
-    out = _load_under('sys.modules["scipy"].__version__')
-    assert out == "True [True, True, True]\n"
+    out = _load_under(module, f"sys.modules[{module.rpartition('.')[0]!r}].__all__")
+    assert out == f"{[True] * len(_BARE_LOADS[module][1])}\nTrue\n"
+
+
+_NUMPY_RANDOM_DRAWS = """
+    import numpy as np
+    print(np.random.default_rng(0).random(3), np.random.RandomState(0).rand(3),
+          np.random.SeedSequence(1).generate_state(2))
+"""
+
+
+def _stubs_made(before: str = "", after: str = "") -> str:
+    """stdout of a fresh interpreter that runs ``before``, imports
+    ``meanfield_hmc.rng``, prints the names of the modules made by
+    ``types.ModuleType`` meanwhile (the bare stubs) and whether its
+    ``Philox`` is ``numpy.random.Philox``, then runs ``after``."""
+    record = """
+        import types
+        made = []
+
+        class Recording(types.ModuleType):
+            def __init__(self, name, *args):
+                made.append(name)
+                super().__init__(name, *args)
+
+        types.ModuleType = Recording
+        import meanfield_hmc.rng
+        types.ModuleType = Recording.__base__
+        import numpy.random
+        print(made, meanfield_hmc.rng.Philox is numpy.random.Philox)
+    """
+    return _fresh("\n".join(textwrap.dedent(code) for code in (before, record, after)))
+
+
+def test_later_numpy_random_import_shares_philox_and_draws_as_without_the_package():
+    made, draws = _stubs_made(after=_NUMPY_RANDOM_DRAWS).split("\n", 1)
+    assert made == "['numpy.random', 'scipy', 'scipy.special', 'scipy._lib'] True"
+    assert draws == _fresh(_NUMPY_RANDOM_DRAWS)
+
+
+def test_earlier_numpy_random_import_installs_no_stub():
+    out = _stubs_made(before="""
+        import sys
+        import numpy.random
+        real = sys.modules["numpy.random"]
+    """, after='print(sys.modules["numpy.random"] is real)')
+    assert out == "['scipy', 'scipy.special', 'scipy._lib'] True\nTrue\n"
+
+
+def test_numpy_random_submodules_loaded_first_stay_importable():
+    # the real numpy.random, imported after the package, lacks the
+    # attributes of the submodules loaded under its stub; every import form
+    # and public name still works
+    out = _fresh("""
+        import sys
+        import meanfield_hmc.rng
+        import numpy.random
+        print(hasattr(numpy.random, "bit_generator"), hasattr(numpy.random, "_philox"))
+        from numpy.random import bit_generator, _philox
+        import numpy.random.bit_generator
+        import numpy.random._philox as philox_module
+        print(bit_generator is sys.modules["numpy.random.bit_generator"],
+              _philox is philox_module is sys.modules["numpy.random._philox"],
+              all(hasattr(numpy.random, name) for name in numpy.random.__all__),
+              numpy.random.SeedSequence is bit_generator.SeedSequence,
+              meanfield_hmc.rng.Philox is _philox.Philox)
+    """)
+    assert out == "False False\nTrue True True True True\n"
 
 
 def test_a_run_imports_nothing(tmp_path):
