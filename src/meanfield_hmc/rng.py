@@ -19,9 +19,19 @@ Both compiled pieces load through :func:`_load_bare`, which skips the
   ``_generator``, ``_bounded_integers``, ``_mt19937``, ``_pcg64``,
   ``_sfc64`` and ``_pickle`` and seeds a global legacy ``RandomState``,
   about 5-7 ms and 1.4-1.8 MB of peak memory that no run uses.  What
-  stays, about 6-8 ms, is ``_philox``, ``bit_generator`` and
-  ``_common``: ``bit_generator`` imports ``secrets``, and with it
-  ``hashlib`` and OpenSSL (4-6 ms), because ``SeedSequence`` needs them.
+  stays is ``_philox``, ``bit_generator`` and ``_common``.
+  ``bit_generator`` takes one name from ``secrets``, ``randbits``, which
+  the standard library defines as ``_sysrand.getrandbits`` with
+  ``_sysrand = random.SystemRandom()``.  The load lends it that same
+  method of its own ``SystemRandom``, from the ``random`` module that
+  ``import numpy`` has loaded already, through a shim module in place of
+  ``secrets``; every read of OS entropy stays as it was.  The real
+  ``secrets`` loads ``hmac``, ``hashlib``, ``_hashlib`` with OpenSSL's
+  ``libcrypto``, ``_blake2`` and ``base64``: about 3.9-5.9 ms and 3.7 MB
+  of peak memory that no run uses.  A later ``import secrets`` still
+  gets the real module.  Each ``RngStream`` still reads 128 bits of OS
+  entropy, about 0.7-1.2 us of its 12-14 us construction, for a
+  ``SeedSequence`` that ``Philox(key=...)`` seeds and then discards.
 - ``ndtri`` is scipy's own ufunc, taken from ``scipy.special._ufuncs``
   without the ``__init__`` of ``scipy``, ``scipy._lib`` or
   ``scipy.special``.  ``scipy.special``'s costs about 0.23 s (its
@@ -36,13 +46,14 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import random
 import sys
 import types
 
 import numpy as np
 
 
-def _load_bare(module, attr, also=()):
+def _load_bare(module, attr, also=(), shims=None):
     """``getattr(module, attr)`` for a compiled ``module``, loaded without
     the ``__init__`` of its parent packages.
 
@@ -62,6 +73,12 @@ def _load_bare(module, attr, also=()):
     ``numpy.random.bit_generator`` as an attribute does not.  Where the
     private layout differs, the attribute of the parent package, the
     public import, is taken instead.
+
+    ``shims`` maps a plain module name to the attributes the load sees
+    under that name.  Each one not yet in ``sys.modules`` is a module of
+    just those attributes while ``module`` loads, and goes with the stubs;
+    if the load asks it for any other name, the ``ImportError`` takes the
+    public import, which imports the real module.
     """
     parent = module.rpartition(".")[0]
     spec = importlib.util.find_spec(module.partition(".")[0])
@@ -73,6 +90,12 @@ def _load_bare(module, attr, also=()):
             stub = types.ModuleType(name)
             stub.__path__ = [os.path.join(root, *name.split(".")[1:])]
             sys.modules[name] = stub
+        for name, attrs in (shims or {}).items():
+            if name not in sys.modules:
+                shim = types.ModuleType(name)
+                vars(shim).update(attrs)
+                sys.modules[name] = shim
+                stubs.append(name)
         try:
             return getattr(__import__(module, fromlist=[attr]), attr)
         except (ImportError, AttributeError):
@@ -83,7 +106,9 @@ def _load_bare(module, attr, also=()):
     return getattr(__import__(parent, fromlist=[attr]), attr)
 
 
-Philox = _load_bare("numpy.random._philox", "Philox")
+# stdlib secrets.randbits is exactly this: secrets._sysrand.getrandbits
+Philox = _load_bare("numpy.random._philox", "Philox",
+                    shims={"secrets": {"randbits": random.SystemRandom().getrandbits}})
 ndtri = _load_bare("scipy.special._ufuncs", "ndtri", also=("scipy._lib",))
 
 _MASK64 = (1 << 64) - 1

@@ -185,10 +185,13 @@ def test_package_import_skips_scipy_special_init():
     # through its array-API shim, scipy's and scipy._lib's load _testutils,
     # subprocess and the config modules, and the thread pool loads logging;
     # numpy.random's __init__ loads the other bit generators, Generator and
-    # the legacy RandomState; the package loads the ufunc, Philox, and a
+    # the legacy RandomState; secrets, which bit_generator takes randbits
+    # from, loads hmac, hashlib, base64, _blake2 and _hashlib with
+    # OpenSSL's libcrypto.  The package loads the ufunc, Philox, and a
     # one-thread run, without any of them.  Its value classes need no
     # dataclass code generation either
     out = _fresh("""
+        import os
         import sys
         import meanfield_hmc.cli
         heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
@@ -196,12 +199,15 @@ def test_package_import_skips_scipy_special_init():
                  "concurrent.futures", "logging", "dataclasses",
                  "numpy.random", "numpy.random.mtrand", "numpy.random._generator",
                  "numpy.random._mt19937", "numpy.random._pcg64", "numpy.random._sfc64",
-                 "numpy.random._bounded_integers", "numpy.random._pickle")
+                 "numpy.random._bounded_integers", "numpy.random._pickle",
+                 "secrets", "hmac", "hashlib", "_hashlib", "_blake2", "base64")
         print([name for name in heavy if name in sys.modules])
         print(sorted(name for name in sys.modules if name.startswith("numpy.random.")))
+        maps = "/proc/self/maps"
+        print(os.path.exists(maps) and "libcrypto" in open(maps).read())
     """)
     assert out == ("[]\n['numpy.random._common', 'numpy.random._philox', "
-                   "'numpy.random.bit_generator']\n")
+                   "'numpy.random.bit_generator']\nFalse\n")
 
 
 def test_later_scipy_special_import_shares_the_ufunc():
@@ -240,19 +246,20 @@ def test_earlier_scipy_special_import_shares_the_ufunc():
 
 
 # each bare load's module: the attribute taken from it, and the packages
-# stubbed while it loads in a fresh interpreter
+# stubbed and modules shimmed while it loads in a fresh interpreter
 _BARE_LOADS = {
     "scipy.special._ufuncs": ("ndtri", ("scipy", "scipy._lib", "scipy.special")),
-    "numpy.random._philox": ("Philox", ("numpy.random",)),
+    "numpy.random._philox": ("Philox", ("numpy.random", "secrets")),
 }
 
 
-def _load_under(module: str, refusal: str) -> str:
+def _load_under(module: str, refusal: str, found: str = "") -> str:
     """stdout of a fresh ``import meanfield_hmc.rng`` while a finder runs
-    ``refusal`` on finding ``module`` under its stub parent: whether each
-    package the load stubs is the real one right after the import (so the
-    public import ran and no stub stayed), then the loaded object's
-    identity with the public one."""
+    ``refusal`` on finding ``found`` (default ``module``) under the stub
+    parent of ``module``: whether each module the load stubs or shims is
+    the real one right after the import (so the public import ran and no
+    stub or shim stayed), then the loaded object's identity with the
+    public one."""
     attr, stubbed = _BARE_LOADS[module]
     parent = module.rpartition(".")[0]
     return _fresh(f"""
@@ -260,7 +267,7 @@ def _load_under(module: str, refusal: str) -> str:
 
         class RefuseUnderStub:
             def find_spec(self, name, path=None, target=None):
-                if name == {module!r} and not hasattr(sys.modules[{parent!r}], "__file__"):
+                if name == {found or module!r} and not hasattr(sys.modules[{parent!r}], "__file__"):
                     {refusal}
                 return None
 
@@ -286,6 +293,15 @@ def test_attribute_of_the_real_package_falls_back_to_the_public_import(module):
     # the stub lacks
     out = _load_under(module, f"sys.modules[{module.rpartition('.')[0]!r}].__all__")
     assert out == f"{[True] * len(_BARE_LOADS[module][1])}\nTrue\n"
+
+
+def test_a_name_the_secrets_shim_lacks_falls_back_to_the_public_import():
+    # a numpy whose bit_generator imports another name from secrets: the
+    # shim, here stripped of randbits, refuses it, and the public import
+    # loads the real secrets
+    out = _load_under("numpy.random._philox", 'del sys.modules["secrets"].randbits',
+                      found="numpy.random.bit_generator")
+    assert out == "[True, True]\nTrue\n"
 
 
 _NUMPY_RANDOM_DRAWS = """
@@ -320,7 +336,7 @@ def _stubs_made(before: str = "", after: str = "") -> str:
 
 def test_later_numpy_random_import_shares_philox_and_draws_as_without_the_package():
     made, draws = _stubs_made(after=_NUMPY_RANDOM_DRAWS).split("\n", 1)
-    assert made == "['numpy.random', 'scipy', 'scipy.special', 'scipy._lib'] True"
+    assert made == "['numpy.random', 'secrets', 'scipy', 'scipy.special', 'scipy._lib'] True"
     assert draws == _fresh(_NUMPY_RANDOM_DRAWS)
 
 
@@ -331,6 +347,44 @@ def test_earlier_numpy_random_import_installs_no_stub():
         real = sys.modules["numpy.random"]
     """, after='print(sys.modules["numpy.random"] is real)')
     assert out == "['scipy', 'scipy.special', 'scipy._lib'] True\nTrue\n"
+
+
+_HASHES = """
+    import hashlib
+    import hmac
+    print(hashlib.sha256(b"abc").hexdigest(), hmac.new(b"k", b"m", "sha256").hexdigest())
+"""
+
+
+def test_later_secrets_import_is_the_real_module():
+    # after the shim has gone, secrets, hashlib and hmac import as in an
+    # interpreter without the package, and numpy's randbits is the
+    # stdlib's method
+    out = _fresh(textwrap.dedent("""
+        import random
+        import sys
+        import meanfield_hmc.cli
+        import numpy as np
+        import secrets
+        randbits = sys.modules["numpy.random.bit_generator"].randbits
+        print(hasattr(secrets, "__file__"), len(secrets.token_hex(16)),
+              isinstance(randbits.__self__, random.SystemRandom),
+              randbits.__func__ is random.SystemRandom.getrandbits,
+              np.random.SeedSequence().entropy < 2**128,
+              0.0 <= np.random.default_rng().random() < 1.0)
+    """) + textwrap.dedent(_HASHES))
+    flags, hashes = out.split("\n", 1)
+    assert flags == "True 32 True True True True"
+    assert hashes == _fresh(_HASHES)
+
+
+def test_earlier_secrets_import_installs_no_shim():
+    out = _stubs_made(before="import secrets", after="""
+        import sys
+        randbits = sys.modules["numpy.random.bit_generator"].randbits
+        print(randbits.__self__ is secrets._sysrand)
+    """)
+    assert out == "['numpy.random', 'scipy', 'scipy.special', 'scipy._lib'] True\nTrue\n"
 
 
 def test_numpy_random_submodules_loaded_first_stay_importable():
