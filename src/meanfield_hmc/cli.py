@@ -61,7 +61,7 @@ def _add_model_flags(p):
     p.add_argument("--model", default="gaussian",
                    choices=["gaussian", "multiwell", "shallow-net"])
     p.add_argument("--eps", type=float, default=0.25,
-                   help="interaction strength (model-specific meaning)")
+                   help="interaction strength eps, the factor of the pair term W")
     p.add_argument("--a", type=float, default=None,
                    help="multiwell bump sharpness (multiwell only; default 1)")
     p.add_argument("--dim", type=int, default=None,

@@ -1,23 +1,21 @@
 """Mean-field model abstraction and the built-in model instances.
 
-A model bundles a confinement potential V, a symmetric pair interaction W,
-their gradients, and the regularity constants the convergence-rate
-machinery needs.  The N-particle potential behind every sampler here is
+A model is its force, its constants and its params.  Each builder's
+docstring states a confinement V and a symmetric pair interaction W; the
+N-particle potential behind every sampler here is
 
     U(x) = sum_i [ V(x^i) + (eps / 2N) * sum_j W(x^i, x^j) ],
 
-whose per-particle gradient reduces, by symmetry of W, to
+and by symmetry of W the force, the per-particle gradient of U, is
 
-    grad_i U(x) = grad_V(x^i) + (eps / N) * sum_j grad1_W(x^i, x^j).
+    grad_i U(x) = grad V(x^i) + (eps / N) * sum_j grad_1 W(x^i, x^j),
 
-All model callables are vectorized over leading batch axes: ``grad_V``
-maps (..., d) -> (..., d) and ``V`` maps (..., d) -> (...); the pair
-functions broadcast their two arguments.  The private helpers under
-"reductions and broadcasts over the coordinate axis" serve the forces and
-the coupling metric on (..., N, d) arrays, bit for bit as numpy would.
-The one exception is the particle mean of the quadratic-interaction
-multiwell force, a BLAS contraction: its last bits depend on how many
-rows the call holds, not on the BLAS thread count.
+which a model computes in one pass without the pair sum.  The private
+helpers under "reductions and broadcasts over the coordinate axis" serve
+the forces and the coupling metric on (..., N, d) arrays, bit for bit as
+numpy would.  The one exception is the particle mean of the
+quadratic-interaction multiwell force, a BLAS contraction: its last bits
+depend on how many rows the call holds, not on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -96,26 +94,21 @@ class AssumptionConstants(_Frozen):
 
 
 class MeanFieldModel(_Frozen):
-    """A mean-field sampling target.
+    """A mean-field sampling target: its force, its constants and its params.
 
-    ``epsilon`` is the interaction strength multiplying the W-term of the
-    particle potential.  ``grad_U_all`` is the force every sampler calls:
-    the full per-particle gradient, (..., N, d) -> (..., N, d), in one pass
-    that avoids the O(N^2 d) pair sum: O(N d) for the gaussian and
-    multiwell models, O(N d M) for the shallow-net model on M data points.
-    The integrator relies on its contract: it returns an array of q's
-    shape that callers only read, and it may alias its input (return q
-    itself, or a view of it).  ``V``, ``W``, ``grad_V`` and ``grad1_W``
-    define the target and serve the checks of the force and of the
-    constants against it.  Instances are immutable and safe to share
-    across threads.  ``params`` defaults to a new empty dict.
+    ``grad_U_all`` is the force every sampler calls: the per-particle
+    gradient of U, (..., N, d) -> (..., N, d), in one pass that avoids the
+    O(N^2 d) pair sum: O(N d) for the gaussian and multiwell models,
+    O(N d M) for the shallow-net model on M data points.  The integrator
+    relies on its contract: it returns an array of q's shape that callers
+    only read, and it may alias its input (return q itself, or a view of
+    it).  ``epsilon`` scales W in U, and ``constants`` bound the V and W
+    whose gradient the force is.  ``params`` (a new empty dict by default)
+    names the model's parameters.  Instances are immutable and safe to
+    share across threads.
     """
 
     def __init__(self, name: str, dim: int, epsilon: float,
-                 grad_V: Callable[[np.ndarray], np.ndarray],
-                 grad1_W: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 V: Callable[[np.ndarray], np.ndarray],
-                 W: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  constants: AssumptionConstants,
                  grad_U_all: Callable[[np.ndarray], np.ndarray],
                  params: Optional[dict] = None):
@@ -237,16 +230,6 @@ def gaussian_model(epsilon: float) -> MeanFieldModel:
     _check_quadratic_epsilon(epsilon)
     eps = float(epsilon)
 
-    def V(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (1.0 - eps) * np.sum(x * x, axis=-1)
-
-    def grad_V(x):
-        return (1.0 - eps) * np.asarray(x, dtype=float)
-
-    def W(x, y):
-        return _quadratic_pair(x, y) - 0.5
-
     def grad_U_all(q):
         # grad_i U = q^i - (eps/N) sum_j q^j, via the shared particle sum;
         # add.reduce / N is the arithmetic of q.mean without its wrapper
@@ -256,7 +239,6 @@ def gaussian_model(epsilon: float) -> MeanFieldModel:
         K=1.0 - eps, L1=1.0, L2=1.0, L_tilde=1.0, R_conv=0.0, W0=0.0)
     return MeanFieldModel(
         name="gaussian", dim=1, epsilon=eps,
-        grad_V=grad_V, grad1_W=_quadratic_pair_grad, V=V, W=W,
         constants=constants, grad_U_all=grad_U_all,
         params={"epsilon": eps})
 
@@ -269,31 +251,22 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
                     interaction: Optional[str] = None) -> MeanFieldModel:
     """V(x) = |x|^2/2 + exp(-(a/2)|x|^2); non-convex at the origin for a >= 1.
 
-    ``interaction`` is ``None`` (no pair term) or ``"quadratic"`` for
-    W(x, y) = |x - y|^2 / 2 with strength ``epsilon``.
+    ``interaction`` is ``None`` for W = 0, where ``epsilon`` scales nothing,
+    or ``"quadratic"`` for W(x, y) = |x - y|^2 / 2 with strength ``epsilon``.
     """
     if not 0 <= a < np.inf:
         raise InvalidModelError(f"a must be finite and nonnegative, got a={a}")
     a = float(a)
     dim = int(dim)
 
-    def V(x):
-        x = np.asarray(x, dtype=float)
-        sq = np.sum(x * x, axis=-1)
-        return 0.5 * sq + np.exp(-0.5 * a * sq)
-
     def grad_V(x):
-        x = np.asarray(x, dtype=float)
         return _columnwise(np.multiply, x, 1.0 - a * np.exp(-0.5 * a * _dot_last(x, x)))
 
     if interaction is None:
-        W = _zero_pair
-        grad1_W = _zero_pair_grad
         l_tilde = 0.0
-        # W = 0, so epsilon scales nothing and the force is grad_V alone
+        # W = 0, so the force is grad_V alone
         grad_U_all = grad_V
     elif interaction == "quadratic":
-        W, grad1_W = _quadratic_pair, _quadratic_pair_grad
         l_tilde = 1.0
         eps = float(epsilon)
 
@@ -321,27 +294,8 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
         R_conv=float(4.0 * np.sqrt(a / np.e)), W0=0.0)
     return MeanFieldModel(
         name="multiwell", dim=dim, epsilon=float(epsilon),
-        grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
         constants=constants, grad_U_all=grad_U_all,
         params={"a": a, "epsilon": float(epsilon), "interaction": interaction})
-
-
-def _quadratic_pair(x, y):
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return 0.5 * np.sum(diff * diff, axis=-1)
-
-
-def _quadratic_pair_grad(x, y):
-    return np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-
-
-def _zero_pair(x, y):
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return np.zeros(shape[:-1])
-
-
-def _zero_pair_grad(x, y):
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +304,12 @@ def _zero_pair_grad(x, y):
 
 def _csv_float(text, where):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InvalidModelError(f"{where}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise InvalidModelError(f"{where}: {text!r} is not a finite number")
+    return value
 
 
 class ShallowNetDataset(_Frozen):
@@ -489,43 +446,9 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
     y = data.outputs         # (M,)
     neg_zt = (-z).T          # (d-1, M), for the feature pass
     m_count = data.count
-    dim = 1 + data.input_dim
-
-    def _features(x):
-        # x: (..., d) -> beta: (...,) and sigma(alpha . z_m): (..., M)
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != dim:
-            raise InvalidModelError(
-                f"parameter dimension {x.shape[-1]} does not match dataset "
-                f"(expected {dim})")
-        return _ridge_features(x, neg_zt)
-
-    def phi(x):
-        beta, sig = _features(x)
-        return beta[..., None] * sig
-
-    def V(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum(x * x, axis=-1) + (2.0 / m_count) * (phi(x) @ y)
-
-    def grad_V(x):
-        x = np.asarray(x, dtype=float)
-        r = _ridge_sum(*_features(x), y[:, None], z)
-        np.multiply(2.0 / m_count, r, out=r)
-        return np.add(x, r, out=r)
-
-    def W(x, xt):
-        return (2.0 / m_count) * np.sum(phi(x) * phi(xt), axis=-1)
-
-    def grad1_W(x, xt):
-        # each row has its own weights phi(xt): a block of one row
-        x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
-        beta, sig = _features(x)
-        r = _ridge_sum(beta[..., None], sig[..., None, :], phi(xt)[..., None], z)
-        return (2.0 / m_count) * r[..., 0, :]
 
     def grad_U_all(q):
-        beta, sig = _features(q)
+        beta, sig = _ridge_features(q, neg_zt)
         weights = beta[..., None, :] @ sig
         weights *= eps / q.shape[-2]
         weights += y
@@ -536,8 +459,7 @@ def shallow_net_model(data: ShallowNetDataset, epsilon: float = 1.0) -> MeanFiel
 
     constants = _box_constants(z, y)
     return MeanFieldModel(
-        name="shallow-net", dim=dim, epsilon=eps,
-        grad_V=grad_V, grad1_W=grad1_W, V=V, W=W,
+        name="shallow-net", dim=1 + data.input_dim, epsilon=eps,
         constants=constants, grad_U_all=grad_U_all,
         params={"epsilon": eps, "activation": _ACTIVATION, "M": m_count,
                 "input_dim": data.input_dim, "box_radius": _BOX_RADIUS})

@@ -94,6 +94,13 @@ def _r_tilde(c) -> float:
     return math.sqrt((2.0 * c.L + c.K) / (6.0 * c.K)) * c.R_conv
 
 
+def _times_eps_lt(model, left, right=1.0) -> float:
+    """left * eps * L_tilde * right, multiplied in that order; 0 at eps = 0,
+    where W adds nothing even if L_tilde or ``right`` is infinite."""
+    eps = model.epsilon
+    return left * eps * model.constants.L_tilde * right if eps else 0.0
+
+
 def _in_float_range(fn):
     """``fn(model, T, ...)`` with an ArithmeticError (a T^2 that overflows or
     underflows to a zero divisor) re-raised as a ValueError naming T and the model."""
@@ -120,8 +127,8 @@ def check_conditions(model: MeanFieldModel, T: float) -> dict:
     """
     _check_duration(T)
     c = model.constants
-    K, L, Lt = c.K, c.L, c.L_tilde
-    eps_lt = model.epsilon * Lt
+    K, L = c.K, c.L
+    eps_lt = _times_eps_lt(model, 1.0)
     r_tilde = _r_tilde(c)
     inv_rt2 = math.inf if r_tilde**2 == 0.0 else 1.0 / r_tilde**2
     root = math.sqrt(7.0 / 6.0 + 3.0 / (2.0 * K * T**2))
@@ -165,7 +172,7 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
 
     r_tilde = _r_tilde(c)
     r1, a_const = metric_radius(r_tilde, T)
-    l_e = L + 2.0 * eps * Lt
+    l_e = L + _times_eps_lt(model, 2.0)
 
     c_nhmc = (K * T**2 / 156.0) * math.exp(-1.25 * r_tilde / T)
     c_strong = K * T**2 / 8.0
@@ -174,7 +181,7 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
     b1 = m2_init + (1280.0 / (13.0 * K)) * (
         c.C_hat + 11.0 * d
         + 6.0 * (eps * W0)**2 * T**2 + 22.5 * (eps**2 / K) * W0**2)
-    b = 4.0 * T**2 * eps * Lt * math.sqrt(b1)
+    b = _times_eps_lt(model, 4.0 * T**2, math.sqrt(b1))
 
     if W0 == 0.0:
         w0_term = 0.0

@@ -304,6 +304,8 @@ def test_constants_rejects_bad_inputs(capsys, flag, value, message):
     ("y,z1,z2\n1,2,3\n4,5\n", "line 3: ragged rows, 2 values under a 3-column header"),
     ("y,z1\n1,2\n\n3,4,5\n", "line 4: ragged rows, 3 values under a 2-column header"),
     ("y,z1,z2\n1,2,3\n4,abc,6\n", "line 3: 'abc' is not a number"),
+    ("y,z1\n1,nan\n", "line 2: 'nan' is not a finite number"),
+    ("y,z1\n1,2\n1e400,3\n", "line 3: '1e400' is not a finite number"),
 ])
 def test_bad_data_file_exit_codes(tmp_path, capsys, text, message):
     # a malformed --data file names its path and the 1-based line at fault

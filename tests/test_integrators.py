@@ -15,15 +15,11 @@ from conftest import read_only, reference_randomized_step
 
 def _free_model(dim=1):
     """No force at all: V = 0, W = 0."""
-    zeros_scalar = lambda x: np.zeros(np.asarray(x).shape[:-1])
-    zeros_vec = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return MeanFieldModel(
         name="free", dim=dim, epsilon=0.0,
-        grad_V=zeros_vec, grad1_W=lambda x, y: zeros_vec(x),
-        V=zeros_scalar, W=lambda x, y: zeros_scalar(x),
         constants=AssumptionConstants(K=1.0, L1=0.0, L2=1.0, L_tilde=0.0,
                                       R_conv=0.0, W0=0.0),
-        grad_U_all=zeros_vec)
+        grad_U_all=np.zeros_like)
 
 
 def _count_flow_steps(T, h):
@@ -137,8 +133,6 @@ def test_non_finite_force_names_its_step():
     nan_beyond_3 = lambda q: np.where(q > 3.0, np.nan, 0.0)
     m = MeanFieldModel(
         name="cliff", dim=1, epsilon=0.0,
-        grad_V=nan_beyond_3, grad1_W=lambda x, y: np.zeros_like(x),
-        V=lambda x: np.zeros(np.shape(x)[:-1]), W=lambda x, y: np.zeros(np.shape(x)[:-1]),
         constants=AssumptionConstants(K=1.0, L1=0.0, L2=1.0, L_tilde=0.0,
                                       R_conv=0.0, W0=0.0),
         grad_U_all=nan_beyond_3)
@@ -173,10 +167,6 @@ def _identity_force_model(dim, seen=None):
         return q
     return MeanFieldModel(
         name="identity", dim=dim, epsilon=0.0,
-        grad_V=lambda x: np.asarray(x, dtype=float),
-        grad1_W=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        V=lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
-        W=lambda x, y: np.zeros(np.shape(x)[:-1]),
         constants=AssumptionConstants(K=1.0, L1=1.0, L2=1.0, L_tilde=0.0,
                                       R_conv=0.0, W0=0.0),
         grad_U_all=grad_U_all)

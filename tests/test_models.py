@@ -13,36 +13,40 @@ from scipy.special import expit
 from meanfield_hmc import (InvalidModelError, ShallowNetDataset,
                            gaussian_model, mean_field_grad_all, models,
                            multiwell_model, shallow_net_model)
-from conftest import central_diff_grad, pairwise_grad_all, read_only, rel_err
+from conftest import (central_diff_grad, pair_sum_potential, pairwise_grad_all,
+                      read_only, reference, reference_shallow_net, rel_err)
 
 
 def _builtin_models():
+    """Each built-in model with its expression-form reference."""
     rng = np.random.default_rng(314)
     data = ShallowNetDataset(inputs=rng.normal(size=(40, 2)),
                              outputs=rng.normal(size=40))
-    return [
+    models = [
         gaussian_model(0.25),
         multiwell_model(1.0, dim=2, epsilon=0.5, interaction="quadratic"),
         multiwell_model(0.7),
         shallow_net_model(data),
     ]
+    return [(m, reference(m, data)) for m in models]
 
 
 # --- gaussian model ---------------------------------------------------------
 
 def test_gaussian_potential_value():
-    m = gaussian_model(0.25)
-    assert m.V(np.array([1.0])) == pytest.approx(0.375, abs=1e-15)
+    ref = reference(gaussian_model(0.25))
+    assert ref.V(np.array([1.0])) == pytest.approx(0.375, abs=1e-15)
 
 
 def test_gaussian_zero_interaction():
     # the pair term enters the potential as epsilon * W
     m = gaussian_model(0.0)
     assert m.epsilon == 0.0
+    ref = reference(m)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, y = rng.normal(size=(2, 1))
-        assert m.epsilon * m.W(np.array([x]), np.array([y])) == 0.0
+        assert ref.epsilon * ref.W(np.array([x]), np.array([y])) == 0.0
 
 
 def test_gaussian_two_particle_force():
@@ -74,13 +78,13 @@ def test_gaussian_constants():
 
 def test_gaussian_target_reduces_to_standard_normal():
     # V(x) + eps E_{y~N(0,1)} W(x, y) = x^2/2, by Gauss-Hermite quadrature
-    m = gaussian_model(0.25)
+    ref = reference(gaussian_model(0.25))
     nodes, weights = np.polynomial.hermite.hermgauss(64)
     y = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
     for x in (-2.0, -0.3, 0.0, 1.1, 3.0):
-        integral = np.sum(w * m.epsilon * m.W(np.array([x]), y[:, None]))
-        total = m.V(np.array([x])) + integral
+        integral = np.sum(w * ref.epsilon * ref.W(np.array([x]), y[:, None]))
+        total = ref.V(np.array([x])) + integral
         assert total == pytest.approx(0.5 * x * x, abs=1e-8)
 
 
@@ -95,14 +99,15 @@ def test_multiwell_constants_at_a1():
 def test_multiwell_flat_bump():
     m = multiwell_model(0.0)
     x = np.array([0.7])
-    assert m.V(x) == pytest.approx(0.5 * 0.49 + 1.0, abs=1e-15)
-    assert np.allclose(m.grad_V(x), x)
+    assert reference(m).V(x) == pytest.approx(0.5 * 0.49 + 1.0, abs=1e-15)
+    # no interaction, so the force is grad_V
+    assert np.allclose(m.grad_U_all(x[None]), x)
     assert m.constants.R_conv == 0.0
 
 
 def test_multiwell_gradient_at_origin():
     m = multiwell_model(1.0)
-    assert np.allclose(m.grad_V(np.zeros(1)), 0.0)
+    assert np.allclose(m.grad_U_all(np.zeros((1, 1))), 0.0)
 
 
 def test_multiwell_interaction_modes():
@@ -110,8 +115,9 @@ def test_multiwell_interaction_modes():
     quad = multiwell_model(1.0, dim=2, epsilon=0.3, interaction="quadratic")
     x = np.array([0.4, -1.0])
     y = np.array([1.0, 0.2])
-    assert none.W(x, y) == 0.0
-    assert quad.W(x, y) == pytest.approx(0.5 * np.sum((x - y) ** 2))
+    assert reference(none).W(x, y) == 0.0
+    assert reference(quad).W(x, y) == pytest.approx(0.5 * np.sum((x - y) ** 2))
+    assert none.constants.L_tilde == 0.0
     assert quad.constants.L_tilde == 1.0
     with pytest.raises(InvalidModelError):
         multiwell_model(1.0, interaction="cubic")
@@ -176,28 +182,28 @@ def test_shallow_net_zero_outputs_reduce_to_regularizer():
     rng = np.random.default_rng(1)
     data = ShallowNetDataset(inputs=rng.normal(size=(30, 3)),
                              outputs=np.zeros(30))
-    m = shallow_net_model(data)
+    ref = reference(shallow_net_model(data), data)
     x = rng.normal(size=4)
-    assert m.V(x) == pytest.approx(0.5 * np.sum(x * x), abs=1e-12)
+    assert ref.V(x) == pytest.approx(0.5 * np.sum(x * x), abs=1e-12)
 
 
 def test_shallow_net_single_datum_value():
     # one point (y=1, z=0): sigmoid(0) = 1/2, so V(x) = |x|^2/2 + beta
     data = ShallowNetDataset(inputs=np.zeros((1, 1)), outputs=np.ones(1))
-    m = shallow_net_model(data)
+    ref = reference(shallow_net_model(data), data)
     for beta, alpha in [(0.3, -1.2), (-2.0, 0.5)]:
         x = np.array([beta, alpha])
-        assert m.V(x) == pytest.approx(0.5 * (beta**2 + alpha**2) + beta, abs=1e-12)
+        assert ref.V(x) == pytest.approx(0.5 * (beta**2 + alpha**2) + beta, abs=1e-12)
 
 
 def test_shallow_net_self_interaction_nonnegative():
     rng = np.random.default_rng(2)
     data = ShallowNetDataset(inputs=rng.normal(size=(25, 2)),
                              outputs=rng.normal(size=25))
-    m = shallow_net_model(data)
+    ref = reference(shallow_net_model(data), data)
     for _ in range(50):
         x = rng.normal(size=3)
-        assert m.W(x, x) >= 0.0
+        assert ref.W(x, x) >= 0.0
 
 
 def test_shallow_net_validation():
@@ -213,8 +219,8 @@ def test_shallow_net_validation():
     data = ShallowNetDataset(inputs=rng.normal(size=(5, 2)),
                              outputs=rng.normal(size=5))
     m = shallow_net_model(data)
-    with pytest.raises(InvalidModelError):
-        m.V(np.zeros(5))  # parameter dim is 3
+    with pytest.raises(ValueError, match=r"\(\.\.\., N, 3\)"):
+        mean_field_grad_all(m, np.zeros((2, 5)))  # parameter dim is 3
 
 
 def _reference_constants(data, d2_max=1.0 / (6.0 * math.sqrt(3.0)), radius=4.0):
@@ -234,8 +240,9 @@ def _reference_constants(data, d2_max=1.0 / (6.0 * math.sqrt(3.0)), radius=4.0):
             "R_conv": math.sqrt(2.0 * upsilon / m0), "W0": 0.0}
 
 
-def _in_box_excess(m, constants, seed, pairs=100_000, block=10_000):
-    """How far pairs inside the model's box exceed the bounds in ``constants``.
+def _in_box_excess(m, ref, constants, seed, pairs=100_000, block=10_000):
+    """How far pairs inside the box of model ``m`` exceed the bounds in
+    ``constants``, on the V and W of its reference ``ref``.
 
     Returns the largest grad_V difference quotient, grad1_W quotient (in
     the metric |x - y| + |xt - yt|) and convexity defect
@@ -256,8 +263,8 @@ def _in_box_excess(m, constants, seed, pairs=100_000, block=10_000):
         frac = 10.0 ** rng.uniform(-3.0, 0.0, size=(2, block, 1))
         y, yt = x + frac[0] * (w - x), xt + frac[1] * (wt - xt)
         dist = np.linalg.norm(x - y, axis=-1)
-        dg = m.grad_V(x) - m.grad_V(y)
-        dgw = m.grad1_W(x, xt) - m.grad1_W(y, yt)
+        dg = ref.grad_V(x) - ref.grad_V(y)
+        dgw = ref.grad1_W(x, xt) - ref.grad1_W(y, yt)
         worst = [
             (np.linalg.norm(dg, axis=-1) / dist).max() - constants["L1"],
             (np.linalg.norm(dgw, axis=-1)
@@ -283,7 +290,7 @@ def test_shallow_net_constants_bound_every_in_box_pair(count, inputs, scale):
     data = _shallow_net_data(count, inputs, scale)
     m = shallow_net_model(data)
     assert (m.constants.R_conv > 0.0) == (scale > 1.0)
-    excess = _in_box_excess(m, vars(m.constants), seed=count)
+    excess = _in_box_excess(m, reference(m, data), vars(m.constants), seed=count)
     assert (excess <= 1e-12).all(), excess
 
 
@@ -293,7 +300,8 @@ def test_shallow_net_bounds_without_the_sigma_curvature_fail_the_in_box_check(
     # dropping the beta sigma'' z z^T block of phi's Hessian leaves bounds
     # that some in-box pair exceeds, on either convexity branch
     data = _shallow_net_data(count, inputs, scale)
-    excess = _in_box_excess(shallow_net_model(data),
+    m = shallow_net_model(data)
+    excess = _in_box_excess(m, reference(m, data),
                             _reference_constants(data, d2_max=0.0), seed=count)
     assert (excess > 0.0).any(), excess
 
@@ -325,60 +333,9 @@ def test_shallow_net_build_memory_stays_flat():
     assert peak < 16 * 2**20
 
 
-def _reference_shallow_net(data, epsilon, elementwise=False):
-    """grad_V, grad1_W and grad_U_all in expression form: one temporary per
-    expression and the sigmoid as one numpy expression.
-
-    By default the sums are the force's contractions: the particle sum
-    S = beta @ sigma, then sigma @ w^T and ((1 - sigma) sigma) @ (w^T z) beta
-    over the data, where w = y + (eps/N) S is shared by the rows of a block.
-    With ``elementwise`` they are the form the force took before: elementwise
-    products summed by numpy, and w beta sigma (1 - sigma) @ z."""
-    z, y, m_count = data.inputs, data.outputs, data.count
-
-    def features(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0], 1.0 / (1.0 + np.exp(-(x[..., 1:] @ z.T)))
-
-    def ridge_sum(beta, sig, w):
-        # rows of sig (..., K, M) share the weights w (..., 1, M)
-        if elementwise:
-            dbeta = np.sum(w * sig, axis=-1)[..., None]
-            dalpha = (w * beta[..., None] * sig * (1.0 - sig)) @ z
-        else:
-            dbeta = sig @ w.swapaxes(-1, -2)
-            dalpha = ((1.0 - sig) * sig) @ (w.swapaxes(-1, -2) * z) * beta[..., None]
-        return np.concatenate([dbeta, dalpha], axis=-1)
-
-    def phi(x):
-        beta, sig = features(x)
-        return beta[..., None] * sig
-
-    def grad_V(x):
-        x = np.asarray(x, dtype=float)
-        return x + (2.0 / m_count) * ridge_sum(*features(x), y[None, :])
-
-    def grad1_W(x, xt):
-        x = np.asarray(x, dtype=float) + np.zeros_like(np.asarray(xt, dtype=float))
-        beta, sig = features(x)
-        r = ridge_sum(beta[..., None], sig[..., None, :], phi(xt)[..., None, :])
-        return (2.0 / m_count) * r[..., 0, :]
-
-    def grad_U_all(q):
-        n = q.shape[-2]
-        beta, sig = features(q)
-        if elementwise:
-            s = (beta[..., None] * sig).sum(axis=-2, keepdims=True)
-        else:
-            s = beta[..., None, :] @ sig
-        return q + (2.0 / m_count) * ridge_sum(beta, sig, y + (epsilon / n) * s)
-
-    return grad_V, grad1_W, grad_U_all
-
-
-def _ridge_sum_bound(data, epsilon, x, weights=None):
-    """Bound on |contraction form - elementwise form| of grad_U_all(x), or of
-    grad1_W(x, xt) given weights = phi(xt), each entry.
+def _ridge_sum_bound(data, epsilon, x):
+    """Bound on |contraction form - elementwise form| of grad_U_all(x), each
+    entry.
 
     Both forms take every entry as a sum over m (and, through S, over the
     particles j) of products of the same inputs: beta, sigma, y, z, eps/N,
@@ -390,28 +347,19 @@ def _ridge_sum_bound(data, epsilon, x, weights=None):
     without fused multiply-adds, each form lies within gamma_k * sum |term|
     of the exact value, gamma_k = k u / (1 - k u).  The two forms then
     differ by at most 2 gamma_k * sum |term|, which is the force on the
-    absolute values of its terms.  grad_V is grad_U_all with eps = 0.
+    absolute values of its terms.
     """
     z, y, m_count = data.inputs, data.outputs, data.count
     x = np.asarray(x, dtype=float)
+    n = x.shape[-2]
     beta = np.abs(x[..., 0])
     sig = 1.0 / (1.0 + np.exp(-(x[..., 1:] @ z.T)))
-    if weights is None:
-        n = x.shape[-2]
-        w = np.abs(y) + (epsilon / n) * (beta[..., None, :] @ sig)
-        scale = np.abs(x)
-    else:
-        # grad1_W: each row is a block of one, with weights of its own
-        n, scale = 0, 0.0
-        w, beta, sig = np.abs(weights)[..., None, :], beta[..., None], sig[..., None, :]
-    wt = w.swapaxes(-1, -2)
+    wt = (np.abs(y) + (epsilon / n) * (beta[..., None, :] @ sig)).swapaxes(-1, -2)
     terms = np.concatenate(
         [sig @ wt, ((1.0 - sig) * sig) @ (wt * np.abs(z)) * beta[..., None]], axis=-1)
-    if weights is not None:
-        terms = terms[..., 0, :]
     k = m_count + n + 8
     u = np.finfo(float).eps / 2
-    return 2.0 * (k * u / (1.0 - k * u)) * (scale + (2.0 / m_count) * terms)
+    return 2.0 * (k * u / (1.0 - k * u)) * (np.abs(x) + (2.0 / m_count) * terms)
 
 
 _FORCE_DATASETS = [(256, 3, 1.0), (256, 1, 20.0), (40, 2, 1.0)]
@@ -423,17 +371,12 @@ def test_shallow_net_rewrite_matches_reference_bit_for_bit(count, inputs, scale)
     data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
                              outputs=scale * rng.normal(size=count))
     m = shallow_net_model(data, epsilon=0.5)
-    grad_V, grad1_W, grad_U_all = _reference_shallow_net(data, 0.5)
+    grad_U_all = reference_shallow_net(data, 0.5).grad_U_all
     assert vars(m.constants) == {
         k: pytest.approx(v, rel=1e-14) for k, v in _reference_constants(data).items()}
     for shape in [(1, m.dim), (64, m.dim), (3, 64, m.dim), (2, 1, 5, m.dim)]:
         q = 2.0 * rng.normal(size=shape)
         assert np.array_equal(m.grad_U_all(q), grad_U_all(q)), shape
-    x, xt = rng.normal(size=(2, 10, m.dim))
-    assert np.array_equal(m.grad_V(x), grad_V(x))
-    assert np.array_equal(m.grad_V(x[0]), grad_V(x[0]))
-    assert np.array_equal(m.grad1_W(x, xt), grad1_W(x, xt))
-    assert np.array_equal(m.grad1_W(x[0], xt), grad1_W(x[0], xt))
 
 
 @pytest.mark.parametrize("count, inputs, scale", _FORCE_DATASETS)
@@ -443,17 +386,11 @@ def test_shallow_net_contractions_within_dot_product_bound_of_elementwise_form(
     data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
                              outputs=scale * rng.normal(size=count))
     m = shallow_net_model(data, epsilon=0.5)
-    grad_V, grad1_W, grad_U_all = _reference_shallow_net(data, 0.5, elementwise=True)
+    grad_U_all = reference_shallow_net(data, 0.5, elementwise=True).grad_U_all
     for shape in [(1, m.dim), (64, m.dim), (3, 64, m.dim), (2, 1, 5, m.dim)]:
         q = 2.0 * rng.normal(size=shape)
         bound = _ridge_sum_bound(data, 0.5, q)
         assert (np.abs(m.grad_U_all(q) - grad_U_all(q)) <= bound).all(), shape
-    x, xt = 2.0 * rng.normal(size=(2, 10, m.dim))
-    bound = _ridge_sum_bound(data, 0.0, x[:, None])[:, 0]
-    assert (np.abs(m.grad_V(x) - grad_V(x)) <= bound).all()
-    phi_xt = xt[:, :1] / (1.0 + np.exp(-(xt[:, 1:] @ data.inputs.T)))
-    bound = _ridge_sum_bound(data, 0.5, x, weights=phi_xt)
-    assert (np.abs(m.grad1_W(x, xt) - grad1_W(x, xt)) <= bound).all()
 
 
 @pytest.mark.parametrize("count, inputs", [(256, 3), (40, 2), (256, 1), (1000, 5)])
@@ -505,13 +442,10 @@ def test_shallow_net_force_leaves_read_only_inputs_unchanged():
     z, y = read_only(z0, y0)
     m = shallow_net_model(ShallowNetDataset(inputs=z, outputs=y), epsilon=0.5)
     q0 = 2.0 * rng.normal(size=(3, 8, m.dim))
-    x0, xt0 = rng.normal(size=(2, 8, m.dim))
-    q, x, xt = read_only(q0, x0, xt0)
-    results = [m.grad_U_all(q), mean_field_grad_all(m, q), m.grad_V(x),
-               m.grad_V(x[0]), m.grad1_W(x, xt), m.grad1_W(x[0], xt)]
+    (q,) = read_only(q0)
+    results = [m.grad_U_all(q), mean_field_grad_all(m, q), m.grad_U_all(q[0])]
     assert np.array_equal(results[0], m.grad_U_all(q0))
-    assert np.array_equal(results[2], m.grad_V(x0))
-    for frozen, copy in ((q, q0), (x, x0), (xt, xt0), (z, z0), (y, y0)):
+    for frozen, copy in ((q, q0), (z, z0), (y, y0)):
         assert np.array_equal(frozen, copy)
         assert not any(np.shares_memory(r, frozen) for r in results)
 
@@ -548,25 +482,42 @@ def test_shallow_net_csv_roundtrip(tmp_path):
 
 def test_pair_interaction_symmetry():
     rng = np.random.default_rng(6)
-    for m in _builtin_models():
+    for m, ref in _builtin_models():
         for _ in range(25):
             x = rng.normal(size=m.dim)
             y = rng.normal(size=m.dim)
-            assert m.W(x, y) == pytest.approx(m.W(y, x), rel=1e-13, abs=1e-13)
+            assert ref.W(x, y) == pytest.approx(ref.W(y, x), rel=1e-13, abs=1e-13)
 
 
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(7)
-    for m in _builtin_models():
+    for m, ref in _builtin_models():
         for _ in range(100):
             x = rng.normal(size=m.dim)
             y = rng.normal(size=m.dim)
-            gv = np.atleast_1d(m.grad_V(x))
-            fd = central_diff_grad(lambda t: float(m.V(t)), x)
+            gv = np.atleast_1d(ref.grad_V(x))
+            fd = central_diff_grad(lambda t: float(ref.V(t)), x)
             assert np.abs(gv - fd).max() <= 1e-5 * max(1.0, np.abs(gv).max())
-            g1 = np.atleast_1d(m.grad1_W(x, y))
-            fd1 = central_diff_grad(lambda t: float(m.W(t, y)), x)
+            g1 = np.atleast_1d(ref.grad1_W(x, y))
+            fd1 = central_diff_grad(lambda t: float(ref.W(t, y)), x)
             assert np.abs(g1 - fd1).max() <= 1e-5 * max(1.0, np.abs(g1).max())
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_force_is_the_gradient_of_the_pair_sum_potential(lead):
+    # grad_U_all against central differences of the pair-sum
+    # U = sum_i V(x^i) + (eps/2N) sum_ij W(x^i, x^j) of the references: the
+    # direct link from the force every sampler calls to the target's V and
+    # W.  A batch sums its replicas' potentials, whose gradients are disjoint
+    rng = np.random.default_rng(12)
+    models = _builtin_models() + [
+        (m, reference(m)) for m in (gaussian_model(0.0), multiwell_model(
+            2.0, dim=3, epsilon=1.5, interaction="quadratic"))]
+    for m, ref in models:
+        q = rng.normal(size=lead + (4, m.dim))
+        force = mean_field_grad_all(m, q)
+        fd = central_diff_grad(lambda t: float(pair_sum_potential(ref, t).sum()), q)
+        assert np.abs(force - fd).max() <= 1e-6 * max(1.0, np.abs(force).max()), m.name
 
 
 def _probe_points(m, rng, sets):
@@ -580,48 +531,48 @@ def _probe_points(m, rng, sets):
 
 def test_interaction_gradient_lipschitz_probes():
     rng = np.random.default_rng(8)
-    for m in _builtin_models():
+    for m, ref in _builtin_models():
         lt = m.constants.L_tilde
         x, y, xt, yt = _probe_points(m, rng, 4)
-        lhs = np.linalg.norm(m.grad1_W(x, y) - m.grad1_W(xt, yt), axis=-1)
+        lhs = np.linalg.norm(ref.grad1_W(x, y) - ref.grad1_W(xt, yt), axis=-1)
         rhs = lt * (np.linalg.norm(x - xt, axis=-1) + np.linalg.norm(y - yt, axis=-1))
         assert (lhs <= rhs * (1 + 1e-9) + 1e-12).all()
 
 
 def test_confinement_gradient_lipschitz_probes():
     rng = np.random.default_rng(9)
-    for m in _builtin_models():
+    for m, ref in _builtin_models():
         l1 = m.constants.L1
         x, y = _probe_points(m, rng, 2)
-        lhs = np.linalg.norm(m.grad_V(x) - m.grad_V(y), axis=-1)
+        lhs = np.linalg.norm(ref.grad_V(x) - ref.grad_V(y), axis=-1)
         rhs = l1 * np.linalg.norm(x - y, axis=-1)
         assert (lhs <= rhs * (1 + 1e-9)).all()
-        assert np.isfinite(m.grad_V(np.zeros(m.dim))).all()
+        assert np.isfinite(ref.grad_V(np.zeros(m.dim))).all()
 
 
 def test_grad_all_matches_pairwise_and_single():
     rng = np.random.default_rng(10)
-    for m in _builtin_models():
+    for m, ref in _builtin_models():
         q = rng.normal(size=(7, m.dim))
         fast = mean_field_grad_all(m, q)
-        assert np.allclose(fast, pairwise_grad_all(m, q), rtol=1e-12, atol=1e-12)
+        assert np.allclose(fast, pairwise_grad_all(ref, q), rtol=1e-12, atol=1e-12)
         # batched (R, N, d): each replica is its own N-particle system
         qb = rng.normal(size=(3, 5, m.dim))
         fast = mean_field_grad_all(m, qb)
         assert fast.shape == qb.shape
-        assert np.allclose(fast, pairwise_grad_all(m, qb), rtol=1e-12, atol=1e-12)
+        assert np.allclose(fast, pairwise_grad_all(ref, qb), rtol=1e-12, atol=1e-12)
         for r in range(3):
             assert np.allclose(fast[r], mean_field_grad_all(m, qb[r]),
                                rtol=1e-12, atol=1e-12)
 
 
-def _assert_fast_force_matches_pairwise(m, seed, n, replicas):
+def _assert_fast_force_matches_pairwise(m, ref, seed, n, replicas):
     rng = np.random.default_rng(seed)
     for shape in [(n, m.dim), (replicas, n, m.dim)]:
         q = rng.uniform(-3.0, 3.0, size=shape)
         fast = mean_field_grad_all(m, q)
         assert fast.shape == q.shape
-        assert rel_err(fast, pairwise_grad_all(m, q)) <= 1e-12
+        assert rel_err(fast, pairwise_grad_all(ref, q)) <= 1e-12
 
 
 _seeds = st.integers(0, 2**32 - 1)
@@ -636,7 +587,7 @@ def test_shallow_net_fast_force_matches_pairwise(count, inputs, eps, seed, n, re
     data = ShallowNetDataset(inputs=rng.normal(size=(count, inputs)),
                              outputs=rng.normal(size=count))
     m = shallow_net_model(data, epsilon=eps)
-    _assert_fast_force_matches_pairwise(m, seed, n, replicas)
+    _assert_fast_force_matches_pairwise(m, reference(m, data), seed, n, replicas)
 
 
 @settings(max_examples=100, deadline=None)
@@ -645,7 +596,7 @@ def test_shallow_net_fast_force_matches_pairwise(count, inputs, eps, seed, n, re
        n=st.integers(1, 9), replicas=st.integers(1, 4))
 def test_multiwell_fast_force_matches_pairwise(a, eps, dim, interaction, seed, n, replicas):
     m = multiwell_model(a, dim=dim, epsilon=eps, interaction=interaction)
-    _assert_fast_force_matches_pairwise(m, seed, n, replicas)
+    _assert_fast_force_matches_pairwise(m, reference(m), seed, n, replicas)
 
 
 @settings(max_examples=100, deadline=None)
@@ -654,21 +605,19 @@ def test_multiwell_fast_force_matches_pairwise(a, eps, dim, interaction, seed, n
        n=st.integers(1, 9), replicas=st.integers(1, 4))
 def test_multiwell_force_matches_expression_form_bit_for_bit(a, eps, dim, interaction,
                                                               seed, n, replicas):
-    # the force as numpy broadcasts: grad_V(x) = x (1 - a exp(-(a/2)|x|^2))
-    # plus eps (q - particle mean) with the quadratic pair term.  The mean
-    # is the force's own contraction of the flat (replicas, n*dim) rows
-    # with the 0/1 selector, so every operation after it stays pinned
+    # the force as numpy broadcasts: the reference's grad_V(x) =
+    # x (1 - a exp(-(a/2)|x|^2)) plus eps (q - particle mean) with the
+    # quadratic pair term.  The mean is the force's own contraction of the
+    # flat (replicas, n*dim) rows with the 0/1 selector, so every operation
+    # after it stays pinned
     m = multiwell_model(a, dim=dim, epsilon=eps, interaction=interaction)
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(replicas, n, dim)) * 10.0 ** rng.uniform(-3.0, 1.0)
-    grad_v = q * (1.0 - a * np.exp(-0.5 * a * np.sum(q * q, axis=-1)))[..., None]
-    assert _same_bits(m.grad_V(q), grad_v)
-    assert _same_bits(m.grad_V(q[0, 0]), grad_v[0, 0])
-    want = grad_v
+    want = reference(m).grad_V(q)
     if interaction is not None:
         selector = np.tile(np.eye(dim), (n, 1))
         mean = q.reshape(replicas, n * dim) @ selector / n
-        want = grad_v + eps * (q - mean[:, None, :])
+        want = want + eps * (q - mean[:, None, :])
     assert _same_bits(mean_field_grad_all(m, q), want)
 
 
@@ -692,7 +641,7 @@ def test_multiwell_force_within_sum_bound_of_sequential_mean(a, eps, dim, seed, 
     m = multiwell_model(a, dim=dim, epsilon=eps, interaction="quadratic")
     rng = np.random.default_rng(seed)
     q = rng.normal(size=lead + (n, dim)) * 10.0 ** rng.uniform(-3.0, 1.0)
-    grad_v = m.grad_V(q)
+    grad_v = reference(m).grad_V(q)
     want = grad_v + eps * (q - np.add.reduce(q, axis=-2, keepdims=True) / n)
     k, u = n + 4, np.finfo(float).eps / 2
     gamma = k * u / (1.0 - k * u)
@@ -717,9 +666,10 @@ def test_mean_field_grad_values():
     assert mean_field_grad_all(m, q) == pytest.approx(np.full((4, 1), 0.75))
     mw = multiwell_model(1.0)
     assert np.allclose(mean_field_grad_all(mw, np.zeros((1, 1))), 0.0)
+    # at eps = 0 the gaussian force is grad_V(q) = q
     neutral = gaussian_model(0.0)
     q = np.array([[0.3], [-1.2]])
-    assert np.allclose(mean_field_grad_all(neutral, q), neutral.grad_V(q))
+    assert np.allclose(mean_field_grad_all(neutral, q), q)
 
 
 # --- coordinate-axis helpers --------------------------------------------------

@@ -69,11 +69,20 @@ def test_rate_in_unit_interval_when_admissible():
 
 
 def test_condition_reports_zero_interaction():
-    reports = check_conditions(gaussian_model(0.0), 0.25)
-    for name in ("cond_eps", "cond_Cepsi", "cond_eps_strong", "cond_eps_moment"):
-        assert reports[name].passed
-        assert reports[name].lhs == 0.0
-        assert reports[name].ratio == 0.0
+    # shallow-net data past the box bounds make L_tilde infinite; at eps = 0
+    # the interaction still adds nothing, so every eps * L_tilde term is 0
+    overflow = ShallowNetDataset(inputs=np.array([[1e200], [1.0]]),
+                                 outputs=np.array([0.0, 0.5]))
+    for model in (gaussian_model(0.0), shallow_net_model(overflow, epsilon=0.0)):
+        reports = check_conditions(model, 0.25)
+        for name in ("cond_eps", "cond_Cepsi", "cond_eps_strong", "cond_eps_moment"):
+            assert reports[name].passed
+            assert reports[name].lhs == 0.0
+            assert reports[name].ratio == 0.0
+        tc = compute_constants(model, 0.25)
+        assert math.isfinite(tc.L_e) and tc.L_e == tc.L
+        assert tc.B == 0.0
+        assert math.isfinite(max_admissible_T(model, "uhmc"))
 
 
 def test_condition_ratio_is_infinite_where_only_the_bound_vanishes():

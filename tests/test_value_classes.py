@@ -19,8 +19,7 @@ _THEORY_FIELDS = ("K", "L", "L_tilde", "R_conv", "W0", "epsilon", "T", "R_tilde"
 
 def _model_fields():
     m = gaussian_model(0.25)
-    names = ("name", "dim", "epsilon", "grad_V", "grad1_W", "V", "W",
-             "constants", "grad_U_all")
+    names = ("name", "dim", "epsilon", "constants", "grad_U_all")
     return names, tuple(getattr(m, name) for name in names)
 
 
