@@ -18,9 +18,9 @@ from .integrators import (DIVERGENCE_LIMIT, IntegrationDivergedError,
 from .kernels import (draw_initial_positions, run_chain,
                       stationary_gaussian_sample_arrays, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
-from .models import (AssumptionConstants, InvalidModelError, MeanFieldModel,
-                     ShallowNetDataset, gaussian_model, mean_field_grad_all,
-                     multiwell_model, shallow_net_model)
+from .models import (AssumptionConstants, MeanFieldModel, ShallowNetDataset,
+                     gaussian_model, mean_field_grad_all, multiwell_model,
+                     shallow_net_model)
 from .rng import RngStream, derive_stream_id
 from .statistics import (gaussian_kde_on_grid, kde_relative_error,
                          silverman_bandwidth, wasserstein1_1d)

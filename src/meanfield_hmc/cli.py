@@ -3,9 +3,12 @@
     meanfield-hmc <subcommand> [flags]
 
 Subcommands: sample, bias-scan, chaos-scan, contraction, order-check,
-constants.  Exit codes: 0 success, 2 configuration error (an unreadable
-``--data`` file included, and an unwritable ``--out`` path, which is refused
-before the experiment runs), 3 numerical divergence.
+constants.  Exit codes: 0 success, 2 configuration error, 3 numerical
+divergence.  Any ``ValueError`` or ``OSError`` exits 2 with one ``error:``
+line: a bad flag, model parameter or ``--data`` row raises ``ValueError``,
+an unopenable ``--data`` file ``OSError``, and an unwritable ``--out`` path
+(empty, a directory or in a missing one) the ``OSError`` of ``open``, before
+the experiment runs.
 
 Each subcommand but ``constants`` maps its flags to one call of its
 experiment, which returns an :class:`experiments.Report` of plain values;
@@ -26,9 +29,9 @@ import re
 import sys
 
 from . import __version__
-from .experiments import (ConfigError, _check_count, bias_scan, chaos_scan,
-                          config_json, contraction_experiment, order_check,
-                          sample_command, write_csv, write_scaling_svg)
+from .experiments import (_check_count, bias_scan, chaos_scan, config_json,
+                          contraction_experiment, order_check, sample_command,
+                          write_csv, write_scaling_svg)
 from .integrators import IntegrationDivergedError
 from .models import (ShallowNetDataset, gaussian_model, multiwell_model,
                      shallow_net_model)
@@ -199,7 +202,7 @@ def _model_from_args(args):
     owns is an error, and shallow-net takes its dimension from ``--data``."""
     for flag, owner in _MODEL_FLAG_OWNERS.items():
         if getattr(args, flag) is not None and args.model != owner:
-            raise ConfigError(f"--{flag} applies to the {owner} model only, not {args.model}")
+            raise ValueError(f"--{flag} applies to the {owner} model only, not {args.model}")
     if args.model == "gaussian":
         return gaussian_model(args.eps)
     if args.model == "multiwell":
@@ -207,7 +210,7 @@ def _model_from_args(args):
                                dim=1 if args.dim is None else args.dim,
                                epsilon=args.eps, interaction=args.interaction)
     if args.data is None:
-        raise ConfigError("shallow-net model requires --data <csv>")
+        raise ValueError("shallow-net model requires --data <csv>")
     return shallow_net_model(ShallowNetDataset.from_csv(args.data), epsilon=args.eps)
 
 
@@ -217,17 +220,17 @@ def _parse_list(text: str, kind, flag: str) -> list:
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse {flag} {text!r}") from None
+        raise ValueError(f"cannot parse {flag} {text!r}") from None
     if not values:
-        raise ConfigError(f"{flag} {text!r} names no values")
+        raise ValueError(f"{flag} {text!r} names no values")
     return values
 
 
 def _out_path(args) -> str:
     """``--out``, default the command name ('_' for '-') plus .csv; raises the
-    error of ``open(path, "w")`` if it is a directory or its directory is missing."""
-    path = args.out or args.command.replace("-", "_") + ".csv"
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    error of ``open(path, "w")`` if it is empty, a directory or in a missing one."""
+    path = args.command.replace("-", "_") + ".csv" if args.out is None else args.out
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
     return path
@@ -317,15 +320,12 @@ def main(argv=None) -> int:
         # at devnull so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

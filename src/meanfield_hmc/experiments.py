@@ -39,15 +39,11 @@ from .theory import compute_constants, constants_table
 W1_SUBSAMPLE_CAP = 200_000
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI exit code 2)."""
-
-
 def _check_count(flag: str, value: int, least: int = 1) -> None:
-    """A ConfigError naming ``flag`` and ``value`` unless value >= least."""
+    """A ValueError naming ``flag`` and ``value`` unless value >= least."""
     if value < least:
         rule = "a positive integer" if least == 1 else f"at least {least}"
-        raise ConfigError(f"{flag} must be {rule}, got {value}")
+        raise ValueError(f"{flag} must be {rule}, got {value}")
 
 
 def _scan(one_point, points, seed: int, threads: int):
@@ -210,7 +206,7 @@ def _bias_replicas(steps: int, burn_in: float):
     of ``steps`` up to min(_BIAS_MAX_REPLICAS, steps // _BIAS_MIN_REPLICA_STEPS)
     whose replicas of ``per = steps // R`` steps, after dropping the first
     ``burn = round(burn_in * per)`` of each, keep at least KDE_MIN_SAMPLES
-    samples in all.  A ConfigError, naming the most any of them keeps, when
+    samples in all.  A ValueError, naming the most any of them keeps, when
     none does."""
     # below _BIAS_MIN_REPLICA_STEPS steps, one chain (too short to keep enough)
     cap = max(1, min(_BIAS_MAX_REPLICAS, steps // _BIAS_MIN_REPLICA_STEPS))
@@ -224,7 +220,7 @@ def _bias_replicas(steps: int, burn_in: float):
         if kept >= KDE_MIN_SAMPLES:
             return replicas, per, burn
         most = max(most, kept)
-    raise ConfigError(
+    raise ValueError(
         f"--steps {steps} with --burn-in {burn_in} keeps {most} samples "
         f"per k; the density estimate needs at least {KDE_MIN_SAMPLES}")
 
@@ -253,15 +249,15 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     """
     _check_count("steps", steps)
     if not 1 <= k_max <= 5:
-        raise ConfigError(f"k_max must lie in 1..5, got {k_max}")
+        raise ValueError(f"k_max must lie in 1..5, got {k_max}")
     if h_rule not in _H_RULES:
-        raise ConfigError(f"h rule must be one of {_H_RULES}")
+        raise ValueError(f"h rule must be one of {_H_RULES}")
     if h_rule == "fixed" and h_fixed is None:
-        raise ConfigError("h rule 'fixed' requires an explicit step size")
+        raise ValueError("h rule 'fixed' requires an explicit step size")
     if h_rule != "fixed" and h_fixed is not None:
-        raise ConfigError(f"--h applies to --h-rule fixed only, not {h_rule}")
+        raise ValueError(f"--h applies to --h-rule fixed only, not {h_rule}")
     if not 0 <= burn_in < 1:
-        raise ConfigError(f"burn-in fraction must lie in [0, 1), got {burn_in}")
+        raise ValueError(f"burn-in fraction must lie in [0, 1), got {burn_in}")
     _check_duration(T)
     model = gaussian_model(epsilon)
     replicas, per, burn = _bias_replicas(steps, burn_in)
@@ -409,11 +405,11 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
     _check_count("N", N)
     _integral_steps(T, h)
     if not math.isfinite(offset):
-        raise ConfigError(f"offset must be finite, got offset={offset}")
+        raise ValueError(f"offset must be finite, got offset={offset}")
     if abs(offset) >= DIVERGENCE_LIMIT:
         # such a copy starts past the bound that ends every trajectory
-        raise ConfigError(f"|offset| must be below the divergence limit "
-                          f"{DIVERGENCE_LIMIT:g}, got offset={offset}")
+        raise ValueError(f"|offset| must be below the divergence limit "
+                         f"{DIVERGENCE_LIMIT:g}, got offset={offset}")
     tc = compute_constants(model, T)
     for name in ("cond_CT", "cond_Cepsi"):
         rep = tc.conditions[name]
@@ -525,7 +521,7 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     _check_count("thin", thin)
     if thin > m:
         # the chain would run every step and record only its start
-        raise ConfigError(f"thin must not exceed steps, got thin={thin}, steps={m}")
+        raise ValueError(f"thin must not exceed steps, got thin={thin}, steps={m}")
     if columns is not None:
         _check_count("columns", columns)
     if h != 0:
@@ -533,7 +529,7 @@ def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
     else:
         _check_duration(T)
         if model.name != "gaussian":
-            raise ConfigError("the exact kernel is implemented only for the gaussian model")
+            raise ValueError("the exact kernel is implemented only for the gaussian model")
     stream = RngStream(seed)
     x0 = draw_initial_positions(model, N, init, stream)
     # before the chain, so that constants out of floating-point range fail fast

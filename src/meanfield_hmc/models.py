@@ -28,10 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 
-class InvalidModelError(ValueError):
-    """Model parameters outside their valid range."""
-
-
 class _Frozen:
     """Base of the package's immutable value classes.
 
@@ -73,14 +69,14 @@ class AssumptionConstants(_Frozen):
                  R_conv: float, W0: float):
         self._set(locals())
         if not self.K > 0:
-            raise InvalidModelError("K must be positive")
+            raise ValueError("K must be positive")
         if not self.L2 > 0:
-            raise InvalidModelError("L2 must be positive")
+            raise ValueError("L2 must be positive")
         if self.K > self.L2 * (1 + 1e-12):
-            raise InvalidModelError("K must not exceed L2")
+            raise ValueError("K must not exceed L2")
         for name in ("L1", "L_tilde", "R_conv", "W0"):
             if getattr(self, name) < 0:
-                raise InvalidModelError(f"{name} must be nonnegative")
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def L(self) -> float:
@@ -116,9 +112,9 @@ class MeanFieldModel(_Frozen):
             params = {}
         self._set(locals())
         if self.dim < 1:
-            raise InvalidModelError("dim must be a positive integer")
+            raise ValueError("dim must be a positive integer")
         if not 0 <= self.epsilon < np.inf:
-            raise InvalidModelError(
+            raise ValueError(
                 f"epsilon must be finite and nonnegative, got epsilon={self.epsilon}")
 
 
@@ -212,10 +208,10 @@ def mean_field_grad_all(model: MeanFieldModel, positions: np.ndarray) -> np.ndar
 
 
 def _check_quadratic_epsilon(epsilon: float) -> None:
-    """Raise InvalidModelError unless 0 <= epsilon < 1, the range of the
+    """Raise ValueError unless 0 <= epsilon < 1, the range of the
     gaussian model, its exact flow and its stationary sampler."""
     if not 0.0 <= epsilon < 1.0:
-        raise InvalidModelError(
+        raise ValueError(
             f"epsilon must lie in [0, 1), got epsilon={epsilon}; at 1 the "
             "target loses integrability along the mean direction")
 
@@ -255,7 +251,7 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
     or ``"quadratic"`` for W(x, y) = |x - y|^2 / 2 with strength ``epsilon``.
     """
     if not 0 <= a < np.inf:
-        raise InvalidModelError(f"a must be finite and nonnegative, got a={a}")
+        raise ValueError(f"a must be finite and nonnegative, got a={a}")
     a = float(a)
     dim = int(dim)
 
@@ -287,7 +283,7 @@ def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
             out += pull.reshape(q.shape)
             return out
     else:
-        raise InvalidModelError(f"unknown interaction {interaction!r}")
+        raise ValueError(f"unknown interaction {interaction!r}")
 
     constants = AssumptionConstants(
         K=0.25, L1=1.0 + a, L2=2.0, L_tilde=l_tilde,
@@ -306,9 +302,9 @@ def _csv_float(text, where):
     try:
         value = float(text)
     except ValueError:
-        raise InvalidModelError(f"{where}: {text!r} is not a number") from None
+        raise ValueError(f"{where}: {text!r} is not a number") from None
     if not math.isfinite(value):
-        raise InvalidModelError(f"{where}: {text!r} is not a finite number")
+        raise ValueError(f"{where}: {text!r} is not a finite number")
     return value
 
 
@@ -323,13 +319,13 @@ class ShallowNetDataset(_Frozen):
         inputs = np.asarray(inputs, dtype=float)
         outputs = np.asarray(outputs, dtype=float)
         if inputs.ndim != 2:
-            raise InvalidModelError("inputs must be a 2-d array (M, d-1)")
+            raise ValueError("inputs must be a 2-d array (M, d-1)")
         if outputs.shape != (inputs.shape[0],):
-            raise InvalidModelError("outputs must have one entry per input row")
+            raise ValueError("outputs must have one entry per input row")
         if inputs.shape[0] < 1:
-            raise InvalidModelError("dataset must contain at least one point")
+            raise ValueError("dataset must contain at least one point")
         if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
-            raise InvalidModelError("dataset entries must be finite")
+            raise ValueError("dataset entries must be finite")
         self._set(locals())
 
     @property
@@ -352,21 +348,21 @@ class ShallowNetDataset(_Frozen):
             try:
                 header = next(reader)
             except StopIteration:
-                raise InvalidModelError(f"{path}: empty file") from None
+                raise ValueError(f"{path}: empty file") from None
             header = [h.strip() for h in header]
             if not header or header[0] != "y" or len(header) < 2:
-                raise InvalidModelError(
+                raise ValueError(
                     f"{path}: expected header 'y,z1,...', got {header!r}")
             rows = []
             for row in filter(None, reader):
                 where = f"{path}: line {reader.line_num}"
                 if len(row) != len(header):
-                    raise InvalidModelError(
+                    raise ValueError(
                         f"{where}: ragged rows, {len(row)} values under a "
                         f"{len(header)}-column header")
                 rows.append([_csv_float(v, where) for v in row])
         if not rows:
-            raise InvalidModelError(f"{path}: no data rows")
+            raise ValueError(f"{path}: no data rows")
         arr = np.asarray(rows, dtype=float)
         return cls(inputs=arr[:, 1:], outputs=arr[:, 0])
 

@@ -183,7 +183,7 @@ def compute_constants(model: MeanFieldModel, T: float, m2_init: float = 0.0,
         + 6.0 * (eps * W0)**2 * T**2 + 22.5 * (eps**2 / K) * W0**2)
     b = _times_eps_lt(model, 4.0 * T**2, math.sqrt(b1))
 
-    if W0 == 0.0:
+    if W0 == 0.0 or eps == 0.0:
         w0_term = 0.0
     elif Lt == 0.0:
         w0_term = math.inf

@@ -179,6 +179,15 @@ def reference_randomized_step(model, q, p, h, u):
     return q + h * p + (0.5 * h * h) * force, p + h * force
 
 
+def harmonic_step_maps(omega2, h):
+    """(M0, M1) with M0 + u M1 the randomized step's map of (q, p) under the
+    force -omega2 q: q' = q + h p - (h^2/2) omega2 (q + h u p) and
+    p' = p - h omega2 (q + h u p)."""
+    m0 = np.array([[1 - omega2 * h * h / 2, h], [-omega2 * h, 1.0]])
+    m1 = np.array([[0.0, -omega2 * h**3 / 2], [0.0, -omega2 * h * h]])
+    return m0, m1
+
+
 def read_only(*arrays):
     """Read-only float copies of ``arrays``, so that any write into them
     raises."""

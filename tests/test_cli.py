@@ -382,13 +382,16 @@ def test_plot_rejected_where_no_svg_is_written(tmp_path, monkeypatch, capsys, ar
 
 
 def test_unwritable_out_path_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
-    # a path in a missing directory, and one that is a directory, are
-    # refused before the experiment runs, with the error open would raise
+    # a path in a missing directory, one that is a directory and an empty
+    # one are refused before the experiment runs, with the error open would
+    # raise; run from tmp_path, a write to the default sample.csv would show
     def refuse(*args, **kwargs):
         raise AssertionError("the experiment ran")
     monkeypatch.setattr(cli, "sample_command", refuse)
+    monkeypatch.chdir(tmp_path)
     for out, errno_text in ((str(tmp_path / "missing" / "out.csv"), "[Errno 2] "),
-                            (str(tmp_path), "[Errno 21] Is a directory")):
+                            (str(tmp_path), "[Errno 21] Is a directory"),
+                            ("", "[Errno 2] ")):
         with pytest.raises(OSError) as opened:
             open(out, "w")
         assert main(["sample", "--steps", "2", "--out", out]) == 2
@@ -614,15 +617,34 @@ def test_contraction_warns_where_its_metric_saturates(tmp_path, capsys, argv, sa
         assert [float(r[2]) for r in rows] == [0.0] * 3
 
 
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+# README's subcommand table: one (name, example) row per subcommand
+README_EXAMPLES = re.findall(r"^\| `([\w-]+)` \| [^|]+ \| `([^`]+)` \|$", README,
+                             re.MULTILINE)
+
+
 def test_readme_examples_parse():
-    # README's subcommand table gives one example per subcommand, each of
-    # whose flags the parser must take; nothing runs
-    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `([\w-]+)` \| [^|]+ \| `([^`]+)` \|$", text, re.MULTILINE)
-    assert [name for name, _ in rows] == [name for name, _, _ in cli._SUBCOMMANDS]
-    for name, example in rows:
+    # each example's flags the parser must take; nothing runs
+    assert [name for name, _ in README_EXAMPLES] == [name for name, _, _ in cli._SUBCOMMANDS]
+    for name, example in README_EXAMPLES:
         argv = example.split()
         assert cli.build_parser(argv).parse_args(argv).command == name
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for _, example in README_EXAMPLES:
+        assert main(example.split()) == 0, example
+    assert sorted(os.listdir()) == ["b.csv", "c.csv", "k.csv", "k.svg", "o.csv", "s.csv"]
+
+
+def test_readme_json_example_prints_the_line_it_shows(tmp_path, monkeypatch, capsys):
+    shown = re.search(r"`order-check`'s example above with `--json` prints\n\n```\n(.+)\n```",
+                      README).group(1)
+    example = dict(README_EXAMPLES)["order-check"]
+    monkeypatch.chdir(tmp_path)
+    assert main(example.split() + ["--json"]) == 0
+    assert capsys.readouterr().out == shown + "\n"
 
 
 def test_module_entry_point_prints_the_version():

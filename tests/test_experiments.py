@@ -6,12 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from meanfield_hmc import (__version__, compute_constants, experiments,
-                           gaussian_model, max_admissible_T, multiwell_model)
-from meanfield_hmc.experiments import (ConfigError, Report, bias_scan, chaos_scan,
+                           gaussian_model, max_admissible_T, metric_f,
+                           multiwell_model)
+from meanfield_hmc.experiments import (Report, bias_scan, chaos_scan,
                                        contraction_experiment, write_csv)
 from meanfield_hmc.integrators import IntegrationDivergedError
 from meanfield_hmc.statistics import KDE_MIN_SAMPLES
 
+from conftest import harmonic_step_maps
 from test_kernels import uhmc_variance_oracle
 
 
@@ -69,7 +71,7 @@ def _kept(steps, replicas, burn_in):
 def test_bias_replica_rule_over_step_counts_and_burn_ins():
     # R divides steps, leaves each replica at least 20 steps (one chain
     # below that), is at most 1000 and keeps enough samples; no wider such
-    # divisor keeps enough.  Otherwise the rule raises ConfigError.
+    # divisor keeps enough.  Otherwise the rule raises ValueError.
     for steps in range(10, 5001):
         cap = max(1, min(1000, steps // 20))
         admissible = [r for r in range(1, cap + 1) if steps % r == 0]
@@ -77,7 +79,9 @@ def test_bias_replica_rule_over_step_counts_and_burn_ins():
             enough = [r for r in admissible
                       if _kept(steps, r, burn_in) >= KDE_MIN_SAMPLES]
             if not enough:
-                with pytest.raises(ConfigError):
+                with pytest.raises(ValueError, match=(
+                        f"--steps {steps} with --burn-in {burn_in} keeps .* samples "
+                        f"per k; the density estimate needs at least {KDE_MIN_SAMPLES}")):
                     experiments._bias_replicas(steps, burn_in)
                 continue
             replicas, per, burn = experiments._bias_replicas(steps, burn_in)
@@ -95,7 +99,7 @@ def test_bias_replica_rule_rejects_two_pairs_the_gcd_rule_accepted():
                 continue
             try:
                 experiments._bias_replicas(steps, burn_in)
-            except ConfigError:
+            except ValueError:
                 lost.add((steps, burn_in))
     assert lost == {(100, 0.05), (120, 0.2)}
 
@@ -165,13 +169,16 @@ def test_chaos_scan_w1_strides_the_pooled_samples_down_to_the_cap(monkeypatch):
 @pytest.mark.parametrize("kwargs", [dict(N_list=(1, 4)), dict(m=0),
                                     dict(replicas=1)])
 def test_chaos_scan_rejects_bad_config(kwargs):
-    with pytest.raises(ConfigError):
+    message = {"N_list": "N must be at least 2, got 1",
+               "m": "steps must be a positive integer, got 0",
+               "replicas": "replicas must be at least 2, got 1"}[next(iter(kwargs))]
+    with pytest.raises(ValueError, match=message):
         chaos_scan(**{"N_list": (4,), "m": 2, "replicas": 2, **kwargs})
 
 
 def test_bias_scan_rejects_an_unknown_h_rule():
     # argparse's choices keep such a rule from the CLI
-    with pytest.raises(ConfigError, match="h rule must be one of"):
+    with pytest.raises(ValueError, match="h rule must be one of"):
         bias_scan(k_max=1, steps=120, h_rule="bogus")
 
 
@@ -191,6 +198,31 @@ def test_contraction_experiment_divergence_names_the_kernel_step():
                                replicas=4, N=8, seed=0)
     assert err.value.step_index == 0 and err.value.replica == 2
     assert str(err.value) == "chain diverged at kernel step 0 (inner step 186, replica 2)"
+
+
+def test_contraction_experiment_matches_the_mean_mode_oracle():
+    # synchronous velocities and an offset along 1 keep every particle's
+    # difference equal, so it follows the mean mode (omega^2 = 1 - eps) and
+    # returns to zero velocity at each refresh: after k kernel steps it is
+    # a_1 ... a_k offset with a = [M(u_n) ... M(u_1)]_00, M(u) = M0 + u M1
+    eps, T, h, m, offset = 0.25, 1.0, 0.25, 10, 1.0
+    model = gaussian_model(eps)
+    result = contraction_experiment(model, T=T, h=h, m=m, replicas=2000, N=4,
+                                    offset=offset, synchronous=True)
+    m0, m1 = harmonic_step_maps(1.0 - eps, h)
+    u = np.random.default_rng(5).random((20_000, m, round(T / h)))
+    diff = np.array([1.0, 0.0])
+    for j in range(u.shape[-1]):
+        diff = np.einsum("...ij,...j->...i", m0 + u[..., j, None, None] * m1, diff)
+    r = np.abs(np.cumprod(diff[..., 0], axis=1)) * offset
+    R1 = compute_constants(model, T).R1
+    rho = metric_f(r, R1, T)
+    oracle = rho.mean(axis=0)
+    oracle_se = rho.std(axis=0, ddof=1) / np.sqrt(len(rho))
+    rows = np.array(result.rows)
+    assert rows[0, 1] == pytest.approx(metric_f(offset, R1, T), rel=1e-12)
+    z = (rows[1:, 1] - oracle) / np.hypot(rows[1:, 2], oracle_se)
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 def test_contraction_experiment_strongly_convex_rate():

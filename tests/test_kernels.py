@@ -9,14 +9,15 @@ from meanfield_hmc import (RngStream, compute_constants,
 from meanfield_hmc.integrators import (IntegrationDivergedError, _check_duration,
                                       _integral_steps, _snap_step_size)
 
+from conftest import harmonic_step_maps
+
 
 def uhmc_variance_oracle(omega2, T, h):
     """Exact stationary variance of the 1-d unadjusted chain with force
     -omega2*q, via the second-moment transfer matrix of the random
     one-step map (independent of the sampling code entirely)."""
     n = int(round(T / h))
-    m0 = np.array([[1 - omega2 * h * h / 2, h], [-omega2 * h, 1.0]])
-    m1 = np.array([[0.0, -omega2 * h**3 / 2], [0.0, -omega2 * h * h]])
+    m0, m1 = harmonic_step_maps(omega2, h)
     g = (np.kron(m0, m0) + 0.5 * (np.kron(m0, m1) + np.kron(m1, m0))
          + (1.0 / 3.0) * np.kron(m1, m1))
     gn = np.linalg.matrix_power(g, n)

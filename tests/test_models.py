@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from meanfield_hmc import (InvalidModelError, ShallowNetDataset,
-                           gaussian_model, mean_field_grad_all, models,
-                           multiwell_model, shallow_net_model)
+from meanfield_hmc import (ShallowNetDataset, gaussian_model,
+                           mean_field_grad_all, models, multiwell_model,
+                           shallow_net_model)
 from conftest import (central_diff_grad, pair_sum_potential, pairwise_grad_all,
                       read_only, reference, reference_shallow_net, rel_err)
 
@@ -58,9 +58,9 @@ def test_gaussian_two_particle_force():
 
 
 def test_gaussian_epsilon_range():
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\), got epsilon=1.0;"):
         gaussian_model(1.0)
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\), got epsilon=-0.1;"):
         gaussian_model(-0.1)
 
 
@@ -119,9 +119,9 @@ def test_multiwell_interaction_modes():
     assert reference(quad).W(x, y) == pytest.approx(0.5 * np.sum((x - y) ** 2))
     assert none.constants.L_tilde == 0.0
     assert quad.constants.L_tilde == 1.0
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match="unknown interaction 'cubic'"):
         multiwell_model(1.0, interaction="cubic")
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match="a must be finite and nonnegative, got a=-1.0"):
         multiwell_model(-1.0)
 
 
@@ -207,13 +207,13 @@ def test_shallow_net_self_interaction_nonnegative():
 
 
 def test_shallow_net_validation():
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match="dataset must contain at least one point"):
         ShallowNetDataset(inputs=np.zeros((0, 2)), outputs=np.zeros(0))
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match="dataset entries must be finite"):
         ShallowNetDataset(inputs=np.array([[np.inf, 0.0]]), outputs=np.ones(1))
-    with pytest.raises(InvalidModelError, match=r"inputs must be a 2-d array \(M, d-1\)"):
+    with pytest.raises(ValueError, match=r"inputs must be a 2-d array \(M, d-1\)"):
         ShallowNetDataset(inputs=np.zeros(3), outputs=np.zeros(3))
-    with pytest.raises(InvalidModelError, match="outputs must have one entry per input row"):
+    with pytest.raises(ValueError, match="outputs must have one entry per input row"):
         ShallowNetDataset(inputs=np.zeros((3, 2)), outputs=np.zeros(2))
     rng = np.random.default_rng(3)
     data = ShallowNetDataset(inputs=rng.normal(size=(5, 2)),
@@ -469,11 +469,11 @@ def test_shallow_net_csv_roundtrip(tmp_path):
     assert np.array_equal(back.outputs, data.outputs)
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(ValueError, match=r"expected header 'y,z1,\.\.\.', got \['a', 'b'\]"):
         ShallowNetDataset.from_csv(bad)
     for text, message in [("", "empty file"), ("y,z1\n", "no data rows")]:
         bad.write_text(text)
-        with pytest.raises(InvalidModelError) as err:
+        with pytest.raises(ValueError) as err:
             ShallowNetDataset.from_csv(bad)
         assert str(err.value) == f"{bad}: {message}"
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_hmc import (AssumptionConstants, InvalidModelError, MeanFieldModel,
-                           ShallowNetDataset, check_conditions, compute_constants,
-                           gaussian_model, max_admissible_T, multiwell_model,
-                           shallow_net_model)
+from meanfield_hmc import (AssumptionConstants, MeanFieldModel, ShallowNetDataset,
+                           check_conditions, compute_constants, gaussian_model,
+                           max_admissible_T, multiwell_model, shallow_net_model)
 from meanfield_hmc.theory import constants_table
 
 
@@ -83,6 +82,12 @@ def test_condition_reports_zero_interaction():
         assert math.isfinite(tc.L_e) and tc.L_e == tc.L
         assert tc.B == 0.0
         assert math.isfinite(max_admissible_T(model, "uhmc"))
+    # every W0 term of B2 and C carries eps, so at eps = 0 a W0 > 0 with
+    # L_tilde = 0 leaves them finite: those of the same model with W0 = 0
+    at_origin, no_w0 = [compute_constants(_model_with_interaction_at_origin(0.0, W0, 0.0), 0.4)
+                        for W0 in (1.3, 0.0)]
+    assert math.isfinite(at_origin.C)
+    assert (at_origin.B2, at_origin.C) == (no_w0.B2, no_w0.C)
 
 
 def test_condition_ratio_is_infinite_where_only_the_bound_vanishes():
@@ -168,11 +173,11 @@ def test_second_moment_bounds_formulas():
                                  rel=1e-12)
 
 
-def _model_with_interaction_at_origin(L_tilde):
+def _model_with_interaction_at_origin(L_tilde, W0=1.3, epsilon=0.3):
     # no built-in model has W0 > 0; only the constants, eps and d enter the theory
     constants = AssumptionConstants(K=0.5, L1=1.5, L2=2.0, L_tilde=L_tilde,
-                                    R_conv=0.7, W0=1.3)
-    m = gaussian_model(0.3)
+                                    R_conv=0.7, W0=W0)
+    m = gaussian_model(epsilon)
     return MeanFieldModel(**{**vars(m), "dim": 2, "constants": constants})
 
 
@@ -210,7 +215,7 @@ def test_invalid_inputs_raise():
                             ({"L2": 0.0}, "L2 must be positive"),
                             ({"K": 2.5}, "K must not exceed L2"),
                             ({"L_tilde": -0.1}, "L_tilde must be nonnegative")]:
-        with pytest.raises(InvalidModelError, match=message):
+        with pytest.raises(ValueError, match=message):
             AssumptionConstants(**{**valid, **change})
 
 
