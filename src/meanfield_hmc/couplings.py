@@ -170,6 +170,8 @@ def metric_f_prime(r, R1: float, T: float):
     A ratio min(R1, r)/T that overflows gives 0, without a warning.
     """
     r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError("r must be nonnegative")
     with np.errstate(over="ignore"):
         out = np.exp(-np.minimum(r, R1) / T)
     return float(out) if out.ndim == 0 else out

@@ -1,8 +1,8 @@
 """Distance and density estimators for sample ensembles.
 
-Ensembles are plain one-dimensional arrays of n samples.
-The 1-d Wasserstein-1 distance is computed exactly by sorting; the
-density diagnostic is a Gaussian kernel estimate compared with the
+Ensembles are plain one-dimensional arrays of n samples.  The 1-d
+Wasserstein-1 distance of two ensembles of one size is exact, by sorting;
+the density diagnostic is a Gaussian kernel estimate compared with the
 standard normal density in relative grid-L1 error.
 
 The KDE's order of summation is part of its output, and the bias-scan
@@ -35,26 +35,16 @@ def _as_1d(samples) -> np.ndarray:
     return a
 
 
-def _match_counts(a: np.ndarray, b: np.ndarray):
-    # deterministic stride subsample of the larger ensemble
-    if len(a) == len(b):
-        return a, b
-    big, small = (a, b) if len(a) > len(b) else (b, a)
-    idx = (np.arange(len(small)) * len(big)) // len(small)
-    big = big[idx]
-    return (big, small) if len(a) > len(b) else (small, big)
-
-
 def wasserstein1_1d(a, b) -> float:
     """Exact empirical Wasserstein-1 distance between two 1-d ensembles.
 
     Sorts both samples and averages the absolute differences of order
-    statistics.  Unequal counts are reconciled by a deterministic stride
-    subsample of the larger ensemble.
+    statistics.  Ensembles of unequal size are refused.
     """
     a = _as_1d(a)
     b = _as_1d(b)
-    a, b = _match_counts(a, b)
+    if len(a) != len(b):
+        raise ValueError(f"ensembles must be of one size, got {len(a)} and {len(b)}")
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 

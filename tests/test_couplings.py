@@ -321,6 +321,9 @@ def test_metric_f_closed_form():
     assert metric_f(1.0, R1=10.0, T=1.0) == pytest.approx(1 - np.exp(-1.0), rel=1e-14)
     with pytest.raises(ValueError):
         metric_f(-0.1, R1=1.0, T=1.0)
+    # the derivative's range is (0, 1]: a negative r is refused alike
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        metric_f_prime(-1.0, R1=1.0, T=1.0)
 
 
 def test_metric_f_matches_expression_form_bit_for_bit():

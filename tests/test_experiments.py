@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from meanfield_hmc import (__version__, compute_constants, experiments,
+from meanfield_hmc import (__version__, compute_constants, couplings, experiments,
                            gaussian_model, max_admissible_T, metric_f,
                            multiwell_model)
+from meanfield_hmc.couplings import CoupleResult
 from meanfield_hmc.experiments import (Report, bias_scan, chaos_scan,
                                        contraction_experiment, write_csv)
 from meanfield_hmc.integrators import IntegrationDivergedError
@@ -157,13 +158,28 @@ def test_chaos_scan_mean_coord_var_matches_exact_value():
                 < 4.0 * d["mean_coord_var_se"])
 
 
-def test_chaos_scan_w1_strides_the_pooled_samples_down_to_the_cap(monkeypatch):
-    # 160 pooled samples against a cap of 100; the rows are those the scan
-    # gave when it applied the stride itself instead of wasserstein1_1d
-    monkeypatch.setattr(experiments, "W1_SUBSAMPLE_CAP", 100)
-    result = chaos_scan(N_list=(4,), m=40, replicas=4)
-    assert result.rows == [
-        (4, 0.07125593611423175, 0.33046240522409465, 0.2298932813520611)]
+def test_chaos_scan_var_hat_matches_exact_value():
+    # short chains over many replicas: taken about the pooled mean instead
+    # of the known mean 0, the variance read 10 to 15 SE low here
+    d, = chaos_scan(N_list=(4,), m=20, replicas=2000).footer["detail"]
+    assert d["analytic_var"] == pytest.approx(1.0 + 0.25 / (0.75 * 4))
+    assert d["var_se"] > 0
+    assert abs(d["var_hat"] - d["analytic_var"]) < 4.0 * d["var_se"]
+
+
+def test_chaos_scan_draws_only_the_start_and_the_velocities(monkeypatch):
+    # the W1 reference is the normal's quantiles, so after the chain's
+    # (m + 1) * replicas * N variates the scan draws none
+    streams = []
+    start = experiments.stationary_gaussian_sample_arrays
+
+    def recording_start(epsilon, shape, stream):
+        streams.append(stream)
+        return start(epsilon, shape, stream)
+
+    monkeypatch.setattr(experiments, "stationary_gaussian_sample_arrays", recording_start)
+    chaos_scan(N_list=(4, 8), m=5, replicas=3)
+    assert [s.counter for s in streams] == [6 * 3 * 4, 6 * 3 * 8]
 
 
 @pytest.mark.parametrize("kwargs", [dict(N_list=(1, 4)), dict(m=0),
@@ -254,6 +270,44 @@ def test_contraction_experiment_multiwell_theory_envelope():
     # the measured contraction: 0.99822 with SE 0.00017 at seed 19
     footer = result.footer
     assert footer["fitted_decay_factor"] + 4.0 * footer["fitted_decay_factor_se"] < 1.0
+
+
+def _contraction_inside_the_uhmc_region():
+    # eps = 2e-4, T = 0.25: the uHMC conditions hold (cond_CT at 0.56 of
+    # its bound, cond_Cepsi at 0.71), so the theorem's one-step contraction
+    # E rho_N' <= (1 - c_uhmc) rho_N applies to the coupling; cond_eps, the
+    # nHMC condition, does not hold here.  An offset of order T keeps the
+    # pairs where the metric is curved: at offset 1 an uncoupled copy also
+    # stays under the bound.
+    model = gaussian_model(2e-4)
+    tc = compute_constants(model, 0.25)
+    assert tc.conditions["cond_CT"].passed and tc.conditions["cond_Cepsi"].passed
+    assert tc.c_uhmc == pytest.approx(4.0056e-4, rel=1e-4)
+    result = contraction_experiment(model, T=0.25, h=0.0625, m=40, replicas=400,
+                                    N=8, offset=0.25)
+    rows = np.array(result.rows)
+    bound = (1.0 - result.footer["c_uhmc"]) ** rows[:, 0] * rows[0, 1]
+    return rows[:, 1] - (bound + 4.0 * rows[:, 2])
+
+
+def test_contraction_experiment_keeps_the_theorem_rate():
+    # the fitted factor reads 0.9766 per step against 1 - c_uhmc = 0.9996
+    assert np.all(_contraction_inside_the_uhmc_region() <= 0.0)
+
+
+def test_contraction_bound_fails_without_the_velocity_coupling(monkeypatch):
+    # eta drawn independently of xi: the pairs drift apart, about 60 SE
+    # above the bound
+    couple = couplings.couple_velocities_batch
+
+    def independent(z, cp, stream):
+        res = couple(z, cp, stream)
+        return CoupleResult(xi=res.xi, eta=stream.normal_vector(res.xi.shape),
+                            synchronous=res.synchronous,
+                            coalescing=np.zeros_like(res.coalescing))
+
+    monkeypatch.setattr(couplings, "couple_velocities_batch", independent)
+    assert np.any(_contraction_inside_the_uhmc_region() > 0.0)
 
 
 # --- the CSV writer ---------------------------------------------------------

@@ -61,6 +61,28 @@ def test_randomized_step_hand_value():
     assert p[0, 0] == pytest.approx(-0.1, abs=1e-15)
 
 
+def test_step_at_u_half_is_reversible_position_verlet():
+    # at u = 1/2 the step is position Verlet, q* = q + (h/2) p,
+    # p' = p - h grad U(q*), q' = q* + (h/2) p', so stepping from (q', -p')
+    # returns (q, -p); at any other u it does not
+    model = multiwell_model(2.0, 2, 0.5, "quadratic")
+    h = 0.25
+    rng = np.random.default_rng(21)
+    q, p = rng.standard_normal((2, 3, 8, 2))
+    half = np.full(3, 0.5)
+    q1, p1 = randomized_step_arrays(model, q, p, h, half)
+    q_star = q + (h / 2) * p
+    p_verlet = p - h * model.grad_U_all(q_star)
+    assert np.abs(p1 - p_verlet).max() <= 1e-12
+    assert np.abs(q1 - (q_star + (h / 2) * p_verlet)).max() <= 1e-12
+    q0, p0 = randomized_step_arrays(model, q1, -p1, h, half)
+    assert np.abs(q0 - q).max() <= 1e-12 and np.abs(p0 + p).max() <= 1e-12
+    u = np.full(3, 0.3)
+    q_off, p_off = randomized_step_arrays(model, q, p, h, u)
+    q_back, _ = randomized_step_arrays(model, q_off, -p_off, h, u)
+    assert np.abs(q_back - q).max() > 1e-3
+
+
 def test_free_flight_is_exact_straight_line():
     m = _free_model()
     q = np.array([[0.3], [-2.0], [1.5]])

@@ -16,13 +16,11 @@ def test_w1_hand_computed_pair():
     assert wasserstein1_1d(b, a) == 2.5 / 3
 
 
-def test_w1_unequal_counts_take_a_stride_subsample_of_the_larger():
-    # six against three: the larger keeps entries 0, 2 and 4 in its given
-    # order, here (10, 20, 30), against (11, 19, 33)
-    big = [10.0, 99.0, 20.0, 99.0, 30.0, 99.0]
-    small = [33.0, 11.0, 19.0]
-    assert wasserstein1_1d(big, small) == 5.0 / 3
-    assert wasserstein1_1d(small, big) == 5.0 / 3
+def test_w1_refuses_ensembles_of_unequal_size():
+    with pytest.raises(ValueError, match="ensembles must be of one size, got 6 and 3"):
+        wasserstein1_1d(np.arange(6.0), np.arange(3.0))
+    with pytest.raises(ValueError, match="got 3 and 6"):
+        wasserstein1_1d(np.arange(3.0), np.arange(6.0))
 
 
 @pytest.mark.parametrize("bad", [[], [1.0, np.nan], [np.inf, 0.0],

@@ -48,8 +48,12 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+
+
 def test_the_package_has_one_exception_class_and_raises_four():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    trees = _package_trees()
     classes = [node for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     exceptions = {name for name in dir(builtins)
@@ -68,3 +72,27 @@ def test_the_package_has_one_exception_class_and_raises_four():
                 raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 assert isinstance(raised, ast.Name) and raised.id in RAISED, (
                     f"{file}:{node.lineno} raises {ast.unparse(node.exc) if node.exc else 'again'}")
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a private module-level function, class or constant that no package
+    # module reads is dead code, even when a test still imports it
+    trees = _package_trees()
+    defined = {}
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((name, f"{file}:{node.lineno}") for name in names
+                           if name[:1] == "_" and not name[:2] == name[-2:] == "__")
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+    assert defined, "no private module-level names found"
+    assert sorted(f"{defined[name]} {name}" for name in set(defined) - read) == []
