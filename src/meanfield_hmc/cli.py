@@ -139,7 +139,8 @@ def _add_contraction_flags(p):
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--replicas", type=int, default=1000)
     p.add_argument("--offset", type=float, default=1.0)
-    p.add_argument("--synchronous", action="store_true")
+    p.add_argument("--synchronous", action="store_true", help="couple every pair's "
+                   "velocities synchronously: the coupling at R_tilde = 0")
     _add_common_flags(p)
     _add_plot_flag(p)
 

@@ -99,13 +99,12 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
 
 
 def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
-                      h: float, cp: CouplingParams, stream: RngStream,
-                      *, synchronous: bool = False):
+                      h: float, cp: CouplingParams, stream: RngStream):
     """One coupled unadjusted step of duration cp.T in steps of size h on
     (..., N, d) position arrays.
 
-    Initial velocities are coupled particle-wise (or fully synchronized
-    with ``synchronous``); both copies then run through one lockstep flow
+    Initial velocities are coupled particle-wise, synchronously for every
+    pair at cp.R_tilde = 0; both copies then run through one lockstep flow
     with identical integrator uniforms.  Shapes, cp.T and h are checked
     before any variate is drawn.
     """
@@ -114,12 +113,8 @@ def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
     if x.shape != xp.shape:
         raise ValueError("coupled copies must have identical shapes")
     _integral_steps(cp.T, h)
-    if synchronous:
-        xi = eta = stream.normal_vector(x.shape)
-    else:
-        res = couple_velocities_batch(x - xp, cp, stream)
-        xi, eta = res.xi, res.eta
-    (q, _), (qp, _) = lockstep_flow_arrays(model, [(x, xi), (xp, eta)],
+    res = couple_velocities_batch(x - xp, cp, stream)
+    (q, _), (qp, _) = lockstep_flow_arrays(model, [(x, res.xi), (xp, res.eta)],
                                            cp.T, h, stream)
     return q, qp
 

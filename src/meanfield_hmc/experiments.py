@@ -387,13 +387,15 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
 
     Initial pairs are x ~ product standard normal and x' = x + offset in
     every coordinate, with |offset| below ``DIVERGENCE_LIMIT``; each
-    replica then runs ``m`` coupled steps.
+    replica then runs ``m`` coupled steps.  ``synchronous`` couples every
+    pair's velocities synchronously: the coupling at R_tilde = 0.
     Admissibility of (T, eps) for the discretized kernel is checked first;
-    failures warn and proceed.  Row k holds the replica mean of rho_N after
-    k coupled steps and its standard error.  The footer's decay factor is
-    exp(slope) of a log-linear fit of the means, and its standard error
-    comes from refitting on CONTRACTION_BLOCKS disjoint replica groups;
-    the footer adds the theory's rate c_uhmc and envelope constant A.
+    failures warn and proceed.  Row k holds the replica mean of rho_N, with
+    the model's R1, after k coupled steps and its standard error.  The
+    footer's decay factor is exp(slope) of a log-linear fit of the means,
+    and its standard error comes from refitting on CONTRACTION_BLOCKS
+    disjoint replica groups; the footer adds the theory's rate c_uhmc and
+    envelope constant A.
     """
     _check_count("steps", m)
     _check_count("replicas", replicas, 2)
@@ -411,14 +413,12 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
         if not rep.passed:
             print(f"warning: {name} fails (lhs={rep.lhs:.6g} > rhs={rep.rhs:.6g}); "
                   f"proceeding anyway", file=sys.stderr)
-    cp = CouplingParams(R_tilde=tc.R_tilde, T=T)
+    cp = CouplingParams(R_tilde=0.0 if synchronous else tc.R_tilde, T=T)
     stream = RngStream(seed)
 
     x = stream.normal_vector((replicas, N, model.dim))
-    rho = run_chain(
-        lambda pair: coupled_uhmc_step(model, *pair, h, cp, stream,
-                                       synchronous=synchronous),
-        (x, x + offset), m, lambda pair: rho_N(*pair, tc.R1, T))
+    rho = run_chain(lambda pair: coupled_uhmc_step(model, *pair, h, cp, stream),
+                    (x, x + offset), m, lambda pair: rho_N(*pair, tc.R1, T))
 
     mean_rho = rho.mean(axis=1)
     stderr = rho.std(axis=1, ddof=1) / np.sqrt(replicas)

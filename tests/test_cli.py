@@ -108,6 +108,14 @@ def test_plot_and_json_match_golden_files(tmp_path, monkeypatch, capsys, name, t
     assert [svg.read_bytes() for svg in tmp_path.glob("*.svg")] == expected
 
 
+def test_golden_directory_holds_no_orphan_file():
+    # a golden file that no test reads would outlive the run it pins
+    expected = set(GOLDEN_ARGS) | {"constants_multiwell.txt", "shallow_net_data.csv"}
+    expected |= {f"{name}.stdout" for name in PLOT_JSON_ARGS}
+    expected |= {f"{name}.svg" for name, argv in PLOT_JSON_ARGS.items() if "--plot" in argv}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected)
+
+
 def _theory_range(T, model):
     return f"theory constants leave the floating-point range at T={T} for the {model}"
 

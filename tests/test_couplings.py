@@ -8,7 +8,7 @@ from scipy.stats import kstest, kstwo, norm
 from meanfield_hmc import (CouplingParams, IntegrationDivergedError,
                            RngStream, compute_constants,
                            couple_velocities_batch, coupled_uhmc_step,
-                           ell1_bar, gaussian_model, lockstep_flow_arrays,
+                           ell1_bar, gaussian_model,
                            metric_f, metric_f_prime, multiwell_model, rho_N,
                            uhmc_step_arrays, xhmc_step_gaussian_arrays)
 from meanfield_hmc import models
@@ -178,43 +178,40 @@ def test_coupled_step_determinism():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
-@pytest.mark.parametrize("synchronous", [False, True])
-def test_coupled_step_checks_inputs_before_drawing(synchronous):
+def test_coupled_step_checks_inputs_before_drawing():
     m = gaussian_model(0.25)
     cp = CouplingParams(R_tilde=0.0, T=1.0)
     stream = RngStream(0)
     # (3, 4, 1) and (4, 1) would broadcast silently
     with pytest.raises(ValueError, match="identical shapes"):
-        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((4, 1)), 0.25, cp, stream,
-                          synchronous=synchronous)
+        coupled_uhmc_step(m, np.ones((3, 4, 1)), np.ones((4, 1)), 0.25, cp, stream)
     x = np.ones((3, 4, 1))
     for h, message in ((0.0, "h must be finite and positive, got h=0.0"),
                        (0.3, "T/h must be a positive integer, got T=1.0, h=0.3")):
         with pytest.raises(ValueError) as err:
-            coupled_uhmc_step(m, x, x, h, cp, stream, synchronous=synchronous)
+            coupled_uhmc_step(m, x, x, h, cp, stream)
         assert str(err.value) == message
     # the step runs for cp.T, which the coupling refuses unless it is a
     # valid duration, so no step can draw with a bad one
     for T in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError) as err:
-            coupled_uhmc_step(m, x, x, 0.25, CouplingParams(R_tilde=0.0, T=T), stream,
-                              synchronous=synchronous)
+            coupled_uhmc_step(m, x, x, 0.25, CouplingParams(R_tilde=0.0, T=T), stream)
         assert str(err.value) == f"T must be finite and positive, got T={T}"
     assert stream.counter == 0
 
 
 def test_coupled_step_reports_earlier_divergence():
-    # h = 2.5 is unstable for the unit harmonic force.  Alone, the copy
-    # started at 1 diverges at inner step 185 and the one started at 1e60
-    # at step 76; the coupled step names the earlier one whichever copy it
-    # is.  The indices were recorded with the earlier coupled step, which
-    # looped over the two copies itself.
+    # h = 2.5 is unstable for the unit harmonic force.  Alone, with the
+    # velocity and integrator uniforms the coupled step draws, the copy
+    # started at 1 diverges at inner step 180 and the one started at 1e60
+    # at step 77; the coupled step names the earlier one whichever copy it
+    # is.  The indices were recorded by flowing each copy by itself.
     m = gaussian_model(0.0)
     cp = CouplingParams(R_tilde=0.0, T=2500.0)
     near, far = np.ones((1, 1)), np.full((1, 1), 1e60)
-    for x, xp, step in ((near, near, 185), (near, far, 76), (far, near, 76)):
+    for x, xp, step in ((near, near, 180), (near, far, 77), (far, near, 77)):
         with pytest.raises(IntegrationDivergedError) as err:
-            coupled_uhmc_step(m, x, xp, 2.5, cp, RngStream(3), synchronous=True)
+            coupled_uhmc_step(m, x, xp, 2.5, cp, RngStream(3))
         assert err.value.step_index == step
 
 
@@ -260,8 +257,7 @@ def test_coupling_and_coupled_step_leave_their_inputs_unchanged():
     fx, fxp, fz = read_only(x, xp, x - xp)
     res = couple_velocities_batch(fz, cp, RngStream(1))
     assert res.synchronous.any() and not res.synchronous.all()
-    for synchronous in (False, True):
-        coupled_uhmc_step(m, fx, fxp, 0.125, cp, RngStream(2), synchronous=synchronous)
+    coupled_uhmc_step(m, fx, fxp, 0.125, cp, RngStream(2))
     for frozen, copy in ((fx, x), (fxp, xp), (fz, x - xp)):
         assert np.array_equal(frozen, copy)
 
@@ -274,28 +270,10 @@ def test_zero_replica_batch_steps_to_an_empty_batch():
     stream = RngStream(1)
     steps = [uhmc_step_arrays(m, x, 0.5, 0.125, stream),
              couple_velocities_batch(x, cp, stream).eta]
-    for synchronous in (False, True):
-        steps += coupled_uhmc_step(m, x, x.copy(), 0.125, cp, stream,
-                                   synchronous=synchronous)
+    steps += coupled_uhmc_step(m, x, x.copy(), 0.125, cp, stream)
     assert all(q.shape == (0, 4, 2) for q in steps)
     assert xhmc_step_gaussian_arrays(0.25, np.empty((0, 4)), 1.0, stream).shape == (0, 4)
     assert stream.counter == 0
-
-
-def test_synchronous_step_keeps_the_shared_momentum():
-    # the synchronous step hands one momentum array to both copies; each
-    # copy must flow as if it had its own
-    m = multiwell_model(2.0, 2, 0.1, "quadratic")
-    cp = CouplingParams(R_tilde=1.5, T=0.5)
-    rng = np.random.default_rng(18)
-    x = rng.normal(size=(4, 5, 2))
-    xp = x + 0.3
-    got = coupled_uhmc_step(m, x, xp, 0.125, cp, RngStream(3), synchronous=True)
-    stream = RngStream(3)
-    xi = stream.normal_vector(x.shape)
-    (q, _), (qp, _) = lockstep_flow_arrays(m, [(x, xi), (xp, xi.copy())], cp.T, 0.125,
-                                           stream)
-    assert np.array_equal(got[0], q) and np.array_equal(got[1], qp)
 
 
 def test_multiwell_one_step_contracts_on_average():

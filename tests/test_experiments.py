@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from meanfield_hmc import (__version__, compute_constants, couplings, experiments,
+from meanfield_hmc import (CouplingParams, RngStream, __version__, compute_constants,
+                           coupled_uhmc_step, couplings, experiments,
                            gaussian_model, max_admissible_T, metric_f,
-                           multiwell_model)
+                           multiwell_model, rho_N, run_chain)
 from meanfield_hmc.couplings import CoupleResult
 from meanfield_hmc.experiments import (Report, bias_scan, chaos_scan,
                                        contraction_experiment, write_csv)
@@ -216,6 +217,25 @@ def test_contraction_experiment_divergence_names_the_kernel_step():
     assert str(err.value) == "chain diverged at kernel step 0 (inner step 186, replica 2)"
 
 
+def test_synchronous_contraction_is_the_coupling_at_zero_radius():
+    # every pair is at or beyond R_tilde = 0, so the coupled step draws xi,
+    # the acceptance uniforms and the flow's uniforms and hands xi to both
+    # copies; the metric keeps the model's R1
+    model = multiwell_model(2.0, 2, 0.1, "quadratic")
+    T, h, m, replicas, N, seed, offset = 0.5, 0.125, 6, 8, 4, 3, 0.7
+    result = contraction_experiment(model, T=T, h=h, m=m, replicas=replicas, N=N,
+                                    seed=seed, offset=offset, synchronous=True)
+    assert result.config["synchronous"] is True
+    cp, R1, stream = CouplingParams(0.0, T), compute_constants(model, T).R1, RngStream(seed)
+    x = stream.normal_vector((replicas, N, model.dim))
+    rho = run_chain(lambda pair: coupled_uhmc_step(model, *pair, h, cp, stream),
+                    (x, x + offset), m, lambda pair: rho_N(*pair, R1, T))
+    rows = np.array(result.rows)
+    assert np.array_equal(rows[:, 0], np.arange(m + 1))
+    assert np.array_equal(rows[:, 1], rho.mean(axis=1))
+    assert np.array_equal(rows[:, 2], rho.std(axis=1, ddof=1) / np.sqrt(replicas))
+
+
 def test_contraction_experiment_matches_the_mean_mode_oracle():
     # synchronous velocities and an offset along 1 keep every particle's
     # difference equal, so it follows the mean mode (omega^2 = 1 - eps) and
@@ -270,6 +290,33 @@ def test_contraction_experiment_multiwell_theory_envelope():
     # the measured contraction: 0.99822 with SE 0.00017 at seed 19
     footer = result.footer
     assert footer["fitted_decay_factor"] + 4.0 * footer["fitted_decay_factor_se"] < 1.0
+
+
+def _multiwell_contraction(eps):
+    # a = 5 with a quadratic interaction: the symmetric stationary law of
+    # nHMC is unique below eps_c = 2.344 (1-d quadrature) and gives way to
+    # two asymmetric ones above it, so no contraction is uniform in N there
+    result = contraction_experiment(multiwell_model(5.0, epsilon=eps, interaction="quadratic"),
+                                    T=1.0, h=0.25, m=60, replicas=200, N=128, offset=1.5)
+    return (result.footer["fitted_decay_factor"], result.footer["fitted_decay_factor_se"],
+            result.rows[20][1:], result.rows[60][1:])
+
+
+def test_contraction_contracts_below_the_critical_interaction():
+    # eps = 1: factor 0.838 +- 0.007 and step 60 20 SE below step 20 at
+    # seed 0 (0.830-0.853 and 17.7-20.5 SE over seeds 0-5).  c_uhmc is
+    # about 3e-10 here, so no theory bound is asserted.
+    factor, se, (rho20, se20), (rho60, _) = _multiwell_contraction(1.0)
+    assert factor + 4.0 * se < 0.9
+    assert rho60 < rho20 - 10.0 * se20
+
+
+def test_contraction_stalls_above_the_critical_interaction():
+    # eps = 5: pairs that fell into opposite wells stop contracting; factor
+    # 0.995 +- 0.001 and |z| = 0.53 between steps 20 and 60 at seed 0
+    factor, se, (rho20, se20), (rho60, se60) = _multiwell_contraction(5.0)
+    assert abs(rho60 - rho20) <= 4.0 * np.hypot(se20, se60)
+    assert factor - 4.0 * se > 0.98
 
 
 def _contraction_inside_the_uhmc_region():

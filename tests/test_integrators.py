@@ -83,6 +83,32 @@ def test_step_at_u_half_is_reversible_position_verlet():
     assert np.abs(q_back - q).max() > 1e-3
 
 
+class _FixedUniforms:
+    """A stream whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniforms(self, shape):
+        return np.full(shape, self.u)
+
+
+def test_flow_at_u_half_is_reversible():
+    # T/h position Verlet steps are reversible as one step is: flowing on
+    # from (q', -p') returns (q, -p); at u = 0.3 the return misses q by 0.08
+    model = multiwell_model(2.0, 2, 0.5, "quadratic")
+    rng = np.random.default_rng(22)
+    q, p = rng.standard_normal((2, 3, 8, 2))
+    misses = {}
+    for u in (0.5, 0.3):
+        (q1, p1), = lockstep_flow_arrays(model, [(q, p)], 1.0, 0.125, _FixedUniforms(u))
+        (q0, p0), = lockstep_flow_arrays(model, [(q1, -p1)], 1.0, 0.125, _FixedUniforms(u))
+        misses[u] = (np.abs(q0 - q).max() / np.abs(q).max(),
+                     np.abs(p0 + p).max() / np.abs(p).max())
+    assert max(misses[0.5]) <= 1e-12, misses
+    assert misses[0.3][0] > 1e-3, misses
+
+
 def test_free_flight_is_exact_straight_line():
     m = _free_model()
     q = np.array([[0.3], [-2.0], [1.5]])
@@ -231,7 +257,7 @@ def test_step_and_flow_leave_their_inputs_unchanged(case):
     q, p, u = rng.normal(size=shape), rng.normal(size=shape), rng.uniform(size=shape[:-2])
     fq, fp, fu = read_only(q, p, u)
     randomized_step_arrays(model, fq, fp, 0.25, fu)
-    # two pairs sharing one momentum array, as the synchronous coupling has
+    # two pairs sharing one momentum array
     lockstep_flow_arrays(model, [(fq, fp), (fp, fp)], 1.0, 0.25, RngStream(1))
     for frozen, copy in ((fq, q), (fp, p), (fu, u)):
         assert np.array_equal(frozen, copy)
