@@ -178,9 +178,13 @@ def test_coupled_step_determinism():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
-def test_coupled_step_checks_inputs_before_drawing():
+@pytest.mark.parametrize("synchronous", [False, True])
+def test_coupled_step_checks_inputs_before_drawing(synchronous):
+    # R_tilde = 0 is the synchronous coupling; a positive radius lets pairs
+    # reflect.  Either way the step refuses before it draws.
+    R_tilde = 0.0 if synchronous else 1.5
     m = gaussian_model(0.25)
-    cp = CouplingParams(R_tilde=0.0, T=1.0)
+    cp = CouplingParams(R_tilde=R_tilde, T=1.0)
     stream = RngStream(0)
     # (3, 4, 1) and (4, 1) would broadcast silently
     with pytest.raises(ValueError, match="identical shapes"):
@@ -195,7 +199,8 @@ def test_coupled_step_checks_inputs_before_drawing():
     # valid duration, so no step can draw with a bad one
     for T in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError) as err:
-            coupled_uhmc_step(m, x, x, 0.25, CouplingParams(R_tilde=0.0, T=T), stream)
+            coupled_uhmc_step(m, x, x, 0.25, CouplingParams(R_tilde=R_tilde, T=T),
+                              stream)
         assert str(err.value) == f"T must be finite and positive, got T={T}"
     assert stream.counter == 0
 
