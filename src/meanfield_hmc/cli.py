@@ -13,8 +13,9 @@ the experiment runs.
 Each subcommand but ``constants`` maps its flags to one call of its
 experiment, which returns an :class:`experiments.Report` of plain values;
 :func:`experiments.write_csv` writes its CSV, and :func:`_write_outputs`
-adds the ``--plot`` SVG and the ``--json`` line.  Every JSON output goes
-through :func:`experiments.config_json`, the CLI's one JSON writer.
+adds the ``--json`` line and the ``--plot`` SVG, which order-check alone
+draws.  Every JSON output goes through :func:`experiments.config_json`, the
+CLI's one JSON writer.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def _add_common_flags(p):
                         "accept the flag and ignore it")
 
 
-def _add_plot_flag(p):
-    p.add_argument("--plot", action="store_true",
-                   help="also write an SVG plot next to the CSV")
-
-
 def _add_sample_flags(p):
     _add_model_flags(p)
     p.add_argument("--N", type=int, default=16)
@@ -117,7 +113,6 @@ def _add_bias_scan_flags(p):
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--burn-in", type=float, default=0.1)
     _add_common_flags(p)
-    _add_plot_flag(p)
 
 
 def _add_chaos_scan_flags(p):
@@ -128,7 +123,6 @@ def _add_chaos_scan_flags(p):
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--T", type=float, default=1.0)
     _add_common_flags(p)
-    _add_plot_flag(p)
 
 
 def _add_contraction_flags(p):
@@ -142,7 +136,6 @@ def _add_contraction_flags(p):
     p.add_argument("--synchronous", action="store_true", help="couple every pair's "
                    "velocities synchronously: the coupling at R_tilde = 0")
     _add_common_flags(p)
-    _add_plot_flag(p)
 
 
 def _add_order_check_flags(p):
@@ -152,7 +145,8 @@ def _add_order_check_flags(p):
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--replicas", type=int, default=1000)
     _add_common_flags(p)
-    _add_plot_flag(p)
+    p.add_argument("--plot", action="store_true",
+                   help="also write an SVG plot next to the CSV")
 
 
 def _add_constants_flags(p):
@@ -239,8 +233,9 @@ def _out_path(args) -> str:
 
 def _write_outputs(args, path, report):
     """Write the CSV to ``path``, the ``--plot`` SVG next to it when the
-    report has a plot (commands without one have no ``--plot`` flag), and
-    the ``--json`` line: the CSV path under "out" plus the footer's entries."""
+    report has a plot (order-check alone has one, and the ``--plot`` flag),
+    and the ``--json`` line: the CSV path under "out" plus the footer's
+    entries."""
     write_csv(path, report, args.command, args.seed)
     if report.plot is not None and args.plot:
         svg = path[:-4] + ".svg" if path.endswith(".csv") else path + ".svg"

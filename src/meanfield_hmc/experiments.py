@@ -1,5 +1,6 @@
 """Experiment drivers: bias scaling, chaos scan, contraction estimation,
-integrator order check, and generic sampling, with CSV/SVG output.
+integrator order check, and generic sampling, with CSV output and
+order-check's SVG.
 
 Every chain runs through :func:`kernels.run_chain`: an experiment supplies
 the kernel step and what to record along the chain, and reduces the
@@ -11,8 +12,8 @@ thread pool, and two runs with the same seed emit byte-identical files.
 Each experiment returns one :class:`Report`: its CSV columns and rows, the
 configuration for the CSV header, and, next to the estimates they
 describe, its footer values (the run's one record, which the ``--json``
-line prints too) and its plot.  The CLI only writes a Report; it knows
-nothing of any one experiment's results.
+line prints too) and, for order-check alone, its plot.  The CLI only writes
+a Report; it knows nothing of any one experiment's results.
 """
 
 from __future__ import annotations
@@ -114,15 +115,15 @@ def write_csv(path, report, command: str, seed: int):
 
 def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
                       guide_factor: float):
-    """Minimal deterministic SVG: log2(y) against x with a dashed guide line
-    through the first point whose slope is log2(guide_factor) per unit x.
-    Without points only the frame, labels and title are drawn."""
+    """Minimal deterministic SVG of at least one point: log2(y) against x
+    with a dashed guide line through the first point whose slope is
+    log2(guide_factor) per unit x."""
     xs = [float(x) for x in xs]
     ly = [math.log2(float(y)) for y in ys]
     w, h, margin = 480, 360, 56
     guide = [ly[0] + math.log2(guide_factor) * (x - xs[0]) for x in xs]
-    x_lo, x_hi = min(xs, default=0.0), max(xs, default=1.0)
-    y_lo, y_hi = min(ly + guide, default=0.0), max(ly + guide, default=1.0)
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ly + guide), max(ly + guide)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -153,13 +154,11 @@ def write_scaling_svg(path, xs, ys, *, xlabel: str, ylabel: str, title: str,
         f'font-family="sans-serif" font-size="11" '
         f'transform="rotate(-90 16 {h / 2:.0f})">{ylabel} (log2)</text>',
     ]
-    if xs:
-        parts.append(polyline(list(zip(xs, ly)), "#1f5fa8"))
+    parts.append(polyline(list(zip(xs, ly)), "#1f5fa8"))
     for x, y in zip(xs, ly):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#1f5fa8"/>')
-    if guide:
-        parts.append(polyline(list(zip(xs, guide)), "#888888",
-                              dash='stroke-dasharray="6 4" '))
+    parts.append(polyline(list(zip(xs, guide)), "#888888",
+                          dash='stroke-dasharray="6 4" '))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -173,8 +172,8 @@ class Report(_Frozen):
     value; a scan's last entry is ``detail``, one dict per row with the
     estimates the rows leave out; the ``--json`` line prints the same
     entries.  ``plot`` holds the keywords of :func:`write_scaling_svg` for
-    ``--plot``, or None where the command draws nothing.  :func:`write_csv`
-    and :func:`config_json` alone format these values.
+    order-check's ``--plot``; every other command leaves it None.
+    :func:`write_csv` and :func:`config_json` alone format these values.
     """
 
     def __init__(self, columns: tuple, rows: list, config: dict, footer: dict,
@@ -284,17 +283,12 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
         return (k, eps_acc, n_particles, h, steps, err), detail
 
     rows, detail = _scan(one_k, range(1, k_max + 1), seed, threads)
-    errors = [r[5] for r in rows]
-    slope = _slope([r[1] for r in rows], errors)
+    slope = _slope([r[1] for r in rows], [r[5] for r in rows])
     config = {"k_max": k_max, "steps": steps, "h_rule": h_rule,
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
               "h_fixed": h_fixed}
-    return Report(
-        BIAS_COLUMNS, rows, config,
-        {"loglog_slope_vs_eps_acc": slope, "detail": detail},
-        dict(xs=[r[0] for r in rows], ys=errors, xlabel="k (accuracy 2^-k)",
-             ylabel="density error", title="stationary density error vs accuracy",
-             guide_factor=0.5))
+    return Report(BIAS_COLUMNS, rows, config,
+                  {"loglog_slope_vs_eps_acc": slope, "detail": detail})
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +347,8 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
     slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"N_list": list(N_list), "m": m, "replicas": replicas,
               "epsilon": epsilon, "T": T}
-    return Report(
-        CHAOS_COLUMNS, rows, config,
-        {"loglog_slope_vs_N": slope, "detail": detail},
-        dict(xs=[math.log2(r[0]) for r in rows], ys=[r[1] for r in rows],
-             xlabel="log2 N", ylabel="variance error",
-             title="marginal variance error vs particle count", guide_factor=0.5))
+    return Report(CHAOS_COLUMNS, rows, config,
+                  {"loglog_slope_vs_N": slope, "detail": detail})
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +425,10 @@ def contraction_experiment(model: MeanFieldModel, T: float, h: float,
               "offset": offset, "synchronous": synchronous}
     factor = _fit_factor(mean_rho)
     factor_se = float(refits.std(ddof=1) / np.sqrt(len(blocks)))
-    positive = [(k, v) for k, v, _ in rows if v > 0]
     return Report(
         CONTRACTION_COLUMNS, rows, config,
         {"fitted_decay_factor": factor, "fitted_decay_factor_se": factor_se,
-         "c_uhmc": tc.c_uhmc, "one_minus_c_uhmc": 1.0 - tc.c_uhmc, "A": tc.A},
-        dict(xs=[k for k, _ in positive], ys=[v for _, v in positive],
-             xlabel="coupled step", ylabel="mean coupled distance",
-             title="coupled-chain contraction", guide_factor=1.0 - tc.c_uhmc))
+         "c_uhmc": tc.c_uhmc, "one_minus_c_uhmc": 1.0 - tc.c_uhmc, "A": tc.A})
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +448,13 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     and averages the particle-mean weighted phase-space error
     mean_i sqrt(|dq_i|^2 + |dp_i|^2 / L_e).  The expected log-log slope
     in h is 3/2.  The footer's detail line gives each mean's standard
-    error across replicas.
+    error across replicas.  An empty ``h_list`` is a ValueError, so the
+    plot always has a point.
     """
     _check_count("replicas", replicas, 2)
     _check_count("N", N)
+    if not h_list:
+        raise ValueError("h_list names no step sizes")
     model = gaussian_model(epsilon)
     for h in h_list:
         _integral_steps(T, h)

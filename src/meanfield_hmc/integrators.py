@@ -24,6 +24,10 @@ from .rng import RngStream
 
 DIVERGENCE_LIMIT = 1e100
 _RATIO_MESSAGE = "T/h must be a positive integer, got T={T}, h={h}"
+# The flow draws its uniforms a block of whole steps at a time, at most this
+# many variates (one step's worth at least), so its memory does not grow with
+# T/h.  The stream is counter-based, so the values are those of one draw.
+_UNIFORM_BLOCK = 1 << 16
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -148,9 +152,12 @@ def lockstep_flow_arrays(model: MeanFieldModel, states, T: float, h: float,
     """
     n = _integral_steps(T, h)
     states = list(states)
-    us = stream.uniforms((n, *states[0][0].shape[:-2]))
+    batch = states[0][0].shape[:-2]
+    block = max(1, _UNIFORM_BLOCK // max(1, math.prod(batch)))
     for k in range(n):
-        u = us[k]
+        if k % block == 0:
+            us = stream.uniforms((min(block, n - k), *batch))
+        u = us[k % block]
         # each pair is replaced as soon as it has stepped, so a spent pair
         # is freed before the next pair's step allocates
         for i, (q, p) in enumerate(states):

@@ -71,22 +71,22 @@ def test_constants_text_matches_golden_file(capsys):
 
 # Each <name>.stdout golden file is the --json line of these arguments at
 # seed 0: the CSV path under "out", then every footer entry of that CSV under
-# its footer key, non-finite values as null.  <name>.svg, where it exists, is
-# the --plot SVG.  contraction_offset0_plot pins a run whose pairs start
-# coalesced: every distance is 0, so the SVG is drawn without points and the
-# fitted decay factor and its standard error print as null.  sample_json
-# pins the theory's constants as the one footer entry of sample.
+# its footer key, non-finite values as null.  <name>.svg is the --plot SVG,
+# which order-check alone draws.  contraction_offset0_plot pins a run whose
+# pairs start coalesced: every distance is 0, so the fitted decay factor and
+# its standard error print as null.  sample_json pins the theory's constants
+# as the one footer entry of sample.
 PLOT_JSON_ARGS = {
-    "bias_scan_plot": ["bias-scan", "--k-max", "3", "--steps", "120", "--plot",
+    "bias_scan_plot": ["bias-scan", "--k-max", "3", "--steps", "120",
                        "--json", "--out", "bias_scan.csv"],
     "chaos_scan_plot": ["chaos-scan", "--N-list", "4,8,16", "--steps", "30",
-                        "--replicas", "4", "--plot", "--json",
+                        "--replicas", "4", "--json",
                         "--out", "chaos_scan_plot.csv"],
     "contraction_plot": ["contraction", "--model", "multiwell", "--steps", "5",
-                         "--replicas", "20", "--plot", "--json",
+                         "--replicas", "20", "--json",
                          "--out", "contraction_plot.csv"],
     "contraction_offset0_plot": ["contraction", "--offset", "0", "--steps", "5",
-                                 "--replicas", "20", "--plot", "--json",
+                                 "--replicas", "20", "--json",
                                  "--out", "contraction_offset0_plot.csv"],
     "order_check_plot": ["order-check", "--h-list", "0.25,0.125,0.0625", "--N", "8",
                          "--replicas", "6", "--plot", "--json",
@@ -372,6 +372,9 @@ def test_constants_json_reports_the_gaussian_interaction_strength(capsys):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["sample", "--plot"], id="sample"),
+    pytest.param(["bias-scan", "--plot"], id="bias-scan"),
+    pytest.param(["chaos-scan", "--plot"], id="chaos-scan"),
+    pytest.param(["contraction", "--plot"], id="contraction"),
     pytest.param(["constants", "--plot"], id="constants"),
     # constants writes no file and runs no scan
     pytest.param(["constants", "--threads", "1"], id="constants-threads"),
@@ -451,11 +454,18 @@ class _Called(Exception):
     """Raised by a stand-in for the called function to end the run there."""
 
 
+# the flag (argparse dest) that feeds each experiment parameter of another
+# name, and the element type of each comma-separated list flag
+_FLAG_OF_PARAMETER = {"m": "steps", "epsilon": "eps", "h_fixed": "h"}
+_LIST_FLAGS = {"N_list": int, "h_list": float}
+
+
 @pytest.mark.parametrize("command", sorted(_EXPERIMENT_NAMES))
 def test_parser_defaults_equal_the_experiment_defaults(monkeypatch, command):
     # each default is written twice, in the parser and in the experiment's
-    # signature; a bare subcommand must pass every signature default (a
-    # tuple default and the list the parser builds compare alike)
+    # signature; a bare subcommand must pass every signature default, and
+    # the flag that feeds each parameter must default to it (a tuple
+    # default and the list the parser builds compare alike)
     name = _EXPERIMENT_NAMES[command]
     signature = inspect.signature(getattr(cli, name))
     calls = []
@@ -465,15 +475,21 @@ def test_parser_defaults_equal_the_experiment_defaults(monkeypatch, command):
         raise _Called
     monkeypatch.setattr(cli, name, record)
     run = cli._EXPERIMENTS.get(command, cli._run_constants)
+    args = cli.build_parser().parse_args([command])
     with pytest.raises(_Called):
-        run(cli.build_parser().parse_args([command]))
+        run(args)
     [bound] = calls
     defaults = {key: param.default for key, param in signature.parameters.items()
                 if param.default is not inspect.Parameter.empty}
     passed = {key: bound.arguments[key] for key in defaults}
+    flags = {key: getattr(args, _FLAG_OF_PARAMETER.get(key, key)) for key in defaults}
+    for key, kind in _LIST_FLAGS.items():
+        if key in flags:
+            flags[key] = cli._parse_list(flags[key], kind, key)
     normalize = lambda v: list(v) if isinstance(v, (tuple, list)) else v
-    assert ({key: normalize(v) for key, v in passed.items()}
-            == {key: normalize(v) for key, v in defaults.items()})
+    expected = {key: normalize(v) for key, v in defaults.items()}
+    assert {key: normalize(v) for key, v in passed.items()} == expected
+    assert {key: normalize(v) for key, v in flags.items()} == expected
 
 
 def _strict_json(text):
@@ -643,7 +659,7 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for _, example in README_EXAMPLES:
         assert main(example.split()) == 0, example
-    assert sorted(os.listdir()) == ["b.csv", "c.csv", "k.csv", "k.svg", "o.csv", "s.csv"]
+    assert sorted(os.listdir()) == ["b.csv", "c.csv", "k.csv", "o.csv", "s.csv"]
 
 
 def test_readme_json_example_prints_the_line_it_shows(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,8 @@ from meanfield_hmc import (CouplingParams, RngStream, __version__, compute_const
                            multiwell_model, rho_N, run_chain)
 from meanfield_hmc.couplings import CoupleResult
 from meanfield_hmc.experiments import (Report, bias_scan, chaos_scan,
-                                       contraction_experiment, write_csv)
+                                       contraction_experiment, order_check,
+                                       write_csv)
 from meanfield_hmc.integrators import IntegrationDivergedError
 from meanfield_hmc.statistics import KDE_MIN_SAMPLES
 
@@ -197,6 +198,12 @@ def test_bias_scan_rejects_an_unknown_h_rule():
     # argparse's choices keep such a rule from the CLI
     with pytest.raises(ValueError, match="h rule must be one of"):
         bias_scan(k_max=1, steps=120, h_rule="bogus")
+
+
+def test_order_check_rejects_an_empty_h_list():
+    # as the CLI's list parser does, so the plot always has a point
+    with pytest.raises(ValueError, match="h_list names no step sizes"):
+        order_check(h_list=())
 
 
 # --- contraction -------------------------------------------------------------

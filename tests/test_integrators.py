@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from meanfield_hmc import (AssumptionConstants, IntegrationDivergedError,
                            MeanFieldModel, RngStream, ShallowNetDataset,
                            exact_gaussian_flow_arrays, gaussian_model,
-                           lockstep_flow_arrays, multiwell_model,
+                           integrators, lockstep_flow_arrays, multiwell_model,
                            randomized_step_arrays, shallow_net_model)
 from conftest import read_only, reference_randomized_step
 
@@ -292,6 +292,41 @@ def test_lockstep_flow_frees_each_spent_pair():
     finally:
         tracemalloc.stop()
     assert peak < 9 * q.nbytes
+
+
+class _RecordingStream:
+    """An RngStream that records the size of each uniforms draw."""
+
+    def __init__(self, seed):
+        self.stream = RngStream(seed)
+        self.sizes = []
+
+    def uniforms(self, shape):
+        u = self.stream.uniforms(shape)
+        self.sizes.append(u.size)
+        return u
+
+
+@pytest.mark.parametrize("block, sizes", [
+    # 41 steps of a 6-element batch: 8 blocks of 5 steps, then 1 step
+    (30, [30] * 8 + [6]),
+    # a block below one step's worth draws one step at a time
+    (4, [6] * 41)])
+def test_flow_draws_its_uniforms_in_blocks_of_whole_steps(monkeypatch, block, sizes):
+    # the stream is counter-based, so a flow drawn in blocks matches, bit
+    # for bit and in the stream's counter, the same flow drawn at once
+    model = multiwell_model(2.0, 2, 0.5, "quadratic")
+    q, p = np.random.default_rng(7).standard_normal((2, 3, 2, 4, 2))
+    runs = []
+    for cap in (block, 41 * 6):
+        monkeypatch.setattr(integrators, "_UNIFORM_BLOCK", cap)
+        stream = _RecordingStream(9)
+        (out,) = lockstep_flow_arrays(model, [(q, p)], 5.125, 0.125, stream)
+        runs.append((out, stream))
+    (blocked, by_blocks), (whole, at_once) = runs
+    assert by_blocks.sizes == sizes and at_once.sizes == [41 * 6]
+    assert by_blocks.stream.counter == at_once.stream.counter == 41 * 6
+    assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
 
 
 @pytest.mark.parametrize("batch, replica", [((), None), ((4,), 2), ((2, 3), 4)])
