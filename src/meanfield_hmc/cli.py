@@ -4,14 +4,17 @@
 
 Subcommands: sample, bias-scan, chaos-scan, contraction, order-check,
 constants.  Exit codes: 0 success, 2 configuration error, 3 numerical
-divergence.  Any ``ValueError`` or ``OSError`` exits 2 with one ``error:``
-line: a bad flag, model parameter or ``--data`` row raises ``ValueError``,
-an unopenable ``--data`` file ``OSError``, and an unwritable ``--out`` path
-(empty, a directory or in a missing one) the ``OSError`` of ``open``, before
-the experiment runs.
+divergence.  Any ``ValueError``, ``OSError`` or ``MemoryError`` exits 2 with
+one ``error:`` line: a bad flag, model parameter or ``--data`` row raises
+``ValueError``, an unopenable ``--data`` file ``OSError``, an unwritable
+``--out`` path (empty, a directory or in a missing one) the ``OSError`` of
+``open``, before the experiment runs, and a size too large to allocate
+``MemoryError``.
 
-Each subcommand but ``constants`` maps its flags to one call of its
-experiment, which returns an :class:`experiments.Report` of plain values;
+Each subcommand's flags feed one call of its experiment (for ``constants``,
+:func:`theory.compute_constants`); a flag left out takes the default of the
+function it feeds, the experiment or, for ``--a`` and ``--dim``, the model
+builder.  Each but ``constants`` returns an :class:`experiments.Report`;
 :func:`experiments.write_csv` writes its CSV, and :func:`_write_outputs`
 adds the ``--json`` line and the ``--plot`` SVG, which order-check alone
 draws.  Every JSON output goes through :func:`experiments.config_json`, the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import inspect
 # argparse's gettext imports locale when the first parser is built;
 # importing it with the package keeps that cost out of the run
 import locale  # noqa: F401
@@ -66,20 +70,22 @@ def _add_model_flags(p):
                    choices=["gaussian", "multiwell", "shallow-net"])
     p.add_argument("--eps", type=float, default=0.25,
                    help="interaction strength eps, the factor of the pair term W")
-    p.add_argument("--a", type=float, default=None,
+    p.add_argument("--a", type=float,
                    help="multiwell bump sharpness (multiwell only; default 1)")
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=int,
                    help="per-particle dimension (multiwell only; default 1)")
-    p.add_argument("--interaction", default=None, choices=["quadratic"],
+    p.add_argument("--interaction", choices=["quadratic"],
                    help="multiwell pair term (multiwell only; default none)")
-    p.add_argument("--data", default=None, metavar="CSV",
+    p.add_argument("--data", metavar="CSV",
                    help="shallow-net dataset (shallow-net only; header y,z1,...)")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, experiment):
+    # bound when build_parser runs, so a wrapper set on this module is called
+    p.set_defaults(experiment=experiment)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--json", action="store_true",
+    p.add_argument("--json", action="store_true", default=False,
                    help="print the CSV path and its footer as one JSON line")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads over the scan points of bias-scan, "
@@ -89,72 +95,68 @@ def _add_common_flags(p):
 
 def _add_sample_flags(p):
     _add_model_flags(p)
-    p.add_argument("--N", type=int, default=16)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.25,
-                   help="inner step size; 0 selects the exact kernel")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--init", default="normal",
-                   choices=["cold", "normal", "stationary"])
-    p.add_argument("--columns", type=int, default=None,
-                   help="write only the first k coordinates")
-    _add_common_flags(p)
+    p.add_argument("--N", type=int)
+    p.add_argument("--T", type=float)
+    p.add_argument("--h", type=float, help="inner step size; 0 selects the exact kernel")
+    p.add_argument("--steps", dest="m", type=int)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--init", choices=["cold", "normal", "stationary"])
+    p.add_argument("--columns", type=int, help="write only the first k coordinates")
+    _add_common_flags(p, sample_command)
 
 
 def _add_bias_scan_flags(p):
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--steps", type=int, default=200_000,
-                   help="kernel steps per k, split over up to 1000 stationary "
-                        "replicas")
-    p.add_argument("--h-rule", default="eps23", choices=["eps23", "eps12", "fixed"])
-    p.add_argument("--h", type=float, default=None, help="step size for --h-rule fixed")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--burn-in", type=float, default=0.1)
-    _add_common_flags(p)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--steps", type=int,
+                   help="kernel steps per k, split over up to 1000 stationary replicas")
+    p.add_argument("--h-rule", choices=["eps23", "eps12", "fixed"])
+    p.add_argument("--h", dest="h_fixed", type=float, help="step size for --h-rule fixed")
+    p.add_argument("--eps", dest="epsilon", type=float)
+    p.add_argument("--T", type=float)
+    p.add_argument("--burn-in", type=float)
+    _add_common_flags(p, bias_scan)
 
 
 def _add_chaos_scan_flags(p):
-    p.add_argument("--N-list", default="16,64,256",
-                   help="comma-separated particle counts")
-    p.add_argument("--steps", type=int, default=1500)
-    p.add_argument("--replicas", type=int, default=200)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--T", type=float, default=1.0)
-    _add_common_flags(p)
+    p.add_argument("--N-list", help="comma-separated particle counts")
+    p.add_argument("--steps", dest="m", type=int)
+    p.add_argument("--replicas", type=int)
+    p.add_argument("--eps", dest="epsilon", type=float)
+    p.add_argument("--T", type=float)
+    _add_common_flags(p, chaos_scan)
 
 
 def _add_contraction_flags(p):
     _add_model_flags(p)
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.25)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--replicas", type=int, default=1000)
-    p.add_argument("--offset", type=float, default=1.0)
+    p.add_argument("--N", type=int)
+    p.add_argument("--T", type=float)
+    p.add_argument("--h", type=float)
+    p.add_argument("--steps", dest="m", type=int)
+    p.add_argument("--replicas", type=int)
+    p.add_argument("--offset", type=float)
     p.add_argument("--synchronous", action="store_true", help="couple every pair's "
                    "velocities synchronously: the coupling at R_tilde = 0")
-    _add_common_flags(p)
+    _add_common_flags(p, contraction_experiment)
 
 
 def _add_order_check_flags(p):
-    p.add_argument("--h-list", default="0.125,0.0625,0.03125,0.015625,0.0078125")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--N", type=int, default=64)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--replicas", type=int, default=1000)
-    _add_common_flags(p)
-    p.add_argument("--plot", action="store_true",
+    p.add_argument("--h-list")
+    p.add_argument("--T", type=float)
+    p.add_argument("--N", type=int)
+    p.add_argument("--eps", dest="epsilon", type=float)
+    p.add_argument("--replicas", type=int)
+    _add_common_flags(p, order_check)
+    p.add_argument("--plot", action="store_true", default=False,
                    help="also write an SVG plot next to the CSV")
 
 
 def _add_constants_flags(p):
+    p.set_defaults(experiment=compute_constants)
     _add_model_flags(p)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--m2-init", type=float, default=0.0)
-    p.add_argument("--B3", type=float, default=1.0)
-    p.add_argument("--json", action="store_true",
+    p.add_argument("--m2-init", type=float)
+    p.add_argument("--B3", type=float)
+    p.add_argument("--json", action="store_true", default=False,
                    help="print the constants and conditions as one JSON line")
 
 
@@ -171,8 +173,9 @@ _SUBCOMMANDS = (
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subcommand is registered, but only those
-    named by a token of ``argv`` get their flags (all of them when ``argv``
-    is None); argparse parses no other subcommand's flags."""
+    named by a token of ``argv`` get their flags and their ``experiment``
+    (all of them when ``argv`` is None); argparse parses no other
+    subcommand's flags."""
     parser = _Parser(
         prog="meanfield-hmc",
         description="Sample mean-field measures with unadjusted HMC and "
@@ -181,7 +184,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_line, add_flags in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_line)
+        # a flag left out is absent from the namespace
+        p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
         if argv is None or name in argv:
             add_flags(p)
     return parser
@@ -194,17 +198,17 @@ _MODEL_FLAG_OWNERS = {"a": "multiwell", "dim": "multiwell",
 
 def _model_from_args(args):
     """The built-in model the model flags name; a flag that another model
-    owns is an error, and shallow-net takes its dimension from ``--data``."""
+    owns is an error, and shallow-net takes its dimension from ``--data``.
+    Only the flags given reach the builder."""
+    given = {flag: getattr(args, flag) for flag in _MODEL_FLAG_OWNERS if flag in args}
     for flag, owner in _MODEL_FLAG_OWNERS.items():
-        if getattr(args, flag) is not None and args.model != owner:
+        if flag in given and args.model != owner:
             raise ValueError(f"--{flag} applies to the {owner} model only, not {args.model}")
     if args.model == "gaussian":
         return gaussian_model(args.eps)
     if args.model == "multiwell":
-        return multiwell_model(1.0 if args.a is None else args.a,
-                               dim=1 if args.dim is None else args.dim,
-                               epsilon=args.eps, interaction=args.interaction)
-    if args.data is None:
+        return multiwell_model(epsilon=args.eps, **given)
+    if "data" not in given:
         raise ValueError("shallow-net model requires --data <csv>")
     return shallow_net_model(ShallowNetDataset.from_csv(args.data), epsilon=args.eps)
 
@@ -245,28 +249,25 @@ def _write_outputs(args, path, report):
     return EXIT_OK
 
 
-_EXPERIMENTS = {
-    "sample": lambda a: sample_command(
-        _model_from_args(a), N=a.N, T=a.T, h=a.h, m=a.steps, thin=a.thin,
-        init=a.init, seed=a.seed, columns=a.columns),
-    "bias-scan": lambda a: bias_scan(
-        k_max=a.k_max, steps=a.steps, h_rule=a.h_rule, epsilon=a.eps, T=a.T,
-        seed=a.seed, burn_in=a.burn_in, h_fixed=a.h, threads=a.threads),
-    "chaos-scan": lambda a: chaos_scan(
-        N_list=_parse_list(a.N_list, int, "--N-list"), m=a.steps,
-        replicas=a.replicas, epsilon=a.eps, T=a.T, seed=a.seed, threads=a.threads),
-    "contraction": lambda a: contraction_experiment(
-        _model_from_args(a), T=a.T, h=a.h, m=a.steps, replicas=a.replicas, N=a.N,
-        seed=a.seed, offset=a.offset, synchronous=a.synchronous),
-    "order-check": lambda a: order_check(
-        h_list=_parse_list(a.h_list, float, "--h-list"), T=a.T, N=a.N,
-        epsilon=a.eps, replicas=a.replicas, seed=a.seed, threads=a.threads),
-}
+def _experiment_kwargs(args) -> dict:
+    """The keywords of ``args.experiment``: each parsed flag whose ``dest``
+    is one of its parameters, the built model if it takes one, and the
+    comma-separated list flags parsed.  A flag left out is not passed, so
+    its parameter takes the experiment's default."""
+    params = inspect.signature(args.experiment).parameters
+    kwargs = {key: value for key, value in vars(args).items() if key in params}
+    if "model" in params:
+        kwargs["model"] = _model_from_args(args)
+    for key, kind in (("N_list", int), ("h_list", float)):
+        if key in kwargs:
+            kwargs[key] = _parse_list(kwargs[key], kind, "--" + key.replace("_", "-"))
+    return kwargs
 
 
 def _run_constants(args):
-    model = _model_from_args(args)
-    tc = compute_constants(model, args.T, m2_init=args.m2_init, B3=args.B3)
+    kwargs = _experiment_kwargs(args)
+    model = kwargs["model"]
+    tc = args.experiment(**kwargs)
     table = constants_table(tc)
     t_max = {name: max_admissible_T(model, name) for name in CONDITION_SETS}
     if args.json:
@@ -307,7 +308,7 @@ def main(argv=None) -> int:
         else:
             _check_count("--threads", args.threads)
             path = _out_path(args)
-            code = _write_outputs(args, path, _EXPERIMENTS[args.command](args))
+            code = _write_outputs(args, path, args.experiment(**_experiment_kwargs(args)))
         # surface a closed stdout here rather than in the interpreter's exit flush
         sys.stdout.flush()
         return code
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
         # at devnull so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as err:

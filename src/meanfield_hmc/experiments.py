@@ -369,7 +369,7 @@ def _fit_factor(mean_rho: np.ndarray) -> float:
     return float(np.exp(slope))
 
 
-def contraction_experiment(model: MeanFieldModel, T: float, h: float,
+def contraction_experiment(model: MeanFieldModel, T: float = 1.0, h: float = 0.25,
                            m: int = 50, replicas: int = 1000, N: int = 8,
                            seed: int = 0, offset: float = 1.0,
                            synchronous: bool = False) -> Report:
@@ -491,8 +491,8 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
 # generic sampling
 
 
-def sample_command(model: MeanFieldModel, N: int, T: float, h: float,
-                   m: int, thin: int = 1, init: str = "normal", seed: int = 0,
+def sample_command(model: MeanFieldModel, N: int = 16, T: float = 1.0, h: float = 0.25,
+                   m: int = 100, thin: int = 1, init: str = "normal", seed: int = 0,
                    columns: int | None = None) -> Report:
     """Generic chain run returning thinned positions as CSV rows.
 

@@ -243,9 +243,10 @@ def gaussian_model(epsilon: float) -> MeanFieldModel:
 # built-in model: quadratic well with a Gaussian bump at the origin
 
 
-def multiwell_model(a: float, dim: int = 1, epsilon: float = 0.0,
+def multiwell_model(a: float = 1.0, dim: int = 1, epsilon: float = 0.0,
                     interaction: Optional[str] = None) -> MeanFieldModel:
-    """V(x) = |x|^2/2 + exp(-(a/2)|x|^2); non-convex at the origin for a >= 1.
+    """V(x) = |x|^2/2 + exp(-(a/2)|x|^2); non-convex at the origin for a >= 1,
+    and a = 1 by default.
 
     ``interaction`` is ``None`` for W = 0, where ``epsilon`` scales nothing,
     or ``"quadratic"`` for W(x, y) = |x - y|^2 / 2 with strength ``epsilon``.

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -444,52 +445,42 @@ def test_single_replica_detail_footer_is_valid_json(tmp_path):
     assert detail["replicas"] == 1 and detail["first_var_se"] is None
 
 
-# the function each subcommand hands its flags to, by its name in cli's namespace
-_EXPERIMENT_NAMES = {"sample": "sample_command", "bias-scan": "bias_scan",
-                     "chaos-scan": "chaos_scan", "contraction": "contraction_experiment",
-                     "order-check": "order_check", "constants": "compute_constants"}
+# the dests of the flags the CLI reads itself: those of every subcommand, and
+# the model flags where the experiment takes a model
+_CLI_FLAGS = {"help", "seed", "out", "json", "threads", "plot"}
+_MODEL_FLAGS = {"model", "eps", "a", "dim", "interaction", "data"}
 
 
-class _Called(Exception):
-    """Raised by a stand-in for the called function to end the run there."""
+@pytest.mark.parametrize("command", [name for name, _, _ in cli._SUBCOMMANDS])
+def test_subcommand_flags_feed_their_experiment(capsys, command):
+    # a flag whose dest is no parameter of the experiment would be dropped
+    # without a word; a bare subcommand passes no experiment default, so
+    # each one is stated once, in the experiment's signature
+    parser = cli.build_parser([command])
+    [sub] = [action for action in parser._actions if action.dest == "command"]
+    params = inspect.signature(sub.choices[command].get_default("experiment")).parameters
+    own = _CLI_FLAGS | (_MODEL_FLAGS if "model" in params else set())
+    for action in sub.choices[command]._actions:
+        assert action.dest in params or action.dest in own, action.option_strings
+    kwargs = cli._experiment_kwargs(parser.parse_args([command]))
+    assert set(kwargs) == ({"model", "T"} if command == "constants" else
+                           {"model", "seed", "threads"} & set(params))
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: meanfield-hmc {command}")
 
 
-# the flag (argparse dest) that feeds each experiment parameter of another
-# name, and the element type of each comma-separated list flag
-_FLAG_OF_PARAMETER = {"m": "steps", "epsilon": "eps", "h_fixed": "h"}
-_LIST_FLAGS = {"N_list": int, "h_list": float}
-
-
-@pytest.mark.parametrize("command", sorted(_EXPERIMENT_NAMES))
-def test_parser_defaults_equal_the_experiment_defaults(monkeypatch, command):
-    # each default is written twice, in the parser and in the experiment's
-    # signature; a bare subcommand must pass every signature default, and
-    # the flag that feeds each parameter must default to it (a tuple
-    # default and the list the parser builds compare alike)
-    name = _EXPERIMENT_NAMES[command]
-    signature = inspect.signature(getattr(cli, name))
-    calls = []
-
-    def record(*args, **kwargs):
-        calls.append(signature.bind(*args, **kwargs))
-        raise _Called
-    monkeypatch.setattr(cli, name, record)
-    run = cli._EXPERIMENTS.get(command, cli._run_constants)
-    args = cli.build_parser().parse_args([command])
-    with pytest.raises(_Called):
-        run(args)
-    [bound] = calls
-    defaults = {key: param.default for key, param in signature.parameters.items()
-                if param.default is not inspect.Parameter.empty}
-    passed = {key: bound.arguments[key] for key in defaults}
-    flags = {key: getattr(args, _FLAG_OF_PARAMETER.get(key, key)) for key in defaults}
-    for key, kind in _LIST_FLAGS.items():
-        if key in flags:
-            flags[key] = cli._parse_list(flags[key], kind, key)
-    normalize = lambda v: list(v) if isinstance(v, (tuple, list)) else v
-    expected = {key: normalize(v) for key, v in defaults.items()}
-    assert {key: normalize(v) for key, v in passed.items()} == expected
-    assert {key: normalize(v) for key, v in flags.items()} == expected
+def test_memory_error_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # a size too large to allocate is a configuration error; numpy's
+    # _ArrayMemoryError is a MemoryError
+    def allocate(**kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+    monkeypatch.setattr(cli, "sample_command", functools.wraps(cli.sample_command)(allocate))
+    assert main(["sample", "--out", str(tmp_path / "s.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert captured.out == ""
 
 
 def _strict_json(text):

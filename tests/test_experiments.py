@@ -243,22 +243,19 @@ def test_synchronous_contraction_is_the_coupling_at_zero_radius():
     assert np.array_equal(rows[:, 2], rho.std(axis=1, ddof=1) / np.sqrt(replicas))
 
 
-def test_contraction_experiment_matches_the_mean_mode_oracle():
+def _assert_matches_the_mean_mode_oracle(result, eps):
     # synchronous velocities and an offset along 1 keep every particle's
     # difference equal, so it follows the mean mode (omega^2 = 1 - eps) and
     # returns to zero velocity at each refresh: after k kernel steps it is
     # a_1 ... a_k offset with a = [M(u_n) ... M(u_1)]_00, M(u) = M0 + u M1
-    eps, T, h, m, offset = 0.25, 1.0, 0.25, 10, 1.0
-    model = gaussian_model(eps)
-    result = contraction_experiment(model, T=T, h=h, m=m, replicas=2000, N=4,
-                                    offset=offset, synchronous=True)
+    T, h, m, offset = (result.config[key] for key in ("T", "h", "m", "offset"))
     m0, m1 = harmonic_step_maps(1.0 - eps, h)
     u = np.random.default_rng(5).random((20_000, m, round(T / h)))
     diff = np.array([1.0, 0.0])
     for j in range(u.shape[-1]):
         diff = np.einsum("...ij,...j->...i", m0 + u[..., j, None, None] * m1, diff)
     r = np.abs(np.cumprod(diff[..., 0], axis=1)) * offset
-    R1 = compute_constants(model, T).R1
+    R1 = compute_constants(gaussian_model(eps), T).R1
     rho = metric_f(r, R1, T)
     oracle = rho.mean(axis=0)
     oracle_se = rho.std(axis=0, ddof=1) / np.sqrt(len(rho))
@@ -266,6 +263,22 @@ def test_contraction_experiment_matches_the_mean_mode_oracle():
     assert rows[0, 1] == pytest.approx(metric_f(offset, R1, T), rel=1e-12)
     z = (rows[1:, 1] - oracle) / np.hypot(rows[1:, 2], oracle_se)
     assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_contraction_experiment_matches_the_mean_mode_oracle():
+    result = contraction_experiment(gaussian_model(0.25), T=1.0, h=0.25, m=10,
+                                    replicas=2000, N=4, offset=1.0, synchronous=True)
+    _assert_matches_the_mean_mode_oracle(result, 0.25)
+
+
+def test_contraction_at_its_defaults_matches_the_mean_mode_oracle():
+    # what a bare `contraction` runs; R_tilde = 0 on gaussian, so the
+    # reflection coupling there is the synchronous one
+    model = gaussian_model(0.25)
+    result = contraction_experiment(model)
+    assert result.config["synchronous"] is False
+    assert compute_constants(model, result.config["T"]).R_tilde == 0.0
+    _assert_matches_the_mean_mode_oracle(result, 0.25)
 
 
 def test_contraction_experiment_strongly_convex_rate():
