@@ -8,9 +8,10 @@ the separation direction otherwise; distant pairs synchronize.  Both
 marginals stay exactly standard normal.  The two copies of a coupled
 kernel run through the integrator's lockstep flow on shared per-step
 uniforms, so only the initial velocities differ.  The concave metric
-rho_N, whose radius R1 and constant A = 1/f'(R1) are closed forms, measures
-how far apart the coupled copies are; the contraction experiment runs the
-coupled steps and tabulates it.
+rho_N, the particle mean of the profile f of :func:`metric_f`, whose radius
+R1 and constant A = 1/f'(R1) are closed forms, measures how far apart the
+coupled copies are; the contraction experiment runs the coupled steps and
+tabulates it.
 """
 
 from __future__ import annotations
@@ -27,20 +28,18 @@ from .rng import RngStream
 
 class CouplingParams(_Frozen):
     """Threshold radius R_tilde and the coupled kernel's duration T; the
-    coupling strength gamma = min(1/T, 1/(4 R_tilde)) is derived from them
-    (1/T when R_tilde = 0)."""
+    coupling strength gamma = min(1/T, 1/(4 R_tilde)) = 1/max(T, 4 R_tilde)
+    is derived from them."""
 
     def __init__(self, R_tilde: float, T: float):
         self._set(locals())
-        if self.R_tilde < 0:
+        if not self.R_tilde >= 0:
             raise ValueError("R_tilde must be nonnegative")
         _check_duration(self.T)
 
     @property
     def gamma(self) -> float:
-        if self.R_tilde == 0.0:
-            return 1.0 / self.T
-        return min(1.0 / self.T, 0.25 / self.R_tilde)
+        return 1.0 / max(self.T, 4.0 * self.R_tilde)
 
 
 class CoupleResult(_Frozen):
@@ -75,20 +74,14 @@ def couple_velocities_batch(z: np.ndarray, cp: CouplingParams,
     _columnwise(np.divide, z, r, out=e, where=r > 0)
 
     a = _dot_last(e, xi)
-    gr = np.multiply(cp.gamma, r)
-    # log of phi(a + gamma r) / phi(a): (-gr) a - (0.5 gr) gr
-    log_ratio = np.negative(gr)
-    log_ratio *= a
-    half_sq = np.multiply(0.5, gr)
-    half_sq *= gr
-    log_ratio -= half_sq
-    accept = np.log(u, out=u) <= log_ratio
+    gr = cp.gamma * r
+    # log of phi(a + gamma r) / phi(a)
+    accept = np.log(u, out=u) <= -gr * a - 0.5 * gr * gr
 
     synchronous = r >= cp.R_tilde
     # eta is the shifted xi + gamma z, except the reflected xi - (2a) e
     # (written over e) where the shift is refused and xi where synchronous
-    eta = np.multiply(cp.gamma, z, order="C")
-    np.add(xi, eta, out=eta)
+    eta = xi + cp.gamma * z
     reflected = _columnwise(np.multiply, e, 2.0 * a, out=e)
     np.subtract(xi, reflected, out=reflected)
     _put_rows(~accept, eta, reflected)
@@ -123,40 +116,28 @@ def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
 # contraction metric
 
 
+def _metric_argument(r, R1: float, T: float) -> np.ndarray:
+    """``r`` as a float array, after checking that r >= 0 and R1, T > 0."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError("r must be nonnegative")
+    if not (R1 > 0 and T > 0):
+        raise ValueError("R1 and T must be positive")
+    return r
+
+
 def metric_f(r, R1: float, T: float):
     """Concave distance profile: integral of exp(-min(R1, s)/T) from 0 to r.
 
     Closed form: T (1 - e^{-r/T}) for r <= R1, continued linearly with
-    slope e^{-R1/T} beyond.
+    slope e^{-R1/T} beyond.  T (-expm1((-min(r, R1)) / T)) is evaluated as
+    (-T) expm1(min(r, R1) / (-T)): negating a factor or a divisor instead
+    of the product or the quotient rounds alike, so the bits are the same.
     """
-    r = np.array(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
-    out = _metric_f_in_place(r, R1, T)
+    r = _metric_argument(r, R1, T)
+    out = ((-T) * np.expm1(np.minimum(r, R1) / (-T))
+           + np.exp(-R1 / T) * np.maximum(r - R1, 0.0))
     return float(out) if out.ndim == 0 else out
-
-
-def _metric_f_in_place(r, R1: float, T: float):
-    """metric_f of a float array ``r >= 0`` that the caller owns, written
-    over ``r``, which is returned.
-
-    The profile T (-expm1((-min(r, R1)) / T)) + exp(-R1/T) max(r - R1, 0)
-    is evaluated as (-T) expm1(min(r, R1) / (-T)) + ...: negating a factor
-    or a divisor instead of the product or the quotient rounds alike, so
-    the result is bit for bit the expression's.
-    """
-    if not (R1 > 0 and T > 0):
-        raise ValueError("R1 and T must be positive")
-    linear = np.empty_like(r)
-    np.subtract(r, R1, out=linear)
-    np.maximum(linear, 0.0, out=linear)
-    np.multiply(np.exp(-R1 / T), linear, out=linear)
-    np.minimum(r, R1, out=r)
-    np.divide(r, -T, out=r)
-    np.expm1(r, out=r)
-    np.multiply(-T, r, out=r)
-    np.add(r, linear, out=r)
-    return r
 
 
 def metric_f_prime(r, R1: float, T: float):
@@ -164,9 +145,7 @@ def metric_f_prime(r, R1: float, T: float):
 
     A ratio min(R1, r)/T that overflows gives 0, without a warning.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
+    r = _metric_argument(r, R1, T)
     with np.errstate(over="ignore"):
         out = np.exp(-np.minimum(r, R1) / T)
     return float(out) if out.ndim == 0 else out
@@ -197,8 +176,7 @@ def rho_N(x: np.ndarray, y: np.ndarray, R1: float, T: float):
     ``x`` and ``y`` have shape (..., N, d); the result drops both trailing
     axes.
     """
-    # a norm is never negative, so metric_f's scan of r is skipped
-    return _metric_f_in_place(_particle_distances(x, y), R1, T).mean(axis=-1)
+    return metric_f(_particle_distances(x, y), R1, T).mean(axis=-1)
 
 
 def ell1_bar(x: np.ndarray, y: np.ndarray):

@@ -240,9 +240,10 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     records give R, the pooled sample count ``kept`` and ``first_var``, the
     replica mean of the kept samples' second moment about the known mean
     0, with its standard error across replicas (nan when R is 1).
-    ``h_fixed`` is an error under any rule but ``fixed``, and so is a
-    ``burn_in`` under which no admissible R keeps as many samples as the
-    density estimate needs; both are found before any step runs.
+    ``h_fixed`` is an error under any rule but ``fixed``, and so are a
+    snapped step size past the inner-step limit and a ``burn_in`` under
+    which no admissible R keeps as many samples as the density estimate
+    needs; each is found before any step runs.
     """
     _check_count("steps", steps)
     if not 1 <= k_max <= 5:

@@ -24,6 +24,10 @@ from .rng import RngStream
 
 DIVERGENCE_LIMIT = 1e100
 _RATIO_MESSAGE = "T/h must be a positive integer, got T={T}, h={h}"
+# The inner-step limit: the most inner steps T/h one kernel step may take.
+# An inner step takes tens of microseconds, so 2^20 of them take half a
+# minute or more per kernel step; no experiment here needs more than 2,048.
+_MAX_INNER_STEPS = 1 << 20
 # The flow draws its uniforms a block of whole steps at a time, at most this
 # many variates (one step's worth at least), so its memory does not grow with
 # T/h.  The stream is counter-based, so the values are those of one draw.
@@ -62,25 +66,31 @@ def _check_step(h: float) -> None:
 
 
 def _integral_steps(T: float, h: float) -> int:
-    """The number T/h of inner steps, after checking T, h and that T/h is
-    integral up to rounding."""
+    """The number T/h of inner steps, after checking T, h, that T/h is
+    integral up to rounding and that it is within the inner-step limit."""
     _check_duration(T)
     _check_step(h)
     ratio = T / h
     n = int(round(ratio)) if ratio < math.inf else 0
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
         raise ValueError(_RATIO_MESSAGE.format(T=T, h=h))
+    if n > _MAX_INNER_STEPS:
+        raise ValueError(f"T/h must be at most the inner-step limit "
+                         f"{_MAX_INNER_STEPS}, got T={T}, h={h}")
     return n
 
 
 def _snap_step_size(T: float, h_raw: float) -> float:
-    """Largest h <= h_raw with T/h integral (T itself when h_raw >= T)."""
+    """Largest h <= h_raw with T/h integral (T itself when h_raw >= T),
+    checked by :func:`_integral_steps`."""
     _check_duration(T)
     _check_step(h_raw)
     ratio = T / h_raw
     if ratio == math.inf:
         raise ValueError(_RATIO_MESSAGE.format(T=T, h=h_raw))
-    return T / max(1, math.ceil(ratio - 1e-12))
+    h = T / max(1, math.ceil(ratio - 1e-12))
+    _integral_steps(T, h)
+    return h
 
 
 def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,

@@ -75,7 +75,7 @@ class AssumptionConstants(_Frozen):
         if self.K > self.L2 * (1 + 1e-12):
             raise ValueError("K must not exceed L2")
         for name in ("L1", "L_tilde", "R_conv", "W0"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     @property

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import meanfield_hmc
-from meanfield_hmc import cli
+from meanfield_hmc import cli, rng
 from meanfield_hmc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -263,6 +263,9 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
      "--data applies to the shallow-net model only, not gaussian"),
     (["constants", "--model", "shallow-net", "--a", "1"], 2,
      "--a applies to the multiwell model only, not shallow-net"),
+    # 10^9 inner steps per kernel step is refused, not run for hours
+    (["contraction", "--h", "1e-9", "--steps", "1", "--replicas", "2"], 2,
+     "T/h must be at most the inner-step limit 1048576, got T=1.0, h=1e-09"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out
@@ -469,6 +472,19 @@ def test_subcommand_flags_feed_their_experiment(capsys, command):
         main([command, "--help"])
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: meanfield-hmc {command}")
+
+
+def test_bias_scan_refuses_too_many_inner_steps_before_any_draw(tmp_path, monkeypatch,
+                                                              capsys):
+    # the fixed step size is snapped and bounded before the first step runs
+    drawn = []
+    monkeypatch.setattr(rng.RngStream, "uniforms",
+                        lambda self, shape: drawn.append(shape))
+    out = tmp_path / "out.csv"
+    assert main(["bias-scan", "--h-rule", "fixed", "--h", "1e-9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: T/h must be at most the inner-step limit 1048576, got T=1.0, h=1e-09\n")
+    assert drawn == [] and not out.exists()
 
 
 def test_memory_error_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):

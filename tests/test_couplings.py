@@ -20,8 +20,23 @@ def test_gamma_convention():
     assert CouplingParams(R_tilde=0.0, T=2.0).gamma == 0.5
     assert CouplingParams(R_tilde=4.0, T=1.0).gamma == 1.0 / 16.0
     assert CouplingParams(R_tilde=0.1, T=1.0).gamma == 1.0
+    assert CouplingParams(R_tilde=np.inf, T=1.0).gamma == 0.0
     with pytest.raises(ValueError, match="R_tilde must be nonnegative"):
         CouplingParams(R_tilde=-1.0, T=1.0)
+
+
+def test_gamma_is_min_of_the_two_reciprocals_bit_for_bit():
+    # 1/max(T, 4 R_tilde) rounds as min(1/T, 0.25/R_tilde): scaling by 4 is
+    # exact below overflow, and rounding keeps the order of the two values
+    rng = np.random.default_rng(22)
+    T = np.exp(rng.uniform(-8.0, 8.0, size=20_000))
+    R_tilde = np.exp(rng.uniform(-10.0, 10.0, size=20_000))
+    R_tilde[:100] = 0.0
+    R_tilde[100:200] = np.inf
+    R_tilde[200:300] = T[200:300] / 4.0
+    for t, r in zip(T.tolist(), R_tilde.tolist()):
+        want = 1.0 / t if r == 0.0 else min(1.0 / t, 0.25 / r)
+        assert CouplingParams(R_tilde=r, T=t).gamma == want
 
 
 def test_zero_separation_always_accepts():
@@ -302,11 +317,23 @@ def test_multiwell_one_step_contracts_on_average():
 def test_metric_f_closed_form():
     assert metric_f(0.0, R1=10.0, T=1.0) == 0.0
     assert metric_f(1.0, R1=10.0, T=1.0) == pytest.approx(1 - np.exp(-1.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        metric_f(-0.1, R1=1.0, T=1.0)
-    # the derivative's range is (0, 1]: a negative r is refused alike
-    with pytest.raises(ValueError, match="r must be nonnegative"):
-        metric_f_prime(-1.0, R1=1.0, T=1.0)
+
+
+@pytest.mark.parametrize("r, R1, T, message", [
+    (-0.1, 1.0, 1.0, "r must be nonnegative"),
+    ([0.5, -1.0], 1.0, 1.0, "r must be nonnegative"),
+    (1.0, 1.0, -1.0, "R1 and T must be positive"),
+    (1.0, -1.0, 1.0, "R1 and T must be positive"),
+    (1.0, 1.0, 0.0, "R1 and T must be positive"),
+    (1.0, 0.0, 1.0, "R1 and T must be positive"),
+    (1.0, np.nan, 1.0, "R1 and T must be positive"),
+    (1.0, 1.0, np.nan, "R1 and T must be positive"),
+])
+@pytest.mark.parametrize("function", [metric_f, metric_f_prime])
+def test_metric_profile_and_slope_refuse_the_same_arguments(function, r, R1, T, message):
+    # the slope's range is (0, 1]: a negative T or R1 would give e^{1/|T|}
+    with pytest.raises(ValueError, match=message):
+        function(r, R1=R1, T=T)
 
 
 def test_metric_f_matches_expression_form_bit_for_bit():
@@ -352,8 +379,7 @@ def test_metric_radius_is_the_closed_form():
 
 
 def test_rho_N_matches_metric_f_bit_for_bit_on_read_only_inputs():
-    # rho_N evaluates metric_f's profile in place on the distances; a write
-    # into an input would raise
+    # a write into an input would raise
     rng = np.random.default_rng(21)
     for shape, r1, t in [((4, 2), 2.5, 1.0), ((50, 8, 3), 0.8, 0.3),
                          ((2, 7, 5, 1), 6.0, 2.0)]:

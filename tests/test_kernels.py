@@ -3,11 +3,13 @@ import pytest
 
 from meanfield_hmc import (RngStream, compute_constants,
                            draw_initial_positions, gaussian_model,
-                           multiwell_model, randomized_step_arrays, run_chain,
+                           lockstep_flow_arrays, multiwell_model,
+                           randomized_step_arrays, run_chain,
                            stationary_gaussian_sample_arrays, uhmc_step_arrays,
                            xhmc_step_gaussian_arrays)
-from meanfield_hmc.integrators import (IntegrationDivergedError, _check_duration,
-                                      _integral_steps, _snap_step_size)
+from meanfield_hmc.integrators import (_MAX_INNER_STEPS, IntegrationDivergedError,
+                                      _check_duration, _integral_steps,
+                                      _snap_step_size)
 
 from conftest import harmonic_step_maps
 
@@ -47,6 +49,23 @@ def test_kernel_params_validation():
     for T, h, n in ((1.0, 0.25, 4), (1.0, 0.125, 8), (t, t / 8, 8)):
         _check_duration(T)
         assert _integral_steps(T, h) == n
+
+
+def test_inner_step_count_is_bounded():
+    # checked after the other rules, so their messages stand; a snapped
+    # step size is a checked one
+    assert _MAX_INNER_STEPS == 2**20
+    h = 1.0 / _MAX_INNER_STEPS
+    assert _integral_steps(1.0, h) == _MAX_INNER_STEPS
+    assert _snap_step_size(1.0, h) == h
+    for T, h in ((1.0, 1.0 / (_MAX_INNER_STEPS + 1)), (1.0, 1e-9), (2048.0, 1e-3)):
+        for check in (_integral_steps, _snap_step_size):
+            with pytest.raises(ValueError) as err:
+                check(T, h)
+            assert str(err.value) == (f"T/h must be at most the inner-step limit "
+                                      f"1048576, got T={T}, h={h}")
+    with pytest.raises(ValueError, match="T/h must be a positive integer"):
+        _integral_steps(1.0, 1.0 / (_MAX_INNER_STEPS + 0.5))
 
 
 def test_snap_step_size():
@@ -160,6 +179,36 @@ def test_uhmc_virial_deviation_sees_the_multiwell_bias():
     stream = RngStream(0)
     dev, se = _virial_deviation(model, stream.normal_vector((400, 16, 1)), 1 / 2, stream)
     assert dev < -10.0 * se, (dev, se)
+
+
+def test_antithetic_chaos_part_matches_the_exact_chain():
+    # Delta_N = Y(2N) - (Y(N_a) + Y(N_b))/2, Y the per-replica time average
+    # of (1/N) sum_i q_i^2: the 2N system's first and last N particles take
+    # the velocities of N_a and N_b, and all three share the integrator
+    # uniforms.  Its mean is -(v(1 - eps) - v(1))/(2N), the mean mode's
+    # share.  |z| was 0.19-2.26 and the variance ratio 94-121 on seeds 0-9
+    eps, T, h, N, R, burn, steps = 0.25, 1.0, 0.25, 16, 400, 30, 100
+    model = gaussian_model(eps)
+    exact = -(uhmc_variance_oracle(1.0 - eps, T, h) - uhmc_variance_oracle(1.0, T, h)) / (2 * N)
+    assert exact == pytest.approx(-0.010412, abs=5e-7)
+    stream = RngStream(0)
+    xa, xb = (stationary_gaussian_sample_arrays(eps, (R, N), stream)[..., None]
+              for _ in range(2))
+    x2 = np.concatenate([xa, xb], axis=1)
+    y = np.zeros((3, R))
+    for k in range(burn + steps):
+        xi = stream.normal_vector((R, 2 * N, 1))
+        (xa, _), (xb, _), (x2, _) = lockstep_flow_arrays(
+            model, [(xa, xi[:, :N]), (xb, xi[:, N:]), (x2, xi)], T, h, stream)
+        if k >= burn:
+            y += [(x * x).mean(axis=(-2, -1)) for x in (xa, xb, x2)]
+    ya, yb, y2 = y / steps
+    delta = y2 - 0.5 * (ya + yb)
+    se = delta.std(ddof=1) / np.sqrt(R)
+    assert abs(delta.mean() - exact) <= 4.0 * se, (delta.mean(), se)
+    # the antithetic split is what makes the part measurable: the plain
+    # difference against one N system is far noisier
+    assert (y2 - ya).var(ddof=1) >= 20.0 * delta.var(ddof=1)
 
 
 def test_xhmc_zero_duration_keeps_positions():

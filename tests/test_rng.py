@@ -304,6 +304,22 @@ def test_a_name_the_secrets_shim_lacks_falls_back_to_the_public_import():
     assert out == "[True, True]\nTrue\n"
 
 
+def test_a_missing_private_module_takes_the_public_import():
+    # no finder refuses anything here: the private module does not exist,
+    # so the public import runs, and the parent left in sys.modules is the
+    # real package, not a stub
+    out = _fresh("""
+        import sys
+        import meanfield_hmc.rng as rng
+        print("numpy.random" in sys.modules)
+        got = rng._load_bare("numpy.random._no_such_module", "Philox")
+        package = sys.modules["numpy.random"]
+        print(got is package.Philox, hasattr(package, "__file__"),
+              hasattr(package, "default_rng"), got is rng.Philox)
+    """)
+    assert out == "False\nTrue True True True\n"
+
+
 _NUMPY_RANDOM_DRAWS = """
     import numpy as np
     print(np.random.default_rng(0).random(3), np.random.RandomState(0).rand(3),

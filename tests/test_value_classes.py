@@ -130,3 +130,18 @@ def test_shallow_net_dataset_keeps_its_float_arrays():
     assert data.inputs.dtype == data.outputs.dtype == np.float64
     assert vars(data) == {"inputs": data.inputs, "outputs": data.outputs}
     assert data.inputs.tolist() == [[1.0], [2.0]]
+
+
+@pytest.mark.parametrize("name", ["L1", "L_tilde", "R_conv", "W0"])
+@pytest.mark.parametrize("value", [-1.0, np.nan])
+def test_assumption_constants_refuse_negative_and_nan_bounds(name, value):
+    # a nan L1 would make L and C_hat nan
+    fields = dict(K=0.5, L1=1.5, L2=2.0, L_tilde=0.8, R_conv=0.7, W0=1.3)
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        AssumptionConstants(**{**fields, name: value})
+
+
+def test_coupling_params_refuse_a_nan_radius():
+    # under a nan radius no pair would be synchronous, and max(T, nan) is T
+    with pytest.raises(ValueError, match="^R_tilde must be nonnegative$"):
+        CouplingParams(R_tilde=np.nan, T=1.0)
