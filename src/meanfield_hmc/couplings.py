@@ -117,9 +117,9 @@ def coupled_uhmc_step(model: MeanFieldModel, x: np.ndarray, xp: np.ndarray,
 
 
 def _metric_argument(r, R1: float, T: float) -> np.ndarray:
-    """``r`` as a float array, after checking that r >= 0 and R1, T > 0."""
+    """``r`` as a float array, after checking that r >= 0 (not nan) and R1, T > 0."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise ValueError("r must be nonnegative")
     if not (R1 > 0 and T > 0):
         raise ValueError("R1 and T must be positive")

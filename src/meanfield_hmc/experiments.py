@@ -497,9 +497,9 @@ def sample_command(model: MeanFieldModel, N: int = 16, T: float = 1.0, h: float 
                    columns: int | None = None) -> Report:
     """Generic chain run returning thinned positions as CSV rows.
 
-    ``h = 0`` selects the exact kernel (gaussian model only).  ``columns``
-    (at least 1) caps the number of coordinates written per row for large
-    systems.
+    The chain runs on a (1, N, d) batch of one replica.  ``h = 0`` selects
+    the exact kernel (gaussian model only).  ``columns`` (at least 1) caps
+    the number of coordinates written per row for large systems.
     """
     _check_count("steps", m)
     _check_count("N", N)
@@ -509,26 +509,24 @@ def sample_command(model: MeanFieldModel, N: int = 16, T: float = 1.0, h: float 
         raise ValueError(f"thin must not exceed steps, got thin={thin}, steps={m}")
     if columns is not None:
         _check_count("columns", columns)
-    if h != 0:
-        _integral_steps(T, h)
-    else:
+    stream = RngStream(seed)
+    if h == 0:
         _check_duration(T)
         if model.name != "gaussian":
             raise ValueError("the exact kernel is implemented only for the gaussian model")
-    stream = RngStream(seed)
+        # the exact flow of the 1-d model acts on (..., N) arrays
+        step = lambda q: xhmc_step_gaussian_arrays(model.epsilon, q[..., 0], T,
+                                                   stream)[..., None]
+    else:
+        _integral_steps(T, h)
+        step = lambda q: uhmc_step_arrays(model, q, T, h, stream)
     x0 = draw_initial_positions(model, N, init, stream)
     # before the chain, so that constants out of floating-point range fail fast
     tc = compute_constants(model, T, m2_init=float((x0 * x0).sum(axis=-1).mean()))
     total = N * model.dim
     n_cols = total if columns is None else min(int(columns), total)
-    if h == 0:
-        # the exact flow of the 1-d model acts on (N,) arrays
-        step = lambda q: xhmc_step_gaussian_arrays(model.epsilon, q, T, stream)
-        state = x0[:, 0]
-    else:
-        step = lambda q: uhmc_step_arrays(model, q, T, h, stream)
-        state = x0
-    recorded = run_chain(step, state, m, lambda q: q.reshape(-1)[:n_cols], thin)
+    # a batch of one replica, so every chain runs on an (R, N, d) state
+    recorded = run_chain(step, x0[None], m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
     # Python floats, which write_csv formats fastest
     rows = [(idx * thin, *r) for idx, r in enumerate(recorded.tolist())]

@@ -14,7 +14,6 @@ replicas and the two copies of a coupled chain all run through.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -38,14 +37,14 @@ class IntegrationDivergedError(RuntimeError):
     """A trajectory left the representable range.
 
     ``replica`` is the flat index, in C order over the batch axes, of the
-    first batched replica that left it; None for an unbatched trajectory.
+    first replica that left it; an unbatched trajectory is replica 0.
     """
 
-    def __init__(self, step_index: int, message: str = "",
-                 replica: Optional[int] = None):
+    def __init__(self, step_index: int, message: str = "", replica: int = 0):
         self.step_index = int(step_index)
-        self.replica = replica
-        super().__init__(message or f"trajectory diverged at integrator step {step_index}")
+        self.replica = int(replica)
+        super().__init__(message or f"trajectory diverged at inner step "
+                                    f"{step_index}, replica {replica}")
 
 
 # A kernel runs for a duration T in T/h inner steps of size h.  The checks
@@ -74,23 +73,29 @@ def _integral_steps(T: float, h: float) -> int:
     n = int(round(ratio)) if ratio < math.inf else 0
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
         raise ValueError(_RATIO_MESSAGE.format(T=T, h=h))
+    _check_inner_steps(n, T, h)
+    return n
+
+
+def _check_inner_steps(n: int, T: float, h: float) -> None:
+    """Raise ValueError, naming T and the step size h given, unless the
+    n inner steps are within the inner-step limit."""
     if n > _MAX_INNER_STEPS:
         raise ValueError(f"T/h must be at most the inner-step limit "
                          f"{_MAX_INNER_STEPS}, got T={T}, h={h}")
-    return n
 
 
 def _snap_step_size(T: float, h_raw: float) -> float:
     """Largest h <= h_raw with T/h integral (T itself when h_raw >= T),
-    checked by :func:`_integral_steps`."""
+    within the inner-step limit, which an error words with h_raw."""
     _check_duration(T)
     _check_step(h_raw)
     ratio = T / h_raw
     if ratio == math.inf:
         raise ValueError(_RATIO_MESSAGE.format(T=T, h=h_raw))
-    h = T / max(1, math.ceil(ratio - 1e-12))
-    _integral_steps(T, h)
-    return h
+    n = max(1, math.ceil(ratio - 1e-12))
+    _check_inner_steps(n, T, h_raw)
+    return T / n
 
 
 def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
@@ -109,10 +114,10 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     value, which may alias q*; q' and p' are new arrays, and the bound
     test reuses q* once it is spent.
 
-    Raises :class:`IntegrationDivergedError` carrying ``step_index``, and
-    for batched arrays the first replica at fault, when the force is not
-    finite or an entry of q' or p' reaches ``DIVERGENCE_LIMIT`` in
-    absolute value.
+    Raises :class:`IntegrationDivergedError` carrying ``step_index`` and
+    the first replica at fault when an entry of q' or p' reaches
+    ``DIVERGENCE_LIMIT`` in absolute value or is nan; a non-finite force
+    makes p' non-finite, so this one bound test catches it too.
     """
     q_star = np.multiply(np.multiply(h, u)[..., None, None], p)
     np.add(q, q_star, out=q_star)
@@ -124,27 +129,20 @@ def randomized_step_arrays(model: MeanFieldModel, q, p, h: float, u, *,
     # q* is spent once the force is known, unless the force returned it
     work = None if np.may_share_memory(grad, q_star) else q_star
     q1 -= np.multiply(0.5 * h * h, grad, out=work)
-    # a non-finite force makes p1 non-finite, so one bound test on the
-    # endpoint covers both failures; the force is inspected only to name it.
-    # The maxima are ndarray.max(initial=0.0) without numpy's Python wrapper:
+    # the maxima are ndarray.max(initial=0.0) without numpy's Python wrapper:
     # the reduce with the arguments that max passes on
     if not (np.maximum.reduce(np.abs(q1, out=work), axis=None, initial=0.0,
                               where=True) < DIVERGENCE_LIMIT
             and np.maximum.reduce(np.abs(p1, out=work), axis=None, initial=0.0,
                                   where=True) < DIVERGENCE_LIMIT):
-        replica = _first_diverged_replica(q1, p1)
-        if not np.isfinite(grad).all():
-            raise IntegrationDivergedError(
-                step_index, f"non-finite force at step {step_index}", replica)
-        raise IntegrationDivergedError(step_index, replica=replica)
+        raise IntegrationDivergedError(
+            step_index, replica=_first_diverged_replica(q1, p1))
     return q1, p1
 
 
 def _first_diverged_replica(q, p):
     """Flat batch index of the first replica of (..., N, d) ``q`` and ``p``
-    with an entry out of range (nan included); None when unbatched."""
-    if q.ndim < 3:
-        return None
+    with an entry out of range (nan included); 0 when unbatched."""
     inside = (np.abs(q) < DIVERGENCE_LIMIT) & (np.abs(p) < DIVERGENCE_LIMIT)
     return int(np.argmin(inside.all(axis=(-2, -1))))
 

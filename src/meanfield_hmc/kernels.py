@@ -71,8 +71,8 @@ def run_chain(step, state, m: int, record, thin: int = 1) -> np.ndarray:
     row k // thin of the result, of shape (1 + m // thin, ...), when it is
     taken, so a record that views the state keeps no state alive and sees
     no later in-place update.  A divergence in kernel step k (counted from
-    0) is re-raised naming k, the inner step and, for a batched state, the
-    first replica at fault.
+    0) is re-raised naming k, the inner step and the first replica at
+    fault.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -85,11 +85,9 @@ def run_chain(step, state, m: int, record, thin: int = 1) -> np.ndarray:
         try:
             state = step(state)
         except IntegrationDivergedError as err:
-            where = f"inner step {err.step_index}"
-            if err.replica is not None:
-                where += f", replica {err.replica}"
             raise IntegrationDivergedError(
-                k - 1, f"chain diverged at kernel step {k - 1} ({where})",
+                k - 1, f"chain diverged at kernel step {k - 1} (inner step "
+                       f"{err.step_index}, replica {err.replica})",
                 err.replica) from err
         if k % thin == 0:
             out[k // thin] = record(state)

@@ -132,7 +132,7 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     (["order-check", "--h-list", "0.5,y"], 2, "cannot parse --h-list '0.5,y'"),
     (["sample", "--h", "0.3"], 2, "T/h must be a positive integer, got T=1.0, h=0.3"),
     (["sample", "--eps", "0", "--T", "2500", "--h", "2.5", "--steps", "1"], 3,
-     "chain diverged at kernel step 0 (inner step 186)"),
+     "chain diverged at kernel step 0 (inner step 186, replica 0)"),
     (["order-check", "--h-list", "0,0.5"], 2, "h must be finite and positive, got h=0.0"),
     (["chaos-scan", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
     (["bias-scan", "--T", "0"], 2, "T must be finite and positive, got T=0.0"),
@@ -266,6 +266,12 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # 10^9 inner steps per kernel step is refused, not run for hours
     (["contraction", "--h", "1e-9", "--steps", "1", "--replicas", "2"], 2,
      "T/h must be at most the inner-step limit 1048576, got T=1.0, h=1e-09"),
+    # the limit names the step size typed, not the one it snaps to
+    (["bias-scan", "--h-rule", "fixed", "--h", "9.5e-7"], 2,
+     "T/h must be at most the inner-step limit 1048576, got T=1.0, h=9.5e-07"),
+    # a trajectory outside any chain names its inner step and replica too
+    (["order-check", "--h-list", "2.5", "--T", "2500", "--N", "4", "--replicas", "4"], 3,
+     "trajectory diverged at inner step 193, replica 2"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out

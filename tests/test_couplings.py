@@ -328,12 +328,23 @@ def test_metric_f_closed_form():
     (1.0, 0.0, 1.0, "R1 and T must be positive"),
     (1.0, np.nan, 1.0, "R1 and T must be positive"),
     (1.0, 1.0, np.nan, "R1 and T must be positive"),
+    (np.nan, 1.0, 1.0, "r must be nonnegative"),
+    ([0.5, np.nan], 1.0, 1.0, "r must be nonnegative"),
 ])
 @pytest.mark.parametrize("function", [metric_f, metric_f_prime])
 def test_metric_profile_and_slope_refuse_the_same_arguments(function, r, R1, T, message):
-    # the slope's range is (0, 1]: a negative T or R1 would give e^{1/|T|}
+    # the slope's range is (0, 1]: a negative T or R1 would give e^{1/|T|};
+    # a nan distance is not nonnegative
     with pytest.raises(ValueError, match=message):
         function(r, R1=R1, T=T)
+
+
+def test_rho_N_refuses_a_nan_position():
+    x = np.zeros((2, 3, 2))
+    y = np.ones((2, 3, 2))
+    y[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        rho_N(x, y, 1.0, 1.0)
 
 
 def test_metric_f_matches_expression_form_bit_for_bit():

@@ -166,13 +166,15 @@ def test_divergence_guard_reports_step():
                                                   ((3, 4, 1), 2.5, 1, 178)])
 def test_divergence_reports_exact_inner_step(shape, h, seed, step):
     # the unstable step sizes blow up |q| past DIVERGENCE_LIMIT at these
-    # inner steps; the indices were read from the step-by-step reference loop
+    # inner steps; the indices were read from the step-by-step reference loop.
+    # An unbatched state is replica 0; of the (3,) batch, replica 1 leaves first
+    replica = 1 if shape == (3, 4, 1) else 0
     m = gaussian_model(0.0)
     with pytest.raises(IntegrationDivergedError) as err:
         lockstep_flow_arrays(m, [(np.ones(shape), np.zeros(shape))], 1000 * h, h,
                              RngStream(seed))
     assert err.value.step_index == step
-    assert str(err.value) == f"trajectory diverged at integrator step {step}"
+    assert str(err.value) == f"trajectory diverged at inner step {step}, replica {replica}"
 
 
 def test_non_finite_force_names_its_step():
@@ -187,8 +189,9 @@ def test_non_finite_force_names_its_step():
     with pytest.raises(IntegrationDivergedError) as err:
         lockstep_flow_arrays(m, [(np.zeros((2, 1)), np.ones((2, 1)))], 10.0, 1.0,
                              RngStream(4))
+    # a nan force makes p' nan, which the one bound test reports
     assert err.value.step_index == 3
-    assert str(err.value) == "non-finite force at step 3"
+    assert str(err.value) == "trajectory diverged at inner step 3, replica 0"
 
 
 def test_step_rejects_wrong_trailing_dimension():
@@ -329,23 +332,25 @@ def test_flow_draws_its_uniforms_in_blocks_of_whole_steps(monkeypatch, block, si
     assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
 
 
-@pytest.mark.parametrize("batch, replica", [((), None), ((4,), 2), ((2, 3), 4)])
+@pytest.mark.parametrize("batch, index", [((), None), ((4,), 2), ((2, 3), 4)])
 @pytest.mark.parametrize("where, value, force", [
     ("q", np.nan, False), ("p", np.nan, False), ("q", -np.inf, False),
     ("p", -np.inf, False), ("q", np.nan, True), ("p", np.nan, True)])
-def test_bound_check_names_step_and_replica(batch, replica, where, value, force):
-    # one bad entry in one replica; the force is zero, or the identity,
-    # which turns the nan at the evaluation point into a nan force
+def test_bound_check_names_step_and_replica(batch, index, where, value, force):
+    # one bad entry in the replica of flat batch index ``index`` (None
+    # without batch axes: the unbatched state is replica 0); the force is
+    # zero, or the identity, which turns the nan at the evaluation point
+    # into a nan force, reported as any other divergence
     model = _identity_force_model(2) if force else _free_model(2)
     q = np.ones(batch + (3, 2))
     p = np.zeros(batch + (3, 2))
-    bad = np.unravel_index(replica, batch) if batch else ()
+    bad = np.unravel_index(index, batch) if batch else ()
+    replica = 0 if index is None else index
     (q if where == "q" else p)[bad + (1, 0)] = value
     with pytest.raises(IntegrationDivergedError) as err:
         randomized_step_arrays(model, q, p, 0.25, np.full(batch, 0.5), step_index=7)
     assert err.value.step_index == 7 and err.value.replica == replica
-    assert str(err.value) == ("non-finite force at step 7" if force
-                              else "trajectory diverged at integrator step 7")
+    assert str(err.value) == f"trajectory diverged at inner step 7, replica {replica}"
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

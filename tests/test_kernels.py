@@ -181,34 +181,93 @@ def test_uhmc_virial_deviation_sees_the_multiwell_bias():
     assert dev < -10.0 * se, (dev, se)
 
 
+def _second_moment_averages(model, T, groups, width, burn, steps, stream):
+    """Per replica, the time average over ``steps`` kernel steps after
+    ``burn`` of Y = (1/N) sum_i q_i^2 for every system of ``groups``.
+
+    ``groups`` lists (h, starts, slices): the systems of one group start
+    at ``starts``, (R, N, 1) arrays, and run one lockstep flow at step
+    size h, so they share its uniforms, which each group draws for itself.
+    Each kernel step draws one (R, width, 1) velocity refresh, and each
+    system takes its slice along the particle axis.  Returns one (systems,
+    R) array per group."""
+    R = len(groups[0][1][0])
+    states = [list(starts) for _, starts, _ in groups]
+    y = [np.zeros((len(starts), R)) for _, starts, _ in groups]
+    for k in range(burn + steps):
+        xi = stream.normal_vector((R, width, 1))
+        for g, (h, _, slices) in enumerate(groups):
+            ends = lockstep_flow_arrays(
+                model, [(x, xi[:, s]) for x, s in zip(states[g], slices)], T, h, stream)
+            states[g] = [x for x, _ in ends]
+            if k >= burn:
+                y[g] += [(x * x).mean(axis=(-2, -1)) for x in states[g]]
+    return [total / steps for total in y]
+
+
+def _mean_mode_excess(eps, T, h):
+    # v(1 - eps) - v(1): the mean mode's stationary variance over that of
+    # every other mode, so that E Y(N) = v(1) + excess / N on gaussian
+    return uhmc_variance_oracle(1.0 - eps, T, h) - uhmc_variance_oracle(1.0, T, h)
+
+
 def test_antithetic_chaos_part_matches_the_exact_chain():
     # Delta_N = Y(2N) - (Y(N_a) + Y(N_b))/2, Y the per-replica time average
     # of (1/N) sum_i q_i^2: the 2N system's first and last N particles take
     # the velocities of N_a and N_b, and all three share the integrator
     # uniforms.  Its mean is -(v(1 - eps) - v(1))/(2N), the mean mode's
-    # share.  |z| was 0.19-2.26 and the variance ratio 94-121 on seeds 0-9
-    eps, T, h, N, R, burn, steps = 0.25, 1.0, 0.25, 16, 400, 30, 100
+    # share.  On seeds 0-9 |z| was 0.19-2.26 and the variance ratio 94-121
+    # at N = 16, and 0.11-1.75 and 327-457 at N = 64
+    eps, T, h, R, burn, steps = 0.25, 1.0, 0.25, 400, 30, 100
+    for N, exact in ((16, -0.010412), (64, -0.0026031)):
+        assert -_mean_mode_excess(eps, T, h) / (2 * N) == pytest.approx(exact, abs=5e-7)
+        stream = RngStream(0)
+        xa, xb = (stationary_gaussian_sample_arrays(eps, (R, N), stream)[..., None]
+                  for _ in range(2))
+        halves = [slice(None, N), slice(N, None), slice(None)]
+        (ya, yb, y2), = _second_moment_averages(
+            gaussian_model(eps), T,
+            [(h, [xa, xb, np.concatenate([xa, xb], axis=1)], halves)],
+            2 * N, burn, steps, stream)
+        delta = y2 - 0.5 * (ya + yb)
+        se = delta.std(ddof=1) / np.sqrt(R)
+        assert abs(delta.mean() - exact) <= 4.0 * se, (N, delta.mean(), se)
+        # the antithetic split is what makes the part measurable: the plain
+        # difference against one N system is far noisier
+        assert (y2 - ya).var(ddof=1) >= 20.0 * delta.var(ddof=1), N
+
+
+def test_discretization_and_mixed_parts_match_the_exact_chain():
+    # Delta_h = Y(N, h/2) - Y(N, h) and the mixed part Y(2N, h/2) - Y(2N, h)
+    # - Y(N, h/2) + Y(N, h), Y as above.  The N system takes the first N
+    # velocities of the 2N system (the plain coupling in N), and the h/2
+    # pair takes the h pair's velocities at each kernel step and draws its
+    # own uniforms.  E Y(N) = v(1) + (v(1 - eps) - v(1))/N gives both
+    # exact values.  On seeds 0-9 |z| of Delta_h was 0.33-2.24 at h = 1/2
+    # and 0.03-2.28 at h = 1/4, and of the mixed part 0.04-1.26 and 0.25-1.94
+    eps, T, N, R, burn, steps = 0.25, 1.0, 16, 400, 30, 100
     model = gaussian_model(eps)
-    exact = -(uhmc_variance_oracle(1.0 - eps, T, h) - uhmc_variance_oracle(1.0, T, h)) / (2 * N)
-    assert exact == pytest.approx(-0.010412, abs=5e-7)
-    stream = RngStream(0)
-    xa, xb = (stationary_gaussian_sample_arrays(eps, (R, N), stream)[..., None]
-              for _ in range(2))
-    x2 = np.concatenate([xa, xb], axis=1)
-    y = np.zeros((3, R))
-    for k in range(burn + steps):
-        xi = stream.normal_vector((R, 2 * N, 1))
-        (xa, _), (xb, _), (x2, _) = lockstep_flow_arrays(
-            model, [(xa, xi[:, :N]), (xb, xi[:, N:]), (x2, xi)], T, h, stream)
-        if k >= burn:
-            y += [(x * x).mean(axis=(-2, -1)) for x in (xa, xb, x2)]
-    ya, yb, y2 = y / steps
-    delta = y2 - 0.5 * (ya + yb)
-    se = delta.std(ddof=1) / np.sqrt(R)
-    assert abs(delta.mean() - exact) <= 4.0 * se, (delta.mean(), se)
-    # the antithetic split is what makes the part measurable: the plain
-    # difference against one N system is far noisier
-    assert (y2 - ya).var(ddof=1) >= 20.0 * delta.var(ddof=1)
+    for h, exact_h, exact_mixed in ((0.5, 0.0435470, -3.02e-5),
+                                    (0.25, 0.0112913, -3.805e-6)):
+        y_exact = [uhmc_variance_oracle(1.0, T, step) + _mean_mode_excess(eps, T, step) / N
+                   for step in (h, h / 2)]
+        assert y_exact[1] - y_exact[0] == pytest.approx(exact_h, abs=5e-8)
+        assert ((_mean_mode_excess(eps, T, h) - _mean_mode_excess(eps, T, h / 2)) / (2 * N)
+                == pytest.approx(exact_mixed, rel=1e-3))
+        stream = RngStream(0)
+        xa, xb = (stationary_gaussian_sample_arrays(eps, (R, N), stream)[..., None]
+                  for _ in range(2))
+        starts = [xa, np.concatenate([xa, xb], axis=1)]
+        slices = [slice(None, N), slice(None)]
+        (yn_h, y2n_h), (yn_h2, y2n_h2) = _second_moment_averages(
+            model, T, [(h, starts, slices), (h / 2, starts, slices)], 2 * N,
+            burn, steps, stream)
+        delta_h = yn_h2 - yn_h
+        se = delta_h.std(ddof=1) / np.sqrt(R)
+        assert abs(delta_h.mean() - exact_h) <= 4.0 * se, (h, delta_h.mean(), se)
+        mixed = y2n_h2 - y2n_h - delta_h
+        se = mixed.std(ddof=1) / np.sqrt(R)
+        assert abs(mixed.mean() - exact_mixed) <= 4.0 * se, (h, mixed.mean(), se)
 
 
 def test_xhmc_zero_duration_keeps_positions():
@@ -336,7 +395,7 @@ def test_run_chain_divergence_names_kernel_and_inner_step():
     with pytest.raises(IntegrationDivergedError) as err:
         run_chain(step, np.ones((4, 1)), 100, _whole)
     assert err.value.step_index == 9
-    assert str(err.value) == "chain diverged at kernel step 9 (inner step 8)"
+    assert str(err.value) == "chain diverged at kernel step 9 (inner step 8, replica 0)"
 
 
 def test_run_chain_divergence_names_the_replica():

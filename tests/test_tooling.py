@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import meanfield_hmc
+from meanfield_hmc.cli import main
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = sorted(Path(meanfield_hmc.__file__).parent.glob("*.py"))
@@ -96,3 +97,34 @@ def test_every_private_module_name_is_read_in_the_package():
             or isinstance(node, ast.Attribute)}
     assert defined, "no private module-level names found"
     assert sorted(f"{defined[name]} {name}" for name in set(defined) - read) == []
+
+
+def _readme_block(after):
+    """The lines of README's first fenced block after the line holding ``after``."""
+    lines = (TESTS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if after in line)
+    opening = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```"))
+    closing = next(i for i in range(opening + 1, len(lines)) if lines[i].startswith("```"))
+    return lines[opening + 1:closing]
+
+
+def test_readme_csv_layout_quotes_its_golden_file():
+    # the block shortens the file: "..." for cut rows and a cut config line
+    golden = (TESTS / "golden" / "contraction_multiwell_2d.csv").read_text(
+        encoding="utf-8").splitlines()
+    block = _readme_block("## CSV layout")
+    config = [line for line in block if line.startswith("# config:")]
+    assert len(config) == 1 and config[0].endswith("...}")
+    assert any(line.startswith(config[0][:-4]) for line in golden)
+    quoted = [line for line in block if line != "..." and line not in config]
+    assert [line for line in quoted if line not in golden] == []
+    assert len(quoted) >= 10
+
+
+def test_readme_json_line_is_what_its_command_prints(tmp_path, monkeypatch, capsys):
+    argv = ["order-check", "--h-list", "0.5,0.25,0.125", "--N", "2", "--out", "o.csv"]
+    block = _readme_block("example above with `--json` prints")
+    assert f"`{' '.join(argv)}`" in (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out.splitlines() == block
