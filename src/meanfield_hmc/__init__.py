@@ -15,8 +15,7 @@ from .couplings import (CoupleResult, CouplingParams, couple_velocities_batch,
 from .integrators import (DIVERGENCE_LIMIT, IntegrationDivergedError,
                           exact_gaussian_flow_arrays, lockstep_flow_arrays,
                           randomized_step_arrays)
-from .kernels import (draw_initial_positions, run_chain,
-                      stationary_gaussian_sample_arrays, uhmc_step_arrays,
+from .kernels import (draw_initial_positions, run_chain, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
 from .models import (AssumptionConstants, MeanFieldModel, ShallowNetDataset,
                      gaussian_model, mean_field_grad_all, multiwell_model,

@@ -26,11 +26,10 @@ import numpy as np
 
 from . import __version__
 from .couplings import CouplingParams, coupled_uhmc_step, rho_N
-from .integrators import (DIVERGENCE_LIMIT, _check_duration, _integral_steps,
-                          _snap_step_size, exact_gaussian_flow_arrays,
-                          lockstep_flow_arrays)
-from .kernels import (run_chain, stationary_gaussian_sample_arrays,
-                      draw_initial_positions, uhmc_step_arrays,
+from .integrators import (DIVERGENCE_LIMIT, IntegrationDivergedError,
+                          _check_duration, _integral_steps, _snap_step_size,
+                          exact_gaussian_flow_arrays, lockstep_flow_arrays)
+from .kernels import (draw_initial_positions, run_chain, uhmc_step_arrays,
                       xhmc_step_gaussian_arrays)
 from .models import MeanFieldModel, _Frozen, gaussian_model
 from .rng import RngStream, ndtri
@@ -45,20 +44,29 @@ def _check_count(flag: str, value: int, least: int = 1) -> None:
         raise ValueError(f"{flag} must be {rule}, got {value}")
 
 
-def _scan(one_point, points, seed: int, threads: int):
+def _scan(one_point, name: str, points, seed: int, threads: int):
     """Run ``one_point(stream, point)``, which returns (row, detail), for
     each point on substream i of ``seed``; return (rows, detail) in input
-    order.  ``threads`` > 1 runs the points on a thread pool, whose modules
-    (``concurrent.futures``, ``logging``, ``queue``) are imported on first
-    use, so a one-thread scan never pays for them."""
+    order.  The first point in input order that diverges is re-raised with
+    ``name=point: `` before its message.  ``threads`` > 1 runs the points
+    on a thread pool, whose modules (``concurrent.futures``, ``logging``,
+    ``queue``) are imported on first use, so a one-thread scan never pays
+    for them."""
+    def run(stream, point):
+        try:
+            return one_point(stream, point)
+        except IntegrationDivergedError as err:
+            raise IntegrationDivergedError(err.step_index, f"{name}={point}: {err}",
+                                           err.replica) from err
+
     base = RngStream(seed)
     streams = [base.substream(i) for i in range(len(points))]
     if threads <= 1:
-        results = list(map(one_point, streams, points))
+        results = list(map(run, streams, points))
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_point, streams, points))
+            results = list(pool.map(run, streams, points))
     return [row for row, _ in results], [detail for _, detail in results]
 
 
@@ -186,7 +194,8 @@ class Report(_Frozen):
 
 
 BIAS_COLUMNS = ("k", "eps_acc", "N", "h", "steps", "kde_rel_error")
-_H_RULES = ("eps23", "eps12", "fixed")
+_H_POWERS = {"eps23": 2.0 / 3.0, "eps12": 0.5}
+_H_RULES = (*_H_POWERS, "fixed")
 # Every bias-scan replica starts from the exact stationary measure and loses
 # its start at about 0.648 per kernel step, so a long chain buys nothing that
 # more replicas would not, and a wide batch costs far fewer Python calls per
@@ -263,15 +272,9 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
     def one_k(stream, k):
         eps_acc = 2.0 ** (-k)
         n_particles = int(round(eps_acc ** -2))
-        if h_rule == "eps23":
-            h_raw = eps_acc ** (2.0 / 3.0)
-        elif h_rule == "eps12":
-            h_raw = eps_acc ** 0.5
-        else:
-            h_raw = h_fixed
+        h_raw = h_fixed if h_rule == "fixed" else eps_acc ** _H_POWERS[h_rule]
         h = _snap_step_size(T, h_raw)
-        q = stationary_gaussian_sample_arrays(
-            epsilon, (replicas, n_particles), stream)[..., None]
+        q = draw_initial_positions(model, (replicas, n_particles), "stationary", stream)
         first = run_chain(lambda v: uhmc_step_arrays(model, v, T, h, stream),
                           q, per, lambda v: v[:, 0, 0])
         kept = first[1 + burn:]
@@ -283,7 +286,7 @@ def bias_scan(k_max: int = 3, steps: int = 200_000, h_rule: str = "eps23",
                   "first_var": float(var_r.mean()), "first_var_se": var_se}
         return (k, eps_acc, n_particles, h, steps, err), detail
 
-    rows, detail = _scan(one_k, range(1, k_max + 1), seed, threads)
+    rows, detail = _scan(one_k, "k", range(1, k_max + 1), seed, threads)
     slope = _slope([r[1] for r in rows], [r[5] for r in rows])
     config = {"k_max": k_max, "steps": steps, "h_rule": h_rule,
               "epsilon": epsilon, "T": T, "burn_in": burn_in,
@@ -317,12 +320,14 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
     _check_count("steps", m)
     _check_count("replicas", replicas, 2)
     _check_duration(T)
+    model = gaussian_model(epsilon)
 
     def one_n(stream, n_particles):
-        q = stationary_gaussian_sample_arrays(epsilon, (replicas, n_particles), stream)
+        q = draw_initial_positions(model, (replicas, n_particles), "stationary", stream)
         # per step and replica: particle sum, sum of squares, first coordinate
         records = run_chain(lambda v: xhmc_step_gaussian_arrays(epsilon, v, T, stream),
-                            q, m, lambda v: (v.sum(axis=1), (v * v).sum(axis=1), v[:, 0]))
+                            q[..., 0], m,
+                            lambda v: (v.sum(axis=1), (v * v).sum(axis=1), v[:, 0]))
         rowsum, sumsq, first_track = np.moveaxis(records[1:], 1, 0)
         mean_track = rowsum / n_particles
         var_r = sumsq.sum(axis=0) / (m * n_particles)
@@ -344,7 +349,7 @@ def chaos_scan(N_list=(16, 64, 256), m: int = 1500, replicas: int = 200,
         row = (n_particles, abs(var_hat - 1.0), mc_var, w1)
         return row, detail
 
-    rows, detail = _scan(one_n, list(N_list), seed, threads)
+    rows, detail = _scan(one_n, "N", list(N_list), seed, threads)
     slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"N_list": list(N_list), "m": m, "replicas": replicas,
               "epsilon": epsilon, "T": T}
@@ -376,17 +381,17 @@ def contraction_experiment(model: MeanFieldModel, T: float = 1.0, h: float = 0.2
                            synchronous: bool = False) -> Report:
     """Coupled-chain decay of the particle-averaged coupled distance.
 
-    Initial pairs are x ~ product standard normal and x' = x + offset in
-    every coordinate, with |offset| below ``DIVERGENCE_LIMIT``; each
-    replica then runs ``m`` coupled steps.  ``synchronous`` couples every
-    pair's velocities synchronously: the coupling at R_tilde = 0.
-    Admissibility of (T, eps) for the discretized kernel is checked first;
-    failures warn and proceed.  Row k holds the replica mean of rho_N, with
-    the model's R1, after k coupled steps and its standard error.  The
-    footer's decay factor is exp(slope) of a log-linear fit of the means,
-    and its standard error comes from refitting on CONTRACTION_BLOCKS
-    disjoint replica groups; the footer adds the theory's rate c_uhmc and
-    envelope constant A.
+    Initial pairs are x from the ``normal`` start law, the product standard
+    normal, and x' = x + offset in every coordinate, with |offset| below
+    ``DIVERGENCE_LIMIT``; each replica then runs ``m`` coupled steps.
+    ``synchronous`` couples every pair's velocities synchronously: the
+    coupling at R_tilde = 0.  Admissibility of (T, eps) for the discretized
+    kernel is checked first; failures warn and proceed.  Row k holds the
+    replica mean of rho_N, with the model's R1, after k coupled steps and
+    its standard error.  The footer's decay factor is exp(slope) of a
+    log-linear fit of the means, and its standard error comes from refitting
+    on CONTRACTION_BLOCKS disjoint replica groups; the footer adds the
+    theory's rate c_uhmc and envelope constant A.
     """
     _check_count("steps", m)
     _check_count("replicas", replicas, 2)
@@ -407,7 +412,7 @@ def contraction_experiment(model: MeanFieldModel, T: float = 1.0, h: float = 0.2
     cp = CouplingParams(R_tilde=0.0 if synchronous else tc.R_tilde, T=T)
     stream = RngStream(seed)
 
-    x = stream.normal_vector((replicas, N, model.dim))
+    x = draw_initial_positions(model, (replicas, N), "normal", stream)
     rho = run_chain(lambda pair: coupled_uhmc_step(model, *pair, h, cp, stream),
                     (x, x + offset), m, lambda pair: rho_N(*pair, tc.R1, T))
 
@@ -462,21 +467,20 @@ def order_check(h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128), T: float = 1.0,
     l_e = compute_constants(model, T).L_e
 
     def one_h(stream, h):
-        q0 = stationary_gaussian_sample_arrays(epsilon, (replicas, N), stream)
-        p0 = stream.normal_vector((replicas, N))
-        q_exact = exact_gaussian_flow_arrays(epsilon, q0, p0, T)
+        q0 = draw_initial_positions(model, (replicas, N), "stationary", stream)
+        p0 = stream.normal_vector(q0.shape)
+        q_exact = exact_gaussian_flow_arrays(epsilon, q0[..., 0], p0[..., 0], T)
         # the momentum obeys the position's linear equation from (p0, -grad U(q0))
-        force0 = -model.grad_U_all(q0[..., None])[..., 0]
-        p_exact = exact_gaussian_flow_arrays(epsilon, p0, force0, T)
-        (q_num, p_num), = lockstep_flow_arrays(
-            model, [(q0[..., None], p0[..., None])], T, h, stream)
+        force0 = -model.grad_U_all(q0)[..., 0]
+        p_exact = exact_gaussian_flow_arrays(epsilon, p0[..., 0], force0, T)
+        (q_num, p_num), = lockstep_flow_arrays(model, [(q0, p0)], T, h, stream)
         dq = q_num[..., 0] - q_exact
         dp = p_num[..., 0] - p_exact
         err = np.sqrt(dq**2 + dp**2 / l_e).mean(axis=1)
         return ((h, float(err.mean())),
                 {"h": h, "stderr": float(err.std(ddof=1) / np.sqrt(replicas))})
 
-    rows, detail = _scan(one_h, list(h_list), seed, threads)
+    rows, detail = _scan(one_h, "h", list(h_list), seed, threads)
     slope = _slope([r[0] for r in rows], [r[1] for r in rows])
     config = {"h_list": [float(h) for h in h_list], "T": T, "N": N,
               "epsilon": epsilon, "replicas": replicas}
@@ -497,9 +501,10 @@ def sample_command(model: MeanFieldModel, N: int = 16, T: float = 1.0, h: float 
                    columns: int | None = None) -> Report:
     """Generic chain run returning thinned positions as CSV rows.
 
-    The chain runs on a (1, N, d) batch of one replica.  ``h = 0`` selects
-    the exact kernel (gaussian model only).  ``columns`` (at least 1) caps
-    the number of coordinates written per row for large systems.
+    The chain runs on a (1, N, d) batch of one replica, started from the
+    law ``init`` of :func:`draw_initial_positions`.  ``h = 0`` selects the
+    exact kernel (gaussian model only).  ``columns`` (at least 1) caps the
+    number of coordinates written per row for large systems.
     """
     _check_count("steps", m)
     _check_count("N", N)
@@ -520,13 +525,12 @@ def sample_command(model: MeanFieldModel, N: int = 16, T: float = 1.0, h: float 
     else:
         _integral_steps(T, h)
         step = lambda q: uhmc_step_arrays(model, q, T, h, stream)
-    x0 = draw_initial_positions(model, N, init, stream)
+    x0 = draw_initial_positions(model, (1, N), init, stream)
     # before the chain, so that constants out of floating-point range fail fast
     tc = compute_constants(model, T, m2_init=float((x0 * x0).sum(axis=-1).mean()))
     total = N * model.dim
     n_cols = total if columns is None else min(int(columns), total)
-    # a batch of one replica, so every chain runs on an (R, N, d) state
-    recorded = run_chain(step, x0[None], m, lambda q: q.reshape(-1)[:n_cols], thin)
+    recorded = run_chain(step, x0, m, lambda q: q.reshape(-1)[:n_cols], thin)
     col_names = ("step",) + tuple(f"x_{i + 1}" for i in range(n_cols))
     # Python floats, which write_csv formats fastest
     rows = [(idx * thin, *r) for idx, r in enumerate(recorded.tolist())]

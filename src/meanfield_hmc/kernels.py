@@ -5,8 +5,9 @@ kernels refresh the full velocity vector from N(0, I) each step and
 transport positions with a Hamiltonian flow for a fixed duration T: the
 unadjusted kernel runs the randomized time integrator in T/h steps of size
 h, the exact kernel (1-d quadratic model only) the closed-form flow.
-:func:`run_chain` iterates any kernel step, single, batched or coupled,
-and records what an experiment measures along the chain.
+:func:`draw_initial_positions` draws each chain's cold, normal or exactly
+stationary start, and :func:`run_chain` iterates any kernel step, single,
+batched or coupled, and records what an experiment measures along it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .integrators import (IntegrationDivergedError, exact_gaussian_flow_arrays,
                           lockstep_flow_arrays)
-from .models import MeanFieldModel, _check_quadratic_epsilon
+from .models import MeanFieldModel
 from .rng import RngStream
 
 
@@ -34,30 +35,24 @@ def xhmc_step_gaussian_arrays(epsilon: float, q, T: float, stream: RngStream) ->
     return exact_gaussian_flow_arrays(epsilon, q, p, T)
 
 
-def stationary_gaussian_sample_arrays(epsilon: float, shape, stream: RngStream) -> np.ndarray:
-    """Exact draws from the N-particle stationary measure of the 1-d quadratic model.
-
-    ``shape`` is (..., N) with particles last.  The measure is N(0, M^{-1})
-    with M = I - (eps/N) 11^T: draw z ~ N(0, I) and stretch its mean
-    direction by 1/sqrt(1 - eps).
-    """
-    _check_quadratic_epsilon(epsilon)
-    z = stream.normal_vector(shape)
-    scale = 1.0 / np.sqrt(1.0 - epsilon) - 1.0
-    return z + scale * z.mean(axis=-1, keepdims=True)
-
-
-def draw_initial_positions(model: MeanFieldModel, N: int, init: str,
+def draw_initial_positions(model: MeanFieldModel, shape, init: str,
                            stream: RngStream) -> np.ndarray:
-    """Initial (N, d) positions: ``cold`` (zeros), ``normal``, or ``stationary``."""
+    """Start positions (..., N, d) for the batch ``shape`` (..., N): ``cold``
+    zeros, ``normal`` the product standard normal, or ``stationary`` (gaussian
+    model only) an exact draw from the N-particle stationary measure
+    N(0, M^{-1}), M = I - (eps/N) 11^T: z ~ N(0, I) with its particle mean
+    stretched by 1/sqrt(1 - eps)."""
+    shape = (*shape, model.dim)
     if init == "cold":
-        return np.zeros((N, model.dim))
+        return np.zeros(shape)
     if init == "normal":
-        return stream.normal_vector((N, model.dim))
+        return stream.normal_vector(shape)
     if init == "stationary":
         if model.name != "gaussian":
             raise ValueError("stationary start is available only for the gaussian model")
-        return stationary_gaussian_sample_arrays(model.epsilon, (N,), stream)[:, None]
+        z = stream.normal_vector(shape)
+        scale = 1.0 / np.sqrt(1.0 - model.epsilon) - 1.0
+        return z + scale * z.mean(axis=-2, keepdims=True)
     raise ValueError(f"unknown init {init!r}; expected cold, normal, or stationary")
 
 

@@ -158,7 +158,7 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # 50 replicas of 20 steps: enough kept samples to pass the checks
     (["bias-scan", "--k-max", "1", "--steps", "1000", "--h-rule", "fixed", "--h", "2.5",
       "--T", "2500", "--eps", "0"], 3,
-     "chain diverged at kernel step 0 (inner step 178, replica 31)"),
+     "k=1: chain diverged at kernel step 0 (inner step 178, replica 31)"),
     (["sample", "--model", "multiwell", "--h", "0"], 2,
      "the exact kernel is implemented only for the gaussian model"),
     (["bias-scan", "--h", "0.1"], 2, "--h applies to --h-rule fixed only, not eps23"),
@@ -269,9 +269,19 @@ _EPS_RANGE = ("epsilon must lie in [0, 1), got epsilon=1.0; "
     # the limit names the step size typed, not the one it snaps to
     (["bias-scan", "--h-rule", "fixed", "--h", "9.5e-7"], 2,
      "T/h must be at most the inner-step limit 1048576, got T=1.0, h=9.5e-07"),
-    # a trajectory outside any chain names its inner step and replica too
+    # a trajectory outside any chain names its inner step and replica too,
+    # and a scan names the point that diverged
     (["order-check", "--h-list", "2.5", "--T", "2500", "--N", "4", "--replicas", "4"], 3,
-     "trajectory diverged at inner step 193, replica 2"),
+     "h=2.5: trajectory diverged at inner step 193, replica 2"),
+    (["order-check", "--h-list", "0.125,2.5", "--T", "2500", "--N", "4", "--replicas", "4"],
+     3, "h=2.5: trajectory diverged at inner step 180, replica 0"),
+    (["bias-scan", "--k-max", "2", "--steps", "1000", "--h-rule", "fixed", "--h", "2.5",
+      "--T", "2500", "--eps", "0"], 3,
+     "k=1: chain diverged at kernel step 0 (inner step 178, replica 31)"),
+    # at two threads both k diverge, and the first in input order is named
+    (["bias-scan", "--k-max", "2", "--steps", "1000", "--h-rule", "fixed", "--h", "2.5",
+      "--T", "2500", "--eps", "0", "--threads", "2"], 3,
+     "k=1: chain diverged at kernel step 0 (inner step 178, replica 31)"),
 ])
 def test_error_exit_codes(tmp_path, capsys, argv, code, message):
     # constants writes no file and takes no --out

@@ -173,13 +173,13 @@ def test_chaos_scan_draws_only_the_start_and_the_velocities(monkeypatch):
     # the W1 reference is the normal's quantiles, so after the chain's
     # (m + 1) * replicas * N variates the scan draws none
     streams = []
-    start = experiments.stationary_gaussian_sample_arrays
+    start = experiments.draw_initial_positions
 
-    def recording_start(epsilon, shape, stream):
+    def recording_start(model, shape, init, stream):
         streams.append(stream)
-        return start(epsilon, shape, stream)
+        return start(model, shape, init, stream)
 
-    monkeypatch.setattr(experiments, "stationary_gaussian_sample_arrays", recording_start)
+    monkeypatch.setattr(experiments, "draw_initial_positions", recording_start)
     chaos_scan(N_list=(4, 8), m=5, replicas=3)
     assert [s.counter for s in streams] == [6 * 3 * 4, 6 * 3 * 8]
 

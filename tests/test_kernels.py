@@ -4,8 +4,7 @@ import pytest
 from meanfield_hmc import (RngStream, compute_constants,
                            draw_initial_positions, gaussian_model,
                            lockstep_flow_arrays, multiwell_model,
-                           randomized_step_arrays, run_chain,
-                           stationary_gaussian_sample_arrays, uhmc_step_arrays,
+                           randomized_step_arrays, run_chain, uhmc_step_arrays,
                            xhmc_step_gaussian_arrays)
 from meanfield_hmc.integrators import (_MAX_INNER_STEPS, IntegrationDivergedError,
                                       _check_duration, _integral_steps,
@@ -167,9 +166,9 @@ def test_uhmc_virial_deviation_matches_the_exact_chain(h, exact):
     v = lambda omega2: uhmc_variance_oracle(omega2, 1.0, h)
     oracle = ((N - 1) * (v(1.0) - 1.0) + ((1.0 - eps) * v(1.0 - eps) - 1.0)) / N
     assert oracle == pytest.approx(exact, abs=5e-6)
-    stream = RngStream(0)
-    q = stationary_gaussian_sample_arrays(eps, (400, N), stream)[..., None]
-    dev, se = _virial_deviation(gaussian_model(eps), q, h, stream)
+    model, stream = gaussian_model(eps), RngStream(0)
+    q = draw_initial_positions(model, (400, N), "stationary", stream)
+    dev, se = _virial_deviation(model, q, h, stream)
     assert abs(dev - oracle) <= 4.0 * se, (dev, se)
 
 
@@ -221,12 +220,12 @@ def test_antithetic_chaos_part_matches_the_exact_chain():
     eps, T, h, R, burn, steps = 0.25, 1.0, 0.25, 400, 30, 100
     for N, exact in ((16, -0.010412), (64, -0.0026031)):
         assert -_mean_mode_excess(eps, T, h) / (2 * N) == pytest.approx(exact, abs=5e-7)
-        stream = RngStream(0)
-        xa, xb = (stationary_gaussian_sample_arrays(eps, (R, N), stream)[..., None]
+        model, stream = gaussian_model(eps), RngStream(0)
+        xa, xb = (draw_initial_positions(model, (R, N), "stationary", stream)
                   for _ in range(2))
         halves = [slice(None, N), slice(N, None), slice(None)]
         (ya, yb, y2), = _second_moment_averages(
-            gaussian_model(eps), T,
+            model, T,
             [(h, [xa, xb, np.concatenate([xa, xb], axis=1)], halves)],
             2 * N, burn, steps, stream)
         delta = y2 - 0.5 * (ya + yb)
@@ -255,7 +254,7 @@ def test_discretization_and_mixed_parts_match_the_exact_chain():
         assert ((_mean_mode_excess(eps, T, h) - _mean_mode_excess(eps, T, h / 2)) / (2 * N)
                 == pytest.approx(exact_mixed, rel=1e-3))
         stream = RngStream(0)
-        xa, xb = (stationary_gaussian_sample_arrays(eps, (R, N), stream)[..., None]
+        xa, xb = (draw_initial_positions(model, (R, N), "stationary", stream)
                   for _ in range(2))
         starts = [xa, np.concatenate([xa, xb], axis=1)]
         slices = [slice(None, N), slice(None)]
@@ -287,7 +286,8 @@ def test_xhmc_preserves_stationary_moments():
     # one exact step from a stationary start keeps both variance fingerprints
     eps, n_part, reps = 0.25, 16, 4000
     stream = RngStream(55)
-    q = stationary_gaussian_sample_arrays(eps, (reps, n_part), stream)
+    q = draw_initial_positions(gaussian_model(eps), (reps, n_part), "stationary",
+                               stream)[..., 0]
     q = xhmc_step_gaussian_arrays(eps, q, 1.0, stream)
     coord_var = q.var(ddof=1)
     mean_var = q.mean(axis=1).var(ddof=1)
@@ -298,35 +298,45 @@ def test_xhmc_preserves_stationary_moments():
 
 
 def test_stationary_sample_zero_interaction_is_raw_normal():
-    a = stationary_gaussian_sample_arrays(0.0, (32,), RngStream(3))
-    b = RngStream(3).normal_vector(32)
+    a = draw_initial_positions(gaussian_model(0.0), (1, 32), "stationary", RngStream(3))
+    b = RngStream(3).normal_vector((1, 32, 1))
     assert np.array_equal(a, b)
 
 
 def test_stationary_sample_covariance_fingerprint():
     eps, n_part = 0.25, 16
-    draws = stationary_gaussian_sample_arrays(eps, (100_000, n_part), RngStream(8))
+    draws = draw_initial_positions(gaussian_model(eps), (100_000, n_part), "stationary",
+                                   RngStream(8))[..., 0]
     mean_dir_var = draws.mean(axis=1).var(ddof=1) * n_part
     assert abs(mean_dir_var - 1.0 / (1.0 - eps)) < 0.05 * (1.0 / (1.0 - eps))
     coord_var = draws[:, 0].var(ddof=1)
     target = 1.0 + eps / (n_part * (1.0 - eps))
     assert abs(coord_var - target) < 0.02
-    with pytest.raises(ValueError):
-        stationary_gaussian_sample_arrays(1.0, (4,), RngStream(8))
+    # the stationary law needs eps < 1, which the gaussian model enforces
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+        gaussian_model(1.0)
 
 
 def test_draw_initial_positions_modes():
     m = gaussian_model(0.25)
-    assert np.array_equal(draw_initial_positions(m, 4, "cold", RngStream(0)),
-                          np.zeros((4, 1)))
-    normal = draw_initial_positions(m, 4, "normal", RngStream(0))
-    assert normal.shape == (4, 1)
-    stat = draw_initial_positions(m, 4, "stationary", RngStream(0))
-    assert stat.shape == (4, 1)
-    with pytest.raises(ValueError):
-        draw_initial_positions(m, 4, "warm", RngStream(0))
-    with pytest.raises(ValueError):
-        draw_initial_positions(multiwell_model(1.0), 4, "stationary", RngStream(0))
+    assert np.array_equal(draw_initial_positions(m, (3, 4), "cold", RngStream(0)),
+                          np.zeros((3, 4, 1)))
+    normal = draw_initial_positions(m, (3, 4), "normal", RngStream(0))
+    assert np.array_equal(normal, RngStream(0).normal_vector((3, 4, 1)))
+    wide = draw_initial_positions(multiwell_model(1.0, dim=2), (3, 4), "normal", RngStream(0))
+    assert np.array_equal(wide, RngStream(0).normal_vector((3, 4, 2)))
+    # stationary: bit for bit the (R, N) draw z + (1/sqrt(1 - eps) - 1) mean(z)
+    # on particles last, taken from an equal stream
+    for shape in [(1, 8), (125, 64), (200, 256)]:
+        stat = draw_initial_positions(m, shape, "stationary", RngStream(5))
+        z = RngStream(5).normal_vector(shape)
+        expected = z + (1.0 / np.sqrt(1.0 - 0.25) - 1.0) * z.mean(axis=-1, keepdims=True)
+        assert stat.shape == (*shape, 1)
+        assert np.array_equal(stat[..., 0], expected), shape
+    with pytest.raises(ValueError, match="unknown init 'warm'"):
+        draw_initial_positions(m, (3, 4), "warm", RngStream(0))
+    with pytest.raises(ValueError, match="only for the gaussian model"):
+        draw_initial_positions(multiwell_model(1.0), (3, 4), "stationary", RngStream(0))
 
 
 def _uhmc(model, T, h, stream):
@@ -428,7 +438,7 @@ def test_chain_second_moments_respect_uniform_bound():
     assert tc.conditions["cond_T_moment"].passed
     assert tc.conditions["cond_eps_moment"].passed
     stream = RngStream(99)
-    q = stationary_gaussian_sample_arrays(eps, (reps, n_part), stream)
+    q = draw_initial_positions(m, (reps, n_part), "stationary", stream)[..., 0]
     for _ in range(steps):
         q = xhmc_step_gaussian_arrays(eps, q, T, stream)
         step_moment = (q * q).mean(axis=1).mean()

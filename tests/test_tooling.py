@@ -1,5 +1,7 @@
 import ast
 import builtins
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -128,3 +130,27 @@ def test_readme_json_line_is_what_its_command_prints(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out.splitlines() == block
+
+
+def test_every_name_the_tracer_keys_on_is_a_public_package_function():
+    # the benchmark's tracer finds its spans by these names; one renamed,
+    # bypassed or made private reads as a layer of 0 in the trace.  The
+    # tracer's source is read, never imported or edited
+    source = (TESTS.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    constants = {_name(target): node.value for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign) for target in node.targets}
+    layers = ast.literal_eval(constants["LAYERS"])
+    particle_axis = ast.literal_eval(constants["PARTICLE_AXIS"])
+    hooked = ("couple_velocities_batch", "gaussian_kde_on_grid", "write_csv")
+    assert all(f'"{name}"' in source for name in hooked)
+    public = {}
+    for layer in layers:
+        module = importlib.import_module(f"meanfield_hmc.{layer}")
+        public.update((name, obj) for name, obj in vars(module).items()
+                      if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                      and not name.startswith("_"))
+    assert sorted({*particle_axis, *hooked} - set(public)) == []
+    # the tracer reads these fields of a coupling's result and write_csv's path
+    fields = inspect.signature(meanfield_hmc.CoupleResult).parameters
+    assert {"synchronous", "coalescing"} <= set(fields)
+    assert next(iter(inspect.signature(public["write_csv"]).parameters)) == "path"
